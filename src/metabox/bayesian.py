@@ -1,29 +1,42 @@
 """Bayesian optimization: expected improvement over the mixed GP surrogate.
 
-Each iteration maximizes expected improvement over the auxiliary domain
-(meta component enumerated, categorical components enumerated or sampled,
-standard variables searched by a pattern search on the acquisition), subject
-to surrogate constraint means being nonpositive, then evaluates the chosen
-point on the true problem.  Previously evaluated points are excluded, so on
-fully finite domains the loop sweeps the whole space.
+Each iteration maximizes expected improvement over the auxiliary domain,
+subject to surrogate constraint means being nonpositive, then evaluates the
+chosen point on the true problem.  Previously evaluated points are excluded,
+so on fully finite domains the loop sweeps the whole space.
+
+The acquisition search works on arrays of candidate rows, one meta component
+at a time.  A fully finite domain is scored in one batch per meta component.
+Otherwise every categorical component (enumerated, or sampled past a cap) is
+paired with several starts, and each pair runs a coordinate pattern search
+on the standard variables.  All searches of a meta component run in
+lockstep: each step scores the poll points of every active search in one
+prediction batch, and each search then moves, shrinks or stops on its own.
+GP predictions do not depend on the batch, so every search takes the same
+path it would take alone.  The pick is the highest-EI candidate (surrogate-
+feasible ones first), with ties broken by the order of a sequential search.
+Only the winner becomes a Point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
 from .blackbox import (EvaluationRecord, Evaluator, Problem, barrier_value, cache_key)
-from .domain import (ContinuousScope, Domain, MetaComponent, Point, denormalize,
+from .domain import (Domain, IntegerScope, MetaComponent, Point, denormalize,
                      enumerate_domain_points)
 from .encoders import Encoder
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FittingError, NotEnumerableError)
-from .gp import GPModel, KernelConfig, fit_hyperparameters, merge_kernel_overrides
+from .gp import (GPModel, KernelConfig, SampleFeatures, fit_hyperparameters,
+                 merge_kernel_overrides)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -105,155 +118,184 @@ class BOResult:
 # Acquisition maximization
 # ---------------------------------------------------------------------------
 
-class _Best:
-    """Strictly-improving tracker; ties keep the earlier candidate.
+class _Batch(NamedTuple):
+    """Candidates scored together: rows under one meta component."""
 
-    Candidates are materialized lazily so losing offers cost nothing.
+    xm: MetaComponent
+    categorical: np.ndarray     # (n, q) category indices, acting-set order
+    standard: np.ndarray        # (n, d) raw standard values, acting-set order
+    ei: np.ndarray
+    acting: list                # ids of the constraints acting under xm
+    means: np.ndarray           # (len(acting), n) surrogate constraint means
+    feasible: np.ndarray        # every surrogate constraint mean <= 0
+    fresh: np.ndarray           # not evaluated yet
+    order: np.ndarray           # (n, 4) sequential-order keys
+
+
+class _Candidates:
+    """Every candidate scored during one acquisition search, and the pick.
+
+    Each row carries the key (meta, search, step, position) of its place in
+    a sequential search over metas, then categorical components and starts,
+    then steps and poll positions.  The pick breaks ties by that key, so it
+    does not depend on how rows were batched.
     """
 
-    def __init__(self):
-        self.value = -math.inf
-        self._make = None
+    def __init__(self, model: GPModel, system, constraint_models, encoder: Encoder,
+                 evaluated, f_star):
+        self.model = model
+        self.system = system
+        self.constraint_models = constraint_models
+        self.encoder = encoder
+        self.f_star = f_star
+        self._evaluated = {}
+        for point in evaluated:
+            self._evaluated.setdefault(point.meta, []).append(point)
+        self._evaluated_rows = {}
+        self._batches: list[_Batch] = []
 
-    def offer(self, value, make_candidate):
-        if value > self.value:
-            self.value = value
-            self._make = make_candidate
+    def _evaluated_under(self, xm: MetaComponent, cat_ids, std_ids) -> set:
+        """Evaluated points under xm as flat (categorical..., standard...) tuples.
 
-    def materialize(self):
-        return self._make() if self._make is not None else None
+        Float equality matches cache-key equality: keys render reals with 17
+        significant digits, which round-trips exactly.
+        """
+        if xm not in self._evaluated_rows:
+            self._evaluated_rows[xm] = {
+                tuple(p.categorical[v] for v in cat_ids)
+                + tuple(p.standard[v] for v in std_ids)
+                for p in self._evaluated.get(xm, ())}
+        return self._evaluated_rows[xm]
 
+    def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
+              standard: np.ndarray, search, step, position) -> np.ndarray:
+        """Expected improvement of each row; the rows are kept for the pick.
 
-def _offer_batch(points, ei, system, constraint_models, xm, encoder, evaluated,
-                 best_feasible, best_any, features=None):
-    """Feed a batch of candidates to the trackers.
+        ``search``, ``step`` and ``position`` give each row's order key
+        (arrays or scalars).
+        """
+        domain = self.model.domain
+        features = SampleFeatures.from_arrays(domain, xm, categorical, standard, self.encoder)
+        mean, variance = self.model.predict_batch(features)
+        ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
+        acting = [c.id for c in self.system.acting_constraints(xm)]
+        means = np.zeros((len(acting), len(ei)))
+        for row, cid in enumerate(acting):
+            constraint_model = self.constraint_models.get(cid)
+            if constraint_model is not None:
+                means[row] = constraint_model.mean_batch(features)
+        done = self._evaluated_under(xm, domain.acting_index_set(xm, "categorical"),
+                                     domain.acting_index_set(xm, "standard"))
+        rows = map(tuple, np.hstack([categorical, standard]).tolist())
+        fresh = np.array([row not in done for row in rows], dtype=bool)
+        order = np.column_stack(np.broadcast_arrays(meta_index, search, step, position))
+        self._batches.append(_Batch(xm, categorical, standard, ei, acting, means,
+                                    np.all(means <= 0.0, axis=0), fresh,
+                                    order.reshape(len(ei), 4)))
+        return ei
 
-    Surrogate constraint means are computed lazily: walking the batch in
-    stable descending-EI order, the first surrogate-feasible candidate is the
-    batch's best feasible one, and candidates below the current best need no
-    constraint check at all.
-    """
-    acting = [c.id for c in system.acting_constraints(xm)]
+    def pick(self) -> AuxiliaryCandidate | None:
+        """Highest-EI fresh candidate among the surrogate-feasible ones, else
+        among all; ties go to the earliest in sequential order.  None when no
+        fresh candidate was scored."""
+        if not self._batches:
+            return None
+        ei, feasible, fresh, order = (np.concatenate([getattr(b, name) for b in self._batches])
+                                      for name in ("ei", "feasible", "fresh", "order"))
+        which = np.concatenate([np.full(len(b.ei), i) for i, b in enumerate(self._batches)])
+        row = np.concatenate([np.arange(len(b.ei)) for b in self._batches])
+        offered = fresh & (ei > -math.inf)  # NaN never wins
+        for pool in (offered & feasible, offered):
+            if pool.any():
+                tied = np.flatnonzero(pool & (ei == ei[pool].max()))
+                first = tied[np.lexsort(order[tied].T[::-1])[0]]
+                return self._candidate(self._batches[which[first]], row[first])
+        return None
 
-    def point_means(index):
-        means = {}
-        single = None
-        for cid in acting:
-            model = constraint_models.get(cid)
-            if model is None:
-                means[cid] = 0.0
-                continue
-            if single is None:
-                single = model.features([points[index]])
-            means[cid] = float(model.mean_batch(single)[0])
-        return means
-
-    def make(index, means, feasible):
-        point = points[index]
+    def _candidate(self, batch: _Batch, row: int) -> AuxiliaryCandidate:
+        """Build the point-level candidate (the only Point built) for one row."""
+        domain, xm = self.model.domain, batch.xm
+        xq = {vid: int(v) for vid, v in
+              zip(domain.acting_index_set(xm, "categorical"), batch.categorical[row])}
+        xs = {vid: (int(v) if isinstance(domain.spec(vid).scope, IntegerScope) else float(v))
+              for vid, v in zip(domain.acting_index_set(xm, "standard"), batch.standard[row])}
         return AuxiliaryCandidate(
-            meta=point.meta, encoded=encoder.encode(point.categorical, point.meta),
-            categorical=dict(point.categorical), standard=dict(point.standard),
-            acquisition=float(ei[index]), constraint_means=means,
-            surrogate_feasible=feasible)
-
-    def make_checked(index):
-        means = point_means(index)
-        return make(index, means, all(v <= 0.0 for v in means.values()))
-
-    fresh = [i for i in range(len(points)) if cache_key(points[i]) not in evaluated]
-    for i in fresh:
-        best_any.offer(float(ei[i]), lambda i=i: make_checked(i))
-    for i in sorted(fresh, key=lambda i: -ei[i]):
-        if ei[i] <= best_feasible.value:
-            break
-        means = point_means(i)
-        if all(v <= 0.0 for v in means.values()):
-            best_feasible.offer(float(ei[i]), lambda i=i, means=means: make(i, means, True))
-            break
+            meta=xm, encoded=self.encoder.encode(xq, xm), categorical=xq, standard=xs,
+            acquisition=float(batch.ei[row]),
+            constraint_means={cid: float(m[row]) for cid, m in zip(batch.acting, batch.means)},
+            surrogate_feasible=bool(batch.feasible[row]))
 
 
-def _enumerate_categorical(domain: Domain, xm, cap: int, rng):
-    """All categorical components under xm, or uniform samples past the cap."""
+def _enumerate_categorical(domain: Domain, xm, cap: int, rng) -> np.ndarray:
+    """All categorical components under xm as (count, q) index rows, or
+    uniform samples past the cap."""
     ids = domain.acting_index_set(xm, "categorical")
     sizes = [domain.spec(v).scope.size for v in ids]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total <= cap:
-        components = []
-        for flat in range(total):
-            rem, combo = flat, {}
-            for vid, size in zip(reversed(ids), reversed(sizes)):
-                combo[vid] = rem % size + 1
-                rem //= size
-            components.append(combo)
-        return components
-    draws = []
-    for _ in range(cap):
-        draws.append({vid: int(rng.integers(1, size + 1))
-                      for vid, size in zip(ids, sizes)})
-    return draws
+    if math.prod(sizes) <= cap:
+        rows = list(itertools.product(*(range(1, s + 1) for s in sizes)))
+    else:
+        rows = [[int(rng.integers(1, size + 1)) for size in sizes] for _ in range(cap)]
+    return np.array(rows, dtype=int).reshape(len(rows), len(ids))
 
 
-def _acquisition_pattern_search(model, system, constraint_models, encoder, xm, xq,
-                                start_standard, f_star, evaluated, cfg,
-                                best_feasible, best_any):
-    """Pattern search maximizing EI over the standard variables of one combo."""
-    domain = model.domain
-    ids = domain.acting_index_set(xm, "standard")
+def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
+                    combos: np.ndarray, centers: np.ndarray, cfg: BOConfig):
+    """Coordinate pattern searches maximizing EI over the standard variables,
+    run in lockstep: search s polls from centers[s] with the categorical
+    component combos[s].
 
-    def batch_ei(points):
-        features = model.features(points)
-        mean, var = model.predict_batch(features)
-        return np.atleast_1d(expected_improvement(mean, np.sqrt(var), f_star)), features
-
-    if not ids:
-        point = Point(xm, xq, {})
-        ei, features = batch_ei([point])
-        _offer_batch([point], ei, system, constraint_models, xm, encoder, evaluated,
-                     best_feasible, best_any, features)
-        return
-    fractions = {vid: 0.25 for vid in ids
-                 if isinstance(domain.spec(vid).scope, ContinuousScope)}
-    steps = {vid: max(1, domain.spec(vid).scope.width // 4) for vid in ids
-             if vid not in fractions}
-    center = dict(start_standard)
-    center_point = Point(xm, xq, center)
-    start_ei, start_features = batch_ei([center_point])
-    center_ei = float(start_ei[0])
-    _offer_batch([center_point], start_ei, system, constraint_models, xm, encoder,
-                 evaluated, best_feasible, best_any, start_features)
-    used = 1
-    while used < cfg.acq_budget:
-        candidates = []
-        for vid in ids:
-            scope = domain.spec(vid).scope
-            for sign in (1, -1):
-                if vid in fractions:
-                    value = scope.clamp(center[vid] + sign * fractions[vid] * scope.width)
-                else:
-                    value = scope.clamp(center[vid] + sign * steps[vid])
-                if value != center[vid]:
-                    candidates.append(Point(xm, xq, {**center, vid: value}))
-        if not candidates:
+    Each search keeps its own center, step sizes and evaluation count; one
+    step scores the poll points of every active search as one batch.  Each
+    search moves exactly as it would alone, because predictions do not
+    depend on the batch.
+    """
+    domain = candidates.model.domain
+    scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
+    integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
+    width = np.array([s.width for s in scopes], dtype=float)
+    lo, hi = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
+    count = len(centers)
+    # Continuous columns hold a fraction of the width, integer columns a step.
+    scale = np.tile(np.where(integer, np.maximum(1, width // 4), 0.25), (count, 1))
+    # score() keeps the arrays it is given and returns, so the search state
+    # lives in copies.
+    center = centers.copy()
+    center_ei = candidates.score(meta_index, xm, combos, centers,
+                                 np.arange(count), 0, 0).copy()
+    used = np.ones(count, dtype=int)
+    active = used < cfg.acq_budget
+    step = 0
+    while active.any():
+        step += 1
+        owners = np.flatnonzero(active)
+        delta = np.where(integer, scale[owners], scale[owners] * width)
+        base = center[owners]
+        polls = np.clip(np.stack([base + delta, base - delta], axis=2),
+                        lo[:, None], hi[:, None])
+        owner, column, sign = np.nonzero(polls != base[:, :, None])  # search, column, +/-
+        if not len(owner):
             break
-        ei, features = batch_ei(candidates)
-        used += len(candidates)
-        _offer_batch(candidates, ei, system, constraint_models, xm, encoder, evaluated,
-                     best_feasible, best_any, features)
-        best_idx = int(np.argmax(ei))
-        if ei[best_idx] > center_ei:
-            center = dict(candidates[best_idx].standard)
-            center_ei = float(ei[best_idx])
-            continue
-        at_minimum = (all(f <= 0.02 for f in fractions.values())
-                      and all(s == 1 for s in steps.values()))
-        if at_minimum:
-            break
-        for vid in fractions:
-            fractions[vid] = max(0.02, fractions[vid] * 0.5)
-        for vid in steps:
-            steps[vid] = max(1, steps[vid] // 2)
+        rows = base[owner]
+        rows[np.arange(len(owner)), column] = polls[owner, column, sign]
+        ei = candidates.score(meta_index, xm, combos[owners[owner]], rows,
+                              owners[owner], step, 2 * column + sign)
+        bounds = np.searchsorted(owner, np.arange(len(owners) + 1))
+        for i, s in enumerate(owners):
+            polled = ei[bounds[i]:bounds[i + 1]]
+            if not polled.size:
+                active[s] = False
+                continue
+            used[s] += polled.size
+            best = bounds[i] + int(np.argmax(polled))
+            if ei[best] > center_ei[s]:
+                center[s], center_ei[s] = rows[best], ei[best]
+            elif np.all(scale[s][~integer] <= 0.02) and np.all(scale[s][integer] == 1):
+                active[s] = False
+                continue
+            else:
+                scale[s] = np.where(integer, np.maximum(1, scale[s] // 2),
+                                    np.maximum(0.02, scale[s] * 0.5))
+            active[s] = used[s] < cfg.acq_budget
 
 
 def maximize_acquisition(model: GPModel, system, constraint_models, encoder: Encoder,
@@ -262,53 +304,47 @@ def maximize_acquisition(model: GPModel, system, constraint_models, encoder: Enc
 
     Candidates whose surrogate constraint means exceed zero are rejected;
     when no surrogate-feasible candidate exists anywhere the global EI
-    maximizer is returned flagged infeasible.  Already evaluated points are
-    excluded; None signals an exhausted finite domain.
+    maximizer is returned flagged infeasible.  Points in ``evaluated`` (the
+    points already evaluated) are excluded; None signals an exhausted finite
+    domain.
     """
     domain = model.domain
     try:
         metas = domain.enumerate_meta_set()
     except NotEnumerableError as exc:
         raise ConfigurationError("acquisition needs an enumerable meta set") from exc
-    best_feasible, best_any = _Best(), _Best()
+    candidates = _Candidates(model, system, constraint_models, encoder, evaluated, f_star)
     try:
         points = enumerate_domain_points(domain, cfg.enumeration_cap)
     except NotEnumerableError:
         points = None
-    if points is not None:
-        fresh = [p for p in points if cache_key(p) not in evaluated]
-        if not fresh:
-            return None
-        mean, var = model.predict_batch(fresh)
-        ei = np.atleast_1d(expected_improvement(mean, np.sqrt(var), f_star))
-        by_meta = {}
-        for i, p in enumerate(fresh):
-            by_meta.setdefault(p.meta, []).append(i)
-        for xm in metas:
-            idx = by_meta.get(xm, [])
-            if idx:
-                subset = [fresh[i] for i in idx]
-                _offer_batch(subset, ei[idx], system, constraint_models,
-                             xm, encoder, evaluated, best_feasible, best_any,
-                             model.features(subset))
-    else:
-        for xm in metas:
-            for xq in _enumerate_categorical(domain, xm, cfg.categorical_cap, rng):
-                for start in range(cfg.acq_starts):
-                    if start == 0:
-                        standard = domain.complete_point(xm, {}).standard
-                    else:
-                        standard = {}
-                        for vid in domain.acting_index_set(xm, "standard"):
-                            scope = domain.spec(vid).scope
-                            standard[vid] = denormalize(scope, float(rng.random()))
-                    _acquisition_pattern_search(
-                        model, system, constraint_models, encoder, xm, xq, standard,
-                        f_star, evaluated, cfg, best_feasible, best_any)
-    feasible_candidate = best_feasible.materialize()
-    if feasible_candidate is not None:
-        return feasible_candidate
-    return best_any.materialize()
+    for meta_index, xm in enumerate(metas):
+        cat_ids = domain.acting_index_set(xm, "categorical")
+        std_ids = domain.acting_index_set(xm, "standard")
+        if points is not None:
+            under = [p for p in points if p.meta == xm]
+            categorical = np.array([[p.categorical[v] for v in cat_ids] for p in under],
+                                   dtype=int).reshape(len(under), len(cat_ids))
+            standard = np.array([[p.standard[v] for v in std_ids] for p in under],
+                                dtype=float).reshape(len(under), len(std_ids))
+            candidates.score(meta_index, xm, categorical, standard,
+                             0, 0, np.arange(len(under)))
+            continue
+        combos = _enumerate_categorical(domain, xm, cfg.categorical_cap, rng)
+        default = domain.complete_point(xm, {}).standard
+        centers = []
+        for _ in combos:
+            for start in range(cfg.acq_starts):
+                if start == 0:
+                    centers.append([default[v] for v in std_ids])
+                else:
+                    centers.append([denormalize(domain.spec(v).scope, float(rng.random()))
+                                    for v in std_ids])
+        _pattern_search(candidates, meta_index, xm,
+                        np.repeat(combos, cfg.acq_starts, axis=0),
+                        np.array(centers, dtype=float).reshape(len(centers), len(std_ids)),
+                        cfg)
+    return candidates.pick()
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +410,6 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     seen = set()
 
     def absorb(record):
-        if record.error is not None or not math.isfinite(record.objective):
-            return
         key = cache_key(record.point)
         if key in seen:
             return
@@ -428,8 +462,9 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
             f_star = min(feasible_values)
         else:
             f_star = min(train_values)
+        evaluated = [r.point for r in evaluator.history if not r.cached and r.error is None]
         candidate = maximize_acquisition(model, system, constraint_models, encoder,
-                                         evaluator.evaluated_keys, f_star, cfg, rng)
+                                         evaluated, f_star, cfg, rng)
         if candidate is None:
             stop_reason = "exhausted"
             break

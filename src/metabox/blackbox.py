@@ -202,9 +202,15 @@ class Evaluator:
                     raise EvaluationError(
                         f"backend returned no value for acting constraint {spec.id!r}")
                 constraints[spec.id] = float(blackbox_values[spec.id])
+        objective = float(objective)
+        if not math.isfinite(objective):
+            raise EvaluationError(f"backend returned a non-finite objective {objective!r}")
+        for cid, value in constraints.items():
+            if not math.isfinite(value):
+                raise EvaluationError(f"constraint {cid!r} has the non-finite value {value!r}")
         feasible = system.is_feasible(point, constraints)
         wall_ms = (time.perf_counter() - start) * 1e3
-        return EvaluationRecord(point=point, objective=float(objective),
+        return EvaluationRecord(point=point, objective=objective,
                                 constraints=constraints, feasible=feasible,
                                 index=-1, cached=False, wall_ms=wall_ms)
 

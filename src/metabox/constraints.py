@@ -181,7 +181,7 @@ class ConstraintSystem:
             if c.id not in values:
                 raise IncompleteConstraintValuesError(
                     f"missing value for acting constraint {c.id!r}")
-            if values[c.id] > 0.0:
+            if not values[c.id] <= 0.0:  # NaN is infeasible
                 return False
         return True
 

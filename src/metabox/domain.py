@@ -108,6 +108,11 @@ class IntegerScope:
     def contains_value(self, value) -> bool:
         return _is_int(value) and self.lo <= value <= self.hi
 
+    @property
+    def clamp_bounds(self) -> tuple:
+        """The closed interval :meth:`clamp` maps into."""
+        return self.lo, self.hi
+
     def clamp(self, value: int) -> int:
         return min(max(int(value), self.lo), self.hi)
 
@@ -139,12 +144,19 @@ class ContinuousScope:
         below = value < self.hi if self.hi_open else value <= self.hi
         return above and below
 
-    def clamp(self, value: float) -> float:
-        # Open endpoints are pulled inward by a sliver so clamped values stay
-        # inside the scope.
+    @property
+    def clamp_bounds(self) -> tuple:
+        """The closed interval :meth:`clamp` maps into.
+
+        Open endpoints are pulled inward by a sliver so clamped values stay
+        inside the scope.
+        """
         nudge = 1e-12 * self.width
-        lo = self.lo + nudge if self.lo_open else self.lo
-        hi = self.hi - nudge if self.hi_open else self.hi
+        return (self.lo + nudge if self.lo_open else self.lo,
+                self.hi - nudge if self.hi_open else self.hi)
+
+    def clamp(self, value: float) -> float:
+        lo, hi = self.clamp_bounds
         return min(max(float(value), lo), hi)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .blackbox import cache_key
 from .domain import (Domain, GROUPS, MetaComponent, Point, VariableType, normalize,
@@ -237,49 +238,85 @@ class SampleFeatures:
     """Per-sample arrays extracted once from a list of points."""
 
     def __init__(self, domain: Domain, points, encoder=None):
-        self.n = len(points)
-        self.meta_key = [tuple(sorted(p.meta.items())) for p in points]
+        columns = {}
+        for v in domain.variables:
+            if v.type.is_meta:
+                continue
+            component = "categorical" if v.type in GROUPS["categorical"] else "standard"
+            values = [getattr(p, component).get(v.id) for p in points]
+            acting = np.array([value is not None for value in values], dtype=bool)
+            raw = np.array([0 if value is None else value for value in values], dtype=float)
+            columns[v.id] = (acting, raw)
+        metas = {}
+        which = np.array([metas.setdefault(p.meta, len(metas)) for p in points], dtype=int)
+        self._fill(domain, list(metas), which, columns, encoder)
+
+    @classmethod
+    def from_arrays(cls, domain: Domain, xm: MetaComponent, categorical, standard,
+                    encoder=None) -> "SampleFeatures":
+        """Features of points sharing the meta component ``xm``.
+
+        ``categorical`` holds (n, q) category indices and ``standard`` (n, d)
+        raw standard values, columns in acting-set declaration order.  The
+        result equals the features of the same points built as Point objects.
+        """
+        categorical = np.asarray(categorical, dtype=float)
+        standard = np.asarray(standard, dtype=float)
+        n = len(categorical)
+        given = {**dict(zip(domain.acting_index_set(xm, "categorical"), categorical.T)),
+                 **dict(zip(domain.acting_index_set(xm, "standard"), standard.T))}
+        columns = {}
+        for v in domain.variables:
+            if v.type.is_meta:
+                continue
+            raw = given.get(v.id)
+            columns[v.id] = (np.full(n, raw is not None),
+                             np.zeros(n) if raw is None else raw)
+        features = cls.__new__(cls)
+        features._fill(domain, [xm], np.zeros(n, dtype=int), columns, encoder)
+        return features
+
+    def _fill(self, domain: Domain, metas, which, columns, encoder):
+        """Normalize per-variable (acting mask, raw value) columns into features.
+
+        Sample i has the meta component ``metas[which[i]]``.
+        """
+        self.n = len(which)
+        self.metas = [tuple(sorted(m.items())) for m in metas]
+        self.which_meta = which
         self.meta_num = {}
         self.meta_cat = {}
         for mid in domain.meta_ids:
             spec = domain.spec(mid)
             if spec.type == VariableType.META_CATEGORICAL:
-                self.meta_cat[mid] = np.array([spec.scope.index(p.meta[mid])
-                                               for p in points])
+                values = np.array([spec.scope.index(m[mid]) for m in metas], dtype=int)
+                self.meta_cat[mid] = values[which]
             else:
-                self.meta_num[mid] = np.array([normalize(spec.scope, p.meta[mid])
-                                               for p in points])
+                values = np.array([normalize(spec.scope, m[mid]) for m in metas], dtype=float)
+                self.meta_num[mid] = values[which]
         self.acting = {}
         self.standard = {}
         self.category = {}
         self.encoded = {}
-        for v in domain.variables:
-            if v.type.is_meta:
-                continue
-            acting = np.array([v.id in p.categorical or v.id in p.standard
-                               for p in points])
-            self.acting[v.id] = acting
-            if v.type in GROUPS["standard"]:
-                values = np.zeros(self.n)
-                for i, p in enumerate(points):
-                    if acting[i]:
-                        raw = p.standard[v.id]
-                        if v.type == VariableType.INTEGER:
-                            raw = round_half_away(float(raw))
-                        values[i] = normalize(v.scope, raw)
-                self.standard[v.id] = values
+        for vid, (acting, raw) in columns.items():
+            spec = domain.spec(vid)
+            self.acting[vid] = acting
+            if spec.type in GROUPS["standard"]:
+                if spec.type == VariableType.INTEGER:
+                    # round_half_away, elementwise
+                    raw = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
+                width = spec.scope.width
+                unit = (raw - spec.scope.lo) / width if width else 0.0
+                self.standard[vid] = np.where(acting, unit, 0.0)
             else:
-                idx = np.zeros(self.n, dtype=int)
-                for i, p in enumerate(points):
-                    if acting[i]:
-                        idx[i] = p.categorical[v.id]
-                self.category[v.id] = idx
+                index = np.where(acting, raw, 0).astype(int)
+                self.category[vid] = index
                 if encoder is not None:
-                    block = np.zeros((self.n, encoder.width(v.id)))
-                    for i, p in enumerate(points):
-                        if acting[i]:
-                            block[i] = encoder.encode_variable(v.id, p.categorical[v.id])
-                    self.encoded[v.id] = block
+                    # Row 0 encodes nonacting samples as zeros.
+                    table = np.array([np.zeros(encoder.width(vid))]
+                                     + [encoder.encode_variable(vid, k)
+                                        for k in range(1, spec.scope.size + 1)])
+                    self.encoded[vid] = table[index]
 
 
 class PairTensors:
@@ -292,55 +329,84 @@ class PairTensors:
     def __init__(self, domain: Domain, fa: SampleFeatures, fb: SampleFeatures):
         self.domain = domain
         self.shape = (fa.n, fb.n)
-        keys_a = np.empty(fa.n, dtype=object)
-        keys_a[:] = fa.meta_key
-        keys_b = np.empty(fb.n, dtype=object)
-        keys_b[:] = fb.meta_key
-        self.same_meta = keys_a[:, None] == keys_b[None, :]
+        codes = {}
+        code_a = np.array([codes.setdefault(k, len(codes)) for k in fa.metas], dtype=int)
+        code_b = np.array([codes.setdefault(k, len(codes)) for k in fb.metas], dtype=int)
+        self.same_meta = code_a[fa.which_meta][:, None] == code_b[fb.which_meta][None, :]
         self.meta_num_sq = {mid: (fa.meta_num[mid][:, None] - fb.meta_num[mid][None, :]) ** 2
                             for mid in fa.meta_num}
         self.meta_cat_diff = {mid: fa.meta_cat[mid][:, None] != fb.meta_cat[mid][None, :]
                               for mid in fa.meta_cat}
+        # A variable nonacting in every sample of either set has a factor of
+        # exactly 1 everywhere, so it gets no entry and no factor.
+        shared = [vid for vid in fa.acting if fa.acting[vid].any() and fb.acting[vid].any()]
         self.mask = {vid: self.same_meta & fa.acting[vid][:, None] & fb.acting[vid][None, :]
-                     for vid in fa.acting}
+                     for vid in shared}
         self.standard_sq = {vid: (fa.standard[vid][:, None] - fb.standard[vid][None, :]) ** 2
-                            for vid in fa.standard}
+                            for vid in shared if vid in fa.standard}
         self.category_diff = {vid: fa.category[vid][:, None] != fb.category[vid][None, :]
-                              for vid in fa.category}
+                              for vid in shared if vid in fa.category}
         self.category_sq = {vid: (fa.category[vid][:, None].astype(float)
                                   - fb.category[vid][None, :]) ** 2
-                            for vid in fa.category}
+                            for vid in self.category_diff}
         self.encoded_sq = {}
-        for vid, block_a in fa.encoded.items():
-            block_b = fb.encoded[vid]
+        for vid in self.category_diff.keys() & fa.encoded.keys():
+            block_a, block_b = fa.encoded[vid], fb.encoded[vid]
             self.encoded_sq[vid] = ((block_a ** 2).sum(axis=1)[:, None]
                                     + (block_b ** 2).sum(axis=1)[None, :]
                                     - 2.0 * block_a @ block_b.T)
 
 
+def _correlation_slots(pairs: PairTensors, mode: str):
+    """(config table, key) of each correlation factor, in product order.
+
+    Each factor is the kernel of one variable and depends on exactly one
+    hyperparameter: meta-numeric weights, meta-categorical correlations,
+    then the non-meta variables in declaration order.
+    """
+    slots = [("meta_weights", mid) for mid in pairs.meta_num_sq]
+    slots += [("meta_correlations", mid) for mid in pairs.meta_cat_diff]
+    for vid in pairs.mask:
+        spec = pairs.domain.spec(vid)
+        if spec.type == VariableType.CONTINUOUS:
+            slots.append(("continuous_weights", vid))
+        elif spec.type == VariableType.INTEGER:
+            slots.append(("integer_weights", vid))
+        elif mode == "encoded":
+            slots.append(("categorical_weights", vid))
+        elif spec.type == VariableType.ORDINAL:
+            slots.append(("ordinal_lengthscales", vid))
+        else:
+            slots.append(("nominal_correlations", vid))
+    return slots
+
+
+def _correlation_factor(pairs: PairTensors, table: str, key: str, value: float) -> np.ndarray:
+    """One factor of the correlation matrix, with the hyperparameter at ``value``.
+
+    Factors of non-meta variables are 1 wherever the variable is nonacting in
+    either sample or the samples' meta components differ.
+    """
+    if table == "meta_weights":
+        return np.exp(-value * pairs.meta_num_sq[key])
+    if table == "meta_correlations":
+        return np.where(pairs.meta_cat_diff[key], value, 1.0)
+    if table in ("continuous_weights", "integer_weights"):
+        factor = np.exp(-value * pairs.standard_sq[key])
+    elif table == "categorical_weights":
+        factor = np.exp(-value * pairs.encoded_sq[key])
+    elif table == "ordinal_lengthscales":
+        factor = np.exp(-pairs.category_sq[key] / (2.0 * value ** 2))
+    else:
+        factor = np.where(pairs.category_diff[key], value, 1.0)
+    return np.where(pairs.mask[key], factor, 1.0)
+
+
 def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
     """Kernel matrix without the signal variance factor."""
-    domain = pairs.domain
     out = np.ones(pairs.shape)
-    for mid, sq in pairs.meta_num_sq.items():
-        out *= np.exp(-config.meta_weights[mid] * sq)
-    for mid, diff in pairs.meta_cat_diff.items():
-        out *= np.where(diff, config.meta_correlations[mid], 1.0)
-    for vid, mask in pairs.mask.items():
-        spec = domain.spec(vid)
-        if spec.type == VariableType.CONTINUOUS:
-            factor = np.exp(-config.continuous_weights[vid] * pairs.standard_sq[vid])
-        elif spec.type == VariableType.INTEGER:
-            factor = np.exp(-config.integer_weights[vid] * pairs.standard_sq[vid])
-        elif config.categorical_mode == "encoded":
-            factor = np.exp(-config.categorical_weights[vid] * pairs.encoded_sq[vid])
-        elif spec.type == VariableType.ORDINAL:
-            ell = config.ordinal_lengthscales[vid]
-            factor = np.exp(-pairs.category_sq[vid] / (2.0 * ell ** 2))
-        else:
-            factor = np.where(pairs.category_diff[vid],
-                              config.nominal_correlations[vid], 1.0)
-        out *= np.where(mask, factor, 1.0)
+    for table, key in _correlation_slots(pairs, config.categorical_mode):
+        out *= _correlation_factor(pairs, table, key, getattr(config, table)[key])
     return out
 
 
@@ -360,6 +426,15 @@ def _factorize(matrix: np.ndarray, signal_variance: float):
             if jitter > MAX_JITTER_FRACTION * signal_variance * (1 + 1e-12):
                 raise FactorizationError(
                     "kernel matrix stayed indefinite up to the jitter ceiling") from None
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower Cholesky factor of K.
+
+    LAPACK potrs, the routine linalg.cho_solve calls, without the wrapper,
+    which costs more than the solve itself at acquisition batch sizes.
+    """
+    return lapack.dpotrs(factor, b, lower=1)[0]
 
 
 class GPModel:
@@ -383,7 +458,7 @@ class GPModel:
         self._pairs = PairTensors(domain, self._features, self._features)
         gram = config.signal_variance * correlation_matrix(self._pairs, config)
         self._factor, self.jitter = _factorize(gram, config.signal_variance)
-        self.alpha = linalg.cho_solve(self._factor, self.values)
+        self.alpha = _cho_solve(self._factor[0], self.values)
 
     def __len__(self):
         return len(self.points)
@@ -399,17 +474,33 @@ class GPModel:
         pairs = PairTensors(self.domain, self._features, features)
         return self.config.signal_variance * correlation_matrix(pairs, self.config)
 
-    def predict_batch(self, points):
+    def _columns(self, points):
+        """kappa with at least two columns, and the number of points.
+
+        Sums over the training samples run row by row (axis 0), which gives
+        every column the same bits whatever else the batch holds; numpy would
+        sum a lone column pairwise, so one point is predicted as two copies.
+        """
         kappa = self.cross_covariance(points)
-        mean = kappa.T @ self.alpha
-        solved = linalg.cho_solve(self._factor, kappa)
+        count = kappa.shape[1]
+        if count == 1:
+            kappa = np.repeat(kappa, 2, axis=1)
+        return kappa, count
+
+    def predict_batch(self, points):
+        """Posterior means and variances; each point's values do not depend on
+        the rest of the batch."""
+        kappa, count = self._columns(points)
+        mean = np.sum(kappa * self.alpha[:, None], axis=0)
+        solved = _cho_solve(self._factor[0], kappa)
         # k(x, x) equals the signal variance exactly: every factor is 1.
         variance = self.config.signal_variance - np.sum(kappa * solved, axis=0)
-        return mean, np.maximum(variance, 0.0)
+        return mean[:count], np.maximum(variance[:count], 0.0)
 
     def mean_batch(self, points) -> np.ndarray:
-        """Posterior means only (no variance solve)."""
-        return self.cross_covariance(points).T @ self.alpha
+        """Posterior means only (no variance solve), equal to predict_batch's."""
+        kappa, count = self._columns(points)
+        return np.sum(kappa * self.alpha[:, None], axis=0)[:count]
 
     def predict(self, point: Point):
         mean, variance = self.predict_batch([point])
@@ -430,6 +521,22 @@ class GPModel:
             json.dump(payload, fh, indent=2)
 
 
+def _cholesky_terms(matrix: np.ndarray, y: np.ndarray):
+    """(y^T K^-1 y, log det K) through a Cholesky factor of K; None when K
+    is not numerically positive definite.
+
+    Calls LAPACK directly: the likelihood runs thousands of times per fit,
+    and cho_factor/cho_solve wrap the same two routines in costly checks.
+    """
+    if not (np.isfinite(matrix).all() and np.isfinite(y).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = lapack.dpotrf(matrix, lower=1)
+    if info != 0:
+        return None
+    alpha = _cho_solve(factor, y)
+    return float(y @ alpha), 2.0 * np.sum(np.log(np.diag(factor)))
+
+
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig,
                             encoder=None) -> float:
     """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter."""
@@ -437,15 +544,11 @@ def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     gram = config.signal_variance * correlation_matrix(pairs, config)
-    gram = gram + config.jitter * np.eye(len(points))
-    try:
-        factor = linalg.cho_factor(gram, lower=True)
-    except linalg.LinAlgError:
+    terms = _cholesky_terms(gram + config.jitter * np.eye(len(points)), y)
+    if terms is None:
         return -math.inf
-    alpha = linalg.cho_solve(factor, y)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-    n = len(points)
-    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+    quadratic, logdet = terms
+    return float(-0.5 * quadratic - 0.5 * logdet - 0.5 * len(y) * math.log(2 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +578,18 @@ def _config_slots(config: KernelConfig):
     return slots
 
 
-def _profiled_lml(pairs: PairTensors, y: np.ndarray, config: KernelConfig):
-    """LML with the signal variance profiled out analytically.
+def _profiled_lml(correlation: np.ndarray, y: np.ndarray):
+    """LML of a correlation matrix with the signal variance profiled out analytically.
 
     Returns (lml, profiled signal variance); (-inf, None) on factorization
     failure.
     """
     n = len(y)
-    matrix = correlation_matrix(pairs, config) + JITTER_FRACTION * np.eye(n)
-    try:
-        factor = linalg.cho_factor(matrix, lower=True)
-    except linalg.LinAlgError:
+    terms = _cholesky_terms(correlation + JITTER_FRACTION * np.eye(n), y)
+    if terms is None:
         return -math.inf, None
-    alpha = linalg.cho_solve(factor, y)
-    sigma2 = max(float(y @ alpha) / n, 1e-12)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+    quadratic, logdet = terms
+    sigma2 = max(quadratic / n, 1e-12)
     lml = -0.5 * n * math.log(sigma2) - 0.5 * logdet - 0.5 * n * (1 + math.log(2 * math.pi))
     return float(lml), sigma2
 
@@ -504,6 +604,12 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     correlations move in raw space within [0, 0.99].  The base config (the
     default one unless overridden) is always one of the starts, so the result
     never has lower likelihood than it.  Deterministic for a fixed seed.
+
+    Each hyperparameter enters exactly one correlation factor, so the search
+    keeps the factor matrices stacked and a trial move recomputes only the
+    factor it changes.  The stack is multiplied in correlation_matrix's
+    order, which makes every likelihood bit-identical to evaluating
+    correlation_matrix on the trial config.
     """
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
@@ -519,6 +625,11 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
+    order = {slot: k for k, slot in enumerate(_correlation_slots(pairs, mode))}
+    # A slot without a factor (its variable acts in no sample) cannot change
+    # the likelihood, so the search skips it.
+    factor_of = [order.get((table, key)) for table, key, _, _ in slots]
+    stack = np.empty((len(order),) + pairs.shape)
 
     def build(params):
         config = default_kernel_config(domain, mode)
@@ -526,8 +637,13 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
             getattr(config, table)[key] = value
         return config
 
-    def objective(params):
-        return _profiled_lml(pairs, y, build(params))[0]
+    def set_factor(i, value):
+        if factor_of[i] is not None:
+            table, key, _, _ = slots[i]
+            stack[factor_of[i]] = _correlation_factor(pairs, table, key, value)
+
+    def objective():
+        return _profiled_lml(np.multiply.reduce(stack, axis=0), y)[0]
 
     def random_start():
         params = []
@@ -542,25 +658,30 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     for attempt in range(starts):
         params = ([getattr(base, t)[k] for t, k, _, _ in slots] if attempt == 0
                   else random_start())
-        value = objective(params)
+        for i, value in enumerate(params):
+            set_factor(i, value)
+        value = objective()
         step = 1.0  # log-space / raw-space half-width of the compass move
         for _ in range(sweeps):
             moved = False
             for i, (_, _, kind, (lo, hi)) in enumerate(slots):
+                if factor_of[i] is None:
+                    continue
                 for direction in (1.0, -1.0):
-                    trial = list(params)
                     if kind == "log":
-                        trial[i] = float(np.clip(params[i] * math.exp(direction * step),
-                                                 lo, hi))
+                        trial = min(max(params[i] * math.exp(direction * step), lo), hi)
                     else:
-                        trial[i] = float(np.clip(params[i] + direction * 0.2 * step, lo, hi))
-                    if trial[i] == params[i]:
+                        trial = min(max(params[i] + direction * 0.2 * step, lo), hi)
+                    if trial == params[i]:
                         continue
-                    trial_value = objective(trial)
+                    kept = stack[factor_of[i]].copy()
+                    set_factor(i, trial)
+                    trial_value = objective()
                     if trial_value > value:
-                        params, value = trial, trial_value
+                        params[i], value = trial, trial_value
                         moved = True
                         break
+                    stack[factor_of[i]] = kept
             if not moved:
                 step *= 0.5
                 if step < 0.05:
@@ -570,5 +691,5 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     if best_params is None or best_value == -math.inf:
         raise FittingError("all fitting starts failed to factorize the kernel matrix")
     config = build(best_params)
-    config.signal_variance = _profiled_lml(pairs, y, config)[1]
+    config.signal_variance = _profiled_lml(correlation_matrix(pairs, config), y)[1]
     return config

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -64,3 +67,11 @@ def uniform_random_search(problem, budget, seed):
         if best is None or value < best:
             best = value
     return best
+
+
+def nan_objective_at_k2(problem):
+    """The toy problem with a blackbox that returns NaN wherever k == 2."""
+    def objective(point):
+        value, constraint_values = problem.objective(point)
+        return (math.nan if point.standard["k"] == 2 else value), constraint_values
+    return dataclasses.replace(problem, objective=objective)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import metabox as mb
-from metabox.bayesian import _Best, initial_design, write_acquisition_log
+from metabox.bayesian import _Candidates, initial_design, write_acquisition_log
 from metabox.blackbox import barrier_value
+from metabox.domain import denormalize
+from conftest import nan_objective_at_k2, random_point
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -119,20 +121,30 @@ def test_ei_monotone_in_sigma():
 
 # -- acquisition maximization -----------------------------------------------------------
 
-def test_best_tracker_keeps_earlier_candidate_on_ties():
-    tracker = _Best()
-    tracker.offer(1.0, lambda: "first")
-    tracker.offer(1.0, lambda: "second")
-    assert tracker.materialize() == "first"
-    tracker.offer(1.5, lambda: "third")
-    assert tracker.materialize() == "third"
-
-
 def bo_pieces(problem, points, values, mode="matrix", kind="identity"):
     encoder = mb.Encoder(problem.domain, kind)
     config = mb.default_kernel_config(problem.domain, mode)
     model = mb.GPModel(problem.domain, points, values, config, encoder)
     return model, encoder
+
+
+def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
+    # Trained under m=A only, the model correlates every m=B point with the
+    # samples through the meta factor alone, so all m=B points tie on EI.
+    domain = toy_problem.domain
+    under_a = [p for p in mb.enumerate_domain_points(domain) if p.meta["m"] == "A"][:4]
+    model, encoder = bo_pieces(toy_problem, under_a, [1.0, 2.0, 3.0, 4.0])
+    candidates = _Candidates(model, toy_problem.constraints, {}, encoder, [], 1.0)
+    xm = mb.MetaComponent({"m": "B"})
+    late = candidates.score(1, xm, np.array([[2, 3]]), np.array([[4.0]]), 0, 2, 0)
+    early = candidates.score(1, xm, np.array([[1, 1], [2, 2]]), np.array([[0.0], [1.0]]),
+                             0, 1, np.array([1, 0]))
+    assert late[0] == early[0] == early[1] > 0.0
+    pick = candidates.pick()
+    assert (pick.categorical, pick.standard) == ({"pB": 2, "s": 2}, {"k": 1})
+    later = candidates.score(1, xm, np.array([[1, 3]]), np.array([[3.0]]), 9, 9, 9)
+    assert later[0] == late[0]
+    assert candidates.pick().point() == pick.point()
 
 
 def test_single_sample_gives_positive_ei_elsewhere(toy_problem):
@@ -141,7 +153,7 @@ def test_single_sample_gives_positive_ei_elsewhere(toy_problem):
     model, encoder = bo_pieces(toy_problem, [sample], [1.0])
     candidate = mb.maximize_acquisition(
         model, toy_problem.constraints, {}, encoder,
-        {mb.cache_key(sample)}, 1.0, mb.BOConfig(budget=10), np.random.default_rng(0))
+        [sample], 1.0, mb.BOConfig(budget=10), np.random.default_rng(0))
     assert candidate is not None
     assert candidate.acquisition > 0.0
     assert candidate.point() != sample
@@ -154,7 +166,7 @@ def test_exhausted_finite_domain_returns_none(toy_problem):
     model, encoder = bo_pieces(toy_problem, points[:10], values[:10])
     candidate = mb.maximize_acquisition(
         model, toy_problem.constraints, {}, encoder,
-        {mb.cache_key(p) for p in points}, min(values), mb.BOConfig(budget=10),
+        points, min(values), mb.BOConfig(budget=10),
         np.random.default_rng(0))
     assert candidate is None
 
@@ -164,7 +176,7 @@ def test_acquisition_is_deterministic(toy_problem):
     samples = [domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 0}),
                domain.complete_point(mb.MetaComponent({"m": "B"}), {"k": 4})]
     model, encoder = bo_pieces(toy_problem, samples, [2.0, 1.0])
-    excluded = {mb.cache_key(p) for p in samples}
+    excluded = samples
     picks = [mb.maximize_acquisition(model, toy_problem.constraints, {}, encoder,
                                      excluded, 1.0, mb.BOConfig(budget=10),
                                      np.random.default_rng(0)) for _ in range(2)]
@@ -180,10 +192,146 @@ def test_candidates_decode_into_the_domain(mlp_problem):
     values = [evaluator.evaluate(p).objective for p in points]
     model, encoder = bo_pieces(mlp_problem, points, values)
     candidate = mb.maximize_acquisition(
-        model, mlp_problem.constraints, {}, encoder, evaluator.evaluated_keys,
+        model, mlp_problem.constraints, {}, encoder, points,
         min(values), mb.BOConfig(budget=10, acq_budget=20, acq_starts=2), rng)
     assert domain.contains(candidate.point())
     assert candidate.encoded.shape == (1,)
+
+
+def sequential_acquisition(model, system, constraint_models, encoder, evaluated, f_star,
+                           cfg, rng):
+    """Reference acquisition: one pattern search at a time over Point objects.
+
+    Every candidate is scored in a batch of its own search step, offered in
+    sequential order (meta, categorical component, start, step, position),
+    and kept only when its EI strictly beats the best so far.  Returns the
+    pick as (point, EI, surrogate-feasible), or None, and every scored
+    candidate as (point, EI, surrogate-feasible, fresh) in sequential order.
+    """
+    domain = model.domain
+    excluded = {mb.cache_key(p) for p in evaluated}
+    best = {"feasible": (-math.inf, None), "any": (-math.inf, None)}
+    scored = []
+
+    def offer(points):
+        mean, variance = model.predict_batch(points)
+        ei = mb.expected_improvement(mean, np.sqrt(variance), f_star)
+        for point, value in zip(points, ei):
+            means = [float(constraint_models[c.id].mean_batch([point])[0])
+                     if c.id in constraint_models else 0.0
+                     for c in system.acting_constraints(point.meta)]
+            feasible = all(m <= 0.0 for m in means)
+            fresh = mb.cache_key(point) not in excluded
+            scored.append((point, float(value), feasible, fresh))
+            if not fresh:
+                continue
+            for kind in ("feasible", "any") if feasible else ("any",):
+                if value > best[kind][0]:
+                    best[kind] = (value, (point, float(value), feasible))
+        return ei
+
+    try:
+        points = mb.enumerate_domain_points(domain, cfg.enumeration_cap)
+    except mb.NotEnumerableError:
+        points = None
+    for xm in domain.enumerate_meta_set():
+        if points is not None:
+            offer([p for p in points if p.meta == xm])
+            continue
+        ids = domain.acting_index_set(xm, "standard")
+        cat_ids = domain.acting_index_set(xm, "categorical")
+        axes = [range(1, domain.spec(v).scope.size + 1) for v in cat_ids]
+        for combo in itertools.product(*axes):
+            xq = dict(zip(cat_ids, combo))
+            for start in range(cfg.acq_starts):
+                if start == 0:
+                    center = domain.complete_point(xm, {}).standard
+                else:
+                    center = {v: denormalize(domain.spec(v).scope, float(rng.random()))
+                              for v in ids}
+                center_ei = offer([mb.Point(xm, xq, center)])[0]
+                fractions = {v: 0.25 for v in ids
+                             if isinstance(domain.spec(v).scope, mb.ContinuousScope)}
+                steps = {v: max(1, domain.spec(v).scope.width // 4) for v in ids
+                         if v not in fractions}
+                used = 1
+                while used < cfg.acq_budget:
+                    polls = []
+                    for v in ids:
+                        scope = domain.spec(v).scope
+                        for sign in (1, -1):
+                            if v in fractions:
+                                value = scope.clamp(
+                                    center[v] + sign * fractions[v] * scope.width)
+                            else:
+                                value = scope.clamp(center[v] + sign * steps[v])
+                            if value != center[v]:
+                                polls.append(mb.Point(xm, xq, {**center, v: value}))
+                    if not polls:
+                        break
+                    ei = offer(polls)
+                    used += len(polls)
+                    top = int(np.argmax(ei))
+                    if ei[top] > center_ei:
+                        center, center_ei = dict(polls[top].standard), ei[top]
+                    elif (all(f <= 0.02 for f in fractions.values())
+                          and all(s == 1 for s in steps.values())):
+                        break
+                    else:
+                        fractions = {v: max(0.02, f * 0.5) for v, f in fractions.items()}
+                        steps = {v: max(1, s // 2) for v, s in steps.items()}
+    return best["feasible"][1] or best["any"][1], scored
+
+
+def acquisition_case(problem, samples, seed):
+    """Model and constraint surrogates fit on ``samples`` random points."""
+    domain = problem.domain
+    rng = np.random.default_rng(seed)
+    evaluator = mb.Evaluator(problem, samples)
+    while evaluator.budget.remaining:
+        evaluator.evaluate(random_point(domain, rng))
+    records = [r for r in evaluator.history if not r.cached]
+    points = [r.point for r in records]
+    values = [r.objective for r in records]
+    encoder = mb.Encoder(domain, "identity")
+    config = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
+    model = mb.GPModel(domain, points, values, config, encoder)
+    constraint_models = {}
+    for spec in problem.constraints.constraints:
+        acting = [r for r in records if spec.id in r.constraints]
+        if acting:
+            constraint_models[spec.id] = mb.GPModel(
+                domain, [r.point for r in acting], [r.constraints[spec.id] for r in acting],
+                config, encoder)
+    return model, constraint_models, encoder, points, min(values)
+
+
+@pytest.mark.parametrize("name, samples, seed",
+                         [("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1)])
+def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, samples, seed):
+    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    model, constraint_models, encoder, points, f_star = acquisition_case(problem, samples,
+                                                                         seed)
+    cfg = mb.BOConfig(budget=10, acq_budget=24, acq_starts=3)
+    pools = []
+    pick = _Candidates.pick
+    monkeypatch.setattr(_Candidates, "pick", lambda self: pools.append(self) or pick(self))
+    got = mb.maximize_acquisition(model, problem.constraints, constraint_models, encoder,
+                                  points, f_star, cfg, np.random.default_rng(seed))
+    want, scored = sequential_acquisition(model, problem.constraints, constraint_models,
+                                          encoder, points, f_star, cfg,
+                                          np.random.default_rng(seed))
+    assert (got.point(), got.acquisition, got.surrogate_feasible) == want
+    # Every candidate of every search, in sequential order, scores the same.
+    rows = [(b.order[i], b, i) for b in pools[0]._batches for i in range(len(b.ei))]
+    rows.sort(key=lambda r: tuple(r[0]))
+    lockstep = []
+    for _, batch, i in rows:
+        candidate = pools[0]._candidate(batch, i)
+        lockstep.append((candidate.point(), candidate.acquisition,
+                         candidate.surrogate_feasible, bool(batch.fresh[i])))
+    assert lockstep == scored
+    assert any(not s[2] for s in scored) or name == "toy"
 
 
 # -- initial design and the loop -----------------------------------------------------------
@@ -294,3 +442,9 @@ def test_bo_requires_enumerable_meta_set():
         mb.run_bo(problem, mb.BOConfig(budget=5, seed=0), progress=False)
     with pytest.raises(mb.ConfigurationError):
         mb.run_direct_search(problem, mb.SearchConfig(budget=5), progress=False)
+
+
+def test_bo_never_reports_a_nan_best(toy_problem):
+    result = mb.run_bo(nan_objective_at_k2(toy_problem), mb.BOConfig(budget=60, seed=0))
+    assert math.isfinite(result.best.objective)
+    assert any(r.error is not None for r in result.history)

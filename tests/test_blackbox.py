@@ -174,6 +174,20 @@ def test_toy_blackbox_constraint_emitted_only_when_acting(toy_problem):
     assert not b_rec.feasible
 
 
+@pytest.mark.parametrize("objective, branch_cap", [(math.nan, 1.0), (math.inf, 1.0),
+                                                 (1.0, math.nan), (1.0, -math.inf)])
+def test_non_finite_outputs_are_evaluation_failures(toy_problem, objective, branch_cap):
+    problem = mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                         objective=lambda p: (objective, {"branch_cap": branch_cap}))
+    evaluator = mb.Evaluator(problem, 5)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
+    with pytest.raises(mb.EvaluationError, match="non-finite"):
+        evaluator.evaluate(point)
+    (record,) = evaluator.history
+    assert record.error is not None and record.objective == math.inf
+    assert not record.feasible and not evaluator.is_evaluated(point)
+
+
 # -- external subprocess blackboxes --------------------------------------------------------
 
 def quadratic_child(tmp_path, body):

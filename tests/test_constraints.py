@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import metabox as mb
@@ -86,6 +88,11 @@ def test_feasibility_is_strict(mlp_system, mlp_domain):
     point = units_point(mlp_domain, 2)
     values = {"units_total": -100.0, "units_mono_2": 1e-12}
     assert not mlp_system.is_feasible(point, values)
+
+
+def test_nan_constraint_value_is_infeasible(toy_problem):
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
+    assert not toy_problem.constraints.is_feasible(point, {"branch_cap": math.nan})
 
 
 def test_feasibility_vacuous_without_acting_constraints(toy_problem):

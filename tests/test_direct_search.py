@@ -6,6 +6,7 @@ import pytest
 import metabox as mb
 from metabox.blackbox import barrier_value
 from metabox.builtin_problems import MLP_CONTINUOUS_TARGETS, mlp_normalized
+from conftest import nan_objective_at_k2
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -114,6 +115,13 @@ def test_budget_one_returns_initial_point(toy_problem):
     assert result.evaluator.budget.used == 1
     first_meta = toy_problem.domain.enumerate_meta_set()[0]
     assert result.best.point == toy_problem.domain.complete_point(first_meta, {})
+
+
+def test_direct_search_never_reports_a_nan_best(toy_problem):
+    problem = nan_objective_at_k2(toy_problem)
+    result = mb.run_direct_search(problem, mb.SearchConfig(budget=60, seed=0), progress=False)
+    assert math.isfinite(result.best.objective)
+    assert any(r.error is not None for r in result.history)
 
 
 def test_incumbent_is_nonincreasing(toy_problem):

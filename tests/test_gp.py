@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import metabox as mb
-from metabox.gp import (PairTensors, SampleFeatures, correlation_matrix,
+from scipy import linalg
+
+from metabox.gp import (JITTER_FRACTION, PairTensors, SampleFeatures, correlation_matrix,
                         log_marginal_likelihood)
 from conftest import random_point
 
@@ -280,6 +282,44 @@ def test_variance_clamp_never_hides_large_negatives(mlp_problem):
     assert raw.min() >= -1e-8 * config.signal_variance
 
 
+def test_prediction_is_batch_invariant(mlp_problem):
+    points, values = proxy_samples(mlp_problem, 40, seed=9)
+    domain = mlp_problem.domain
+    config = mb.fit_hyperparameters(domain, points[:25], values[:25], seed=0)
+    model = mb.GPModel(domain, points[:25], values[:25], config)
+    batch = points[25:] + points[:5]
+    mean, variance = model.predict_batch(batch)
+    assert np.array_equal(model.mean_batch(batch), mean)
+    for i, point in enumerate(batch):
+        alone_mean, alone_variance = model.predict_batch([point])
+        assert (alone_mean[0], alone_variance[0]) == (mean[i], variance[i])
+        assert model.mean_batch([point])[0] == mean[i]
+    part_mean, part_variance = model.predict_batch(batch[1::3])
+    assert np.array_equal(part_mean, mean[1::3])
+    assert np.array_equal(part_variance, variance[1::3])
+
+
+@pytest.mark.parametrize("kind", [None, "one-hot"])
+def test_features_from_arrays_match_features_from_points(mlp_domain, kind):
+    encoder = mb.Encoder(mlp_domain, kind) if kind else None
+    rng = np.random.default_rng(13)
+    for xm in mlp_domain.enumerate_meta_set():
+        cat_ids = mlp_domain.acting_index_set(xm, "categorical")
+        std_ids = mlp_domain.acting_index_set(xm, "standard")
+        points = [random_point(mlp_domain, rng, [xm]) for _ in range(6)]
+        categorical = np.array([[p.categorical[v] for v in cat_ids] for p in points])
+        standard = np.array([[p.standard[v] for v in std_ids] for p in points], dtype=float)
+        got = SampleFeatures.from_arrays(mlp_domain, xm, categorical, standard, encoder)
+        want = SampleFeatures(mlp_domain, points, encoder)
+        assert got.n == want.n and got.metas == want.metas
+        assert np.array_equal(got.which_meta, want.which_meta)
+        for name in ("meta_num", "meta_cat", "acting", "standard", "category", "encoded"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.keys() == b.keys(), name
+            for key in a:
+                assert np.array_equal(a[key], b[key]), (name, key)
+
+
 # -- hyperparameter fitting ----------------------------------------------------------------------
 
 def test_fit_never_worse_than_default(mlp_problem):
@@ -306,6 +346,90 @@ def test_fit_dominates_generating_config(mlp_domain):
     fitted = mb.fit_hyperparameters(mlp_domain, points, list(values), seed=0)
     assert (log_marginal_likelihood(mlp_domain, points, values, fitted)
             >= log_marginal_likelihood(mlp_domain, points, values, generator))
+
+
+def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
+                  starts=8, sweeps=8):
+    """Reference compass search: rebuilds correlation_matrix on every trial."""
+    from metabox.gp import _config_slots, default_kernel_config
+    rng = np.random.default_rng(seed)
+    base = default_kernel_config(domain, mode)
+    slots = _config_slots(base)
+    features = SampleFeatures(domain, points, encoder)
+    pairs = PairTensors(domain, features, features)
+    y = np.asarray(values, dtype=float)
+    n = len(y)
+
+    def build(params):
+        config = default_kernel_config(domain, mode)
+        for (table, key, _, _), value in zip(slots, params):
+            getattr(config, table)[key] = value
+        return config
+
+    def profiled(config):
+        matrix = correlation_matrix(pairs, config) + JITTER_FRACTION * np.eye(n)
+        try:
+            factor = linalg.cho_factor(matrix, lower=True)
+        except linalg.LinAlgError:
+            return -math.inf, None
+        sigma2 = max(float(y @ linalg.cho_solve(factor, y)) / n, 1e-12)
+        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+        return (float(-0.5 * n * math.log(sigma2) - 0.5 * logdet
+                      - 0.5 * n * (1 + math.log(2 * math.pi))), sigma2)
+
+    best_params, best_value = None, -math.inf
+    for attempt in range(starts):
+        if attempt == 0:
+            params = [getattr(base, t)[k] for t, k, _, _ in slots]
+        else:
+            params = [float(np.exp(rng.uniform(math.log(lo), math.log(hi)))) if kind == "log"
+                      else float(rng.uniform(lo, hi)) for _, _, kind, (lo, hi) in slots]
+        value = profiled(build(params))[0]
+        step = 1.0
+        for _ in range(sweeps):
+            moved = False
+            for i, (_, _, kind, (lo, hi)) in enumerate(slots):
+                for direction in (1.0, -1.0):
+                    trial = list(params)
+                    if kind == "log":
+                        trial[i] = float(np.clip(params[i] * math.exp(direction * step),
+                                                 lo, hi))
+                    else:
+                        trial[i] = float(np.clip(params[i] + direction * 0.2 * step, lo, hi))
+                    if trial[i] == params[i]:
+                        continue
+                    trial_value = profiled(build(trial))[0]
+                    if trial_value > value:
+                        params, value, moved = trial, trial_value, True
+                        break
+            if not moved:
+                step *= 0.5
+                if step < 0.05:
+                    break
+        if value > best_value:
+            best_params, best_value = params, value
+    config = build(best_params)
+    config.signal_variance = profiled(config)[1]
+    return config
+
+
+@pytest.mark.parametrize("name, count, seed, mode",
+                         [("mlp", 12, 0, "matrix"), ("mlp", 24, 3, "matrix"),
+                          ("toy", 10, 1, "matrix"), ("toy", 16, 2, "encoded")])
+def test_cached_factor_fit_matches_reference(name, count, seed, mode):
+    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    domain = problem.domain
+    rng = np.random.default_rng(seed)
+    evaluator = mb.Evaluator(problem, count)
+    while evaluator.budget.remaining:
+        evaluator.evaluate(random_point(domain, rng))
+    records = [r for r in evaluator.history if not r.cached]
+    points, values = [r.point for r in records], [r.objective for r in records]
+    encoder = mb.Encoder(domain, "one-hot" if mode == "encoded" else "identity")
+    got = mb.fit_hyperparameters(domain, points, values, seed=seed, mode=mode,
+                                 encoder=encoder)
+    want = reference_fit(domain, points, values, seed=seed, mode=mode, encoder=encoder)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_fit_handles_two_identical_values(mlp_domain):
