@@ -2,8 +2,8 @@
 
 Each iteration maximizes expected improvement over the auxiliary domain,
 subject to surrogate constraint means being nonpositive, then evaluates the
-chosen point on the true problem.  Previously evaluated points are excluded,
-so on fully finite domains the loop sweeps the whole space.
+chosen point on the true problem.  Previously evaluated or failed points are
+excluded, so on fully finite domains the loop sweeps the whole space.
 
 The acquisition search works on arrays of candidate rows, one meta component
 at a time.  A fully finite domain is scored in one batch per meta component.
@@ -13,7 +13,9 @@ on the standard variables.  All searches of a meta component run in
 lockstep: each step scores the poll points of every active search in one
 prediction batch, and each search then moves, shrinks or stops on its own.
 GP predictions do not depend on the batch, so every search takes the same
-path it would take alone.  The pick is the highest-EI candidate (surrogate-
+path it would take alone.  The constraint surrogates are row views of the
+objective model, so one cross-covariance per batch serves the objective and
+every constraint.  The pick is the highest-EI candidate (surrogate-
 feasible ones first), with ties broken by the order of a sequential search.
 Only the winner becomes a Point.
 """
@@ -141,51 +143,56 @@ class _Candidates:
     does not depend on how rows were batched.
     """
 
-    def __init__(self, model: GPModel, system, constraint_models, encoder: Encoder,
+    def __init__(self, model: GPModel, system, constraint_views, encoder: Encoder,
                  evaluated, f_star):
         self.model = model
         self.system = system
-        self.constraint_models = constraint_models
+        self.constraint_views = constraint_views
         self.encoder = encoder
         self.f_star = f_star
         self._evaluated = {}
         for point in evaluated:
             self._evaluated.setdefault(point.meta, []).append(point)
-        self._evaluated_rows = {}
+        self._under = {}
         self._batches: list[_Batch] = []
 
-    def _evaluated_under(self, xm: MetaComponent, cat_ids, std_ids) -> set:
-        """Evaluated points under xm as flat (categorical..., standard...) tuples.
+    def _meta_state(self, xm: MetaComponent):
+        """(acting constraint ids, positions in that list of the constraints
+        with a row view, those views, evaluated points under xm) for one meta
+        component.
 
-        Float equality matches cache-key equality: keys render reals with 17
+        Evaluated points are flat (categorical..., standard...) tuples.  Float
+        equality matches cache-key equality: keys render reals with 17
         significant digits, which round-trips exactly.
         """
-        if xm not in self._evaluated_rows:
-            self._evaluated_rows[xm] = {
-                tuple(p.categorical[v] for v in cat_ids)
-                + tuple(p.standard[v] for v in std_ids)
-                for p in self._evaluated.get(xm, ())}
-        return self._evaluated_rows[xm]
+        if xm not in self._under:
+            domain = self.model.domain
+            cat_ids = domain.acting_index_set(xm, "categorical")
+            std_ids = domain.acting_index_set(xm, "standard")
+            acting = [c.id for c in self.system.acting_constraints(xm)]
+            done = {tuple(p.categorical[v] for v in cat_ids)
+                    + tuple(p.standard[v] for v in std_ids)
+                    for p in self._evaluated.get(xm, ())}
+            modeled = [row for row, cid in enumerate(acting) if cid in self.constraint_views]
+            views = [self.constraint_views[acting[row]] for row in modeled]
+            self._under[xm] = acting, modeled, views, done
+        return self._under[xm]
 
     def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
               standard: np.ndarray, search, step, position) -> np.ndarray:
         """Expected improvement of each row; the rows are kept for the pick.
 
         ``search``, ``step`` and ``position`` give each row's order key
-        (arrays or scalars).
+        (arrays or scalars).  The objective and every constraint view share
+        one cross-covariance.
         """
-        domain = self.model.domain
-        features = SampleFeatures.from_arrays(domain, xm, categorical, standard, self.encoder)
-        mean, variance = self.model.predict_batch(features)
+        acting, modeled, views, done = self._meta_state(xm)
+        features = SampleFeatures.from_arrays(self.model.domain, xm, categorical, standard,
+                                              self.encoder)
+        mean, variance, view_means = self.model.predict_batch(features, views)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
-        acting = [c.id for c in self.system.acting_constraints(xm)]
         means = np.zeros((len(acting), len(ei)))
-        for row, cid in enumerate(acting):
-            constraint_model = self.constraint_models.get(cid)
-            if constraint_model is not None:
-                means[row] = constraint_model.mean_batch(features)
-        done = self._evaluated_under(xm, domain.acting_index_set(xm, "categorical"),
-                                     domain.acting_index_set(xm, "standard"))
+        means[modeled] = view_means
         rows = map(tuple, np.hstack([categorical, standard]).tolist())
         fresh = np.array([row not in done for row in rows], dtype=bool)
         order = np.column_stack(np.broadcast_arrays(meta_index, search, step, position))
@@ -298,22 +305,24 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
             active[s] = used[s] < cfg.acq_budget
 
 
-def maximize_acquisition(model: GPModel, system, constraint_models, encoder: Encoder,
+def maximize_acquisition(model: GPModel, system, constraint_views, encoder: Encoder,
                          evaluated, f_star, cfg: BOConfig, rng) -> AuxiliaryCandidate | None:
     """Best expected-improvement candidate over the auxiliary domain.
 
+    ``constraint_views`` maps constraint ids to row views of ``model``
+    (:meth:`GPModel.row_view`); a constraint without one has mean 0.
     Candidates whose surrogate constraint means exceed zero are rejected;
     when no surrogate-feasible candidate exists anywhere the global EI
     maximizer is returned flagged infeasible.  Points in ``evaluated`` (the
-    points already evaluated) are excluded; None signals an exhausted finite
-    domain.
+    points already evaluated or failed) are excluded; None signals an
+    exhausted finite domain.
     """
     domain = model.domain
     try:
         metas = domain.enumerate_meta_set()
     except NotEnumerableError as exc:
         raise ConfigurationError("acquisition needs an enumerable meta set") from exc
-    candidates = _Candidates(model, system, constraint_models, encoder, evaluated, f_star)
+    candidates = _Candidates(model, system, constraint_views, encoder, evaluated, f_star)
     try:
         points = enumerate_domain_points(domain, cfg.enumeration_cap)
     except NotEnumerableError:
@@ -393,7 +402,13 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
 
     Constraint surrogates are GP means fit on all acting observations of each
     constraint, sharing the objective kernel's correlation hyperparameters
-    (the mean prediction is scale-invariant).
+    (the mean prediction is scale-invariant).  Every observation of a
+    constraint is also an objective training point, so each surrogate is a
+    row view of the objective model (:meth:`GPModel.row_view`): its training
+    set is a list of the model's rows, and the acquisition computes one
+    cross-covariance per batch for the objective and every constraint.
+    Failed evaluations are excluded from the acquisition, like evaluated
+    points, so they are never proposed again.
     """
     domain = problem.domain
     system = problem.constraints
@@ -406,7 +421,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     encoder = Encoder(domain, cfg.encoder_kind)
 
     train_points, train_values = [], []
-    constraint_data = {c.id: ([], []) for c in system.constraints}
+    constraint_data = {c.id: ([], []) for c in system.constraints}  # (rows, values)
     seen = set()
 
     def absorb(record):
@@ -414,11 +429,11 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         if key in seen:
             return
         seen.add(key)
+        for cid, value in record.constraints.items():
+            constraint_data[cid][0].append(len(train_points))
+            constraint_data[cid][1].append(value)
         train_points.append(record.point)
         train_values.append(record.objective)
-        for cid, value in record.constraints.items():
-            constraint_data[cid][0].append(record.point)
-            constraint_data[cid][1].append(value)
 
     stop_reason = "budget"
     for point in initial_design(domain, rng, metas):
@@ -452,18 +467,16 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
                 config = base_config
             samples_at_refit = len(train_points)
         model = GPModel(domain, train_points, train_values, config, encoder)
-        constraint_models = {}
-        for cid, (pts, vals) in constraint_data.items():
-            if pts:
-                constraint_models[cid] = GPModel(domain, pts, vals, config, encoder)
+        constraint_views = {cid: model.row_view(rows, vals)
+                            for cid, (rows, vals) in constraint_data.items() if rows}
         feasible_values = [r.objective for r in evaluator.history
                            if not r.cached and r.feasible and r.error is None]
         if feasible_values:
             f_star = min(feasible_values)
         else:
             f_star = min(train_values)
-        evaluated = [r.point for r in evaluator.history if not r.cached and r.error is None]
-        candidate = maximize_acquisition(model, system, constraint_models, encoder,
+        evaluated = [r.point for r in evaluator.history if not r.cached]
+        candidate = maximize_acquisition(model, system, constraint_views, encoder,
                                          evaluated, f_star, cfg, rng)
         if candidate is None:
             stop_reason = "exhausted"

@@ -110,6 +110,8 @@ class Evaluator:
 
     Concurrent evaluate() calls are permitted; the budget check and increment
     are atomic and duplicate in-flight keys coalesce onto one backend call.
+    A failed evaluation is remembered too: requesting its point again records
+    a cached failure and raises the same EvaluationError, free of budget.
     """
 
     def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None):
@@ -117,6 +119,7 @@ class Evaluator:
         self.budget = BudgetState(int(max_evaluations))
         self.history: list[EvaluationRecord] = []
         self._cache: dict[str, EvaluationRecord] = {}
+        self._failed: dict[str, str] = {}   # key -> error message
         self._inflight: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         env = os.environ.get(TIMEOUT_ENV_VAR)
@@ -150,6 +153,12 @@ class Evaluator:
                         index=len(self.history), cached=True, wall_ms=0.0)
                     self.history.append(record)
                     return record
+                error = self._failed.get(key)
+                if error is not None:
+                    self.history.append(EvaluationRecord(
+                        point=point, objective=math.inf, constraints={}, feasible=False,
+                        index=len(self.history), cached=True, wall_ms=0.0, error=error))
+                    raise EvaluationError(error)
                 waiter = self._inflight.get(key)
                 if waiter is None:
                     if self.budget.used >= self.budget.max_evaluations:
@@ -168,6 +177,7 @@ class Evaluator:
                     point=point, objective=math.inf, constraints={}, feasible=False,
                     index=len(self.history), cached=False, wall_ms=0.0, error=str(exc))
                 self.history.append(failed)
+                self._failed[key] = failed.error
                 del self._inflight[key]
             event.set()
             raise

@@ -415,6 +415,7 @@ class Domain:
         self._by_id = {v.id: v for v in self.variables}
         self.meta_ids = tuple(v.id for v in self.variables if v.type.is_meta)
         self._validate_decrees()
+        self._acting_sets = {}
 
     def _validate_decrees(self):
         meta = set(self.meta_ids)
@@ -484,13 +485,27 @@ class Domain:
     # -- acting sets and dimensions -------------------------------------------
 
     def acting_index_set(self, xm: MetaComponent, group: str):
-        """Ids of acting variables of the given type group, declaration order."""
+        """Ids of acting variables of the given type group, declaration order.
+
+        Results are memoized per (meta component, group).  The key holds each
+        meta value's type, because 1, 1.0 and True compare equal but only the
+        first is a valid meta-integer value.
+        """
         if group not in GROUPS:
             raise ValueError(f"unknown variable group {group!r}; expected one of {sorted(GROUPS)}")
-        self.validate_meta(xm)
-        types = GROUPS[group]
-        return [v.id for v in self.variables
-                if v.type in types and self.is_acting(v.id, xm)]
+        try:
+            key = (group,) + tuple((k, type(v), v) for k, v in sorted(xm.items()))
+            cached = self._acting_sets.get(key)
+        except TypeError:  # an unhashable value, which validation rejects below
+            key = cached = None
+        if cached is None:
+            self.validate_meta(xm)
+            types = GROUPS[group]
+            cached = tuple(v.id for v in self.variables
+                           if v.type in types and self.is_acting(v.id, xm))
+            if key is not None:
+                self._acting_sets[key] = cached
+        return list(cached)
 
     def dimension(self, xm: MetaComponent, group: str) -> int:
         return len(self.acting_index_set(xm, group))

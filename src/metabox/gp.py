@@ -441,23 +441,26 @@ class GPModel:
     """Noise-free zero-mean GP conditioned on evaluated points.
 
     Immutable once constructed; fitting hyperparameters happens separately in
-    :func:`fit_hyperparameters`.
+    :func:`fit_hyperparameters`.  :meth:`row_view` conditions further outputs
+    on subsets of the same training points, predicted from the same
+    cross-covariance.
     """
 
     def __init__(self, domain: Domain, points, values, config: KernelConfig,
                  encoder=None):
         if len(points) != len(values) or not points:
             raise ValueError("need matching, nonempty points and values")
+        if config.categorical_mode == "encoded" and encoder is None:
+            raise KernelDomainError("encoded categorical mode needs an encoder")
         self.domain = domain
         self.config = config
         self.encoder = encoder
-        self.kernel = MixedKernel(domain, config, encoder)
         self.points = list(points)
         self.values = np.asarray(values, dtype=float)
         self._features = SampleFeatures(domain, self.points, encoder)
         self._pairs = PairTensors(domain, self._features, self._features)
-        gram = config.signal_variance * correlation_matrix(self._pairs, config)
-        self._factor, self.jitter = _factorize(gram, config.signal_variance)
+        self._gram = config.signal_variance * correlation_matrix(self._pairs, config)
+        self._factor, self.jitter = _factorize(self._gram, config.signal_variance)
         self.alpha = _cho_solve(self._factor[0], self.values)
 
     def __len__(self):
@@ -487,15 +490,32 @@ class GPModel:
             kappa = np.repeat(kappa, 2, axis=1)
         return kappa, count
 
-    def predict_batch(self, points):
+    def row_view(self, rows, values) -> "RowView":
+        """A GP on the training points at the indices ``rows``, with its own
+        ``values``; its means come from :meth:`predict_batch`."""
+        return RowView(self, rows, values)
+
+    def predict_batch(self, points, outputs=None):
         """Posterior means and variances; each point's values do not depend on
-        the rest of the batch."""
+        the rest of the batch.
+
+        With ``outputs``, a sequence of this model's row views, also returns
+        their posterior means as a (len(outputs), n) array, computed from the
+        same cross-covariance.
+        """
         kappa, count = self._columns(points)
         mean = np.sum(kappa * self.alpha[:, None], axis=0)
         solved = _cho_solve(self._factor[0], kappa)
         # k(x, x) equals the signal variance exactly: every factor is 1.
         variance = self.config.signal_variance - np.sum(kappa * solved, axis=0)
-        return mean[:count], np.maximum(variance[:count], 0.0)
+        if outputs is None:
+            return mean[:count], np.maximum(variance[:count], 0.0)
+        means = np.empty((len(outputs), count))
+        for row, view in enumerate(outputs):
+            if getattr(view, "model", None) is not self:
+                raise ValueError("a row view predicts only through its own model")
+            means[row] = view._mean(kappa)[:count]
+        return mean[:count], np.maximum(variance[:count], 0.0), means
 
     def mean_batch(self, points) -> np.ndarray:
         """Posterior means only (no variance solve), equal to predict_batch's."""
@@ -519,6 +539,37 @@ class GPModel:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
+
+
+class RowView:
+    """A GP on a subset of a model's training rows, with other values.
+
+    Every variable acting in no sample of the subset has a correlation
+    factor of exactly 1 on its rows, so the model's Gram submatrix and
+    cross-covariance rows equal, bit for bit, those of a standalone
+    :class:`GPModel` on the subset, and so do the view's means.  A view of
+    all rows reuses the model's Cholesky factor.
+    """
+
+    def __init__(self, model: GPModel, rows, values):
+        rows = np.asarray(rows, dtype=int)
+        values = np.asarray(values, dtype=float)
+        if len(rows) != len(values) or not len(rows):
+            raise ValueError("need matching, nonempty rows and values")
+        self.model = model
+        if np.array_equal(rows, np.arange(len(model))):
+            self.rows = None
+            factor = model._factor[0]
+        else:
+            self.rows = rows
+            (factor, _), _ = _factorize(model._gram[np.ix_(rows, rows)],
+                                        model.config.signal_variance)
+        self.alpha = _cho_solve(factor, values)
+
+    def _mean(self, kappa: np.ndarray) -> np.ndarray:
+        """Posterior means from the model's cross-covariance ``kappa``."""
+        rows = kappa if self.rows is None else kappa[self.rows]
+        return np.sum(rows * self.alpha[:, None], axis=0)
 
 
 def _cholesky_terms(matrix: np.ndarray, y: np.ndarray):
@@ -578,14 +629,14 @@ def _config_slots(config: KernelConfig):
     return slots
 
 
-def _profiled_lml(correlation: np.ndarray, y: np.ndarray):
+def _profiled_lml(correlation: np.ndarray, y: np.ndarray, jitter: np.ndarray):
     """LML of a correlation matrix with the signal variance profiled out analytically.
 
-    Returns (lml, profiled signal variance); (-inf, None) on factorization
-    failure.
+    ``jitter`` is the diagonal matrix added before factorizing.  Returns
+    (lml, profiled signal variance); (-inf, None) on factorization failure.
     """
     n = len(y)
-    terms = _cholesky_terms(correlation + JITTER_FRACTION * np.eye(n), y)
+    terms = _cholesky_terms(correlation + jitter, y)
     if terms is None:
         return -math.inf, None
     quadratic, logdet = terms
@@ -630,6 +681,7 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     # the likelihood, so the search skips it.
     factor_of = [order.get((table, key)) for table, key, _, _ in slots]
     stack = np.empty((len(order),) + pairs.shape)
+    jitter = JITTER_FRACTION * np.eye(len(y))
 
     def build(params):
         config = default_kernel_config(domain, mode)
@@ -643,7 +695,7 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
             stack[factor_of[i]] = _correlation_factor(pairs, table, key, value)
 
     def objective():
-        return _profiled_lml(np.multiply.reduce(stack, axis=0), y)[0]
+        return _profiled_lml(np.multiply.reduce(stack, axis=0), y, jitter)[0]
 
     def random_start():
         params = []
@@ -691,5 +743,5 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     if best_params is None or best_value == -math.inf:
         raise FittingError("all fitting starts failed to factorize the kernel matrix")
     config = build(best_params)
-    config.signal_variance = _profiled_lml(correlation_matrix(pairs, config), y)[1]
+    config.signal_variance = _profiled_lml(correlation_matrix(pairs, config), y, jitter)[1]
     return config

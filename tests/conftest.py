@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -75,3 +76,9 @@ def nan_objective_at_k2(problem):
         value, constraint_values = problem.objective(point)
         return (math.nan if point.standard["k"] == 2 else value), constraint_values
     return dataclasses.replace(problem, objective=objective)
+
+
+def charged_failures(history):
+    """Charged (not cached) failed evaluations per cache key."""
+    return collections.Counter(mb.cache_key(r.point) for r in history
+                               if r.error is not None and not r.cached)

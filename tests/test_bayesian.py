@@ -6,9 +6,10 @@ import pytest
 
 import metabox as mb
 from metabox.bayesian import _Candidates, initial_design, write_acquisition_log
+from metabox.gp import PairTensors
 from metabox.blackbox import barrier_value
 from metabox.domain import denormalize
-from conftest import nan_objective_at_k2, random_point
+from conftest import charged_failures, nan_objective_at_k2, random_point
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -284,7 +285,11 @@ def sequential_acquisition(model, system, constraint_models, encoder, evaluated,
 
 
 def acquisition_case(problem, samples, seed):
-    """Model and constraint surrogates fit on ``samples`` random points."""
+    """Model and constraint surrogates fit on ``samples`` random points.
+
+    Each constraint surrogate comes twice: as a row view of the model, the
+    way run_bo builds it, and as a standalone GPModel on its own samples.
+    """
     domain = problem.domain
     rng = np.random.default_rng(seed)
     evaluator = mb.Evaluator(problem, samples)
@@ -296,29 +301,30 @@ def acquisition_case(problem, samples, seed):
     encoder = mb.Encoder(domain, "identity")
     config = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
     model = mb.GPModel(domain, points, values, config, encoder)
-    constraint_models = {}
+    views, standalone = {}, {}
     for spec in problem.constraints.constraints:
-        acting = [r for r in records if spec.id in r.constraints]
-        if acting:
-            constraint_models[spec.id] = mb.GPModel(
-                domain, [r.point for r in acting], [r.constraints[spec.id] for r in acting],
-                config, encoder)
-    return model, constraint_models, encoder, points, min(values)
+        rows = [i for i, r in enumerate(records) if spec.id in r.constraints]
+        if rows:
+            vals = [records[i].constraints[spec.id] for i in rows]
+            views[spec.id] = model.row_view(rows, vals)
+            standalone[spec.id] = mb.GPModel(domain, [points[i] for i in rows], vals,
+                                             config, encoder)
+    return model, views, standalone, encoder, points, min(values)
 
 
 @pytest.mark.parametrize("name, samples, seed",
                          [("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1)])
 def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, samples, seed):
     problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
-    model, constraint_models, encoder, points, f_star = acquisition_case(problem, samples,
+    model, views, standalone, encoder, points, f_star = acquisition_case(problem, samples,
                                                                          seed)
     cfg = mb.BOConfig(budget=10, acq_budget=24, acq_starts=3)
     pools = []
     pick = _Candidates.pick
     monkeypatch.setattr(_Candidates, "pick", lambda self: pools.append(self) or pick(self))
-    got = mb.maximize_acquisition(model, problem.constraints, constraint_models, encoder,
+    got = mb.maximize_acquisition(model, problem.constraints, views, encoder,
                                   points, f_star, cfg, np.random.default_rng(seed))
-    want, scored = sequential_acquisition(model, problem.constraints, constraint_models,
+    want, scored = sequential_acquisition(model, problem.constraints, standalone,
                                           encoder, points, f_star, cfg,
                                           np.random.default_rng(seed))
     assert (got.point(), got.acquisition, got.surrogate_feasible) == want
@@ -332,6 +338,32 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
                          candidate.surrogate_feasible, bool(batch.fresh[i])))
     assert lockstep == scored
     assert any(not s[2] for s in scored) or name == "toy"
+
+
+@pytest.mark.parametrize("name", ["mlp", "toy"])
+def test_each_scored_batch_builds_one_pair_tensor(monkeypatch, name):
+    # The objective and every constraint view share one cross-covariance.
+    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    model, views, _, encoder, points, f_star = acquisition_case(problem, 20, 2)
+    assert len(views) == len(problem.constraints.constraints)
+    built = [0]  # entry 0 counts builds outside score()
+    init, score = PairTensors.__init__, _Candidates.score
+
+    def counting_init(self, *args):
+        built[-1] += 1
+        init(self, *args)
+
+    def counting_score(self, *args):
+        built.append(0)
+        return score(self, *args)
+
+    monkeypatch.setattr(PairTensors, "__init__", counting_init)
+    monkeypatch.setattr(_Candidates, "score", counting_score)
+    mb.maximize_acquisition(model, problem.constraints, views, encoder, points, f_star,
+                            mb.BOConfig(budget=10, acq_budget=12, acq_starts=2),
+                            np.random.default_rng(0))
+    assert len(built) > 1
+    assert built[0] == 0 and set(built[1:]) == {1}
 
 
 # -- initial design and the loop -----------------------------------------------------------
@@ -448,3 +480,14 @@ def test_bo_never_reports_a_nan_best(toy_problem):
     result = mb.run_bo(nan_objective_at_k2(toy_problem), mb.BOConfig(budget=60, seed=0))
     assert math.isfinite(result.best.objective)
     assert any(r.error is not None for r in result.history)
+
+
+def test_bo_charges_each_failing_point_once(toy_problem, toy_brute_force):
+    # The iteration cap only ends a run that proposes failed points forever.
+    cfg = mb.BOConfig(budget=60, seed=0, max_iterations=120)
+    result = mb.run_bo(nan_objective_at_k2(toy_problem), cfg)
+    charged = charged_failures(result.history)
+    assert charged and max(charged.values()) == 1
+    # Every proposal is a point neither evaluated nor failed, so each costs budget.
+    assert len(result.acquisition_log) < 60
+    assert barrier_value(result.best) == toy_brute_force[0]

@@ -188,6 +188,29 @@ def test_non_finite_outputs_are_evaluation_failures(toy_problem, objective, bran
     assert not record.feasible and not evaluator.is_evaluated(point)
 
 
+def test_failed_evaluation_is_not_rerun(toy_problem):
+    calls = []
+
+    def objective(point):
+        calls.append(point)
+        raise RuntimeError("boom")
+
+    problem = mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                         objective=objective)
+    evaluator = mb.Evaluator(problem, 1)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {})
+    for _ in range(3):  # the repeats raise even with the budget spent
+        with pytest.raises(mb.EvaluationError, match="boom"):
+            evaluator.evaluate(point)
+    assert len(calls) == 1 and evaluator.budget.used == 1
+    assert [(r.index, r.cached) for r in evaluator.history] == [(0, False), (1, True),
+                                                                (2, True)]
+    for record in evaluator.history:
+        assert "boom" in record.error and record.objective == math.inf
+        assert not record.feasible and record.point == point
+    assert not evaluator.is_evaluated(point)
+
+
 # -- external subprocess blackboxes --------------------------------------------------------
 
 def quadratic_child(tmp_path, body):

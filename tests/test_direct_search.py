@@ -6,7 +6,7 @@ import pytest
 import metabox as mb
 from metabox.blackbox import barrier_value
 from metabox.builtin_problems import MLP_CONTINUOUS_TARGETS, mlp_normalized
-from conftest import nan_objective_at_k2
+from conftest import charged_failures, nan_objective_at_k2
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -122,6 +122,16 @@ def test_direct_search_never_reports_a_nan_best(toy_problem):
     result = mb.run_direct_search(problem, mb.SearchConfig(budget=60, seed=0), progress=False)
     assert math.isfinite(result.best.objective)
     assert any(r.error is not None for r in result.history)
+
+
+def test_direct_search_charges_each_failing_point_once(toy_problem, toy_brute_force):
+    problem = nan_objective_at_k2(toy_problem)
+    result = mb.run_direct_search(problem, mb.SearchConfig(budget=60, seed=0), progress=False)
+    charged = charged_failures(result.history)
+    assert charged and max(charged.values()) == 1
+    assert any(r.error is not None and r.cached for r in result.history)
+    assert result.stop_reason == "converged"
+    assert barrier_value(result.best) == toy_brute_force[0]
 
 
 def test_incumbent_is_nonincreasing(toy_problem):

@@ -47,6 +47,25 @@ def test_unknown_meta_id_rejected(mlp_domain):
         mlp_domain.acting_index_set(mb.MetaComponent({"l": 2}), "integer")
 
 
+def test_cached_acting_sets_still_validate_value_types():
+    # 2.0 equals 2 and True equals 1 (MetaComponents holding them hash
+    # alike), but only integers are valid meta-integer values, so a cached
+    # answer for 2 or 1 must not serve them.
+    domain = mb.mlp_domain(l_min=0, l_max=3)
+    ids = domain.acting_index_set(ADAM2, "integer")
+    ids.append("mutated")
+    assert domain.acting_index_set(ADAM2, "integer") == ["u1", "u2"]
+    assert domain.acting_index_set(mb.MetaComponent({"l": 1, "o": "Adam"}), "integer") == ["u1"]
+    for bad in (2.0, True):
+        xm = mb.MetaComponent({"l": bad, "o": "Adam"})
+        valid = mb.MetaComponent({"l": int(bad), "o": "Adam"})
+        assert xm == valid and hash(xm) == hash(valid)
+        with pytest.raises(mb.InvalidMetaError):
+            domain.acting_index_set(xm, "integer")
+    with pytest.raises(mb.InvalidMetaError):
+        domain.acting_index_set({"l": [2], "o": "Adam"}, "integer")
+
+
 def test_unknown_group_rejected(mlp_domain):
     with pytest.raises(ValueError):
         mlp_domain.acting_index_set(ADAM2, "mystery")

@@ -478,3 +478,50 @@ def test_model_dump_round_trips_config(tmp_path, mlp_problem):
     payload = json.loads(path.read_text())
     assert mb.KernelConfig.from_dict(payload["config"]) == config
     assert len(payload["samples"]) == 5
+
+
+# -- row views ---------------------------------------------------------------------------------
+
+def surrogate_case(problem, count, seed):
+    """Objective model on ``count`` random samples, plus every sample record."""
+    rng = np.random.default_rng(seed)
+    evaluator = mb.Evaluator(problem, count)
+    while evaluator.budget.remaining:
+        evaluator.evaluate(random_point(problem.domain, rng))
+    records = [r for r in evaluator.history if not r.cached]
+    points = [r.point for r in records]
+    values = [r.objective for r in records]
+    config = mb.fit_hyperparameters(problem.domain, points, values, seed=seed)
+    return mb.GPModel(problem.domain, points, values, config), records
+
+
+@pytest.mark.parametrize("name, constraint, full",
+                         [("mlp", "units_total", True), ("mlp", "units_mono_3", False),
+                          ("toy", "branch_cap", False)])
+def test_row_view_means_match_standalone_model(name, constraint, full):
+    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    model, records = surrogate_case(problem, 24, seed=3)
+    rows = [i for i, r in enumerate(records) if constraint in r.constraints]
+    assert (len(rows) == len(records)) == full
+    values = [records[i].constraints[constraint] for i in rows]
+    view = model.row_view(rows, values)
+    alone = mb.GPModel(problem.domain, [records[i].point for i in rows], values,
+                       model.config)
+    rng = np.random.default_rng(7)
+    batch = [random_point(problem.domain, rng) for _ in range(30)]
+    mean, variance, means = model.predict_batch(batch, [view, view])
+    assert means.shape == (2, len(batch))
+    assert np.array_equal(means[0], alone.mean_batch(batch))
+    assert np.array_equal(means[1], means[0])
+    assert all(np.array_equal(a, b) for a, b in zip((mean, variance),
+                                                      model.predict_batch(batch)))
+    for i in (0, 17):
+        assert model.predict_batch(batch[i:i + 1], [view])[2][0, 0] == means[0, i]
+
+
+def test_row_view_predicts_only_through_its_model(toy_problem):
+    model, records = surrogate_case(toy_problem, 8, seed=1)
+    other, _ = surrogate_case(toy_problem, 8, seed=2)
+    view = other.row_view([0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        model.predict_batch([records[0].point], [view])
