@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import subprocess
 import threading
 import time
@@ -227,20 +228,32 @@ class Evaluator:
     def _run_subprocess(self, point: Point):
         payload = json.dumps(subprocess_payload(self.problem.domain, point))
         try:
-            proc = subprocess.run(
-                list(self.problem.command), input=payload.encode(),
-                capture_output=True, timeout=self.timeout)
-        except subprocess.TimeoutExpired:
-            raise EvaluationError(
-                f"blackbox timed out after {self.timeout} s") from None
+            # The child leads its own session, so a timeout kills every
+            # process it started, not just the child.
+            proc = subprocess.Popen(
+                list(self.problem.command), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
         except OSError as exc:
             raise EvaluationError(f"blackbox could not be launched: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(payload.encode(), timeout=self.timeout)
+            except BaseException as exc:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    raise EvaluationError(
+                        f"blackbox timed out after {self.timeout} s") from None
+                raise
         if proc.returncode != 0:
             raise EvaluationError(
                 f"blackbox exited with code {proc.returncode}: "
-                f"{proc.stderr.decode(errors='replace')[:500]}")
+                f"{stderr.decode(errors='replace')[:500]}")
         try:
-            output = json.loads(proc.stdout.decode())
+            output = json.loads(stdout.decode())
             objective = float(output["objective"])
             constraint_values = {str(k): float(v)
                                  for k, v in output.get("constraints", {}).items()}

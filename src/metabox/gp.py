@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import linalg
 from scipy.linalg import lapack
 
 from .blackbox import cache_key
@@ -358,55 +357,53 @@ class PairTensors:
 
 
 def _correlation_slots(pairs: PairTensors, mode: str):
-    """(config table, key) of each correlation factor, in product order.
+    """(config table, key, pair tensor, mask) of each correlation factor, in
+    product order.
 
     Each factor is the kernel of one variable and depends on exactly one
     hyperparameter: meta-numeric weights, meta-categorical correlations,
-    then the non-meta variables in declaration order.
+    then the non-meta variables in declaration order.  A non-meta factor is
+    1 outside its ``mask``; a meta factor has no mask (None).
     """
-    slots = [("meta_weights", mid) for mid in pairs.meta_num_sq]
-    slots += [("meta_correlations", mid) for mid in pairs.meta_cat_diff]
-    for vid in pairs.mask:
+    slots = [("meta_weights", mid, pairs.meta_num_sq[mid], None)
+             for mid in pairs.meta_num_sq]
+    slots += [("meta_correlations", mid, pairs.meta_cat_diff[mid], None)
+              for mid in pairs.meta_cat_diff]
+    for vid, mask in pairs.mask.items():
         spec = pairs.domain.spec(vid)
         if spec.type == VariableType.CONTINUOUS:
-            slots.append(("continuous_weights", vid))
+            slots.append(("continuous_weights", vid, pairs.standard_sq[vid], mask))
         elif spec.type == VariableType.INTEGER:
-            slots.append(("integer_weights", vid))
+            slots.append(("integer_weights", vid, pairs.standard_sq[vid], mask))
         elif mode == "encoded":
-            slots.append(("categorical_weights", vid))
+            slots.append(("categorical_weights", vid, pairs.encoded_sq[vid], mask))
         elif spec.type == VariableType.ORDINAL:
-            slots.append(("ordinal_lengthscales", vid))
+            slots.append(("ordinal_lengthscales", vid, pairs.category_sq[vid], mask))
         else:
-            slots.append(("nominal_correlations", vid))
+            slots.append(("nominal_correlations", vid, pairs.category_diff[vid], mask))
     return slots
 
 
-def _correlation_factor(pairs: PairTensors, table: str, key: str, value: float) -> np.ndarray:
-    """One factor of the correlation matrix, with the hyperparameter at ``value``.
+def _correlation_factor(table: str, value: float, tensor: np.ndarray) -> np.ndarray:
+    """One correlation factor, with the hyperparameter at ``value``, on the
+    entries of its pair tensor that it is given.
 
-    Factors of non-meta variables are 1 wherever the variable is nonacting in
-    either sample or the samples' meta components differ.
+    The tensor holds squared distances, or for correlation tables whether the
+    two samples' categories differ.
     """
-    if table == "meta_weights":
-        return np.exp(-value * pairs.meta_num_sq[key])
-    if table == "meta_correlations":
-        return np.where(pairs.meta_cat_diff[key], value, 1.0)
-    if table in ("continuous_weights", "integer_weights"):
-        factor = np.exp(-value * pairs.standard_sq[key])
-    elif table == "categorical_weights":
-        factor = np.exp(-value * pairs.encoded_sq[key])
-    elif table == "ordinal_lengthscales":
-        factor = np.exp(-pairs.category_sq[key] / (2.0 * value ** 2))
-    else:
-        factor = np.where(pairs.category_diff[key], value, 1.0)
-    return np.where(pairs.mask[key], factor, 1.0)
+    if table in ("meta_correlations", "nominal_correlations"):
+        return np.where(tensor, value, 1.0)
+    if table == "ordinal_lengthscales":
+        return np.exp(-tensor / (2.0 * value ** 2))
+    return np.exp(-value * tensor)
 
 
 def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
     """Kernel matrix without the signal variance factor."""
     out = np.ones(pairs.shape)
-    for table, key in _correlation_slots(pairs, config.categorical_mode):
-        out *= _correlation_factor(pairs, table, key, getattr(config, table)[key])
+    for table, key, tensor, mask in _correlation_slots(pairs, config.categorical_mode):
+        factor = _correlation_factor(table, getattr(config, table)[key], tensor)
+        out *= factor if mask is None else np.where(mask, factor, 1.0)
     return out
 
 
@@ -414,18 +411,39 @@ def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
 # Model
 # ---------------------------------------------------------------------------
 
+def _require_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(matrix: np.ndarray, overwrite: bool = False):
+    """Lower Cholesky factor of ``matrix``, or None when it is not numerically
+    positive definite.
+
+    LAPACK potrf reads and writes only the lower triangle; the upper one is
+    left as it was.  With ``overwrite`` a Fortran-ordered float64 matrix is
+    factorized in place, without a copy.  Called directly: the likelihood
+    runs thousands of times per fit, and cho_factor wraps the same routine
+    in costly checks.
+    """
+    factor, info = lapack.dpotrf(matrix, lower=1, clean=0, overwrite_a=overwrite)
+    return None if info else factor
+
+
 def _factorize(matrix: np.ndarray, signal_variance: float):
-    """Cholesky with jitter escalation (x10 up to the ceiling fraction)."""
+    """Lower Cholesky factor with jitter escalation (x10 up to the ceiling
+    fraction), and the jitter used."""
+    _require_finite(matrix)
     jitter = JITTER_FRACTION * signal_variance
     eye = np.eye(matrix.shape[0])
     while True:
-        try:
-            return linalg.cho_factor(matrix + jitter * eye, lower=True), jitter
-        except linalg.LinAlgError:
-            jitter *= 10.0
-            if jitter > MAX_JITTER_FRACTION * signal_variance * (1 + 1e-12):
-                raise FactorizationError(
-                    "kernel matrix stayed indefinite up to the jitter ceiling") from None
+        factor = _cholesky(matrix + jitter * eye)
+        if factor is not None:
+            return factor, jitter
+        jitter *= 10.0
+        if jitter > MAX_JITTER_FRACTION * signal_variance * (1 + 1e-12):
+            raise FactorizationError(
+                "kernel matrix stayed indefinite up to the jitter ceiling")
 
 
 def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,7 +478,8 @@ class GPModel:
         self._features = SampleFeatures(domain, self.points, encoder)
         self._pairs = PairTensors(domain, self._features, self._features)
         self._gram = config.signal_variance * correlation_matrix(self._pairs, config)
-        self._factor, self.jitter = _factorize(self._gram, config.signal_variance)
+        factor, self.jitter = _factorize(self._gram, config.signal_variance)
+        self._factor = (factor, True)  # cho_factor's (factor, lower) form
         self.alpha = _cho_solve(self._factor[0], self.values)
 
     def __len__(self):
@@ -562,8 +581,8 @@ class RowView:
             factor = model._factor[0]
         else:
             self.rows = rows
-            (factor, _), _ = _factorize(model._gram[np.ix_(rows, rows)],
-                                        model.config.signal_variance)
+            factor, _ = _factorize(model._gram[np.ix_(rows, rows)],
+                                   model.config.signal_variance)
         self.alpha = _cho_solve(factor, values)
 
     def _mean(self, kappa: np.ndarray) -> np.ndarray:
@@ -572,20 +591,9 @@ class RowView:
         return np.sum(rows * self.alpha[:, None], axis=0)
 
 
-def _cholesky_terms(matrix: np.ndarray, y: np.ndarray):
-    """(y^T K^-1 y, log det K) through a Cholesky factor of K; None when K
-    is not numerically positive definite.
-
-    Calls LAPACK directly: the likelihood runs thousands of times per fit,
-    and cho_factor/cho_solve wrap the same two routines in costly checks.
-    """
-    if not (np.isfinite(matrix).all() and np.isfinite(y).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    factor, info = lapack.dpotrf(matrix, lower=1)
-    if info != 0:
-        return None
-    alpha = _cho_solve(factor, y)
-    return float(y @ alpha), 2.0 * np.sum(np.log(np.diag(factor)))
+def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
+    """(y^T K^-1 y, log det K) from the lower Cholesky factor of K."""
+    return float(y @ _cho_solve(factor, y)), 2.0 * np.sum(np.log(np.diag(factor)))
 
 
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig,
@@ -595,10 +603,11 @@ def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     gram = config.signal_variance * correlation_matrix(pairs, config)
-    terms = _cholesky_terms(gram + config.jitter * np.eye(len(points)), y)
-    if terms is None:
+    _require_finite(gram, y)
+    factor = _cholesky(gram + config.jitter * np.eye(len(points)))
+    if factor is None:
         return -math.inf
-    quadratic, logdet = terms
+    quadratic, logdet = _likelihood_terms(factor, y)
     return float(-0.5 * quadratic - 0.5 * logdet - 0.5 * len(y) * math.log(2 * math.pi))
 
 
@@ -629,20 +638,39 @@ def _config_slots(config: KernelConfig):
     return slots
 
 
-def _profiled_lml(correlation: np.ndarray, y: np.ndarray, jitter: np.ndarray):
-    """LML of a correlation matrix with the signal variance profiled out analytically.
-
-    ``jitter`` is the diagonal matrix added before factorizing.  Returns
-    (lml, profiled signal variance); (-inf, None) on factorization failure.
-    """
-    n = len(y)
-    terms = _cholesky_terms(correlation + jitter, y)
-    if terms is None:
-        return -math.inf, None
-    quadratic, logdet = terms
+def _profiled_lml(quadratic: float, logdet: float, n: int):
+    """(LML, signal variance) of a correlation matrix with the signal variance
+    profiled out analytically, from its likelihood terms."""
     sigma2 = max(quadratic / n, 1e-12)
     lml = -0.5 * n * math.log(sigma2) - 0.5 * logdet - 0.5 * n * (1 + math.log(2 * math.pi))
     return float(lml), sigma2
+
+
+class _FactorGroup:
+    """The correlation factors of one group of lower-triangle entries.
+
+    ``index`` holds the group's entries as flat positions in a
+    Fortran-ordered n x n matrix.  Row k of ``rows`` is the group's k-th
+    factor on those entries: 1 outside the factor's support, where no value
+    of its hyperparameter can move it, and recomputed only on the support.
+    ``product`` multiplies the rows in correlation_matrix's factor order.
+    """
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, slots):
+        self.index = rows + cols * n
+        self.rows = np.ones((len(slots), len(rows)))
+        self.factors = []  # (table, support, tensor on the support)
+        for table, _, tensor, mask in slots:
+            support = slice(None) if mask is None else np.flatnonzero(mask[rows, cols])
+            self.factors.append((table, support, tensor[rows[support], cols[support]]))
+        self.product = np.ones(len(rows))
+
+    def set(self, k: int, value: float):
+        table, support, tensor = self.factors[k]
+        self.rows[k, support] = _correlation_factor(table, value, tensor)
+
+    def refresh(self):
+        self.product = np.multiply.reduce(self.rows, axis=0)
 
 
 def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
@@ -656,11 +684,24 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     default one unless overridden) is always one of the starts, so the result
     never has lower likelihood than it.  Deterministic for a fixed seed.
 
-    Each hyperparameter enters exactly one correlation factor, so the search
-    keeps the factor matrices stacked and a trial move recomputes only the
-    factor it changes.  The stack is multiplied in correlation_matrix's
-    order, which makes every likelihood bit-identical to evaluating
-    correlation_matrix on the trial config.
+    Each hyperparameter enters exactly one correlation factor, and a trial
+    move recomputes only the matrix entries that factor can change.  LAPACK
+    potrf reads the lower triangle and the diagonal, so the search keeps
+    those entries in two support groups:
+
+    - the meta group, on pairs with different meta components, holds the
+      meta factors: every other factor is exactly 1 there;
+    - the non-meta group, on same-meta pairs, holds every other factor,
+      each compressed to its support (the pairs where its variable acts in
+      both samples): every meta factor is exactly 1 there.
+
+    A trial recomputes its factor on the factor's support and the product of
+    that factor's group, scatters both groups' products into a Fortran-ordered
+    buffer, adds the jitter on the diagonal and factorizes the buffer in
+    place.  Products are taken in correlation_matrix's factor order and
+    multiplying by an exact 1 changes nothing, so every likelihood is
+    bit-identical to evaluating correlation_matrix on the trial config.
+    Finiteness is checked once, on ``values`` and the pair tensors.
     """
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
@@ -676,26 +717,53 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
-    order = {slot: k for k, slot in enumerate(_correlation_slots(pairs, mode))}
+    n = len(y)
+    factors = _correlation_slots(pairs, mode)
+    _require_finite(y, *(tensor for _, _, tensor, _ in factors))
+
+    rows, cols = np.tril_indices(n)
+    same = pairs.same_meta[rows, cols]
+    groups = []
+    factor_of = {}  # (table, key) -> (group, row)
+    for on_pairs, members in ((~same, [f for f in factors if f[3] is None]),
+                              (same, [f for f in factors if f[3] is not None])):
+        group = _FactorGroup(n, rows[on_pairs], cols[on_pairs], members)
+        groups.append(group)
+        for k, (table, key, _, _) in enumerate(members):
+            # A meta factor has no support when all samples share one meta
+            # component: it is 1 everywhere.
+            if group.factors[k][2].size:
+                factor_of[(table, key)] = (group, k)
     # A slot without a factor (its variable acts in no sample) cannot change
     # the likelihood, so the search skips it.
-    factor_of = [order.get((table, key)) for table, key, _, _ in slots]
-    stack = np.empty((len(order),) + pairs.shape)
-    jitter = JITTER_FRACTION * np.eye(len(y))
+    slot_factor = [factor_of.get((table, key)) for table, key, _, _ in slots]
+    flat = np.empty(n * n)
+    matrix = flat.reshape((n, n), order="F")
+    diagonal = np.arange(n) * (n + 1)
+
+    def likelihood():
+        for group in groups:
+            flat[group.index] = group.product
+        flat[diagonal] += JITTER_FRACTION
+        factor = _cholesky(matrix, overwrite=True)
+        if factor is None:
+            return -math.inf, None
+        return _profiled_lml(*_likelihood_terms(factor, y), n)
+
+    def load(params):
+        for i, value in enumerate(params):
+            if slot_factor[i] is not None:
+                group, k = slot_factor[i]
+                group.set(k, value)
+        for group in groups:
+            group.refresh()
+        return likelihood()
 
     def build(params):
         config = default_kernel_config(domain, mode)
         for (table, key, _, _), value in zip(slots, params):
             getattr(config, table)[key] = value
         return config
-
-    def set_factor(i, value):
-        if factor_of[i] is not None:
-            table, key, _, _ = slots[i]
-            stack[factor_of[i]] = _correlation_factor(pairs, table, key, value)
-
-    def objective():
-        return _profiled_lml(np.multiply.reduce(stack, axis=0), y, jitter)[0]
 
     def random_start():
         params = []
@@ -710,15 +778,14 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     for attempt in range(starts):
         params = ([getattr(base, t)[k] for t, k, _, _ in slots] if attempt == 0
                   else random_start())
-        for i, value in enumerate(params):
-            set_factor(i, value)
-        value = objective()
+        value = load(params)[0]
         step = 1.0  # log-space / raw-space half-width of the compass move
         for _ in range(sweeps):
             moved = False
             for i, (_, _, kind, (lo, hi)) in enumerate(slots):
-                if factor_of[i] is None:
+                if slot_factor[i] is None:
                     continue
+                group, k = slot_factor[i]
                 for direction in (1.0, -1.0):
                     if kind == "log":
                         trial = min(max(params[i] * math.exp(direction * step), lo), hi)
@@ -726,14 +793,15 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
                         trial = min(max(params[i] + direction * 0.2 * step, lo), hi)
                     if trial == params[i]:
                         continue
-                    kept = stack[factor_of[i]].copy()
-                    set_factor(i, trial)
-                    trial_value = objective()
+                    kept_row, kept_product = group.rows[k].copy(), group.product
+                    group.set(k, trial)
+                    group.refresh()
+                    trial_value = likelihood()[0]
                     if trial_value > value:
                         params[i], value = trial, trial_value
                         moved = True
                         break
-                    stack[factor_of[i]] = kept
+                    group.rows[k], group.product = kept_row, kept_product
             if not moved:
                 step *= 0.5
                 if step < 0.05:
@@ -743,5 +811,5 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     if best_params is None or best_value == -math.inf:
         raise FittingError("all fitting starts failed to factorize the kernel matrix")
     config = build(best_params)
-    config.signal_variance = _profiled_lml(correlation_matrix(pairs, config), y, jitter)[1]
+    config.signal_variance = load(best_params)[1]
     return config

@@ -1,7 +1,10 @@
 import concurrent.futures
 import json
 import math
+import os
+import signal
 import sys
+import time
 
 import pytest
 
@@ -288,6 +291,46 @@ def test_subprocess_timeout(tmp_path, toy_problem):
     with pytest.raises(mb.EvaluationError, match="timed out"):
         evaluator.evaluate(
             toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {}))
+
+
+
+def process_running(pid):
+    """True while ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_subprocess_timeout_kills_grandchildren(tmp_path, toy_problem):
+    # The blackbox starts one grandchild, then both outlive the timeout.
+    pid_file = tmp_path / "grandchild.pid"
+    script = quadratic_child(tmp_path, (
+        "import subprocess, sys, time\n"
+        "grandchild = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(20)'])\n"
+        f"open({str(pid_file)!r}, 'w').write(str(grandchild.pid))\n"
+        "time.sleep(20)\n"))
+    problem = mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                         command=(sys.executable, str(script)), timeout=2.0)
+    evaluator = mb.Evaluator(problem, 5)
+    with pytest.raises(mb.EvaluationError, match="timed out"):
+        evaluator.evaluate(
+            toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {}))
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 5.0
+        while process_running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_running(pid)
+    finally:
+        if process_running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_subprocess_payload_uses_labels(toy_problem):

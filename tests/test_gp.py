@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -349,11 +350,15 @@ def test_fit_dominates_generating_config(mlp_domain):
 
 
 def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
-                  starts=8, sweeps=8):
-    """Reference compass search: rebuilds correlation_matrix on every trial."""
+                  starts=8, sweeps=8, base=None):
+    """Reference compass search: rebuilds correlation_matrix on every trial.
+
+    ``base``, a config in ``mode``, sets the first start (default: the
+    default config).
+    """
     from metabox.gp import _config_slots, default_kernel_config
     rng = np.random.default_rng(seed)
-    base = default_kernel_config(domain, mode)
+    base = base or default_kernel_config(domain, mode)
     slots = _config_slots(base)
     features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
@@ -408,28 +413,112 @@ def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
                     break
         if value > best_value:
             best_params, best_value = params, value
+    if best_value == -math.inf:
+        raise mb.FittingError("no start factorized")
     config = build(best_params)
     config.signal_variance = profiled(config)[1]
     return config
 
 
-@pytest.mark.parametrize("name, count, seed, mode",
-                         [("mlp", 12, 0, "matrix"), ("mlp", 24, 3, "matrix"),
-                          ("toy", 10, 1, "matrix"), ("toy", 16, 2, "encoded")])
-def test_cached_factor_fit_matches_reference(name, count, seed, mode):
-    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
-    domain = problem.domain
+def no_meta_domain():
+    return mb.Domain([
+        mb.VariableSpec("c1", mb.VariableType.CONTINUOUS, mb.Role.GLOBAL,
+                        mb.ContinuousScope(0.0, 1.0)),
+        mb.VariableSpec("z1", mb.VariableType.INTEGER, mb.Role.GLOBAL,
+                        mb.IntegerScope(0, 9)),
+        mb.VariableSpec("n1", mb.VariableType.NOMINAL, mb.Role.GLOBAL,
+                        mb.CategoricalScope(("p", "q", "r"))),
+        mb.VariableSpec("o1", mb.VariableType.ORDINAL, mb.Role.GLOBAL,
+                        mb.CategoricalScope(("s", "m", "l"))),
+    ])
+
+
+@dataclass(frozen=True)
+class EmbeddingEncoder(mb.Encoder):
+    """Every category becomes a fixed real vector of width 4.
+
+    Rounding in PairTensors' |a|^2 + |b|^2 - 2 a.b leaves some diagonal
+    squared distances off 0, so the correlation diagonal is not exactly 1.
+    """
+
+    def width(self, var_id):
+        return 4
+
+    def encode_variable(self, var_id, index):
+        seed = [index] + [ord(c) for c in var_id]
+        return 10.0 * np.random.default_rng(seed).standard_normal(4)
+
+
+def fit_samples(name, count, seed):
+    """Domain, points and values of ``count`` distinct random samples.
+
+    ``mlp`` and ``toy`` evaluate their problem; ``mlp-adam2`` keeps every
+    sample under one meta component; ``no-meta`` draws random values on a
+    domain without meta variables.
+    """
     rng = np.random.default_rng(seed)
+    if name == "no-meta":
+        domain = no_meta_domain()
+        points = [random_point(domain, rng) for _ in range(count)]
+        return domain, points, list(rng.standard_normal(count))
+    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    metas = [ADAM2] if name == "mlp-adam2" else None
     evaluator = mb.Evaluator(problem, count)
     while evaluator.budget.remaining:
-        evaluator.evaluate(random_point(domain, rng))
+        evaluator.evaluate(random_point(problem.domain, rng, metas))
     records = [r for r in evaluator.history if not r.cached]
-    points, values = [r.point for r in records], [r.objective for r in records]
-    encoder = mb.Encoder(domain, "one-hot" if mode == "encoded" else "identity")
+    return problem.domain, [r.point for r in records], [r.objective for r in records]
+
+
+def fit_encoding(domain, name):
+    """Kernel mode and encoder of a test encoding name ("encoded" is one-hot)."""
+    if name == "matrix":
+        return "matrix", mb.Encoder(domain, "identity")
+    if name == "embedding":
+        return "encoded", EmbeddingEncoder(domain)
+    return "encoded", mb.Encoder(domain, "one-hot" if name == "encoded" else name)
+
+
+@pytest.mark.parametrize("name, count, seed, mode",
+                         [("mlp", 12, 0, "matrix"), ("mlp", 24, 3, "matrix"),
+                          ("toy", 10, 1, "matrix"), ("toy", 16, 2, "encoded"),
+                          ("no-meta", 10, 4, "matrix"), ("no-meta", 12, 5, "ordinal-index"),
+                          ("mlp-adam2", 12, 6, "matrix"), ("toy", 2, 7, "matrix"),
+                          ("mlp", 2, 8, "matrix"), ("mlp", 20, 9, "encoded"),
+                          ("toy", 14, 10, "ordinal-index"), ("toy", 14, 11, "embedding"),
+                          ("mlp", 16, 12, "embedding")])
+def test_cached_factor_fit_matches_reference(name, count, seed, mode):
+    domain, points, values = fit_samples(name, count, seed)
+    mode, encoder = fit_encoding(domain, mode)
     got = mb.fit_hyperparameters(domain, points, values, seed=seed, mode=mode,
                                  encoder=encoder)
     want = reference_fit(domain, points, values, seed=seed, mode=mode, encoder=encoder)
     assert got.to_dict() == want.to_dict()
+
+
+def test_embedding_encoder_moves_the_correlation_diagonal():
+    domain, points, _ = fit_samples("toy", 14, 11)
+    mode, encoder = fit_encoding(domain, "embedding")
+    features = SampleFeatures(domain, points, encoder)
+    config = mb.default_kernel_config(domain, mode)
+    diagonal = np.diag(correlation_matrix(PairTensors(domain, features, features), config))
+    assert np.any(diagonal != 1.0)
+
+
+def test_cached_factor_fit_fails_where_reference_fails(toy_problem):
+    # Samples pairwise far apart within each meta component, coupled strongly
+    # across the two: no trial of the first two starts factorizes.
+    domain = toy_problem.domain
+    points = [domain.complete_point(mb.MetaComponent({"m": m}), {"k": k, "s": s, p: c})
+              for m, p in (("A", "pA"), ("B", "pB"))
+              for k in (0, 4) for s in (1, 3) for c in (1, 2)]
+    values = list(np.random.default_rng(0).standard_normal(len(points)))
+    base = mb.default_kernel_config(domain)
+    base.meta_correlations["m"] = 0.98
+    with pytest.raises(mb.FittingError):
+        mb.fit_hyperparameters(domain, points, values, seed=0, starts=2, base=base)
+    with pytest.raises(mb.FittingError):
+        reference_fit(domain, points, values, seed=0, starts=2, base=base)
 
 
 def test_fit_handles_two_identical_values(mlp_domain):
@@ -439,6 +528,17 @@ def test_fit_handles_two_identical_values(mlp_domain):
     model = mb.GPModel(mlp_domain, points, [1.0, 1.0], config)
     mean, _ = model.predict(points[0])
     assert np.isclose(mean, 1.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_training_values_are_rejected(mlp_problem, bad):
+    points, values = proxy_samples(mlp_problem, 6, seed=2)
+    values[3] = bad
+    domain = mlp_problem.domain
+    with pytest.raises(ValueError):
+        mb.fit_hyperparameters(domain, points, values, seed=0)
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(domain, points, values, mb.default_kernel_config(domain))
 
 
 def test_fit_requires_two_samples(mlp_domain):
