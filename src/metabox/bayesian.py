@@ -9,9 +9,11 @@ The acquisition search works on arrays of candidate rows, one meta component
 at a time.  A fully finite domain is scored in one batch per meta component.
 Otherwise every categorical component (enumerated, or sampled past a cap) is
 paired with several starts, and each pair runs a coordinate pattern search
-on the standard variables.  All searches of a meta component run in
-lockstep: each step scores the poll points of every active search in one
-prediction batch, and each search then moves, shrinks or stops on its own.
+on the standard variables, with the step rule of direct search: each
+search's steps are one row of a shared :class:`MeshState`, refined down to
+a coarser floor.  All searches of a meta component run in lockstep: each
+step scores the poll points of every active search in one prediction
+batch, and each search then moves, shrinks or stops on its own.
 GP predictions do not depend on the batch, so every search takes the same
 path it would take alone.  The constraint surrogates are row views of the
 objective model, so one cross-covariance per batch serves the objective and
@@ -32,15 +34,19 @@ import numpy as np
 from scipy.special import ndtr
 
 from .blackbox import (EvaluationRecord, Evaluator, Problem, barrier_value, cache_key)
+from .direct_search import MeshState
 from .domain import (Domain, IntegerScope, MetaComponent, Point, denormalize,
                      enumerate_domain_points)
 from .encoders import Encoder
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
-                     FittingError, NotEnumerableError)
+                     FactorizationError, FittingError, NotEnumerableError)
 from .gp import (GPModel, KernelConfig, SampleFeatures, fit_hyperparameters,
                  merge_kernel_overrides)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: The acquisition's pattern searches stop refining continuous steps at this
+#: fraction of the scope width, far coarser than direct search's floor.
+ACQ_MIN_FRACTION = 0.02
 
 
 def expected_improvement(mean, sigma, f_star):
@@ -88,7 +94,6 @@ class AuxiliaryCandidate:
     """Maximizer of the acquisition over the auxiliary domain."""
 
     meta: MetaComponent
-    encoded: np.ndarray
     categorical: dict
     standard: dict
     acquisition: float
@@ -227,7 +232,7 @@ class _Candidates:
         xs = {vid: (int(v) if isinstance(domain.spec(vid).scope, IntegerScope) else float(v))
               for vid, v in zip(domain.acting_index_set(xm, "standard"), batch.standard[row])}
         return AuxiliaryCandidate(
-            meta=xm, encoded=self.encoder.encode(xq, xm), categorical=xq, standard=xs,
+            meta=xm, categorical=xq, standard=xs,
             acquisition=float(batch.ei[row]),
             constraint_means={cid: float(m[row]) for cid, m in zip(batch.acting, batch.means)},
             surrogate_feasible=bool(batch.feasible[row]))
@@ -258,12 +263,9 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
     """
     domain = candidates.model.domain
     scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
-    integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
-    width = np.array([s.width for s in scopes], dtype=float)
     lo, hi = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
     count = len(centers)
-    # Continuous columns hold a fraction of the width, integer columns a step.
-    scale = np.tile(np.where(integer, np.maximum(1, width // 4), 0.25), (count, 1))
+    mesh = MeshState(scopes, count, ACQ_MIN_FRACTION)
     # score() keeps the arrays it is given and returns, so the search state
     # lives in copies.
     center = centers.copy()
@@ -275,7 +277,7 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
     while active.any():
         step += 1
         owners = np.flatnonzero(active)
-        delta = np.where(integer, scale[owners], scale[owners] * width)
+        delta = mesh.steps(owners)
         base = center[owners]
         polls = np.clip(np.stack([base + delta, base - delta], axis=2),
                         lo[:, None], hi[:, None])
@@ -296,12 +298,11 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
             best = bounds[i] + int(np.argmax(polled))
             if ei[best] > center_ei[s]:
                 center[s], center_ei[s] = rows[best], ei[best]
-            elif np.all(scale[s][~integer] <= 0.02) and np.all(scale[s][integer] == 1):
+            elif mesh.at_minimum(s):
                 active[s] = False
                 continue
             else:
-                scale[s] = np.where(integer, np.maximum(1, scale[s] // 2),
-                                    np.maximum(0.02, scale[s] * 0.5))
+                mesh.refine(s)
             active[s] = used[s] < cfg.acq_budget
 
 
@@ -408,7 +409,10 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     set is a list of the model's rows, and the acquisition computes one
     cross-covariance per batch for the objective and every constraint.
     Failed evaluations are excluded from the acquisition, like evaluated
-    points, so they are never proposed again.
+    points, so they are never proposed again.  A config reused from an
+    earlier fit that no longer factorizes on the current samples is refitted
+    at once; when the refitted config does not factorize either, the run
+    ends with stop reason "factorization".
     """
     domain = problem.domain
     system = problem.constraints
@@ -456,8 +460,14 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         if len(train_points) < 2:
             stop_reason = "no_data"
             break
-        if (config is None or len(train_points) <= cfg.refit_full_until
-                or len(train_points) - samples_at_refit >= cfg.refit_every):
+        model = None
+        if (config is not None and len(train_points) > cfg.refit_full_until
+                and len(train_points) - samples_at_refit < cfg.refit_every):
+            try:
+                model = GPModel(domain, train_points, train_values, config, encoder)
+            except FactorizationError:
+                pass  # fitted on fewer samples, it need not factorize on these
+        if model is None:
             try:
                 config = fit_hyperparameters(
                     domain, train_points, train_values, seed=cfg.seed,
@@ -466,7 +476,11 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
             except FittingError:
                 config = base_config
             samples_at_refit = len(train_points)
-        model = GPModel(domain, train_points, train_values, config, encoder)
+            try:
+                model = GPModel(domain, train_points, train_values, config, encoder)
+            except FactorizationError:
+                stop_reason = "factorization"
+                break
         constraint_views = {cid: model.row_view(rows, vals)
                             for cid, (rows, vals) in constraint_data.items() if rows}
         feasible_values = [r.objective for r in evaluator.history

@@ -130,10 +130,6 @@ class ConstraintSystem:
     # -- queries ---------------------------------------------------------------
 
     @property
-    def global_constraints(self):
-        return [c for c in self.constraints if c.role == Role.GLOBAL]
-
-    @property
     def decreed_constraints(self):
         return [c for c in self.constraints if c.role == Role.DECREED]
 
@@ -148,9 +144,6 @@ class ConstraintSystem:
         self.domain.validate_meta(xm)
         return [c for c in self.constraints
                 if c.role == Role.GLOBAL or self.domain.decree_satisfied(c.decree, xm)]
-
-    def blackbox_constraints(self):
-        return [c for c in self.constraints if not c.analytic]
 
     # -- evaluation --------------------------------------------------------------
 

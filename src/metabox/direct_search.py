@@ -5,7 +5,8 @@ meta and categorical components) with a poll over the user-defined
 neighborhoods.  Every candidate pair of fixed components is resolved by a
 coordinate pattern search over the acting standard variables under the
 extreme barrier: infeasible or failed points count as +inf.  Acceptance is
-strict decrease only.
+strict decrease only.  The step sizes are a :class:`MeshState`, the same
+mesh the BO acquisition's pattern searches refine.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
-from .domain import ContinuousScope, Domain, MetaComponent, Point
+from .domain import Domain, IntegerScope, MetaComponent, Point
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      NotEnumerableError)
 from .neighborhoods import (carried_categorical, categorical_neighbors,
@@ -28,37 +29,38 @@ REFINE_FACTOR = 0.5
 MIN_FRACTION = 1e-6
 
 
-@dataclass
 class MeshState:
-    """Per-variable step sizes for the standard subproblem.
+    """Step sizes of ``count`` coordinate pattern searches over one list of
+    standard variables: row r of ``scale`` belongs to search r, columns in
+    the order of ``scopes``.
 
-    Continuous steps are fractions of the scope width; integer steps are
-    absolute and never drop below 1.
+    Continuous entries are fractions of the scope width, from
+    INITIAL_FRACTION down to ``floor``; integer entries are absolute steps,
+    from a quarter of the width down to 1.  A refinement halves a row and
+    stops at exactly these per-column floors.  Direct search uses one row
+    and MIN_FRACTION; the BO acquisition one row per lockstep search and its
+    own floor.
     """
 
-    continuous: dict
-    integer: dict
+    def __init__(self, scopes, count: int = 1, floor: float = MIN_FRACTION):
+        self.integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
+        self.width = np.array([s.width for s in scopes], dtype=float)
+        self.floor = np.where(self.integer, 1.0, floor)
+        initial = np.where(self.integer, np.maximum(1, self.width // 4), INITIAL_FRACTION)
+        self.scale = np.tile(initial, (count, 1))
 
-    @classmethod
-    def initial(cls, domain: Domain, var_ids) -> "MeshState":
-        continuous, integer = {}, {}
-        for vid in var_ids:
-            scope = domain.spec(vid).scope
-            if isinstance(scope, ContinuousScope):
-                continuous[vid] = INITIAL_FRACTION
-            else:
-                integer[vid] = max(1, scope.width // 4)
-        return cls(continuous, integer)
+    def steps(self, rows=0) -> np.ndarray:
+        """Absolute step of each variable for the searches ``rows``."""
+        scale = self.scale[rows]
+        return np.where(self.integer, scale, scale * self.width)
 
-    def refine(self):
-        for vid, fraction in self.continuous.items():
-            self.continuous[vid] = max(MIN_FRACTION, fraction * REFINE_FACTOR)
-        for vid, step in self.integer.items():
-            self.integer[vid] = max(1, step // 2)
+    def refine(self, row: int = 0):
+        scale = self.scale[row]
+        self.scale[row] = np.maximum(
+            self.floor, np.where(self.integer, scale // 2, scale * REFINE_FACTOR))
 
-    def at_minimum(self) -> bool:
-        return (all(f <= MIN_FRACTION * (1 + 1e-9) for f in self.continuous.values())
-                and all(s == 1 for s in self.integer.values()))
+    def at_minimum(self, row: int = 0) -> bool:
+        return bool((self.scale[row] <= self.floor).all())
 
 
 @dataclass
@@ -127,15 +129,10 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
     """
     domain = evaluator.problem.domain
     ids = domain.acting_index_set(tm, "standard")
+    scopes = [domain.spec(vid).scope for vid in ids]
     if mesh is None:
-        mesh = MeshState.initial(domain, ids)
+        mesh = MeshState(scopes)
     evaluations = 0
-
-    def step_candidate(current, vid, sign):
-        scope = domain.spec(vid).scope
-        if isinstance(scope, ContinuousScope):
-            return scope.clamp(current[vid] + sign * mesh.continuous[vid] * scope.width)
-        return scope.clamp(current[vid] + sign * mesh.integer[vid])
 
     start_point = Point(tm, tq, start)
     try:
@@ -151,13 +148,16 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
                                 "start_only", False, mesh)
     while True:
         improved = False
-        for vid in ids:
+        # Converted once per sweep: polls add Python floats, and scope.clamp
+        # returns ints for integer variables.
+        steps = mesh.steps().tolist()
+        for vid, scope, step in zip(ids, scopes, steps):
             for sign in (1, -1):
                 if evaluations >= cfg.subproblem_budget:
                     return SubproblemResult(best_point, best_record, best_barrier,
                                             evaluations, "subproblem_budget", False,
                                             mesh)
-                value = step_candidate(best_point.standard, vid, sign)
+                value = scope.clamp(best_point.standard[vid] + sign * step)
                 if value == best_point.standard[vid]:
                     continue
                 candidate = Point(tm, tq, {**best_point.standard, vid: value})
@@ -196,7 +196,7 @@ def global_search_step(domain: Domain, rng: np.random.Generator, metas=None):
 
 
 def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
-                      categorical_mapping=None, progress=True) -> DirectSearchResult:
+                      categorical_mapping=None, progress=False) -> DirectSearchResult:
     """Global search + poll on user-defined neighborhoods (strict decrease).
 
     The first incumbent is the completed point of the first enumerated meta

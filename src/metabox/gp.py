@@ -22,8 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .blackbox import cache_key
-from .domain import (Domain, GROUPS, MetaComponent, Point, VariableType, normalize,
-                     round_half_away)
+from .domain import Domain, GROUPS, MetaComponent, Point, VariableType, normalize
 from .errors import FactorizationError, FittingError, KernelDomainError
 
 JITTER_FRACTION = 1e-8
@@ -118,115 +117,6 @@ def default_kernel_config(domain: Domain, mode: str = "matrix") -> KernelConfig:
         else:
             config.meta_weights[v.id] = DEFAULT_META_WEIGHT
     return config
-
-
-# ---------------------------------------------------------------------------
-# Scalar kernel operations (component level)
-# ---------------------------------------------------------------------------
-
-class MixedKernel:
-    """Kernel evaluations bound to a domain, a config and (optionally) an encoder."""
-
-    def __init__(self, domain: Domain, config: KernelConfig, encoder=None):
-        self.domain = domain
-        self.config = config
-        self.encoder = encoder
-        if config.categorical_mode == "encoded" and encoder is None:
-            raise KernelDomainError("encoded categorical mode needs an encoder")
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _standard_vector(self, component: dict, ids, transform=False) -> np.ndarray:
-        if set(component) != set(ids):
-            raise KernelDomainError(
-                f"component over {sorted(component)} does not match acting set {ids}")
-        out = np.empty(len(ids))
-        for i, vid in enumerate(ids):
-            value = component[vid]
-            if transform:
-                value = round_half_away(float(value))
-            out[i] = normalize(self.domain.spec(vid).scope, value)
-        return out
-
-    def _weights(self, ids, table) -> np.ndarray:
-        return np.array([table[vid] for vid in ids]) if ids else np.empty(0)
-
-    # -- component kernels ----------------------------------------------------------
-
-    def k_continuous(self, xc: dict, yc: dict, xm: MetaComponent) -> float:
-        """exp(-sum of weighted squared differences) over acting continuous variables."""
-        ids = self.domain.acting_index_set(xm, "continuous")
-        a = self._standard_vector(xc, ids)
-        b = self._standard_vector(yc, ids)
-        w = self._weights(ids, self.config.continuous_weights)
-        return float(np.exp(-np.sum(w * (a - b) ** 2)))
-
-    def k_integer(self, xz: dict, yz: dict, xm: MetaComponent) -> float:
-        """Like the continuous kernel after rounding relaxed values half away
-        from zero, making each one-dimensional factor piecewise constant."""
-        ids = self.domain.acting_index_set(xm, "integer")
-        a = self._standard_vector(xz, ids, transform=True)
-        b = self._standard_vector(yz, ids, transform=True)
-        w = self._weights(ids, self.config.integer_weights)
-        return float(np.exp(-np.sum(w * (a - b) ** 2)))
-
-    def k_standard(self, xs: dict, ys: dict, xm: MetaComponent) -> float:
-        ids_z = set(self.domain.acting_index_set(xm, "integer"))
-        xz = {k: v for k, v in xs.items() if k in ids_z}
-        yz = {k: v for k, v in ys.items() if k in ids_z}
-        xc = {k: v for k, v in xs.items() if k not in ids_z}
-        yc = {k: v for k, v in ys.items() if k not in ids_z}
-        return self.k_integer(xz, yz, xm) * self.k_continuous(xc, yc, xm)
-
-    def k_categorical(self, xq: dict, yq: dict, xm: MetaComponent) -> float:
-        ids = self.domain.acting_index_set(xm, "categorical")
-        if set(xq) != set(ids) or set(yq) != set(ids):
-            raise KernelDomainError(
-                f"categorical components must cover the acting set {ids}")
-        if self.config.categorical_mode == "encoded":
-            a = self.encoder.encode(xq, xm)
-            b = self.encoder.encode(yq, xm)
-            weights = np.concatenate([
-                np.full(self.encoder.width(vid), self.config.categorical_weights[vid])
-                for vid in ids]) if ids else np.empty(0)
-            return float(np.exp(-np.sum(weights * (a - b) ** 2)))
-        value = 1.0
-        for vid in ids:
-            spec = self.domain.spec(vid)
-            xi, yi = xq[vid], yq[vid]
-            if spec.type == VariableType.ORDINAL:
-                ell = self.config.ordinal_lengthscales[vid]
-                value *= math.exp(-((xi - yi) ** 2) / (2.0 * ell ** 2))
-            elif xi != yi:
-                value *= self.config.nominal_correlations[vid]
-        return value
-
-    def k_meta(self, xm: MetaComponent, ym: MetaComponent) -> float:
-        """Product of the one-dimensional meta kernels."""
-        value = 1.0
-        for mid in self.domain.meta_ids:
-            spec = self.domain.spec(mid)
-            a, b = xm[mid], ym[mid]
-            if spec.type == VariableType.META_CATEGORICAL:
-                if a != b:
-                    value *= self.config.meta_correlations[mid]
-            else:
-                w = self.config.meta_weights[mid]
-                d = normalize(spec.scope, a) - normalize(spec.scope, b)
-                value *= math.exp(-w * d * d)
-        return value
-
-    def k_mixed(self, x: Point, y: Point) -> float:
-        """Full covariance between two points.
-
-        Categorical and standard factors enter only when both points share
-        the same meta component; otherwise the meta factors stand alone.
-        """
-        value = self.config.signal_variance * self.k_meta(x.meta, y.meta)
-        if x.meta == y.meta:
-            value *= self.k_categorical(x.categorical, y.categorical, x.meta)
-            value *= self.k_standard(x.standard, y.standard, x.meta)
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +295,69 @@ def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
         factor = _correlation_factor(table, getattr(config, table)[key], tensor)
         out *= factor if mask is None else np.where(mask, factor, 1.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar view of the kernel (one pair of points or components)
+# ---------------------------------------------------------------------------
+
+class MixedKernel:
+    """Covariance of one pair of points, or of one component of a pair,
+    under a domain, a config and (in encoded mode) an encoder.
+
+    Every value is :func:`correlation_matrix` on a 1 x 1 pair, so the
+    kernel formulas live only there.  A component method pairs points that
+    share the meta component ``xm`` and hold only that component, so every
+    other factor is exactly 1.
+    """
+
+    def __init__(self, domain: Domain, config: KernelConfig, encoder=None):
+        self.domain = domain
+        self.config = config
+        self.encoder = encoder
+        if config.categorical_mode == "encoded" and encoder is None:
+            raise KernelDomainError("encoded categorical mode needs an encoder")
+
+    def _correlation(self, x: Point, y: Point) -> float:
+        fa = SampleFeatures(self.domain, [x], self.encoder)
+        fb = SampleFeatures(self.domain, [y], self.encoder)
+        return float(correlation_matrix(PairTensors(self.domain, fa, fb), self.config)[0, 0])
+
+    def _component(self, group: str, xm: MetaComponent, a: dict, b: dict) -> float:
+        """Correlation of two components over the acting set of ``group``."""
+        ids = self.domain.acting_index_set(xm, group)
+        if set(a) != set(ids) or set(b) != set(ids):
+            raise KernelDomainError(
+                f"{group} components must cover the acting set {ids}")
+        if group == "categorical":
+            return self._correlation(Point(xm, a, {}), Point(xm, b, {}))
+        return self._correlation(Point(xm, {}, a), Point(xm, {}, b))
+
+    def k_continuous(self, xc: dict, yc: dict, xm: MetaComponent) -> float:
+        """exp(-sum of weighted squared differences) over acting continuous variables."""
+        return self._component("continuous", xm, xc, yc)
+
+    def k_integer(self, xz: dict, yz: dict, xm: MetaComponent) -> float:
+        """Like the continuous kernel after rounding relaxed values half away
+        from zero, making each one-dimensional factor piecewise constant."""
+        return self._component("integer", xm, xz, yz)
+
+    def k_standard(self, xs: dict, ys: dict, xm: MetaComponent) -> float:
+        """Product of the integer and continuous kernels."""
+        return self._component("standard", xm, xs, ys)
+
+    def k_categorical(self, xq: dict, yq: dict, xm: MetaComponent) -> float:
+        """Compound-symmetry and ordinal-index factors (matrix mode), or a
+        squared-exponential kernel on the encodings (encoded mode)."""
+        return self._component("categorical", xm, xq, yq)
+
+    def k_mixed(self, x: Point, y: Point) -> float:
+        """Full covariance between two points.
+
+        Categorical and standard factors enter only when both points share
+        the same meta component; otherwise the meta factors stand alone.
+        """
+        return self.config.signal_variance * self._correlation(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,6 @@ def test_candidates_decode_into_the_domain(mlp_problem):
         model, mlp_problem.constraints, {}, encoder, points,
         min(values), mb.BOConfig(budget=10, acq_budget=20, acq_starts=2), rng)
     assert domain.contains(candidate.point())
-    assert candidate.encoded.shape == (1,)
 
 
 def sequential_acquisition(model, system, constraint_models, encoder, evaluated, f_star,
@@ -491,3 +490,25 @@ def test_bo_charges_each_failing_point_once(toy_problem, toy_brute_force):
     # Every proposal is a point neither evaluated nor failed, so each costs budget.
     assert len(result.acquisition_log) < 60
     assert barrier_value(result.best) == toy_brute_force[0]
+
+
+def test_bo_refits_a_kernel_config_that_stops_factorizing(mlp_problem):
+    # Past refit_full_until the config is reused; the one fitted at 55
+    # samples does not factorize at 59, so the run refits instead of raising.
+    cfg = mb.BOConfig(budget=60, seed=1, categorical_mode="encoded",
+                      encoder_kind="one-hot")
+    result = mb.run_bo(mlp_problem, cfg)
+    assert result.stop_reason == "budget"
+    assert result.evaluator.budget.used == 60
+    assert math.isfinite(result.best.objective)
+
+
+def test_bo_ends_when_no_model_factorizes(toy_problem, monkeypatch):
+    def unfactorizable(*args, **kwargs):
+        raise mb.FactorizationError("kernel matrix stayed indefinite")
+
+    monkeypatch.setattr("metabox.bayesian.GPModel", unfactorizable)
+    result = mb.run_bo(toy_problem, mb.BOConfig(budget=20, seed=0))
+    assert result.stop_reason == "factorization"
+    assert not result.acquisition_log
+    assert math.isfinite(result.best.objective)

@@ -1,0 +1,57 @@
+"""The traced benchmark wraps library names given as strings (bench/spans.py).
+
+A refactor that renames or removes one of them breaks ``bench/run.py
+--trace 1``; these tests catch it with a tiny traced solve of each solver.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import metabox as mb
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    return spans
+
+
+def library_bindings():
+    """Every callable attribute of every metabox module and of every class
+    they define (module-level caches filled on first use are left out)."""
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "metabox" or name.startswith("metabox."))]
+    bindings = {}
+    for module in modules:
+        for attr, value in vars(module).items():
+            if callable(value):
+                bindings[(module.__name__, attr)] = value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for name, member in vars(value).items():
+                    if callable(member):
+                        bindings[(value.__qualname__, name)] = member
+    return bindings
+
+
+@pytest.mark.parametrize("solve, layer", [
+    (lambda problem: mb.run_direct_search(problem, mb.SearchConfig(budget=30, seed=0)),
+     "direct_search.subproblem"),
+    (lambda problem: mb.run_bo(problem, mb.BOConfig(budget=12, seed=0)),
+     "bayesian.acquisition"),
+], ids=["direct", "bo"])
+def test_traced_solve_records_spans_and_restores_the_library(spans, toy_problem,
+                                                             solve, layer):
+    before = library_bindings()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        solve(toy_problem)
+    assert len(tracer) > 0
+    assert {"blackbox.evaluate", "domain.membership", layer} <= set(tracer.labels)
+    after = library_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

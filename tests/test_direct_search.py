@@ -4,11 +4,43 @@ import numpy as np
 import pytest
 
 import metabox as mb
+from metabox.bayesian import ACQ_MIN_FRACTION
 from metabox.blackbox import barrier_value
 from metabox.builtin_problems import MLP_CONTINUOUS_TARGETS, mlp_normalized
+from metabox.direct_search import MIN_FRACTION, MeshState
 from conftest import charged_failures, nan_objective_at_k2
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
+
+
+# -- mesh ------------------------------------------------------------------------------
+
+def test_mesh_steps_refinement_and_floors():
+    scopes = [mb.ContinuousScope(0.0, 2.0), mb.IntegerScope(0, 13), mb.IntegerScope(0, 2)]
+    for floor in (MIN_FRACTION, ACQ_MIN_FRACTION):
+        mesh = MeshState(scopes, count=2, floor=floor)
+        assert mesh.scale.shape == (2, 3)
+        assert mesh.steps(0).tolist() == [0.5, 3.0, 1.0]  # 0.25 of 2.0, 13 // 4, at least 1
+        mesh.refine(1)
+        assert mesh.steps(0).tolist() == [0.5, 3.0, 1.0]  # rows refine on their own
+        assert mesh.steps([0, 1]).tolist() == [[0.5, 3.0, 1.0], [0.25, 1.0, 1.0]]
+        refinements = 0
+        while not mesh.at_minimum(1):
+            mesh.refine(1)
+            refinements += 1
+        # Halving reaches exactly the floor and stops there; integers stop at 1.
+        assert mesh.scale[1].tolist() == [floor, 1.0, 1.0]
+        assert refinements == math.ceil(math.log2(0.125 / floor))
+        mesh.refine(1)
+        assert mesh.scale[1].tolist() == [floor, 1.0, 1.0]
+        assert not mesh.at_minimum(0)
+    # A continuous step at its floor does not stop a search whose integer step is above 1.
+    wide = MeshState([mb.ContinuousScope(0.0, 1.0), mb.IntegerScope(0, 400)],
+                     floor=ACQ_MIN_FRACTION)
+    for _ in range(4):
+        wide.refine()
+    assert wide.scale[0].tolist() == [ACQ_MIN_FRACTION, 6.0]  # 100, 50, 25, 12, 6
+    assert not wide.at_minimum()
 
 
 # -- standard subproblem -------------------------------------------------------------
@@ -186,10 +218,18 @@ def test_mlp_proxy_descends_quickly(mlp_problem):
 
 def test_progress_lines_on_stderr(capsys, toy_problem):
     mb.run_direct_search(toy_problem, mb.SearchConfig(budget=30, seed=0,
-                                                      subproblem_budget=10))
+                                                      subproblem_budget=10),
+                         progress=True)
     err = capsys.readouterr().err
     assert err.startswith("iteration 1 ")
     assert "incumbent" in err
+
+
+def test_default_library_calls_write_nothing_to_stderr(capfd, toy_problem):
+    mb.run_direct_search(toy_problem, mb.SearchConfig(budget=30, seed=0,
+                                                      subproblem_budget=10))
+    mb.run_bo(toy_problem, mb.BOConfig(budget=12, seed=0))
+    assert capfd.readouterr().err == ""
 
 
 def test_invalid_config_rejected():

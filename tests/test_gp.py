@@ -7,6 +7,7 @@ import pytest
 import metabox as mb
 from scipy import linalg
 
+from metabox.domain import normalize, round_half_away
 from metabox.gp import (JITTER_FRACTION, PairTensors, SampleFeatures, correlation_matrix,
                         log_marginal_likelihood)
 from conftest import random_point
@@ -200,6 +201,49 @@ def test_gram_is_psd_after_jitter(mlp_domain):
     assert float(np.linalg.eigvalsh(post).min()) >= 0.0
 
 
+def scalar_kernel(domain, config, encoder, x, y):
+    """Independent scalar formulas of the mixed kernel, the oracle for the
+    vectorized one: meta factors always, categorical and standard factors
+    only between points sharing a meta component."""
+    def unit(vid, value):
+        return normalize(domain.spec(vid).scope, value)
+
+    def squared_exponential(weights, a, b):
+        return math.exp(-float(np.sum(np.asarray(weights) * (np.asarray(a) - np.asarray(b)) ** 2)))
+
+    value = config.signal_variance
+    for mid in domain.meta_ids:
+        a, b = x.meta[mid], y.meta[mid]
+        if domain.spec(mid).type == mb.VariableType.META_CATEGORICAL:
+            value *= config.meta_correlations[mid] if a != b else 1.0
+        else:
+            value *= squared_exponential([config.meta_weights[mid]],
+                                         [unit(mid, a)], [unit(mid, b)])
+    if x.meta != y.meta:
+        return value
+    xm = x.meta
+    ids = domain.acting_index_set(xm, "continuous")
+    value *= squared_exponential([config.continuous_weights[v] for v in ids],
+                                 [unit(v, x.standard[v]) for v in ids],
+                                 [unit(v, y.standard[v]) for v in ids])
+    ids = domain.acting_index_set(xm, "integer")
+    value *= squared_exponential([config.integer_weights[v] for v in ids],
+                                 [unit(v, round_half_away(x.standard[v])) for v in ids],
+                                 [unit(v, round_half_away(y.standard[v])) for v in ids])
+    ids = domain.acting_index_set(xm, "categorical")
+    if config.categorical_mode == "encoded":
+        weights = [w for v in ids for w in [config.categorical_weights[v]] * encoder.width(v)]
+        return value * squared_exponential(weights, encoder.encode(x.categorical, xm),
+                                           encoder.encode(y.categorical, xm))
+    for vid in ids:
+        a, b = x.categorical[vid], y.categorical[vid]
+        if domain.spec(vid).type == mb.VariableType.ORDINAL:
+            value *= math.exp(-((a - b) ** 2) / (2.0 * config.ordinal_lengthscales[vid] ** 2))
+        elif a != b:
+            value *= config.nominal_correlations[vid]
+    return value
+
+
 def test_vectorized_matches_scalar_kernel(mlp_domain):
     for mode, encoder in (("matrix", None),
                           ("encoded", mb.Encoder(mb.mlp_problem().domain, "one-hot"))):
@@ -213,7 +257,9 @@ def test_vectorized_matches_scalar_kernel(mlp_domain):
             PairTensors(mlp_domain, features, features), config)
         for i in range(12):
             for j in range(12):
-                assert abs(gram[i, j] - kernel.k_mixed(points[i], points[j])) < 1e-12
+                expected = scalar_kernel(mlp_domain, config, encoder, points[i], points[j])
+                assert abs(gram[i, j] - expected) < 1e-12
+                assert abs(kernel.k_mixed(points[i], points[j]) - expected) < 1e-12
 
 
 # -- prediction -------------------------------------------------------------------------------
