@@ -10,8 +10,7 @@ from .bayesian import (AuxiliaryCandidate, BOConfig, BOResult, expected_improvem
                        latin_hypercube, maximize_acquisition, run_bo)
 from .blackbox import (BudgetState, EvaluationRecord, Evaluator, Problem,
                        barrier_value, cache_key, write_history)
-from .builtin_problems import (BUILTIN_PROBLEMS, mlp_domain, mlp_minimizer,
-                               mlp_problem, toy_problem, toy_table)
+from .builtin_problems import mlp_minimizer, toy_table
 from .constraints import (BlackboxOutput, ConstraintSpec, ConstraintSystem,
                           LinearExpression)
 from .direct_search import (DirectSearchResult, MeshState, SearchConfig,
@@ -31,8 +30,8 @@ from .gp import (GPModel, KernelConfig, MixedKernel, default_kernel_config,
                  merge_kernel_overrides)
 from .neighborhoods import (Combined, Custom, IncrementMetaInteger, IncrementOrdinal,
                             NeighborhoodMapping, SwapCategorical, categorical_neighbors,
-                            default_meta_mapping, meta_neighbors, mlp_meta_mapping,
-                            realize_neighbor, register_custom_rule)
+                            default_meta_mapping, meta_neighbors, realize_neighbor,
+                            register_custom_rule)
 from .problem_file import (ParsedProblem, bundled_problem_path, parse_problem,
                            parse_problem_file, serialize_problem)
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .blackbox import (EvaluationRecord, Evaluator, Problem, barrier_value, cache_key)
+from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
 from .direct_search import MeshState
 from .domain import (Domain, IntegerScope, MetaComponent, Point, denormalize,
                      enumerate_domain_points)
@@ -85,8 +85,10 @@ class BOConfig:
     kernel: dict | None = None         # serialized KernelConfig overriding the defaults
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ConfigurationError("budget must be positive")
+        for name in ("budget", "max_iterations", "acq_starts", "acq_budget",
+                     "categorical_cap"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
 
 
 @dataclass
@@ -426,13 +428,10 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
 
     train_points, train_values = [], []
     constraint_data = {c.id: ([], []) for c in system.constraints}  # (rows, values)
-    seen = set()
 
     def absorb(record):
-        key = cache_key(record.point)
-        if key in seen:
+        if record.cached:  # repeats a sample absorbed at the key's first evaluation
             return
-        seen.add(key)
         for cid, value in record.constraints.items():
             constraint_data[cid][0].append(len(train_points))
             constraint_data[cid][1].append(value)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .constraints import ConstraintSystem
 from .domain import Domain, GROUPS, Point
-from .errors import (BudgetExhaustedError, DomainError, EvaluationError)
+from .errors import (BudgetExhaustedError, ConfigurationError, DomainError,
+                     EvaluationError)
 
 TIMEOUT_ENV_VAR = "METABOX_BLACKBOX_TIMEOUT"
 DEFAULT_TIMEOUT = 60.0
@@ -106,6 +107,21 @@ def subprocess_payload(domain: Domain, point: Point) -> dict:
             "standard": dict(point.standard)}
 
 
+def _env_timeout(default: float) -> float:
+    """The timeout set by the environment variable, else ``default``."""
+    text = os.environ.get(TIMEOUT_ENV_VAR)
+    if not text:
+        return default
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{TIMEOUT_ENV_VAR} must be a positive number of seconds, got {text!r}")
+    return value
+
+
 class Evaluator:
     """Stateful evaluation session: budget + cache + history as one synchronized unit.
 
@@ -123,9 +139,7 @@ class Evaluator:
         self._failed: dict[str, str] = {}   # key -> error message
         self._inflight: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
-        env = os.environ.get(TIMEOUT_ENV_VAR)
-        self.timeout = timeout if timeout is not None else (
-            float(env) if env else problem.timeout)
+        self.timeout = timeout if timeout is not None else _env_timeout(problem.timeout)
 
     # -- public API -------------------------------------------------------------
 

@@ -1,13 +1,17 @@
-"""Built-in synthetic problems.
+"""Builtin blackbox objectives, bound by name from problem files.
 
-``mlp_proxy`` reproduces the hyperparameter search space of a small MLP
+The problems themselves are defined only by the bundled files
+``data/mlp.json`` and ``data/toy.json``; a file's ``blackbox.builtin`` names
+one of the objective factories here, which receives the parsed domain.
+
+``mlp_proxy`` scores the hyperparameter search space of a small MLP
 (learning rate, activation, hidden layers with per-layer unit counts, and an
 optimizer choice decreeing its own continuous settings) with a deterministic
 separable objective whose global minimum is analytically known.  No network
 is trained; the objective is a closed-form stand-in over the same space.
 
-``toy_discrete`` is a fully finite mixed domain backed by a value table, small
-enough to brute-force, used as an exactness oracle for the solvers.
+``toy_discrete`` looks values up in a table over a fully finite mixed domain,
+small enough to brute-force, used as an exactness oracle for the solvers.
 """
 
 from __future__ import annotations
@@ -15,18 +19,12 @@ from __future__ import annotations
 import math
 import random
 
-from .blackbox import Problem
-from .constraints import (BlackboxOutput, ConstraintSpec, ConstraintSystem,
-                          LinearExpression)
-from .domain import (CategoricalScope, ContinuousScope, DecreePredicate, Domain,
-                     IntegerScope, Membership, MetaComponent, Point, Role, Threshold,
-                     VariableSpec, VariableType, enumerate_domain_points)
+from .domain import Domain, MetaComponent, Point, enumerate_domain_points
 
 # ---------------------------------------------------------------------------
 # MLP hyperparameter space and proxy objective
 # ---------------------------------------------------------------------------
 
-MLP_UNIT_BOUND = 500
 MLP_UNIT_TARGETS = (150, 120, 110)
 MLP_OPTIMIZER_BASE = {"Adam": 0.0, "ASGD": 0.05}
 MLP_ACTIVATION_GAP = {"ReLU": 0.0, "Sigmoid": 0.1}
@@ -36,48 +34,6 @@ MLP_CONTINUOUS_TARGETS = {
     "Adam": {"r": 0.25, "beta1": 0.9, "beta2": 0.75, "eps": 0.1},
     "ASGD": {"r": 0.4, "lam": 0.3, "alpha": 0.6, "t0": 0.5},
 }
-
-
-def mlp_domain(l_min: int = 2, l_max: int = 3) -> Domain:
-    """The MLP search space; layer count bounds are adjustable for tests."""
-    unit = ContinuousScope(0.0, 1.0, lo_open=True, hi_open=True)
-    variables = [
-        VariableSpec("r", VariableType.CONTINUOUS, Role.GLOBAL, unit),
-        VariableSpec("a", VariableType.NOMINAL, Role.GLOBAL,
-                     CategoricalScope(("ReLU", "Sigmoid"))),
-        VariableSpec("l", VariableType.META_INTEGER, Role.META, IntegerScope(l_min, l_max)),
-    ]
-    for i in range(1, max(l_max, 1) + 1):
-        variables.append(VariableSpec(
-            f"u{i}", VariableType.INTEGER, Role.DECREED, IntegerScope(100, 300),
-            DecreePredicate((Threshold("l", i),))))
-    variables.append(VariableSpec("o", VariableType.META_CATEGORICAL, Role.META,
-                                  CategoricalScope(("Adam", "ASGD"))))
-    asgd = DecreePredicate((Membership("o", ("ASGD",)),))
-    adam = DecreePredicate((Membership("o", ("Adam",)),))
-    variables += [
-        VariableSpec("lam", VariableType.CONTINUOUS, Role.DECREED, unit, asgd),
-        VariableSpec("alpha", VariableType.CONTINUOUS, Role.DECREED, unit, asgd),
-        VariableSpec("t0", VariableType.CONTINUOUS, Role.DECREED,
-                     ContinuousScope(1e3, 1e8, lo_open=True, hi_open=True), asgd),
-        VariableSpec("beta1", VariableType.CONTINUOUS, Role.DECREED, unit, adam),
-        VariableSpec("beta2", VariableType.CONTINUOUS, Role.DECREED, unit, adam),
-        VariableSpec("eps", VariableType.CONTINUOUS, Role.DECREED, unit, adam),
-    ]
-    return Domain(variables, name="mlp")
-
-
-def mlp_constraints(domain: Domain) -> ConstraintSystem:
-    unit_ids = [v.id for v in domain.variables if v.id.startswith("u") and v.id[1:].isdigit()]
-    constraints = [ConstraintSpec(
-        "units_total", Role.GLOBAL,
-        LinearExpression(tuple((1.0, vid) for vid in unit_ids), -float(MLP_UNIT_BOUND)))]
-    for i in range(2, len(unit_ids) + 1):
-        constraints.append(ConstraintSpec(
-            f"units_mono_{i}", Role.DECREED,
-            LinearExpression(((1.0, f"u{i}"), (-1.0, f"u{i - 1}"))),
-            DecreePredicate((Threshold("l", i),))))
-    return ConstraintSystem(domain, constraints)
 
 
 def mlp_normalized(domain: Domain, point: Point, vid: str) -> float:
@@ -107,12 +63,6 @@ def _mlp_objective_factory(domain: Domain):
     return objective
 
 
-def mlp_problem() -> Problem:
-    domain = mlp_domain()
-    return Problem(domain=domain, constraints=mlp_constraints(domain),
-                   objective=_mlp_objective_factory(domain), name="mlp_proxy")
-
-
 def mlp_minimizer(domain: Domain) -> Point:
     """The analytic global minimizer of the proxy (objective value 0)."""
     targets = MLP_CONTINUOUS_TARGETS["Adam"]
@@ -126,83 +76,51 @@ def mlp_minimizer(domain: Domain) -> Point:
 # Finite toy problem
 # ---------------------------------------------------------------------------
 
-def toy_domain() -> Domain:
-    return Domain([
-        VariableSpec("m", VariableType.META_CATEGORICAL, Role.META,
-                     CategoricalScope(("A", "B"))),
-        VariableSpec("pA", VariableType.NOMINAL, Role.DECREED,
-                     CategoricalScope(("red", "green")),
-                     DecreePredicate((Membership("m", ("A",)),))),
-        VariableSpec("pB", VariableType.NOMINAL, Role.DECREED,
-                     CategoricalScope(("long", "short")),
-                     DecreePredicate((Membership("m", ("B",)),))),
-        VariableSpec("s", VariableType.ORDINAL, Role.GLOBAL,
-                     CategoricalScope(("low", "mid", "high"))),
-        VariableSpec("k", VariableType.INTEGER, Role.GLOBAL, IntegerScope(0, 4)),
-    ], name="toy")
-
-
-def toy_constraints(domain: Domain) -> ConstraintSystem:
-    # The branch cap (k - 2 <= 0 under m=B) is emitted by the backend to
-    # exercise the blackbox-bodied constraint path.
-    return ConstraintSystem(domain, [
-        ConstraintSpec("branch_cap", Role.DECREED, BlackboxOutput(0),
-                       DecreePredicate((Membership("m", ("B",)),))),
-    ])
-
-
-_TOY_TABLE: dict | None = None
-
-
 def _toy_combo(point: Point):
     nominal = point.categorical.get("pA", point.categorical.get("pB"))
     return (point.meta["m"], nominal, point.categorical["s"])
 
 
-def toy_table() -> dict:
-    """Objective table over all 60 points; values are distinct by construction.
+
+
+def toy_table(domain: Domain) -> dict:
+    """Objective table over all 60 points of the toy domain; values are
+    distinct by construction.
 
     Per (meta, nominal, ordinal) combo the values form a parabola in the
     integer variable with a combo-specific center, plus a tiny per-point
     tie-breaker, so the minimum is unique.
     """
-    global _TOY_TABLE
-    if _TOY_TABLE is None:
-        domain = toy_domain()
-        points = enumerate_domain_points(domain)
-        combos = []
-        for point in points:
-            combo = _toy_combo(point)
-            if combo not in combos:
-                combos.append(combo)
-        bases = list(range(len(combos)))
-        random.Random(2718).shuffle(bases)
-        table = {}
-        for index, point in enumerate(points):
-            j = combos.index(_toy_combo(point))
-            center = (2 * j + 1) % 5
-            value = 3.0 * bases[j] + (point.standard["k"] - center) ** 2 + index * 1e-6
-            table[point] = value
-        if len(set(table.values())) != len(table):
-            raise AssertionError("toy table values must be distinct")
-        _TOY_TABLE = table
-    return _TOY_TABLE
+    points = enumerate_domain_points(domain)
+    combos = []
+    for point in points:
+        combo = _toy_combo(point)
+        if combo not in combos:
+            combos.append(combo)
+    bases = list(range(len(combos)))
+    random.Random(2718).shuffle(bases)
+    table = {}
+    for index, point in enumerate(points):
+        j = combos.index(_toy_combo(point))
+        center = (2 * j + 1) % 5
+        value = 3.0 * bases[j] + (point.standard["k"] - center) ** 2 + index * 1e-6
+        table[point] = value
+    if len(set(table.values())) != len(table):
+        raise AssertionError("toy table values must be distinct")
+    return table
 
 
-def _toy_objective(point: Point):
-    value = toy_table()[point]
-    if point.meta["m"] == "B":
-        return value, {"branch_cap": float(point.standard["k"] - 2)}
-    return value, {}
+def _toy_objective_factory(domain: Domain):
+    table = None
 
-
-def toy_problem() -> Problem:
-    domain = toy_domain()
-    return Problem(domain=domain, constraints=toy_constraints(domain),
-                   objective=_toy_objective, name="toy_discrete")
-
-
-BUILTIN_PROBLEMS = {
-    "mlp_proxy": mlp_problem,
-    "toy_discrete": toy_problem,
-}
+    def objective(point: Point):
+        nonlocal table
+        if table is None:  # built on first call, so parsing stays cheap
+            table = toy_table(domain)
+        value = table[point]
+        # The branch cap (k - 2 <= 0 under m=B) comes from the backend to
+        # exercise the blackbox-bodied constraint path.
+        if point.meta["m"] == "B":
+            return value, {"branch_cap": float(point.standard["k"] - 2)}
+        return value, {}
+    return objective

@@ -86,8 +86,12 @@ class SubproblemResult:
     barrier: float
     evaluations: int
     reason: str          # "min_mesh" | "subproblem_budget" | "global_budget" | "start_only"
-    truncated: bool      # the overall budget ran out mid-solve
     mesh: MeshState | None = None
+
+    @property
+    def truncated(self) -> bool:
+        """The overall budget ran out mid-solve."""
+        return self.reason == "global_budget"
 
 
 @dataclass
@@ -139,13 +143,12 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
         best_record, best_barrier = _evaluate_barrier(evaluator, start_point)
         evaluations += 1
     except BudgetExhaustedError:
-        return SubproblemResult(start_point, None, math.inf, 0, "global_budget",
-                                True, mesh)
+        return SubproblemResult(start_point, None, math.inf, 0, "global_budget", mesh)
     best_point = start_point
 
     if not ids:
         return SubproblemResult(best_point, best_record, best_barrier, evaluations,
-                                "start_only", False, mesh)
+                                "start_only", mesh)
     while True:
         improved = False
         # Converted once per sweep: polls add Python floats, and scope.clamp
@@ -155,8 +158,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
             for sign in (1, -1):
                 if evaluations >= cfg.subproblem_budget:
                     return SubproblemResult(best_point, best_record, best_barrier,
-                                            evaluations, "subproblem_budget", False,
-                                            mesh)
+                                            evaluations, "subproblem_budget", mesh)
                 value = scope.clamp(best_point.standard[vid] + sign * step)
                 if value == best_point.standard[vid]:
                     continue
@@ -166,7 +168,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
                     evaluations += 1
                 except BudgetExhaustedError:
                     return SubproblemResult(best_point, best_record, best_barrier,
-                                            evaluations, "global_budget", True, mesh)
+                                            evaluations, "global_budget", mesh)
                 if barrier < best_barrier:
                     best_point, best_record, best_barrier = candidate, record, barrier
                     improved = True
@@ -177,7 +179,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
             continue
         if mesh.at_minimum():
             return SubproblemResult(best_point, best_record, best_barrier,
-                                    evaluations, "min_mesh", False, mesh)
+                                    evaluations, "min_mesh", mesh)
         mesh.refine()
 
 

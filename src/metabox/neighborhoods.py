@@ -196,26 +196,6 @@ def realize_neighbor(domain: Domain, point: Point, tm: MetaComponent, tq=None) -
     return domain.complete_point(tm, partial)
 
 
-# ---------------------------------------------------------------------------
-# Built-ins
-# ---------------------------------------------------------------------------
-
-def mlp_meta_mapping(layer_id: str = "l", optimizer_id: str = "o") -> NeighborhoodMapping:
-    """The layer-count/optimizer meta neighborhood of the MLP space.
-
-    From (l, o): one layer more, one layer less, the other optimizer, and the
-    two combined moves.  Increments clamp at the scope bounds, so boundary
-    layer counts yield 3 distinct neighbors and interior ones yield 5.
-    """
-    return NeighborhoodMapping("meta", (
-        IncrementMetaInteger(layer_id, +1),
-        IncrementMetaInteger(layer_id, -1),
-        SwapCategorical(optimizer_id),
-        Combined((IncrementMetaInteger(layer_id, +1), SwapCategorical(optimizer_id))),
-        Combined((IncrementMetaInteger(layer_id, -1), SwapCategorical(optimizer_id))),
-    ))
-
-
 def default_meta_mapping(domain: Domain) -> NeighborhoodMapping:
     """Generic meta neighborhood: +/-1 on meta-integers, swaps on meta-categoricals."""
     rules = []
@@ -231,6 +211,3 @@ def default_meta_mapping(domain: Domain) -> NeighborhoodMapping:
                 f"no default neighborhood for meta-continuous variable {vid!r}; "
                 "provide a custom mapping")
     return NeighborhoodMapping("meta", rules)
-
-
-BUILTIN_META_MAPPINGS = {"mlp": mlp_meta_mapping}

@@ -11,11 +11,12 @@ path, e.g. ``variables[3].decree[0]``.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
 from .blackbox import Problem
-from .builtin_problems import _mlp_objective_factory, _toy_objective
+from .builtin_problems import _mlp_objective_factory, _toy_objective_factory
 from .constraints import (BlackboxOutput, ConstraintSpec, ConstraintSystem,
                           LinearExpression)
 from .domain import (CategoricalScope, ContinuousScope, DecreePredicate, Domain,
@@ -27,8 +28,8 @@ from .neighborhoods import (Combined, IncrementMetaInteger, IncrementOrdinal,
 
 #: Builtin objective bindings; each receives the parsed domain.
 BUILTIN_OBJECTIVES = {
-    "mlp_proxy": lambda domain: _mlp_objective_factory(domain),
-    "toy_discrete": lambda domain: _toy_objective,
+    "mlp_proxy": _mlp_objective_factory,
+    "toy_discrete": _toy_objective_factory,
 }
 
 _CONSTANT_RE = re.compile(r"^(-)?\$(\w+)$")
@@ -255,7 +256,11 @@ def parse_problem(document: dict) -> ParsedProblem:
     blackbox = document.get("blackbox")
     _expect(isinstance(blackbox, dict), "syntax", "blackbox",
             "blackbox must be an object with builtin or command")
-    timeout = float(blackbox.get("timeout", 60.0))
+    timeout = blackbox.get("timeout", 60.0)
+    _expect(isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+            and math.isfinite(timeout) and timeout > 0, "syntax", "blackbox.timeout",
+            f"timeout must be a positive number of seconds, got {timeout!r}")
+    timeout = float(timeout)
     builtin = None
     if "builtin" in blackbox:
         builtin = blackbox["builtin"]

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,25 +11,53 @@ from metabox.blackbox import barrier_value
 from metabox.domain import denormalize
 
 
-@pytest.fixture(scope="session")
-def mlp_problem():
-    return mb.mlp_problem()
+def parse_bundled(name):
+    """A bundled problem, parsed the way the README shows."""
+    return mb.parse_problem_file(mb.bundled_problem_path(name))
+
+
+def parse_wide_mlp():
+    """The bundled mlp problem with layer count 0..3, so the boundary and
+    interior neighborhood cases exist."""
+    document = json.loads(mb.bundled_problem_path("mlp").read_text())
+    layers = next(v for v in document["variables"] if v.get("id") == "l")
+    layers["scope"] = {"lo": 0, "hi": 3}
+    return mb.parse_problem(document)
 
 
 @pytest.fixture(scope="session")
-def mlp_domain():
-    return mb.mlp_problem().domain
+def mlp_parsed():
+    return parse_bundled("mlp")
 
 
 @pytest.fixture(scope="session")
-def wide_mlp_domain():
-    # Layer count 0..3 so the boundary and interior neighborhood cases exist.
-    return mb.mlp_domain(l_min=0, l_max=3)
+def mlp_problem(mlp_parsed):
+    return mlp_parsed.problem
 
 
 @pytest.fixture(scope="session")
-def toy_problem():
-    return mb.toy_problem()
+def mlp_domain(mlp_parsed):
+    return mlp_parsed.domain
+
+
+@pytest.fixture(scope="session")
+def wide_mlp_parsed():
+    return parse_wide_mlp()
+
+
+@pytest.fixture(scope="session")
+def wide_mlp_domain(wide_mlp_parsed):
+    return wide_mlp_parsed.domain
+
+
+@pytest.fixture(scope="session")
+def toy_parsed():
+    return parse_bundled("toy")
+
+
+@pytest.fixture(scope="session")
+def toy_problem(toy_parsed):
+    return toy_parsed.problem
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from metabox.blackbox import barrier_value
 from metabox.cli import cli_main
 from metabox.gp import PairTensors, SampleFeatures, correlation_matrix
 from metabox.problem_file import bundled_problem_path
-from conftest import random_point, uniform_random_search
+from conftest import parse_wide_mlp, random_point, uniform_random_search
 
 
 def report(number, text):
@@ -40,8 +40,8 @@ def test_criterion_1_mlp_structural_fidelity():
 
 def test_criterion_2_neighborhood_fidelity():
     start = time.perf_counter()
-    domain = mb.mlp_domain(l_min=0, l_max=3)
-    mapping = mb.mlp_meta_mapping()
+    wide_mlp = parse_wide_mlp()
+    domain, mapping = wide_mlp.domain, wide_mlp.meta_mapping
     expected = {
         0: {(1, "Adam"), (0, "ASGD"), (1, "ASGD")},          # lower boundary
         3: {(2, "Adam"), (3, "ASGD"), (2, "ASGD")},          # upper boundary

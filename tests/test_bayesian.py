@@ -9,7 +9,7 @@ from metabox.bayesian import _Candidates, initial_design, write_acquisition_log
 from metabox.gp import PairTensors
 from metabox.blackbox import barrier_value
 from metabox.domain import denormalize
-from conftest import charged_failures, nan_objective_at_k2, random_point
+from conftest import charged_failures, nan_objective_at_k2, parse_bundled, random_point
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -314,7 +314,7 @@ def acquisition_case(problem, samples, seed):
 @pytest.mark.parametrize("name, samples, seed",
                          [("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1)])
 def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, samples, seed):
-    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    problem = parse_bundled(name).problem
     model, views, standalone, encoder, points, f_star = acquisition_case(problem, samples,
                                                                          seed)
     cfg = mb.BOConfig(budget=10, acq_budget=24, acq_starts=3)
@@ -342,7 +342,7 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
 @pytest.mark.parametrize("name", ["mlp", "toy"])
 def test_each_scored_batch_builds_one_pair_tensor(monkeypatch, name):
     # The objective and every constraint view share one cross-covariance.
-    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    problem = parse_bundled(name).problem
     model, views, _, encoder, points, f_star = acquisition_case(problem, 20, 2)
     assert len(views) == len(problem.constraints.constraints)
     built = [0]  # entry 0 counts builds outside score()
@@ -473,6 +473,16 @@ def test_bo_requires_enumerable_meta_set():
         mb.run_bo(problem, mb.BOConfig(budget=5, seed=0), progress=False)
     with pytest.raises(mb.ConfigurationError):
         mb.run_direct_search(problem, mb.SearchConfig(budget=5), progress=False)
+
+
+@pytest.mark.parametrize("field", ["budget", "max_iterations", "acq_starts",
+                                   "acq_budget", "categorical_cap"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_bo_config_rejects_values_that_would_end_the_run(field, value):
+    # acq_starts=0 once ended BO on mlp after its initial design, stop reason
+    # "exhausted", though the domain is continuous.
+    with pytest.raises(mb.ConfigurationError, match=field):
+        mb.BOConfig(**{"budget": 40, field: value})
 
 
 def test_bo_never_reports_a_nan_best(toy_problem):

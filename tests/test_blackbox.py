@@ -11,7 +11,7 @@ import pytest
 import metabox as mb
 from metabox.blackbox import cache_key, history_header, render_value
 from metabox.builtin_problems import (MLP_ACTIVATION_GAP, MLP_CONTINUOUS_TARGETS,
-                                      toy_table)
+                                      MLP_OPTIMIZER_BASE, MLP_UNIT_TARGETS, toy_table)
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -110,6 +110,13 @@ def test_timeout_env_var_override(monkeypatch, toy_problem):
     assert mb.Evaluator(toy_problem, 1).timeout == toy_problem.timeout
 
 
+@pytest.mark.parametrize("text", ["abc", "-1", "0", "nan", "inf"])
+def test_invalid_timeout_env_var_is_a_configuration_error(monkeypatch, toy_problem, text):
+    monkeypatch.setenv("METABOX_BLACKBOX_TIMEOUT", text)
+    with pytest.raises(mb.ConfigurationError, match="METABOX_BLACKBOX_TIMEOUT"):
+        mb.Evaluator(toy_problem, 1)
+
+
 # -- the proxy problem ----------------------------------------------------------------
 
 def test_proxy_minimum_is_zero(mlp_problem):
@@ -133,6 +140,15 @@ def test_proxy_monotonicity_violation_infeasible(mlp_problem, mlp_domain):
     assert not record.feasible
 
 
+def test_proxy_constants_match_bundled_metadata(mlp_parsed):
+    # bench/mlp_oracle.py scores the proxy from this metadata block alone.
+    metadata = mlp_parsed.metadata
+    assert tuple(metadata["unit_targets"]) == MLP_UNIT_TARGETS
+    assert metadata["optimizer_base"] == MLP_OPTIMIZER_BASE
+    assert metadata["activation_gap"] == MLP_ACTIVATION_GAP
+    assert metadata["normalized_continuous_targets"] == MLP_CONTINUOUS_TARGETS
+
+
 def test_proxy_continuous_targets_lie_inside_unit_interval():
     for targets in MLP_CONTINUOUS_TARGETS.values():
         assert all(0.0 < z < 1.0 for z in targets.values())
@@ -152,15 +168,15 @@ def test_replay_reproduces_values_bit_for_bit(mlp_problem, mlp_domain):
 # -- the toy problem --------------------------------------------------------------------
 
 def test_toy_table_is_distinct_and_small(toy_problem):
-    table = toy_table()
+    table = toy_table(toy_problem.domain)
     assert len(table) == 60 <= 120
     assert len(set(table.values())) == 60
 
 
-def test_toy_unique_minimum(toy_brute_force):
+def test_toy_unique_minimum(toy_problem, toy_brute_force):
     value, point = toy_brute_force
     assert math.isfinite(value)
-    table = toy_table()
+    table = toy_table(toy_problem.domain)
     feasible_values = [v for p, v in table.items()
                        if p.meta["m"] == "A" or p.standard["k"] <= 2]
     assert value == min(feasible_values)

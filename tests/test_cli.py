@@ -113,3 +113,19 @@ def test_unwritable_history_is_a_runtime_error(tmp_path):
     assert cli_main(["solve", TOY, "--solver", "direct", "--budget", "5",
                      "--seed", "0", "--out", str(tmp_path / "nodir" / "x.csv"),
                      "--quiet"]) == 3
+
+
+def test_invalid_file_timeout_is_a_validation_error(tmp_path, capsys):
+    document = json.loads(bundled_problem_path("toy").read_text())
+    document["blackbox"]["timeout"] = "abc"
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["validate", str(path)]) == 2
+    assert "blackbox.timeout" in capsys.readouterr().err
+
+
+def test_invalid_timeout_env_var_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("METABOX_BLACKBOX_TIMEOUT", "abc")
+    assert cli_main(["solve", TOY, "--solver", "bo", "--budget", "5", "--seed", "0",
+                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == 3
+    assert "METABOX_BLACKBOX_TIMEOUT" in capsys.readouterr().err

@@ -3,7 +3,6 @@ import math
 import pytest
 
 import metabox as mb
-from metabox.builtin_problems import mlp_constraints
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 ADAM3 = mb.MetaComponent({"l": 3, "o": "Adam"})
@@ -15,8 +14,8 @@ def mlp_system(mlp_problem):
 
 
 @pytest.fixture(scope="module")
-def wide_system(wide_mlp_domain):
-    return mlp_constraints(wide_mlp_domain)
+def wide_system(wide_mlp_parsed):
+    return wide_mlp_parsed.system
 
 
 def units_point(domain, l, **units):
@@ -106,8 +105,8 @@ def test_missing_constraint_value_errors(mlp_system, mlp_domain):
         mlp_system.is_feasible(point, {"units_total": -1.0})
 
 
-def test_feasibility_monotone_under_constraint_removal(mlp_domain):
-    base = mlp_constraints(mlp_domain)
+def test_feasibility_monotone_under_constraint_removal(mlp_system, mlp_domain):
+    base = mlp_system
     point = units_point(mlp_domain, 3, u1=200, u2=150, u3=100)
     values = {c.id: base.evaluate_analytic(c, point) for c in base.acting_constraints(point.meta)}
     assert base.is_feasible(point, values)

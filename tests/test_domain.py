@@ -3,6 +3,8 @@ import pytest
 import metabox as mb
 from metabox.domain import GROUPS
 
+from conftest import parse_wide_mlp
+
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 ADAM3 = mb.MetaComponent({"l": 3, "o": "Adam"})
 ASGD2 = mb.MetaComponent({"l": 2, "o": "ASGD"})
@@ -51,7 +53,7 @@ def test_cached_acting_sets_still_validate_value_types():
     # 2.0 equals 2 and True equals 1 (MetaComponents holding them hash
     # alike), but only integers are valid meta-integer values, so a cached
     # answer for 2 or 1 must not serve them.
-    domain = mb.mlp_domain(l_min=0, l_max=3)
+    domain = parse_wide_mlp().domain
     ids = domain.acting_index_set(ADAM2, "integer")
     ids.append("mutated")
     assert domain.acting_index_set(ADAM2, "integer") == ["u1", "u2"]

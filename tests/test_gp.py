@@ -10,7 +10,7 @@ from scipy import linalg
 from metabox.domain import normalize, round_half_away
 from metabox.gp import (JITTER_FRACTION, PairTensors, SampleFeatures, correlation_matrix,
                         log_marginal_likelihood)
-from conftest import random_point
+from conftest import parse_bundled, random_point
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 ADAM3 = mb.MetaComponent({"l": 3, "o": "Adam"})
@@ -245,8 +245,8 @@ def scalar_kernel(domain, config, encoder, x, y):
 
 
 def test_vectorized_matches_scalar_kernel(mlp_domain):
-    for mode, encoder in (("matrix", None),
-                          ("encoded", mb.Encoder(mb.mlp_problem().domain, "one-hot"))):
+    encoded = mb.Encoder(parse_bundled("mlp").domain, "one-hot")
+    for mode, encoder in (("matrix", None), ("encoded", encoded)):
         config = mb.default_kernel_config(mlp_domain, mode=mode)
         config.signal_variance = 1.3
         kernel = mb.MixedKernel(mlp_domain, config, encoder)
@@ -507,7 +507,7 @@ def fit_samples(name, count, seed):
         domain = no_meta_domain()
         points = [random_point(domain, rng) for _ in range(count)]
         return domain, points, list(rng.standard_normal(count))
-    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    problem = parse_bundled("toy" if name == "toy" else "mlp").problem
     metas = [ADAM2] if name == "mlp-adam2" else None
     evaluator = mb.Evaluator(problem, count)
     while evaluator.budget.remaining:
@@ -645,7 +645,7 @@ def surrogate_case(problem, count, seed):
                          [("mlp", "units_total", True), ("mlp", "units_mono_3", False),
                           ("toy", "branch_cap", False)])
 def test_row_view_means_match_standalone_model(name, constraint, full):
-    problem = mb.toy_problem() if name == "toy" else mb.mlp_problem()
+    problem = parse_bundled(name).problem
     model, records = surrogate_case(problem, 24, seed=3)
     rows = [i for i, r in enumerate(records) if constraint in r.constraints]
     assert (len(rows) == len(records)) == full

@@ -7,33 +7,34 @@ def wide_point(domain, l, o="Adam", **partial):
     return domain.complete_point(mb.MetaComponent({"l": l, "o": o}), partial)
 
 
-# -- the built-in layer/optimizer meta neighborhood --------------------------------
+# -- the bundled mlp file's layer/optimizer meta neighborhood ----------------------
 
-def test_meta_neighbors_at_lower_boundary(wide_mlp_domain):
-    mapping = mb.mlp_meta_mapping()
+def test_meta_neighbors_at_lower_boundary(wide_mlp_parsed, wide_mlp_domain):
+    mapping = wide_mlp_parsed.meta_mapping
     neighbors = mb.meta_neighbors(wide_mlp_domain, mapping, wide_point(wide_mlp_domain, 0))
     assert {(m["l"], m["o"]) for m in neighbors} == {
         (1, "Adam"), (0, "ASGD"), (1, "ASGD")}
     assert len(neighbors) == 3
 
 
-def test_meta_neighbors_at_upper_boundary(wide_mlp_domain):
-    mapping = mb.mlp_meta_mapping()
+def test_meta_neighbors_at_upper_boundary(wide_mlp_parsed, wide_mlp_domain):
+    mapping = wide_mlp_parsed.meta_mapping
     neighbors = mb.meta_neighbors(wide_mlp_domain, mapping, wide_point(wide_mlp_domain, 3))
     assert {(m["l"], m["o"]) for m in neighbors} == {
         (2, "Adam"), (3, "ASGD"), (2, "ASGD")}
 
 
-def test_meta_neighbors_interior(wide_mlp_domain):
-    mapping = mb.mlp_meta_mapping()
+def test_meta_neighbors_interior(wide_mlp_parsed, wide_mlp_domain):
+    mapping = wide_mlp_parsed.meta_mapping
     neighbors = mb.meta_neighbors(wide_mlp_domain, mapping, wide_point(wide_mlp_domain, 2))
     assert {(m["l"], m["o"]) for m in neighbors} == {
         (3, "Adam"), (1, "Adam"), (2, "ASGD"), (3, "ASGD"), (1, "ASGD")}
     assert len(neighbors) == 5
 
 
-def test_meta_neighbors_exclude_current_and_stay_in_scope(wide_mlp_domain):
-    mapping = mb.mlp_meta_mapping()
+def test_meta_neighbors_exclude_current_and_stay_in_scope(wide_mlp_parsed,
+                                                          wide_mlp_domain):
+    mapping = wide_mlp_parsed.meta_mapping
     for l in range(0, 4):
         for o in ("Adam", "ASGD"):
             point = wide_point(wide_mlp_domain, l, o)
@@ -42,8 +43,8 @@ def test_meta_neighbors_exclude_current_and_stay_in_scope(wide_mlp_domain):
                 wide_mlp_domain.validate_meta(neighbor)
 
 
-def test_meta_neighbor_order_is_deterministic(wide_mlp_domain):
-    mapping = mb.mlp_meta_mapping()
+def test_meta_neighbor_order_is_deterministic(wide_mlp_parsed, wide_mlp_domain):
+    mapping = wide_mlp_parsed.meta_mapping
     point = wide_point(wide_mlp_domain, 2)
     first = mb.meta_neighbors(wide_mlp_domain, mapping, point)
     second = mb.meta_neighbors(wide_mlp_domain, mapping, point)

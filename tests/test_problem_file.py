@@ -6,16 +6,6 @@ import metabox as mb
 from metabox.problem_file import bundled_problem_path, serialize_problem
 
 
-@pytest.fixture(scope="module")
-def mlp_parsed():
-    return mb.parse_problem_file(bundled_problem_path("mlp"))
-
-
-@pytest.fixture(scope="module")
-def toy_parsed():
-    return mb.parse_problem_file(bundled_problem_path("toy"))
-
-
 def base_document():
     return json.loads(bundled_problem_path("mlp").read_text())
 
@@ -27,11 +17,6 @@ def test_bundled_mlp_has_four_meta_components(mlp_parsed):
     assert len(metas) == 4
     assert {(m["o"], m["l"]) for m in metas} == {
         ("Adam", 2), ("Adam", 3), ("ASGD", 2), ("ASGD", 3)}
-
-
-def test_bundled_mlp_matches_builtin_domain(mlp_parsed, mlp_problem):
-    assert mlp_parsed.domain.variables == mlp_problem.domain.variables
-    assert mlp_parsed.system.constraints == mlp_problem.constraints.constraints
 
 
 def test_family_expansion_produces_indexed_thresholds(mlp_parsed):
@@ -146,6 +131,13 @@ def test_unknown_builtin(mlp_parsed):
     document = base_document()
     document["blackbox"] = {"builtin": "nonexistent"}
     expect_error(document, "unknown-id", "blackbox.builtin")
+
+
+@pytest.mark.parametrize("timeout", ["abc", -1, 0, float("nan"), float("inf"), True])
+def test_timeout_must_be_a_positive_finite_number(timeout):
+    document = base_document()
+    document["blackbox"]["timeout"] = timeout
+    expect_error(document, "syntax", "blackbox.timeout")
 
 
 def test_syntax_error_on_invalid_json(tmp_path):
