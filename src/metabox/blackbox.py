@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import signal
 import subprocess
@@ -25,6 +26,18 @@ from .errors import (BudgetExhaustedError, ConfigurationError, DomainError,
 
 TIMEOUT_ENV_VAR = "METABOX_BLACKBOX_TIMEOUT"
 DEFAULT_TIMEOUT = 60.0
+
+
+def valid_timeout(value) -> bool:
+    """True for a positive, finite number of seconds (bool is not a number here)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _check_timeout(value, source: str):
+    if not valid_timeout(value):
+        raise ConfigurationError(
+            f"{source} must be a positive number of seconds, got {value!r}")
 
 
 def render_value(value) -> str:
@@ -96,6 +109,7 @@ class Problem:
     def __post_init__(self):
         if (self.objective is None) == (not self.command):
             raise ValueError("exactly one of objective/command must be provided")
+        _check_timeout(self.timeout, "Problem timeout")
         object.__setattr__(self, "command", tuple(self.command))
 
 
@@ -116,7 +130,7 @@ def _env_timeout(default: float) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    if not valid_timeout(value):
         raise ConfigurationError(
             f"{TIMEOUT_ENV_VAR} must be a positive number of seconds, got {text!r}")
     return value
@@ -139,7 +153,11 @@ class Evaluator:
         self._failed: dict[str, str] = {}   # key -> error message
         self._inflight: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
-        self.timeout = timeout if timeout is not None else _env_timeout(problem.timeout)
+        if timeout is None:
+            timeout = _env_timeout(problem.timeout)
+        else:
+            _check_timeout(timeout, "Evaluator timeout")
+        self.timeout = timeout
 
     # -- public API -------------------------------------------------------------
 

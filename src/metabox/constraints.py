@@ -65,7 +65,10 @@ class ConstraintSpec:
 class ConstraintSystem:
     """All constraints of a problem, validated against a domain.
 
-    Immutable after construction; safe to share across threads.
+    The constraints are immutable after construction.  The acting
+    constraints of each meta component are memoized as immutable tuples,
+    filled idempotently (a racing thread stores an equal value), so a system
+    is safe to share across threads.
     """
 
     def __init__(self, domain: Domain, constraints=()):
@@ -77,6 +80,7 @@ class ConstraintSystem:
                 raise ScopeError(f"constraint id {c.id!r} collides with another id")
             seen.add(c.id)
         self._validate()
+        self._acting = {}
 
     def _validate(self):
         meta = set(self.domain.meta_ids)
@@ -133,17 +137,22 @@ class ConstraintSystem:
     def decreed_constraints(self):
         return [c for c in self.constraints if c.role == Role.DECREED]
 
+    def _acting_tuples(self, xm):
+        """(acting constraints, acting decreed constraints) of a valid ``xm``."""
+        return self.domain.memoize_per_meta(self._acting, xm, self._build_acting)
+
+    def _build_acting(self, xm):
+        acting = tuple(c for c in self.constraints if c.role == Role.GLOBAL
+                       or self.domain.decree_satisfied(c.decree, xm))
+        return acting, tuple(c for c in acting if c.role == Role.DECREED)
+
     def acting_decreed_constraints(self, xm):
         """Decreed constraints whose predicate ``xm`` satisfies, declaration order."""
-        self.domain.validate_meta(xm)
-        return [c for c in self.decreed_constraints
-                if self.domain.decree_satisfied(c.decree, xm)]
+        return list(self._acting_tuples(xm)[1])
 
     def acting_constraints(self, xm):
         """Globals plus acting decreed constraints, declaration order."""
-        self.domain.validate_meta(xm)
-        return [c for c in self.constraints
-                if c.role == Role.GLOBAL or self.domain.decree_satisfied(c.decree, xm)]
+        return list(self._acting_tuples(xm)[0])
 
     # -- evaluation --------------------------------------------------------------
 

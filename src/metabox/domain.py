@@ -16,6 +16,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import InvalidMetaError, NotEnumerableError, ScopeError
 
@@ -138,7 +139,8 @@ class ContinuousScope:
         return self.hi - self.lo
 
     def contains_value(self, value) -> bool:
-        if not isinstance(value, numbers.Real) or _is_bool(value) or math.isnan(value):
+        if (type(value) is not float and (not isinstance(value, numbers.Real)
+                                          or _is_bool(value))) or math.isnan(value):
             return False
         above = value > self.lo if self.lo_open else value >= self.lo
         below = value < self.hi if self.hi_open else value <= self.hi
@@ -185,12 +187,21 @@ def _is_bool(v) -> bool:
     return isinstance(v, bool)
 
 
+#: Exact builtin types that are already canonical values; bool is not among
+#: them (``type(True) is bool``), so it always takes the isinstance path.
+_PLAIN_TYPES = frozenset((int, float, str))
+
+
 def _is_int(v) -> bool:
+    if type(v) is int:
+        return True
     return isinstance(v, numbers.Integral) and not _is_bool(v)
 
 
 def _canonical_value(v):
     """Coerce numpy scalars and friends to plain Python values."""
+    if type(v) in _PLAIN_TYPES:
+        return v
     if isinstance(v, str) or _is_bool(v):
         return v
     if isinstance(v, numbers.Integral):
@@ -302,6 +313,15 @@ class VariableSpec:
 # Components and points
 # ---------------------------------------------------------------------------
 
+def _typed_meta_key(items):
+    """Sorted ``(id, type, value)`` triples of a meta assignment.
+
+    Unlike equality, the key tells 1, 1.0 and True apart: they compare equal,
+    but only the first is a valid meta-integer value.
+    """
+    return tuple((k, type(v), v) for k, v in sorted(items))
+
+
 class MetaComponent(Mapping):
     """Immutable assignment of every meta variable to a value.
 
@@ -309,12 +329,13 @@ class MetaComponent(Mapping):
     category labels; meta-integer and meta-continuous values are numbers.
     """
 
-    __slots__ = ("_items", "_key")
+    __slots__ = ("_items", "_key", "_typed_key")
 
     def __init__(self, assignments=()):
         items = {str(k): _canonical_value(v) for k, v in dict(assignments).items()}
         self._items = items
         self._key = tuple(sorted(items.items()))
+        self._typed_key = _typed_meta_key(self._key)
 
     def __getitem__(self, key):
         return self._items[key]
@@ -357,10 +378,8 @@ class Point:
 
     def __init__(self, meta, categorical=None, standard=None):
         self.meta = meta if isinstance(meta, MetaComponent) else MetaComponent(meta)
-        self.categorical = {str(k): _canonical_value(v)
-                            for k, v in dict(categorical or {}).items()}
-        self.standard = {str(k): _canonical_value(v)
-                         for k, v in dict(standard or {}).items()}
+        self.categorical = _canonical_map(categorical)
+        self.standard = _canonical_map(standard)
         self._key = (self.meta, tuple(sorted(self.categorical.items())),
                      tuple(sorted(self.standard.items())))
 
@@ -379,6 +398,27 @@ class Point:
 
     def __repr__(self):
         return f"Point(meta={dict(self.meta)!r}, categorical={self.categorical!r}, standard={self.standard!r})"
+
+
+def _canonical_map(values) -> dict:
+    """A component map with string ids and canonical values."""
+    return {str(k): _canonical_value(v) for k, v in dict(values or {}).items()}
+
+
+@dataclass(frozen=True)
+class _ActingLayout:
+    """Everything a valid meta component decides about the other variables.
+
+    ``groups`` maps each name in :data:`GROUPS` to its acting ids in
+    declaration order (a read-only mapping); ``categorical`` and ``standard``
+    pair each acting id of that component with its scope.
+    """
+
+    groups: MappingProxyType
+    categorical: tuple
+    standard: tuple
+    categorical_ids: frozenset
+    standard_ids: frozenset
 
 
 @dataclass(frozen=True)
@@ -400,8 +440,11 @@ class MembershipIssue:
 class Domain:
     """Executable description of the variables and their decree structure.
 
-    Immutable after construction and safe to share across threads.  The
-    variable order everywhere is the declaration order.
+    The variable order everywhere is the declaration order.  The declaration
+    is immutable after construction.  What each meta component decides is
+    memoized per typed meta key (see :meth:`memoize_per_meta`); entries are
+    immutable and only ever added, and a racing thread stores an equal
+    value, so a domain is safe to share across threads.
     """
 
     def __init__(self, variables, name: str = ""):
@@ -415,7 +458,7 @@ class Domain:
         self._by_id = {v.id: v for v in self.variables}
         self.meta_ids = tuple(v.id for v in self.variables if v.type.is_meta)
         self._validate_decrees()
-        self._acting_sets = {}
+        self._layouts = {}
 
     def _validate_decrees(self):
         meta = set(self.meta_ids)
@@ -484,28 +527,49 @@ class Domain:
 
     # -- acting sets and dimensions -------------------------------------------
 
-    def acting_index_set(self, xm: MetaComponent, group: str):
-        """Ids of acting variables of the given type group, declaration order.
+    def memoize_per_meta(self, memo: dict, xm, build):
+        """``build(xm)`` for a valid meta component, memoized in ``memo``.
 
-        Results are memoized per (meta component, group).  The key holds each
-        meta value's type, because 1, 1.0 and True compare equal but only the
-        first is a valid meta-integer value.
+        ``memo`` is keyed by the typed meta key, which a MetaComponent
+        computes once: 1, 1.0 and True compare equal, but only the first is a
+        valid meta-integer value, so a stored answer must not serve the others.
+        ``xm`` is validated before each build (InvalidMetaError), so only
+        valid components are stored.  ``build`` must return an immutable value.
         """
+        try:
+            key = (xm._typed_key if isinstance(xm, MetaComponent)
+                   else _typed_meta_key(xm.items()))
+            value = memo.get(key)
+        except TypeError:  # an unhashable value, which validation rejects below
+            key = value = None
+        if value is None:
+            self.validate_meta(xm)
+            value = build(xm)
+            if key is not None:
+                memo[key] = value
+        return value
+
+    def _acting_layout(self, xm: MetaComponent) -> _ActingLayout:
+        """The memoized :class:`_ActingLayout` of a valid meta component."""
+        return self.memoize_per_meta(self._layouts, xm, self._build_layout)
+
+    def _build_layout(self, xm: MetaComponent) -> _ActingLayout:
+        acting = [v for v in self.variables if self.is_acting(v.id, xm)]
+        categorical = tuple((v.id, v.scope) for v in acting
+                            if v.type in GROUPS["categorical"])
+        standard = tuple((v.id, v.scope) for v in acting if v.type in GROUPS["standard"])
+        return _ActingLayout(
+            groups=MappingProxyType({name: tuple(v.id for v in acting if v.type in types)
+                                     for name, types in GROUPS.items()}),
+            categorical=categorical, standard=standard,
+            categorical_ids=frozenset(vid for vid, _ in categorical),
+            standard_ids=frozenset(vid for vid, _ in standard))
+
+    def acting_index_set(self, xm: MetaComponent, group: str):
+        """Ids of acting variables of the given type group, declaration order."""
         if group not in GROUPS:
             raise ValueError(f"unknown variable group {group!r}; expected one of {sorted(GROUPS)}")
-        try:
-            key = (group,) + tuple((k, type(v), v) for k, v in sorted(xm.items()))
-            cached = self._acting_sets.get(key)
-        except TypeError:  # an unhashable value, which validation rejects below
-            key = cached = None
-        if cached is None:
-            self.validate_meta(xm)
-            types = GROUPS[group]
-            cached = tuple(v.id for v in self.variables
-                           if v.type in types and self.is_acting(v.id, xm))
-            if key is not None:
-                self._acting_sets[key] = cached
-        return list(cached)
+        return list(self._acting_layout(xm).groups[group])
 
     def dimension(self, xm: MetaComponent, group: str) -> int:
         return len(self.acting_index_set(xm, group))
@@ -514,12 +578,20 @@ class Domain:
 
     def membership_issues(self, point: Point):
         """Machine-readable reasons ``point`` falls outside the domain (empty if inside)."""
-        issues = []
         try:
-            self.validate_meta(point.meta)
+            layout = self._acting_layout(point.meta)
         except InvalidMetaError as exc:
             return [MembershipIssue("invalid-meta", "meta", str(exc))]
-        xm = point.meta
+        categorical, standard = point.categorical, point.standard
+        # A member holds exactly the acting ids, each inside its scope.
+        if (categorical.keys() == layout.categorical_ids
+                and standard.keys() == layout.standard_ids
+                and all(scope.contains_index(categorical[vid])
+                        for vid, scope in layout.categorical)
+                and all(scope.contains_value(standard[vid])
+                        for vid, scope in layout.standard)):
+            return []
+        issues = []
         for vid in point.categorical:
             if vid not in self._by_id:
                 issues.append(MembershipIssue("unknown", vid, "not a declared variable"))
@@ -537,9 +609,12 @@ class Domain:
         for v in self.variables:
             if v.type.is_meta:
                 continue
-            component = point.categorical if v.type in GROUPS["categorical"] else point.standard
+            if v.type in GROUPS["categorical"]:
+                component, acting_ids = categorical, layout.categorical_ids
+            else:
+                component, acting_ids = standard, layout.standard_ids
             present = v.id in component
-            acting = self.is_acting(v.id, xm)
+            acting = v.id in acting_ids
             if acting and not present:
                 issues.append(MembershipIssue("missing", v.id, "acting but absent"))
             elif not acting and present:

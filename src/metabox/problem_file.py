@@ -11,11 +11,10 @@ path, e.g. ``variables[3].decree[0]``.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 
-from .blackbox import Problem
+from .blackbox import Problem, valid_timeout
 from .builtin_problems import _mlp_objective_factory, _toy_objective_factory
 from .constraints import (BlackboxOutput, ConstraintSpec, ConstraintSystem,
                           LinearExpression)
@@ -257,8 +256,7 @@ def parse_problem(document: dict) -> ParsedProblem:
     _expect(isinstance(blackbox, dict), "syntax", "blackbox",
             "blackbox must be an object with builtin or command")
     timeout = blackbox.get("timeout", 60.0)
-    _expect(isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
-            and math.isfinite(timeout) and timeout > 0, "syntax", "blackbox.timeout",
+    _expect(valid_timeout(timeout), "syntax", "blackbox.timeout",
             f"timeout must be a positive number of seconds, got {timeout!r}")
     timeout = float(timeout)
     builtin = None

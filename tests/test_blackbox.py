@@ -74,6 +74,20 @@ def test_out_of_domain_point_refused(mlp_problem, mlp_domain):
     assert any(issue.subject == "lam" for issue in err.value.reasons)
 
 
+def test_float_twin_of_an_evaluated_integer_point_is_refused(mlp_problem, mlp_domain):
+    # cache_key renders 200 and 200.0 alike, so membership must be checked
+    # before the cache lookup or the twin would be served the cached record.
+    evaluator = mb.Evaluator(mlp_problem, 5)
+    point = mlp_domain.complete_point(ADAM2, {"u1": 200})
+    evaluator.evaluate(point)
+    twin = mb.Point(ADAM2, point.categorical, {**point.standard, "u1": 200.0})
+    assert cache_key(twin) == cache_key(point)
+    with pytest.raises(mb.DomainError):
+        evaluator.evaluate(twin)
+    assert evaluator.budget.used == 1
+    assert len(evaluator.history) == 1
+
+
 def test_concurrent_duplicate_evaluations_coalesce(toy_problem):
     point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {})
     evaluator = mb.Evaluator(toy_problem, 10)
@@ -115,6 +129,15 @@ def test_invalid_timeout_env_var_is_a_configuration_error(monkeypatch, toy_probl
     monkeypatch.setenv("METABOX_BLACKBOX_TIMEOUT", text)
     with pytest.raises(mb.ConfigurationError, match="METABOX_BLACKBOX_TIMEOUT"):
         mb.Evaluator(toy_problem, 1)
+
+
+@pytest.mark.parametrize("timeout", [-1.0, 0, math.nan, math.inf, True])
+def test_invalid_timeout_in_code_is_a_configuration_error(toy_problem, timeout):
+    with pytest.raises(mb.ConfigurationError, match="timeout"):
+        mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                   command=("true",), timeout=timeout)
+    with pytest.raises(mb.ConfigurationError, match="timeout"):
+        mb.Evaluator(toy_problem, 1, timeout=timeout)
 
 
 # -- the proxy problem ----------------------------------------------------------------

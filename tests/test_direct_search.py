@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -190,6 +191,29 @@ def test_identical_runs_produce_identical_history(tmp_path, toy_problem):
                          result.history, path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+# sha256 of the mlp direct-search history CSV (budget 2000) per solver seed.
+MLP_HISTORY_SHA256 = {
+    0: "0d788960048a99f6f5118db69c581d28fb79917fd474101745a3e8b127e97ab5",
+    1: "e7eb55625b7c663b49880df01882c0cd369f1e5d54eaddf45ccb4decb5ff7b95",
+    2: "a6da6cb8c15d65c4b16b3f32f9be1319af240392972a8ae0c7611f0e0cc7df06",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MLP_HISTORY_SHA256))
+def test_mlp_history_matches_golden_digest(tmp_path, mlp_problem, seed):
+    """Fixed-seed direct-search histories on mlp stay byte-identical.
+
+    Performance work and refactors must not change which points are
+    evaluated or how they are recorded.  A change that alters a digest on
+    purpose updates ``MLP_HISTORY_SHA256`` and explains the change in
+    CHANGES.md.
+    """
+    result = mb.run_direct_search(mlp_problem, mb.SearchConfig(budget=2000, seed=seed))
+    path = tmp_path / "history.csv"
+    mb.write_history(mlp_problem.domain, mlp_problem.constraints, result.history, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MLP_HISTORY_SHA256[seed]
 
 
 def test_without_global_search_runs_are_seed_independent(toy_problem):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import metabox as mb
@@ -68,6 +70,30 @@ def test_cached_acting_sets_still_validate_value_types():
         domain.acting_index_set({"l": [2], "o": "Adam"}, "integer")
 
 
+@pytest.mark.parametrize("parsed", ["wide_mlp_parsed", "toy_parsed"])
+def test_memoized_acting_sets_match_the_decrees_and_are_not_shared(request, parsed):
+    parsed = request.getfixturevalue(parsed)
+    domain, system = parsed.domain, parsed.problem.constraints
+    for xm in domain.enumerate_meta_set():
+        for group, types in GROUPS.items():
+            expected = [v.id for v in domain.variables if v.type in types and (
+                v.role != mb.Role.DECREED or domain.decree_satisfied(v.decree, xm))]
+            first = domain.acting_index_set(xm, group)
+            assert first == expected
+            first.append("mutated")
+            assert domain.acting_index_set(mb.MetaComponent(dict(xm)), group) == expected
+        expected = [c for c in system.constraints
+                    if c.role == mb.Role.GLOBAL or domain.decree_satisfied(c.decree, xm)]
+        for query, wanted in (
+                (system.acting_constraints, expected),
+                (system.acting_decreed_constraints,
+                 [c for c in expected if c.role == mb.Role.DECREED])):
+            first = query(xm)
+            assert first == wanted
+            first.append("mutated")
+            assert query(xm) == wanted
+
+
 def test_unknown_group_rejected(mlp_domain):
     with pytest.raises(ValueError):
         mlp_domain.acting_index_set(ADAM2, "mystery")
@@ -102,6 +128,47 @@ def test_missing_acting_variable_reported(mlp_domain):
 
 def test_integer_variable_requires_integer_value(mlp_domain):
     assert not mlp_domain.contains(table_point(u1=200.5))
+
+
+def near_miss(meta=None, categorical=None, drop=(), **standard):
+    """The table point with overridden values and some standard ids dropped."""
+    point = table_point(**standard)
+    return mb.Point(ADAM2.replace(**(meta or {})),
+                    {**point.categorical, **(categorical or {})},
+                    {k: v for k, v in point.standard.items() if k not in drop})
+
+
+@pytest.mark.parametrize("point, expected", [
+    (near_miss(u1=200.0), [("scope", "u1", "value 200.0 outside scope")]),
+    (near_miss(u1=True), [("scope", "u1", "value True outside scope")]),
+    (near_miss(r=math.nan), [("scope", "r", "value nan outside scope")]),
+    (near_miss(categorical={"a": 0}), [("scope", "a", "value 0 outside scope")]),
+    (near_miss(categorical={"a": 3}), [("scope", "a", "value 3 outside scope")]),
+    (near_miss(categorical={"a": True}), [("scope", "a", "value True outside scope")]),
+    (near_miss(lam=0.5),
+     [("nonacting", "lam", "nonacting under the current meta component")]),
+    (near_miss(drop=("eps",)), [("missing", "eps", "acting but absent")]),
+    (near_miss(zz=1), [("unknown", "zz", "not a declared variable")]),
+    (near_miss(categorical={"u1": 200}, drop=("u1",)),
+     [("component", "u1",
+       "not a categorical variable but present in the categorical component"),
+      ("missing", "u1", "acting but absent")]),
+    (near_miss(meta={"l": 3.0}),
+     [("invalid-meta", "meta", "meta value 3.0 outside scope of 'l'")]),
+    (near_miss(meta={"l": True}),
+     [("invalid-meta", "meta", "meta value True outside scope of 'l'")]),
+    (near_miss(meta={"l": [2]}),
+     [("invalid-meta", "meta", "meta value [2] outside scope of 'l'")]),
+], ids=["float-on-integer", "bool-on-integer", "nan-continuous", "category-zero",
+        "category-past-scope", "bool-category", "nonacting-present", "acting-missing",
+        "unknown-id", "wrong-component", "float-meta-integer", "bool-meta-integer",
+        "unhashable-meta"])
+def test_near_miss_points_are_refused_with_exact_issues(mlp_domain, point, expected):
+    # Each point differs from a member of the domain in one way that a
+    # value-equality shortcut could miss (200.0 == 200 == True, for one).
+    issues = mlp_domain.membership_issues(point)
+    assert [(i.code, i.subject, i.detail) for i in issues] == expected
+    assert not mlp_domain.contains(point)
 
 
 # -- meta set enumeration -------------------------------------------------------
