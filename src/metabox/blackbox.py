@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .constraints import ConstraintSystem
-from .domain import Domain, GROUPS, Point
+from .domain import Domain, GROUPS, Point, render_value
 from .errors import (BudgetExhaustedError, ConfigurationError, DomainError,
                      EvaluationError)
 
@@ -40,25 +40,15 @@ def _check_timeout(value, source: str):
             f"{source} must be a positive number of seconds, got {value!r}")
 
 
-def render_value(value) -> str:
-    """Canonical text form of a variable value (17 significant digits for reals)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def cache_key(point: Point) -> str:
     """Canonical string identity of a point.
 
     Meta ids sorted lexicographically with their values, then acting variable
     ids sorted with theirs; nonacting variables never appear.
     """
-    meta = ";".join(f"{k}={render_value(v)}" for k, v in sorted(point.meta.items()))
     acting = {**point.categorical, **point.standard}
     rest = ";".join(f"{k}={render_value(v)}" for k, v in sorted(acting.items()))
-    return f"{meta}|{rest}"
+    return f"{point.meta.rendered}|{rest}"
 
 
 @dataclass

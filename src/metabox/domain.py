@@ -211,6 +211,15 @@ def _canonical_value(v):
     return v
 
 
+def render_value(value) -> str:
+    """Canonical text form of a variable value (17 significant digits for reals)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
 # ---------------------------------------------------------------------------
 # Decree predicates
 # ---------------------------------------------------------------------------
@@ -329,13 +338,22 @@ class MetaComponent(Mapping):
     category labels; meta-integer and meta-continuous values are numbers.
     """
 
-    __slots__ = ("_items", "_key", "_typed_key")
+    __slots__ = ("_items", "_key", "_typed_key", "_rendered")
 
     def __init__(self, assignments=()):
         items = {str(k): _canonical_value(v) for k, v in dict(assignments).items()}
         self._items = items
         self._key = tuple(sorted(items.items()))
         self._typed_key = _typed_meta_key(self._key)
+        self._rendered = None
+
+    @property
+    def rendered(self) -> str:
+        """``id=value`` pairs sorted by id and joined by ``;``, as cache keys
+        show the component.  Rendered once: the component is immutable."""
+        if self._rendered is None:
+            self._rendered = ";".join(f"{k}={render_value(v)}" for k, v in self._key)
+        return self._rendered
 
     def __getitem__(self, key):
         return self._items[key]

@@ -637,6 +637,13 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     default one unless overridden) is always one of the starts, so the result
     never has lower likelihood than it.  Deterministic for a fixed seed.
 
+    All starts are drawn first: the base config, then ``starts - 1`` random
+    ones.  A start is live when its own kernel matrix factorizes.  When any
+    start is live, the search runs from the live starts only, in draw order,
+    and a dead start costs one factorization.  When every start is dead, the
+    search runs from all of them, since a dead start may still move onto a
+    matrix that factorizes.
+
     Each hyperparameter enters exactly one correlation factor, and a trial
     move recomputes only the matrix entries that factor can change.  LAPACK
     potrf reads the lower triangle and the diagonal, so the search keeps
@@ -703,13 +710,16 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
             return -math.inf, None
         return _profiled_lml(*_likelihood_terms(factor, y), n)
 
-    def load(params):
+    def set_params(params):
         for i, value in enumerate(params):
             if slot_factor[i] is not None:
                 group, k = slot_factor[i]
                 group.set(k, value)
         for group in groups:
             group.refresh()
+
+    def load(params):
+        set_params(params)
         return likelihood()
 
     def build(params):
@@ -727,11 +737,14 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
                 params.append(float(rng.uniform(lo, hi)))
         return params
 
+    start_params = [[getattr(base, t)[k] for t, k, _, _ in slots]]
+    start_params += [random_start() for _ in range(starts - 1)]
+    first_values = [load(params)[0] for params in start_params]
+    live = [i for i, value in enumerate(first_values) if value > -math.inf]
     best_params, best_value = None, -math.inf
-    for attempt in range(starts):
-        params = ([getattr(base, t)[k] for t, k, _, _ in slots] if attempt == 0
-                  else random_start())
-        value = load(params)[0]
+    for start in live or range(starts):
+        params, value = start_params[start], first_values[start]
+        set_params(params)
         step = 1.0  # log-space / raw-space half-width of the compass move
         for _ in range(sweeps):
             moved = False

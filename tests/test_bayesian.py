@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -522,3 +523,30 @@ def test_bo_ends_when_no_model_factorizes(toy_problem, monkeypatch):
     assert result.stop_reason == "factorization"
     assert not result.acquisition_log
     assert math.isfinite(result.best.objective)
+
+
+# sha256 of the history CSV and the acquisition log of run_bo (budget 60),
+# per (problem, solver seed).
+BO_RUN_SHA256 = {
+    ("mlp", 0): ("106161aeddeb9d8bc8628b03030196974989f14ab0e19b6f6cf98309fd4fecfe",
+                 "3f47d66ed7364695b912cd73350b90e6ea0c4db752429bbd90dea08f45504a87"),
+    ("toy", 1): ("da20513d57759da8bd87fac9ef254dfa4dab640331a092f0d08603e44b4922ac",
+                 "8fae0168e278528e04fe584fccf43c02c2054a14f7b0c90753ed9b32fa340b0d"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(BO_RUN_SHA256))
+def test_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem, name, seed):
+    """Fixed-seed BO histories and acquisition logs stay byte-identical.
+
+    Performance work and refactors must not change which points are
+    proposed or how they are recorded.  A change that alters a digest on
+    purpose updates ``BO_RUN_SHA256`` and explains the change in CHANGES.md.
+    """
+    problem = mlp_problem if name == "mlp" else toy_problem
+    result = mb.run_bo(problem, mb.BOConfig(budget=60, seed=seed))
+    history, log = tmp_path / "history.csv", tmp_path / "acquisition.csv"
+    mb.write_history(problem.domain, problem.constraints, result.history, history)
+    write_acquisition_log(result.acquisition_log, log)
+    assert (hashlib.sha256(history.read_bytes()).hexdigest(),
+            hashlib.sha256(log.read_bytes()).hexdigest()) == BO_RUN_SHA256[name, seed]

@@ -35,6 +35,18 @@ def test_cache_key_invariant_to_map_order(mlp_domain):
     assert a == b and hash(a) == hash(b)
 
 
+def test_cache_key_of_plain_dict_meta_is_unchanged():
+    # The meta part is rendered once per MetaComponent; the key reads as it
+    # did when every call rendered it, for a meta given as a plain dict too.
+    standard = {"u1": 200, "r": 0.1, "t": True}
+    meta = {"o": "Adam", "w": 0.25, "l": 2, "b": False}
+    for point in (mb.Point(meta, {"a": 1}, standard),
+                  mb.Point(mb.MetaComponent(meta), {"a": 1}, standard)):
+        for _ in range(2):
+            assert cache_key(point) == ("b=false;l=2;o=Adam;w=0.25|"
+                                        "a=1;r=0.10000000000000001;t=true;u1=200")
+
+
 # -- evaluation, cache, budget ------------------------------------------------------
 
 def test_duplicate_evaluation_hits_cache(mlp_problem, mlp_domain):

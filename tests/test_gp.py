@@ -395,27 +395,42 @@ def test_fit_dominates_generating_config(mlp_domain):
             >= log_marginal_likelihood(mlp_domain, points, values, generator))
 
 
+def reference_starts(base, seed, starts):
+    """The fit's start parameter vectors: ``base``, then random draws."""
+    from metabox.gp import _config_slots
+    rng = np.random.default_rng(seed)
+    slots = _config_slots(base)
+    drawn = [[getattr(base, t)[k] for t, k, _, _ in slots]]
+    for _ in range(starts - 1):
+        drawn.append([float(np.exp(rng.uniform(math.log(lo), math.log(hi)))) if kind == "log"
+                      else float(rng.uniform(lo, hi)) for _, _, kind, (lo, hi) in slots])
+    return slots, drawn
+
+
+def start_config(domain, mode, slots, params):
+    config = mb.default_kernel_config(domain, mode)
+    for (table, key, _, _), value in zip(slots, params):
+        getattr(config, table)[key] = value
+    return config
+
+
 def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
                   starts=8, sweeps=8, base=None):
     """Reference compass search: rebuilds correlation_matrix on every trial.
 
     ``base``, a config in ``mode``, sets the first start (default: the
-    default config).
+    default config).  The search runs from the starts whose own kernel
+    matrix factorizes, or from all starts when none does.
     """
-    from metabox.gp import _config_slots, default_kernel_config
-    rng = np.random.default_rng(seed)
-    base = base or default_kernel_config(domain, mode)
-    slots = _config_slots(base)
+    slots, drawn = reference_starts(base or mb.default_kernel_config(domain, mode),
+                                    seed, starts)
     features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
 
     def build(params):
-        config = default_kernel_config(domain, mode)
-        for (table, key, _, _), value in zip(slots, params):
-            getattr(config, table)[key] = value
-        return config
+        return start_config(domain, mode, slots, params)
 
     def profiled(config):
         matrix = correlation_matrix(pairs, config) + JITTER_FRACTION * np.eye(n)
@@ -428,13 +443,10 @@ def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
         return (float(-0.5 * n * math.log(sigma2) - 0.5 * logdet
                       - 0.5 * n * (1 + math.log(2 * math.pi))), sigma2)
 
+    # Only starts whose own matrix factorizes are searched, unless none does.
+    live = [params for params in drawn if profiled(build(params))[0] > -math.inf]
     best_params, best_value = None, -math.inf
-    for attempt in range(starts):
-        if attempt == 0:
-            params = [getattr(base, t)[k] for t, k, _, _ in slots]
-        else:
-            params = [float(np.exp(rng.uniform(math.log(lo), math.log(hi)))) if kind == "log"
-                      else float(rng.uniform(lo, hi)) for _, _, kind, (lo, hi) in slots]
+    for params in live or drawn:
         value = profiled(build(params))[0]
         step = 1.0
         for _ in range(sweeps):
@@ -565,6 +577,51 @@ def test_cached_factor_fit_fails_where_reference_fails(toy_problem):
         mb.fit_hyperparameters(domain, points, values, seed=0, starts=2, base=base)
     with pytest.raises(mb.FittingError):
         reference_fit(domain, points, values, seed=0, starts=2, base=base)
+
+
+def test_dead_fit_start_costs_one_factorization(monkeypatch):
+    from metabox import gp
+    domain, points, values = fit_samples("mlp", 12, 0)
+    slots, drawn = reference_starts(mb.default_kernel_config(domain), 0, 8)
+    configs = [start_config(domain, "matrix", slots, params) for params in drawn]
+    live = [log_marginal_likelihood(domain, points, values, c) > -math.inf for c in configs]
+    assert live[0] and not all(live)
+    calls, cholesky = [], gp._cholesky
+    monkeypatch.setattr(gp, "_cholesky",
+                        lambda *args, **kwargs: calls.append(None) or cholesky(*args, **kwargs))
+    # A search from one start alone factorizes its start, its trials and the
+    # final config.
+    trials = []
+    for config in (c for c, alive in zip(configs, live) if alive):
+        calls.clear()
+        mb.fit_hyperparameters(domain, points, values, starts=1, base=config)
+        trials.append(len(calls) - 2)
+    calls.clear()
+    mb.fit_hyperparameters(domain, points, values, seed=0)
+    assert len(calls) == len(drawn) + sum(trials) + 1
+
+
+def test_all_dead_fit_starts_are_searched():
+    # Strong cross-meta coupling: no start's own matrix factorizes, and only
+    # the third start's search reaches one that does.
+    domain, points, values = fit_samples("mlp", 12, 0)
+    base = mb.default_kernel_config(domain)
+    for key in base.meta_correlations:
+        base.meta_correlations[key] = 0.98
+    slots, drawn = reference_starts(base, 0, 4)
+    configs = [start_config(domain, "matrix", slots, params) for params in drawn]
+    assert all(log_marginal_likelihood(domain, points, values, c) == -math.inf
+               for c in configs)
+    alone = []
+    for config in configs:
+        try:
+            alone.append(mb.fit_hyperparameters(domain, points, values, starts=1, base=config))
+        except mb.FittingError:
+            alone.append(None)
+    assert [c is not None for c in alone] == [False, False, True, False]
+    got = mb.fit_hyperparameters(domain, points, values, seed=0, starts=4, base=base)
+    assert got == alone[2]
+    assert got == reference_fit(domain, points, values, seed=0, starts=4, base=base)
 
 
 def test_fit_handles_two_identical_values(mlp_domain):
