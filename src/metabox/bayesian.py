@@ -73,8 +73,8 @@ class BOConfig:
     budget: int = 100
     seed: int = 0
     max_iterations: int = 100000
-    categorical_mode: str = "matrix"   # kernel mode; "encoded" pairs with the encoder
-    encoder_kind: str = "identity"
+    categorical_mode: str = "matrix"   # kernel mode: "matrix" | "encoded"
+    encoder_kind: str = "identity"     # categorical encoding, read in "encoded" mode only
     acq_starts: int = 5
     acq_budget: int = 48               # acquisition evaluations per inner search
     categorical_cap: int = 256         # full enumeration of X^q(xm) up to this size
@@ -150,12 +150,10 @@ class _Candidates:
     does not depend on how rows were batched.
     """
 
-    def __init__(self, model: GPModel, system, constraint_views, encoder: Encoder,
-                 evaluated, f_star):
+    def __init__(self, model: GPModel, system, constraint_views, evaluated, f_star):
         self.model = model
         self.system = system
         self.constraint_views = constraint_views
-        self.encoder = encoder
         self.f_star = f_star
         self._evaluated = {}
         for point in evaluated:
@@ -195,7 +193,7 @@ class _Candidates:
         """
         acting, modeled, views, done = self._meta_state(xm)
         features = SampleFeatures.from_arrays(self.model.domain, xm, categorical, standard,
-                                              self.encoder)
+                                              self.model.encoder)
         mean, variance, view_means = self.model.predict_batch(features, views)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
         means = np.zeros((len(acting), len(ei)))
@@ -308,8 +306,8 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
             active[s] = used[s] < cfg.acq_budget
 
 
-def maximize_acquisition(model: GPModel, system, constraint_views, encoder: Encoder,
-                         evaluated, f_star, cfg: BOConfig, rng) -> AuxiliaryCandidate | None:
+def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_star,
+                         cfg: BOConfig, rng) -> AuxiliaryCandidate | None:
     """Best expected-improvement candidate over the auxiliary domain.
 
     ``constraint_views`` maps constraint ids to row views of ``model``
@@ -325,7 +323,7 @@ def maximize_acquisition(model: GPModel, system, constraint_views, encoder: Enco
         metas = domain.enumerate_meta_set()
     except NotEnumerableError as exc:
         raise ConfigurationError("acquisition needs an enumerable meta set") from exc
-    candidates = _Candidates(model, system, constraint_views, encoder, evaluated, f_star)
+    candidates = _Candidates(model, system, constraint_views, evaluated, f_star)
     try:
         points = enumerate_domain_points(domain, cfg.enumeration_cap)
     except NotEnumerableError:
@@ -489,8 +487,8 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         else:
             f_star = min(train_values)
         evaluated = [r.point for r in evaluator.history if not r.cached]
-        candidate = maximize_acquisition(model, system, constraint_views, encoder,
-                                         evaluated, f_star, cfg, rng)
+        candidate = maximize_acquisition(model, system, constraint_views, evaluated,
+                                         f_star, cfg, rng)
         if candidate is None:
             stop_reason = "exhausted"
             break
@@ -516,8 +514,7 @@ def write_acquisition_log(rows, path):
     """Sidecar CSV: iteration, chosen meta component, EI value, surrogate-feasible flag."""
     lines = ["iteration,meta,acquisition,surrogate_feasible"]
     for row in rows:
-        meta = ";".join(f"{k}={v}" for k, v in sorted(row.meta.items()))
-        lines.append(f"{row.iteration},{meta},{row.acquisition:.17g},"
+        lines.append(f"{row.iteration},{row.meta.rendered},{row.acquisition:.17g},"
                      f"{'true' if row.surrogate_feasible else 'false'}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -81,8 +81,7 @@ def _cmd_enumerate(args) -> int:
     metas = domain.enumerate_meta_set()
     print(f"meta components: {len(metas)}")
     for xm in metas:
-        label = ";".join(f"{k}={v}" for k, v in sorted(xm.items()))
-        print(f"{label}: n^q={domain.dimension(xm, 'categorical')} "
+        print(f"{xm.rendered}: n^q={domain.dimension(xm, 'categorical')} "
               f"n^z={domain.dimension(xm, 'integer')} "
               f"n^c={domain.dimension(xm, 'continuous')} "
               f"|C^m|={len(system.acting_decreed_constraints(xm))}")

@@ -34,12 +34,7 @@ class LinearExpression:
 
 @dataclass(frozen=True)
 class BlackboxOutput:
-    """Constraint value produced by the blackbox, keyed by constraint id.
-
-    ``slot`` is the declaration index among blackbox-bodied constraints.
-    """
-
-    slot: int
+    """Constraint value produced by the blackbox, keyed by constraint id."""
 
 
 @dataclass(frozen=True)

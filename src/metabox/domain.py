@@ -269,9 +269,6 @@ class DecreePredicate:
     def always(self) -> bool:
         return not self.atoms
 
-    def referenced_meta_ids(self):
-        return [a.meta_id for a in self.atoms]
-
 
 ALWAYS = DecreePredicate()
 
@@ -400,13 +397,6 @@ class Point:
         self.standard = _canonical_map(standard)
         self._key = (self.meta, tuple(sorted(self.categorical.items())),
                      tuple(sorted(self.standard.items())))
-
-    def value(self, var_id: str):
-        """Look the id up across the three components."""
-        for component in (self.standard, self.categorical):
-            if var_id in component:
-                return component[var_id]
-        return self.meta[var_id]
 
     def __eq__(self, other):
         return isinstance(other, Point) and self._key == other._key

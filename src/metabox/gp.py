@@ -28,6 +28,53 @@ from .errors import FactorizationError, FittingError, KernelDomainError
 JITTER_FRACTION = 1e-8
 MAX_JITTER_FRACTION = 1e-2
 
+WEIGHT_BOUNDS = (1e-3, 1e3)
+CORRELATION_BOUNDS = (0.0, 0.99)
+LENGTHSCALE_BOUNDS = (1e-2, 1e2)
+
+#: Per config table: its kind ("log": a positive value the fit moves in log
+#: space; "raw": a correlation in [0, 1) moved in raw space), the fit's
+#: bounds and the default value of an entry.  Default cross-meta couplings
+#: are kept weak: pairs with different meta components are correlated
+#: through the meta factors alone, without the categorical/standard damping,
+#: so large meta correlations can make the piecewise kernel indefinite.
+#: Fitting may raise them only while the likelihood stays factorizable.
+_SLOT_TABLES = {
+    "continuous_weights": ("log", WEIGHT_BOUNDS, 1.0),
+    "integer_weights": ("log", WEIGHT_BOUNDS, 1.0),
+    "categorical_weights": ("log", WEIGHT_BOUNDS, 1.0),
+    "meta_weights": ("log", WEIGHT_BOUNDS, 2.0),
+    "ordinal_lengthscales": ("log", LENGTHSCALE_BOUNDS, 1.0),
+    "nominal_correlations": ("raw", CORRELATION_BOUNDS, 0.5),
+    "meta_correlations": ("raw", CORRELATION_BOUNDS, 0.1),
+}
+
+_MATRIX_TABLES = {
+    VariableType.META_CATEGORICAL: "meta_correlations",
+    VariableType.META_INTEGER: "meta_weights",
+    VariableType.META_CONTINUOUS: "meta_weights",
+    VariableType.NOMINAL: "nominal_correlations",
+    VariableType.ORDINAL: "ordinal_lengthscales",
+    VariableType.INTEGER: "integer_weights",
+    VariableType.CONTINUOUS: "continuous_weights",
+}
+
+
+def _table(spec, mode: str) -> str:
+    """The config table holding the hyperparameter of ``spec``'s factor."""
+    if mode == "encoded" and spec.type in GROUPS["categorical"]:
+        return "categorical_weights"  # a weight on the encoding
+    return _MATRIX_TABLES[spec.type]
+
+
+def _mode_encoder(mode: str, encoder):
+    """The encoder the kernel reads in ``mode``; only encoded mode reads one."""
+    if mode != "encoded":
+        return None
+    if encoder is None:
+        raise KernelDomainError("encoded categorical mode needs an encoder")
+    return encoder
+
 
 @dataclass
 class KernelConfig:
@@ -53,15 +100,12 @@ class KernelConfig:
     def __post_init__(self):
         if self.categorical_mode not in ("matrix", "encoded"):
             raise KernelDomainError(f"unknown categorical mode {self.categorical_mode!r}")
-        for name in ("continuous_weights", "integer_weights", "categorical_weights",
-                     "meta_weights", "ordinal_lengthscales"):
-            for key, value in getattr(self, name).items():
-                if not value > 0:
-                    raise KernelDomainError(f"{name}[{key!r}] must be positive, got {value}")
-        for name in ("nominal_correlations", "meta_correlations"):
-            for key, value in getattr(self, name).items():
-                if not 0.0 <= value < 1.0:
-                    raise KernelDomainError(f"{name}[{key!r}] must lie in [0, 1), got {value}")
+        for table, (kind, _, _) in _SLOT_TABLES.items():
+            for key, value in getattr(self, table).items():
+                if kind == "log" and not value > 0:
+                    raise KernelDomainError(f"{table}[{key!r}] must be positive, got {value}")
+                if kind == "raw" and not 0.0 <= value < 1.0:
+                    raise KernelDomainError(f"{table}[{key!r}] must lie in [0, 1), got {value}")
         if not self.signal_variance > 0:
             raise KernelDomainError("signal variance must be positive")
 
@@ -89,33 +133,11 @@ def merge_kernel_overrides(domain: Domain, mode: str, overrides: dict) -> Kernel
     return KernelConfig.from_dict(config.to_dict())  # re-validate bounds
 
 
-#: Default cross-meta couplings are kept weak.  Pairs with different meta
-#: components are correlated through the meta factors alone, without the
-#: categorical/standard damping, so large meta correlations can make the
-#: piecewise kernel indefinite.  Fitting may raise them only while the
-#: likelihood stays factorizable.
-DEFAULT_META_CORRELATION = 0.1
-DEFAULT_META_WEIGHT = 2.0
-
-
 def default_kernel_config(domain: Domain, mode: str = "matrix") -> KernelConfig:
     config = KernelConfig(categorical_mode=mode)
     for v in domain.variables:
-        if v.type == VariableType.CONTINUOUS:
-            config.continuous_weights[v.id] = 1.0
-        elif v.type == VariableType.INTEGER:
-            config.integer_weights[v.id] = 1.0
-        elif v.type in GROUPS["categorical"]:
-            if mode == "encoded":
-                config.categorical_weights[v.id] = 1.0
-            elif v.type == VariableType.ORDINAL:
-                config.ordinal_lengthscales[v.id] = 1.0
-            else:
-                config.nominal_correlations[v.id] = 0.5
-        elif v.type == VariableType.META_CATEGORICAL:
-            config.meta_correlations[v.id] = DEFAULT_META_CORRELATION
-        else:
-            config.meta_weights[v.id] = DEFAULT_META_WEIGHT
+        table = _table(v, mode)
+        getattr(config, table)[v.id] = _SLOT_TABLES[table][2]
     return config
 
 
@@ -124,7 +146,17 @@ def default_kernel_config(domain: Domain, mode: str = "matrix") -> KernelConfig:
 # ---------------------------------------------------------------------------
 
 class SampleFeatures:
-    """Per-sample arrays extracted once from a list of points."""
+    """Per-sample arrays extracted once from a list of points.
+
+    Sample i has the meta component ``metas[which_meta[i]]``.  ``meta`` maps
+    each meta id to the samples' values: range-normalized for a numeric meta
+    variable, category indices for a meta-categorical one.  ``acting`` maps
+    each non-meta id to whether the variable acts in each sample, and
+    ``values`` to the samples' values, 0 where it does not act: a
+    range-normalized column for a standard variable, and for a categorical
+    one its category indices, or the rows of their encodings when the set
+    is built with an encoder (``encoded``).
+    """
 
     def __init__(self, domain: Domain, points, encoder=None):
         columns = {}
@@ -152,43 +184,37 @@ class SampleFeatures:
         categorical = np.asarray(categorical, dtype=float)
         standard = np.asarray(standard, dtype=float)
         n = len(categorical)
-        given = {**dict(zip(domain.acting_index_set(xm, "categorical"), categorical.T)),
-                 **dict(zip(domain.acting_index_set(xm, "standard"), standard.T))}
-        columns = {}
-        for v in domain.variables:
-            if v.type.is_meta:
-                continue
-            raw = given.get(v.id)
-            columns[v.id] = (np.full(n, raw is not None),
-                             np.zeros(n) if raw is None else raw)
+        ids = (*domain.acting_index_set(xm, "categorical"),
+               *domain.acting_index_set(xm, "standard"))
+        acting = np.ones(n, dtype=bool)
+        columns = {vid: (acting, raw) for vid, raw in zip(ids, [*categorical.T, *standard.T])}
         features = cls.__new__(cls)
         features._fill(domain, [xm], np.zeros(n, dtype=int), columns, encoder)
         return features
 
     def _fill(self, domain: Domain, metas, which, columns, encoder):
-        """Normalize per-variable (acting mask, raw value) columns into features.
-
-        Sample i has the meta component ``metas[which[i]]``.
-        """
+        """Normalize per-variable (acting mask, raw value) columns into
+        features; a variable without a column acts in no sample."""
         self.n = len(which)
         self.metas = [tuple(sorted(m.items())) for m in metas]
         self.which_meta = which
-        self.meta_num = {}
-        self.meta_cat = {}
+        self.encoded = encoder is not None
+        self.meta = {}
         for mid in domain.meta_ids:
             spec = domain.spec(mid)
             if spec.type == VariableType.META_CATEGORICAL:
                 values = np.array([spec.scope.index(m[mid]) for m in metas], dtype=int)
-                self.meta_cat[mid] = values[which]
             else:
                 values = np.array([normalize(spec.scope, m[mid]) for m in metas], dtype=float)
-                self.meta_num[mid] = values[which]
+            self.meta[mid] = values[which]
         self.acting = {}
-        self.standard = {}
-        self.category = {}
-        self.encoded = {}
-        for vid, (acting, raw) in columns.items():
-            spec = domain.spec(vid)
+        self.values = {}
+        nowhere = (np.zeros(self.n, dtype=bool), np.zeros(self.n))
+        for spec in domain.variables:
+            if spec.type.is_meta:
+                continue
+            vid = spec.id
+            acting, raw = columns.get(vid, nowhere)
             self.acting[vid] = acting
             if spec.type in GROUPS["standard"]:
                 if spec.type == VariableType.INTEGER:
@@ -196,82 +222,68 @@ class SampleFeatures:
                     raw = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
                 width = spec.scope.width
                 unit = (raw - spec.scope.lo) / width if width else 0.0
-                self.standard[vid] = np.where(acting, unit, 0.0)
+                self.values[vid] = np.where(acting, unit, 0.0)
+                continue
+            index = np.where(acting, raw, 0).astype(int)
+            if encoder is None:
+                self.values[vid] = index
             else:
-                index = np.where(acting, raw, 0).astype(int)
-                self.category[vid] = index
-                if encoder is not None:
-                    # Row 0 encodes nonacting samples as zeros.
-                    table = np.array([np.zeros(encoder.width(vid))]
-                                     + [encoder.encode_variable(vid, k)
-                                        for k in range(1, spec.scope.size + 1)])
-                    self.encoded[vid] = table[index]
+                # Row 0 encodes nonacting samples as zeros.
+                table = np.array([np.zeros(encoder.width(vid))]
+                                 + [encoder.encode_variable(vid, k)
+                                    for k in range(1, spec.scope.size + 1)])
+                self.values[vid] = table[index]
+
+
+def _pair_tensor(table: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair tensor of one factor from two sets' values of its variable:
+    whether the categories differ (correlation tables), the squared distance
+    between encodings (one row per sample), or the squared difference."""
+    if _SLOT_TABLES[table][0] == "raw":
+        return a[:, None] != b[None, :]
+    if table == "categorical_weights":
+        return ((a ** 2).sum(axis=1)[:, None] + (b ** 2).sum(axis=1)[None, :]
+                - 2.0 * a @ b.T)
+    return (a[:, None] - b[None, :]) ** 2
 
 
 class PairTensors:
-    """Config-independent pairwise quantities between two feature sets.
+    """The kernel's factors between two feature sets, before any
+    hyperparameter.
 
-    Building these once makes every kernel-hyperparameter evaluation a handful
-    of elementwise array operations.
+    ``slots`` holds one (config table, key, pair tensor, mask) per factor,
+    in product order: meta-numeric factors, meta-categorical factors, then
+    the non-meta variables in declaration order.  Each factor is the kernel
+    of one variable and depends on exactly one hyperparameter.  A non-meta
+    factor is 1 outside its ``mask``, the pairs that share a meta component
+    and where the variable acts in both samples; a meta factor has no mask
+    (None).  Building these once makes every kernel-hyperparameter
+    evaluation a handful of elementwise array operations.
     """
 
     def __init__(self, domain: Domain, fa: SampleFeatures, fb: SampleFeatures):
-        self.domain = domain
+        if fa.encoded != fb.encoded:
+            raise KernelDomainError("cannot pair encoded features with plain ones")
+        self.mode = "encoded" if fa.encoded else "matrix"
         self.shape = (fa.n, fb.n)
         codes = {}
         code_a = np.array([codes.setdefault(k, len(codes)) for k in fa.metas], dtype=int)
         code_b = np.array([codes.setdefault(k, len(codes)) for k in fb.metas], dtype=int)
         self.same_meta = code_a[fa.which_meta][:, None] == code_b[fb.which_meta][None, :]
-        self.meta_num_sq = {mid: (fa.meta_num[mid][:, None] - fb.meta_num[mid][None, :]) ** 2
-                            for mid in fa.meta_num}
-        self.meta_cat_diff = {mid: fa.meta_cat[mid][:, None] != fb.meta_cat[mid][None, :]
-                              for mid in fa.meta_cat}
+        meta = sorted(((_table(domain.spec(mid), self.mode), mid) for mid in fa.meta),
+                      key=lambda slot: slot[0] == "meta_correlations")
+        self.slots = [(table, mid, _pair_tensor(table, fa.meta[mid], fb.meta[mid]), None)
+                      for table, mid in meta]
         # A variable nonacting in every sample of either set has a factor of
-        # exactly 1 everywhere, so it gets no entry and no factor.
-        shared = [vid for vid in fa.acting if fa.acting[vid].any() and fb.acting[vid].any()]
-        self.mask = {vid: self.same_meta & fa.acting[vid][:, None] & fb.acting[vid][None, :]
-                     for vid in shared}
-        self.standard_sq = {vid: (fa.standard[vid][:, None] - fb.standard[vid][None, :]) ** 2
-                            for vid in shared if vid in fa.standard}
-        self.category_diff = {vid: fa.category[vid][:, None] != fb.category[vid][None, :]
-                              for vid in shared if vid in fa.category}
-        self.category_sq = {vid: (fa.category[vid][:, None].astype(float)
-                                  - fb.category[vid][None, :]) ** 2
-                            for vid in self.category_diff}
-        self.encoded_sq = {}
-        for vid in self.category_diff.keys() & fa.encoded.keys():
-            block_a, block_b = fa.encoded[vid], fb.encoded[vid]
-            self.encoded_sq[vid] = ((block_a ** 2).sum(axis=1)[:, None]
-                                    + (block_b ** 2).sum(axis=1)[None, :]
-                                    - 2.0 * block_a @ block_b.T)
-
-
-def _correlation_slots(pairs: PairTensors, mode: str):
-    """(config table, key, pair tensor, mask) of each correlation factor, in
-    product order.
-
-    Each factor is the kernel of one variable and depends on exactly one
-    hyperparameter: meta-numeric weights, meta-categorical correlations,
-    then the non-meta variables in declaration order.  A non-meta factor is
-    1 outside its ``mask``; a meta factor has no mask (None).
-    """
-    slots = [("meta_weights", mid, pairs.meta_num_sq[mid], None)
-             for mid in pairs.meta_num_sq]
-    slots += [("meta_correlations", mid, pairs.meta_cat_diff[mid], None)
-              for mid in pairs.meta_cat_diff]
-    for vid, mask in pairs.mask.items():
-        spec = pairs.domain.spec(vid)
-        if spec.type == VariableType.CONTINUOUS:
-            slots.append(("continuous_weights", vid, pairs.standard_sq[vid], mask))
-        elif spec.type == VariableType.INTEGER:
-            slots.append(("integer_weights", vid, pairs.standard_sq[vid], mask))
-        elif mode == "encoded":
-            slots.append(("categorical_weights", vid, pairs.encoded_sq[vid], mask))
-        elif spec.type == VariableType.ORDINAL:
-            slots.append(("ordinal_lengthscales", vid, pairs.category_sq[vid], mask))
-        else:
-            slots.append(("nominal_correlations", vid, pairs.category_diff[vid], mask))
-    return slots
+        # exactly 1 everywhere, so it gets no slot.
+        for vid in fa.acting:
+            acting_a, acting_b = fa.acting[vid], fb.acting[vid]
+            if acting_a.any() and acting_b.any():
+                table = _table(domain.spec(vid), self.mode)
+                mask = self.same_meta & acting_a[:, None] & acting_b[None, :]
+                self.slots.append((table, vid,
+                                   _pair_tensor(table, fa.values[vid], fb.values[vid]),
+                                   mask))
 
 
 def _correlation_factor(table: str, value: float, tensor: np.ndarray) -> np.ndarray:
@@ -281,7 +293,7 @@ def _correlation_factor(table: str, value: float, tensor: np.ndarray) -> np.ndar
     The tensor holds squared distances, or for correlation tables whether the
     two samples' categories differ.
     """
-    if table in ("meta_correlations", "nominal_correlations"):
+    if _SLOT_TABLES[table][0] == "raw":
         return np.where(tensor, value, 1.0)
     if table == "ordinal_lengthscales":
         return np.exp(-tensor / (2.0 * value ** 2))
@@ -290,8 +302,10 @@ def _correlation_factor(table: str, value: float, tensor: np.ndarray) -> np.ndar
 
 def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
     """Kernel matrix without the signal variance factor."""
+    if config.categorical_mode != pairs.mode:
+        raise KernelDomainError(f"a {config.categorical_mode} config on {pairs.mode} features")
     out = np.ones(pairs.shape)
-    for table, key, tensor, mask in _correlation_slots(pairs, config.categorical_mode):
+    for table, key, tensor, mask in pairs.slots:
         factor = _correlation_factor(table, getattr(config, table)[key], tensor)
         out *= factor if mask is None else np.where(mask, factor, 1.0)
     return out
@@ -314,9 +328,7 @@ class MixedKernel:
     def __init__(self, domain: Domain, config: KernelConfig, encoder=None):
         self.domain = domain
         self.config = config
-        self.encoder = encoder
-        if config.categorical_mode == "encoded" and encoder is None:
-            raise KernelDomainError("encoded categorical mode needs an encoder")
+        self.encoder = _mode_encoder(config.categorical_mode, encoder)
 
     def _correlation(self, x: Point, y: Point) -> float:
         fa = SampleFeatures(self.domain, [x], self.encoder)
@@ -421,16 +433,14 @@ class GPModel:
                  encoder=None):
         if len(points) != len(values) or not points:
             raise ValueError("need matching, nonempty points and values")
-        if config.categorical_mode == "encoded" and encoder is None:
-            raise KernelDomainError("encoded categorical mode needs an encoder")
         self.domain = domain
         self.config = config
-        self.encoder = encoder
+        self.encoder = _mode_encoder(config.categorical_mode, encoder)
         self.points = list(points)
         self.values = np.asarray(values, dtype=float)
-        self._features = SampleFeatures(domain, self.points, encoder)
-        self._pairs = PairTensors(domain, self._features, self._features)
-        self._gram = config.signal_variance * correlation_matrix(self._pairs, config)
+        self._features = SampleFeatures(domain, self.points, self.encoder)
+        self._gram = config.signal_variance * correlation_matrix(
+            PairTensors(domain, self._features, self._features), config)
         factor, self.jitter = _factorize(self._gram, config.signal_variance)
         self._factor = (factor, True)  # cho_factor's (factor, lower) form
         self.alpha = _cho_solve(self._factor[0], self.values)
@@ -552,7 +562,8 @@ def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig,
                             encoder=None) -> float:
     """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter."""
-    features = SampleFeatures(domain, points, encoder)
+    features = SampleFeatures(domain, points,
+                              _mode_encoder(config.categorical_mode, encoder))
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     gram = config.signal_variance * correlation_matrix(pairs, config)
@@ -568,24 +579,9 @@ def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig
 # Hyperparameter fitting
 # ---------------------------------------------------------------------------
 
-WEIGHT_BOUNDS = (1e-3, 1e3)
-CORRELATION_BOUNDS = (0.0, 0.99)
-LENGTHSCALE_BOUNDS = (1e-2, 1e2)
-
-_SLOT_TABLES = {
-    "continuous_weights": ("log", WEIGHT_BOUNDS),
-    "integer_weights": ("log", WEIGHT_BOUNDS),
-    "categorical_weights": ("log", WEIGHT_BOUNDS),
-    "meta_weights": ("log", WEIGHT_BOUNDS),
-    "ordinal_lengthscales": ("log", LENGTHSCALE_BOUNDS),
-    "nominal_correlations": ("raw", CORRELATION_BOUNDS),
-    "meta_correlations": ("raw", CORRELATION_BOUNDS),
-}
-
-
 def _config_slots(config: KernelConfig):
     slots = []
-    for table, (kind, bounds) in _SLOT_TABLES.items():
+    for table, (kind, bounds, _) in _SLOT_TABLES.items():
         for key in getattr(config, table):
             slots.append((table, key, kind, bounds))
     return slots
@@ -666,19 +662,13 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
     rng = np.random.default_rng(seed)
-    defaults = default_kernel_config(domain, mode)
-    if base is not None:
-        for table in _SLOT_TABLES:
-            getattr(defaults, table).update(
-                {k: v for k, v in getattr(base, table).items()
-                 if k in getattr(defaults, table)})
-    base = defaults
+    base = merge_kernel_overrides(domain, mode, {} if base is None else base.to_dict())
     slots = _config_slots(base)
-    features = SampleFeatures(domain, points, encoder)
+    features = SampleFeatures(domain, points, _mode_encoder(mode, encoder))
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
-    factors = _correlation_slots(pairs, mode)
+    factors = pairs.slots
     _require_finite(y, *(tensor for _, _, tensor, _ in factors))
 
     rows, cols = np.tril_indices(n)

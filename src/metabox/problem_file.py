@@ -43,6 +43,14 @@ def _expect(condition, code, path, message):
         _fail(code, path, message)
 
 
+def _cast(cast, value, code, path):
+    """``cast(value)``, or a validation failure with ``code`` at ``path``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        _fail(code, path, f"expected {cast.__name__}, got {value!r}")
+
+
 def _number(value, constants, path):
     if isinstance(value, bool):
         _fail("syntax", path, "expected a number")
@@ -73,7 +81,8 @@ def _parse_scope(data, var_type, path):
             return IntegerScope(data["lo"], data["hi"])
         _expect("lo" in data and "hi" in data, "scope-malformed", path,
                 "continuous scope needs lo and hi")
-        return ContinuousScope(float(data["lo"]), float(data["hi"]),
+        return ContinuousScope(_cast(float, data["lo"], "scope-malformed", f"{path}.lo"),
+                               _cast(float, data["hi"], "scope-malformed", f"{path}.hi"),
                                bool(data.get("lo_open", False)),
                                bool(data.get("hi_open", False)))
     except ScopeError as exc:
@@ -112,7 +121,8 @@ def _expand_variables(entries, constants):
         if "family" in entry:
             _expect("first" in entry and "last" in entry, "syntax", path,
                     "family needs first and last indices")
-            first, last = int(entry["first"]), int(entry["last"])
+            first = _cast(int, entry["first"], "syntax", f"{path}.first")
+            last = _cast(int, entry["last"], "syntax", f"{path}.last")
             _expect(first <= last, "syntax", path, "family needs first <= last")
             for index in range(first, last + 1):
                 member = {k: v for k, v in entry.items()
@@ -170,7 +180,7 @@ def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
         atoms = tuple(_parse_atom(a, j, path, meta_ids, all_ids)
                       for j, a in enumerate(entry.get("decree", [])))
         if entry.get("blackbox"):
-            body = BlackboxOutput(sum(1 for c in specs if not c.analytic))
+            body = BlackboxOutput()
         else:
             analytic = entry.get("analytic")
             _expect(isinstance(analytic, dict), "syntax", path,
@@ -202,18 +212,21 @@ def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
 def _parse_rule(data, path):
     _expect(isinstance(data, dict) and "kind" in data, "syntax", path, "rule needs a kind")
     kind = data["kind"]
-    if kind == "increment-meta":
-        return IncrementMetaInteger(data["id"], int(data.get("delta", 1)))
+    if kind == "combined":
+        moves = data.get("moves")
+        _expect(isinstance(moves, list) and moves, "syntax", path,
+                "combined rule needs a nonempty moves list")
+        return Combined(tuple(_parse_rule(m, f"{path}.moves[{j}]")
+                              for j, m in enumerate(moves)))
+    _expect(kind in ("increment-meta", "swap", "increment-ordinal"), "syntax", path,
+            f"unknown rule kind {kind!r}")
+    _expect(isinstance(data.get("id"), str), "syntax", path, "rule needs a variable id")
     if kind == "swap":
         return SwapCategorical(data["id"])
-    if kind == "increment-ordinal":
-        return IncrementOrdinal(data["id"], int(data.get("delta", 1)))
-    if kind == "combined":
-        moves = tuple(_parse_rule(m, f"{path}.moves[{j}]")
-                      for j, m in enumerate(data.get("moves", [])))
-        _expect(bool(moves), "syntax", path, "combined rule needs moves")
-        return Combined(moves)
-    _fail("syntax", path, f"unknown rule kind {kind!r}")
+    delta = _cast(int, data.get("delta", 1), "syntax", f"{path}.delta")
+    if kind == "increment-meta":
+        return IncrementMetaInteger(data["id"], delta)
+    return IncrementOrdinal(data["id"], delta)
 
 
 @dataclass
@@ -275,21 +288,23 @@ def parse_problem(document: dict) -> ParsedProblem:
                           timeout=timeout, name=document.get("name", ""))
 
     neighborhoods = document.get("neighborhoods", {})
-    meta_mapping = categorical_mapping = None
-    if neighborhoods.get("meta"):
-        rules = tuple(_parse_rule(r, f"neighborhoods.meta[{j}]")
-                      for j, r in enumerate(neighborhoods["meta"]))
-        meta_mapping = NeighborhoodMapping("meta", rules)
-    if neighborhoods.get("categorical"):
-        rules = tuple(_parse_rule(r, f"neighborhoods.categorical[{j}]")
-                      for j, r in enumerate(neighborhoods["categorical"]))
-        categorical_mapping = NeighborhoodMapping("categorical", rules)
+    _expect(isinstance(neighborhoods, dict), "syntax", "neighborhoods",
+            "neighborhoods must be an object")
+    mappings = {}
+    for kind in ("meta", "categorical"):
+        rules = neighborhoods.get(kind)
+        if rules:
+            _expect(isinstance(rules, list), "syntax", f"neighborhoods.{kind}",
+                    "neighborhood rules must be a list")
+            mappings[kind] = NeighborhoodMapping(kind, tuple(
+                _parse_rule(r, f"neighborhoods.{kind}[{j}]") for j, r in enumerate(rules)))
+    metadata = document.get("metadata", {})
+    _expect(isinstance(metadata, dict), "syntax", "metadata", "metadata must be an object")
 
     return ParsedProblem(name=document.get("name", ""), domain=domain, system=system,
-                         problem=problem, meta_mapping=meta_mapping,
-                         categorical_mapping=categorical_mapping,
-                         constants=dict(constants),
-                         metadata=dict(document.get("metadata", {})),
+                         problem=problem, meta_mapping=mappings.get("meta"),
+                         categorical_mapping=mappings.get("categorical"),
+                         constants=dict(constants), metadata=dict(metadata),
                          builtin=builtin)
 
 

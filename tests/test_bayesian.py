@@ -102,7 +102,7 @@ def test_ei_vanishes_at_training_points(toy_problem):
     points = mb.enumerate_domain_points(toy_problem.domain)[:12]
     evaluator = mb.Evaluator(toy_problem, 20)
     values = [evaluator.evaluate(p).objective for p in points]
-    model, _ = bo_pieces(toy_problem, points, values)
+    model = bo_pieces(toy_problem, points, values)
     mean, variance = model.predict_batch(points)
     ei = mb.expected_improvement(mean, np.sqrt(variance), min(values))
     # sigma at samples is bounded by the jitter, so EI is jitter-scale small
@@ -126,8 +126,7 @@ def test_ei_monotone_in_sigma():
 def bo_pieces(problem, points, values, mode="matrix", kind="identity"):
     encoder = mb.Encoder(problem.domain, kind)
     config = mb.default_kernel_config(problem.domain, mode)
-    model = mb.GPModel(problem.domain, points, values, config, encoder)
-    return model, encoder
+    return mb.GPModel(problem.domain, points, values, config, encoder)
 
 
 def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
@@ -135,8 +134,8 @@ def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
     # samples through the meta factor alone, so all m=B points tie on EI.
     domain = toy_problem.domain
     under_a = [p for p in mb.enumerate_domain_points(domain) if p.meta["m"] == "A"][:4]
-    model, encoder = bo_pieces(toy_problem, under_a, [1.0, 2.0, 3.0, 4.0])
-    candidates = _Candidates(model, toy_problem.constraints, {}, encoder, [], 1.0)
+    model = bo_pieces(toy_problem, under_a, [1.0, 2.0, 3.0, 4.0])
+    candidates = _Candidates(model, toy_problem.constraints, {}, [], 1.0)
     xm = mb.MetaComponent({"m": "B"})
     late = candidates.score(1, xm, np.array([[2, 3]]), np.array([[4.0]]), 0, 2, 0)
     early = candidates.score(1, xm, np.array([[1, 1], [2, 2]]), np.array([[0.0], [1.0]]),
@@ -152,9 +151,9 @@ def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
 def test_single_sample_gives_positive_ei_elsewhere(toy_problem):
     domain = toy_problem.domain
     sample = domain.complete_point(mb.MetaComponent({"m": "A"}), {})
-    model, encoder = bo_pieces(toy_problem, [sample], [1.0])
+    model = bo_pieces(toy_problem, [sample], [1.0])
     candidate = mb.maximize_acquisition(
-        model, toy_problem.constraints, {}, encoder,
+        model, toy_problem.constraints, {},
         [sample], 1.0, mb.BOConfig(budget=10), np.random.default_rng(0))
     assert candidate is not None
     assert candidate.acquisition > 0.0
@@ -165,9 +164,9 @@ def test_exhausted_finite_domain_returns_none(toy_problem):
     points = mb.enumerate_domain_points(toy_problem.domain)
     evaluator = mb.Evaluator(toy_problem, 100)
     values = [evaluator.evaluate(p).objective for p in points]
-    model, encoder = bo_pieces(toy_problem, points[:10], values[:10])
+    model = bo_pieces(toy_problem, points[:10], values[:10])
     candidate = mb.maximize_acquisition(
-        model, toy_problem.constraints, {}, encoder,
+        model, toy_problem.constraints, {},
         points, min(values), mb.BOConfig(budget=10),
         np.random.default_rng(0))
     assert candidate is None
@@ -177,9 +176,9 @@ def test_acquisition_is_deterministic(toy_problem):
     domain = toy_problem.domain
     samples = [domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 0}),
                domain.complete_point(mb.MetaComponent({"m": "B"}), {"k": 4})]
-    model, encoder = bo_pieces(toy_problem, samples, [2.0, 1.0])
+    model = bo_pieces(toy_problem, samples, [2.0, 1.0])
     excluded = samples
-    picks = [mb.maximize_acquisition(model, toy_problem.constraints, {}, encoder,
+    picks = [mb.maximize_acquisition(model, toy_problem.constraints, {},
                                      excluded, 1.0, mb.BOConfig(budget=10),
                                      np.random.default_rng(0)) for _ in range(2)]
     assert picks[0].point() == picks[1].point()
@@ -192,15 +191,14 @@ def test_candidates_decode_into_the_domain(mlp_problem):
     evaluator = mb.Evaluator(mlp_problem, 10)
     points = [domain.complete_point(ADAM2, {"u1": u}) for u in (120, 220, 280)]
     values = [evaluator.evaluate(p).objective for p in points]
-    model, encoder = bo_pieces(mlp_problem, points, values)
+    model = bo_pieces(mlp_problem, points, values)
     candidate = mb.maximize_acquisition(
-        model, mlp_problem.constraints, {}, encoder, points,
+        model, mlp_problem.constraints, {}, points,
         min(values), mb.BOConfig(budget=10, acq_budget=20, acq_starts=2), rng)
     assert domain.contains(candidate.point())
 
 
-def sequential_acquisition(model, system, constraint_models, encoder, evaluated, f_star,
-                           cfg, rng):
+def sequential_acquisition(model, system, constraint_models, evaluated, f_star, cfg, rng):
     """Reference acquisition: one pattern search at a time over Point objects.
 
     Every candidate is scored in a batch of its own search step, offered in
@@ -309,24 +307,22 @@ def acquisition_case(problem, samples, seed):
             views[spec.id] = model.row_view(rows, vals)
             standalone[spec.id] = mb.GPModel(domain, [points[i] for i in rows], vals,
                                              config, encoder)
-    return model, views, standalone, encoder, points, min(values)
+    return model, views, standalone, points, min(values)
 
 
 @pytest.mark.parametrize("name, samples, seed",
                          [("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1)])
 def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, samples, seed):
     problem = parse_bundled(name).problem
-    model, views, standalone, encoder, points, f_star = acquisition_case(problem, samples,
-                                                                         seed)
+    model, views, standalone, points, f_star = acquisition_case(problem, samples, seed)
     cfg = mb.BOConfig(budget=10, acq_budget=24, acq_starts=3)
     pools = []
     pick = _Candidates.pick
     monkeypatch.setattr(_Candidates, "pick", lambda self: pools.append(self) or pick(self))
-    got = mb.maximize_acquisition(model, problem.constraints, views, encoder,
+    got = mb.maximize_acquisition(model, problem.constraints, views,
                                   points, f_star, cfg, np.random.default_rng(seed))
     want, scored = sequential_acquisition(model, problem.constraints, standalone,
-                                          encoder, points, f_star, cfg,
-                                          np.random.default_rng(seed))
+                                          points, f_star, cfg, np.random.default_rng(seed))
     assert (got.point(), got.acquisition, got.surrogate_feasible) == want
     # Every candidate of every search, in sequential order, scores the same.
     rows = [(b.order[i], b, i) for b in pools[0]._batches for i in range(len(b.ei))]
@@ -344,7 +340,7 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
 def test_each_scored_batch_builds_one_pair_tensor(monkeypatch, name):
     # The objective and every constraint view share one cross-covariance.
     problem = parse_bundled(name).problem
-    model, views, _, encoder, points, f_star = acquisition_case(problem, 20, 2)
+    model, views, _, points, f_star = acquisition_case(problem, 20, 2)
     assert len(views) == len(problem.constraints.constraints)
     built = [0]  # entry 0 counts builds outside score()
     init, score = PairTensors.__init__, _Candidates.score
@@ -359,7 +355,7 @@ def test_each_scored_batch_builds_one_pair_tensor(monkeypatch, name):
 
     monkeypatch.setattr(PairTensors, "__init__", counting_init)
     monkeypatch.setattr(_Candidates, "score", counting_score)
-    mb.maximize_acquisition(model, problem.constraints, views, encoder, points, f_star,
+    mb.maximize_acquisition(model, problem.constraints, views, points, f_star,
                             mb.BOConfig(budget=10, acq_budget=12, acq_starts=2),
                             np.random.default_rng(0))
     assert len(built) > 1
@@ -426,6 +422,31 @@ def test_bo_acquisition_log_schema(tmp_path, toy_problem):
     first = lines[1].split(",")
     assert first[1].startswith("m=")
     assert first[3] in ("true", "false")
+
+
+def test_acquisition_log_renders_meta_like_the_history(tmp_path):
+    # Float and bool labels once read "lr=0.1;warm=True" in the acquisition
+    # log but "0.10000000000000001" and "true" in the history of one run.
+    domain = mb.Domain([
+        mb.VariableSpec("lr", mb.VariableType.META_CATEGORICAL, mb.Role.META,
+                        mb.CategoricalScope((0.1, 0.25))),
+        mb.VariableSpec("warm", mb.VariableType.META_CATEGORICAL, mb.Role.META,
+                        mb.CategoricalScope((True, False))),
+        mb.VariableSpec("x", mb.VariableType.INTEGER, mb.Role.GLOBAL,
+                        mb.IntegerScope(0, 3)),
+    ])
+    problem = mb.Problem(domain=domain, constraints=mb.ConstraintSystem(domain, []),
+                         objective=lambda p: (p.standard["x"] + p.meta["lr"], {}))
+    result = mb.run_bo(problem, mb.BOConfig(budget=14, seed=0))
+    history, log = tmp_path / "history.csv", tmp_path / "aux.csv"
+    mb.write_history(domain, problem.constraints, result.history, history)
+    write_acquisition_log(result.acquisition_log, log)
+    rows = [line.split(",") for line in history.read_text().splitlines()]
+    lr, warm = rows[0].index("lr"), rows[0].index("warm")
+    history_metas = {f"lr={cells[lr]};warm={cells[warm]}" for cells in rows[1:]}
+    logged = {line.split(",")[1] for line in log.read_text().splitlines()[1:]}
+    assert logged and logged <= history_metas
+    assert "lr=0.10000000000000001;warm=true" in history_metas
 
 
 def test_bo_surrogate_feasibility_flags_recorded(toy_problem):
@@ -535,6 +556,16 @@ BO_RUN_SHA256 = {
 }
 
 
+def bo_run_digests(tmp_path, problem, cfg):
+    """sha256 of the history CSV and the acquisition log of one run_bo."""
+    result = mb.run_bo(problem, cfg)
+    history, log = tmp_path / "history.csv", tmp_path / "acquisition.csv"
+    mb.write_history(problem.domain, problem.constraints, result.history, history)
+    write_acquisition_log(result.acquisition_log, log)
+    return (hashlib.sha256(history.read_bytes()).hexdigest(),
+            hashlib.sha256(log.read_bytes()).hexdigest())
+
+
 @pytest.mark.parametrize("name, seed", sorted(BO_RUN_SHA256))
 def test_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem, name, seed):
     """Fixed-seed BO histories and acquisition logs stay byte-identical.
@@ -544,9 +575,24 @@ def test_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem, name, 
     purpose updates ``BO_RUN_SHA256`` and explains the change in CHANGES.md.
     """
     problem = mlp_problem if name == "mlp" else toy_problem
-    result = mb.run_bo(problem, mb.BOConfig(budget=60, seed=seed))
-    history, log = tmp_path / "history.csv", tmp_path / "acquisition.csv"
-    mb.write_history(problem.domain, problem.constraints, result.history, history)
-    write_acquisition_log(result.acquisition_log, log)
-    assert (hashlib.sha256(history.read_bytes()).hexdigest(),
-            hashlib.sha256(log.read_bytes()).hexdigest()) == BO_RUN_SHA256[name, seed]
+    assert (bo_run_digests(tmp_path, problem, mb.BOConfig(budget=60, seed=seed))
+            == BO_RUN_SHA256[name, seed])
+
+
+# The same digests of run_bo in encoded mode with the one-hot encoder
+# (budget 40), per (problem, solver seed).
+ENCODED_BO_RUN_SHA256 = {
+    ("mlp", 1): ("8ef6f313d284a1512fe90ed04fa1d4ae1ecd6cb46b340ea920054033e7ac9956",
+                 "1a36ed4b2a0aff2673eb49ecb23533533871a2f50c421bf61e5b0fb0e752d185"),
+    ("toy", 0): ("ab46960276374764a503031c781dffd8060744b8e053a0c8b944405ad668b64a",
+                 "06b1b8325798a59cebfaa631ee08ce5201fa6f9891c19ef6c251199110cc458a"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(ENCODED_BO_RUN_SHA256))
+def test_encoded_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem,
+                                              name, seed):
+    problem = mlp_problem if name == "mlp" else toy_problem
+    cfg = mb.BOConfig(budget=40, seed=seed, categorical_mode="encoded",
+                      encoder_kind="one-hot")
+    assert bo_run_digests(tmp_path, problem, cfg) == ENCODED_BO_RUN_SHA256[name, seed]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from metabox.cli import cli_main
 from metabox.problem_file import bundled_problem_path
 
@@ -129,3 +131,47 @@ def test_invalid_timeout_env_var_is_a_runtime_error(tmp_path, monkeypatch, capsy
     assert cli_main(["solve", TOY, "--solver", "bo", "--budget", "5", "--seed", "0",
                      "--out", str(tmp_path / "x.csv"), "--quiet"]) == 3
     assert "METABOX_BLACKBOX_TIMEOUT" in capsys.readouterr().err
+
+
+def family_first(document):
+    document["variables"][3]["first"] = "a"
+
+
+def rule_without_id(document):
+    del document["neighborhoods"]["meta"][0]["id"]
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d["variables"][0]["scope"].update(lo="x"), "variables[0].scope.lo"),
+    (family_first, "variables[3].first"),
+    (rule_without_id, "neighborhoods.meta[0]"),
+    (lambda d: d.update(neighborhoods=[]), "neighborhoods"),
+    (lambda d: d.update(metadata=3), "metadata"),
+], ids=["scope-bound", "family-index", "rule-id", "neighborhoods", "metadata"])
+def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
+    # Each of these once escaped validation as a raw Python exception.
+    document = json.loads(bundled_problem_path("mlp").read_text())
+    edit(document)
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"at {where}:" in capsys.readouterr().err
+
+
+def test_enumerate_renders_meta_like_the_history(tmp_path, capsys):
+    document = {
+        "variables": [
+            {"id": "lr", "type": "meta-categorical", "role": "meta",
+             "scope": {"categories": [0.1, 0.25]}},
+            {"id": "warm", "type": "meta-categorical", "role": "meta",
+             "scope": {"categories": [True, False]}},
+            {"id": "x", "type": "integer", "role": "global", "scope": {"lo": 0, "hi": 3}},
+        ],
+        "blackbox": {"command": ["true"]},
+    }
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["enumerate", str(path)]) == 0
+    labels = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert labels == {f"lr={lr};warm={warm}" for lr in ("0.10000000000000001", "0.25")
+                      for warm in ("true", "false")}

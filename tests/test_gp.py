@@ -139,8 +139,15 @@ def test_encoded_mode_one_hot_distance(small_domain):
 
 def test_encoded_mode_requires_encoder(small_domain):
     config = mb.default_kernel_config(small_domain, mode="encoded")
-    with pytest.raises(mb.KernelDomainError):
-        mb.MixedKernel(small_domain, config)
+    points = [small_domain.complete_point(G0, {"c1": c}) for c in (0.2, 0.7)]
+    values = [0.0, 1.0]
+    for build in (lambda: mb.MixedKernel(small_domain, config),
+                  lambda: mb.GPModel(small_domain, points, values, config),
+                  lambda: log_marginal_likelihood(small_domain, points, values, config),
+                  lambda: mb.fit_hyperparameters(small_domain, points, values,
+                                                 mode="encoded")):
+        with pytest.raises(mb.KernelDomainError, match="needs an encoder"):
+            build()
 
 
 # -- mixed kernel ----------------------------------------------------------------------
@@ -359,12 +366,61 @@ def test_features_from_arrays_match_features_from_points(mlp_domain, kind):
         got = SampleFeatures.from_arrays(mlp_domain, xm, categorical, standard, encoder)
         want = SampleFeatures(mlp_domain, points, encoder)
         assert got.n == want.n and got.metas == want.metas
+        assert got.encoded == want.encoded == (encoder is not None)
         assert np.array_equal(got.which_meta, want.which_meta)
-        for name in ("meta_num", "meta_cat", "acting", "standard", "category", "encoded"):
+        for name in ("meta", "acting", "values"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.keys() == b.keys(), name
             for key in a:
                 assert np.array_equal(a[key], b[key]), (name, key)
+
+
+def test_matrix_mode_features_hold_no_encodings(mlp_problem):
+    points, values = proxy_samples(mlp_problem, 6)
+    domain = mlp_problem.domain
+    encoder = mb.Encoder(domain, "one-hot")
+    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain), encoder)
+    assert model.encoder is None and not model.features(points).encoded
+    encoded = mb.GPModel(domain, points, values,
+                         mb.default_kernel_config(domain, "encoded"), encoder)
+    assert encoded.encoder is encoder and encoded.features(points).encoded
+    assert encoded.features(points).values["a"].shape == (6, 2)
+    assert model.features(points).values["a"].shape == (6,)
+
+
+@pytest.mark.parametrize("mode", ["matrix", "encoded"])
+def test_pair_tensors_build_one_tensor_per_factor(mlp_domain, mode):
+    # One slot per meta variable, meta-numeric first, then one per variable
+    # acting in both sets, declaration order, keyed by its config table.
+    rng = np.random.default_rng(4)
+    points = [random_point(mlp_domain, rng, [ADAM2]) for _ in range(5)]
+    others = [random_point(mlp_domain, rng, [ASGD2, ADAM3]) for _ in range(4)]
+    encoder = mb.Encoder(mlp_domain, "one-hot") if mode == "encoded" else None
+    pairs = PairTensors(mlp_domain, SampleFeatures(mlp_domain, points, encoder),
+                        SampleFeatures(mlp_domain, others, encoder))
+    config = mb.default_kernel_config(mlp_domain, mode)
+    table_of = {key: table for table, entries in config.to_dict().items()
+                if isinstance(entries, dict) for key in entries}
+    shared = ({v for p in points for v in [*p.categorical, *p.standard]}
+              & {v for p in others for v in [*p.categorical, *p.standard]})
+    assert [(table, key) for table, key, _, _ in pairs.slots] == (
+        [("meta_weights", "l"), ("meta_correlations", "o")]
+        + [(table_of[v.id], v.id) for v in mlp_domain.variables if v.id in shared])
+    for table, key, tensor, mask in pairs.slots:
+        assert tensor.shape == (5, 4)
+        assert (mask is None) == mlp_domain.spec(key).type.is_meta
+
+
+def test_encoded_and_plain_features_do_not_mix(mlp_domain):
+    rng = np.random.default_rng(2)
+    points = [random_point(mlp_domain, rng) for _ in range(3)]
+    plain = SampleFeatures(mlp_domain, points)
+    encoded = SampleFeatures(mlp_domain, points, mb.Encoder(mlp_domain, "one-hot"))
+    with pytest.raises(mb.KernelDomainError):
+        PairTensors(mlp_domain, plain, encoded)
+    with pytest.raises(mb.KernelDomainError):
+        correlation_matrix(PairTensors(mlp_domain, plain, plain),
+                           mb.default_kernel_config(mlp_domain, "encoded"))
 
 
 # -- hyperparameter fitting ----------------------------------------------------------------------
@@ -424,7 +480,7 @@ def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
     """
     slots, drawn = reference_starts(base or mb.default_kernel_config(domain, mode),
                                     seed, starts)
-    features = SampleFeatures(domain, points, encoder)
+    features = SampleFeatures(domain, points, encoder if mode == "encoded" else None)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
