@@ -17,9 +17,20 @@ batch, and each search then moves, shrinks or stops on its own.
 GP predictions do not depend on the batch, so every search takes the same
 path it would take alone.  The constraint surrogates are row views of the
 objective model, so one cross-covariance per batch serves the objective and
-every constraint.  The pick is the highest-EI candidate (surrogate-
-feasible ones first), with ties broken by the order of a sequential search.
-Only the winner becomes a Point.
+every constraint.
+
+A poll's cross-covariance is not built afresh.  The searches of one meta
+component keep the kernel factors of their centers against the training
+samples (:class:`~metabox.gp.CrossFactors`, one pair-tensor build per meta
+component and acquisition).  A poll row differs from its center in one
+standard column, so it copies the center's factors, recomputes that
+column's factor, and multiplies the factors in the kernel's own order: its
+cross-covariance is bit-identical to one built from the row's features.  A
+search that moves keeps the winning row's factors.
+
+The pick is the highest-EI candidate (surrogate-feasible ones first), with
+ties broken by the order of a sequential search.  Only the winner becomes a
+Point.
 """
 
 from __future__ import annotations
@@ -40,8 +51,8 @@ from .domain import (Domain, IntegerScope, MetaComponent, Point, denormalize,
 from .encoders import Encoder
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
-from .gp import (GPModel, KernelConfig, SampleFeatures, fit_hyperparameters,
-                 merge_kernel_overrides)
+from .gp import (CrossCovariance, CrossFactors, GPModel, KernelConfig, SampleFeatures,
+                 fit_hyperparameters, merge_kernel_overrides)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: The acquisition's pattern searches stop refining continuous steps at this
@@ -166,44 +177,48 @@ class _Candidates:
         with a row view, those views, evaluated points under xm) for one meta
         component.
 
-        Evaluated points are flat (categorical..., standard...) tuples.  Float
-        equality matches cache-key equality: keys render reals with 17
-        significant digits, which round-trips exactly.
+        Evaluated points are the rows of a (count, q + d) float array,
+        categorical indices then standard values.  Float equality matches
+        cache-key equality: keys render reals with 17 significant digits,
+        which round-trips exactly.
         """
         if xm not in self._under:
             domain = self.model.domain
             cat_ids = domain.acting_index_set(xm, "categorical")
             std_ids = domain.acting_index_set(xm, "standard")
             acting = [c.id for c in self.system.acting_constraints(xm)]
-            done = {tuple(p.categorical[v] for v in cat_ids)
-                    + tuple(p.standard[v] for v in std_ids)
-                    for p in self._evaluated.get(xm, ())}
+            points = self._evaluated.get(xm, ())
+            done = np.array([[*(p.categorical[v] for v in cat_ids),
+                              *(p.standard[v] for v in std_ids)] for p in points],
+                            dtype=float).reshape(len(points), len(cat_ids) + len(std_ids))
             modeled = [row for row, cid in enumerate(acting) if cid in self.constraint_views]
             views = [self.constraint_views[acting[row]] for row in modeled]
             self._under[xm] = acting, modeled, views, done
         return self._under[xm]
 
     def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
-              standard: np.ndarray, search, step, position) -> np.ndarray:
+              standard: np.ndarray, search, step, position,
+              kappa: CrossCovariance | None = None) -> np.ndarray:
         """Expected improvement of each row; the rows are kept for the pick.
 
         ``search``, ``step`` and ``position`` give each row's order key
-        (arrays or scalars).  The objective and every constraint view share
-        one cross-covariance.
+        (arrays or scalars).  ``kappa`` is the rows' cross-covariance with the
+        training samples, built here from their features when not given.  The
+        objective and every constraint view share it.
         """
         acting, modeled, views, done = self._meta_state(xm)
-        features = SampleFeatures.from_arrays(self.model.domain, xm, categorical, standard,
-                                              self.model.encoder)
-        mean, variance, view_means = self.model.predict_batch(features, views)
+        points = kappa if kappa is not None else SampleFeatures.from_arrays(
+            self.model.domain, xm, categorical, standard, self.model.encoder)
+        mean, variance, view_means = self.model.predict_batch(points, views)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
         means = np.zeros((len(acting), len(ei)))
         means[modeled] = view_means
-        rows = map(tuple, np.hstack([categorical, standard]).tolist())
-        fresh = np.array([row not in done for row in rows], dtype=bool)
-        order = np.column_stack(np.broadcast_arrays(meta_index, search, step, position))
+        rows = np.hstack([categorical, standard])
+        fresh = ~(rows[:, None, :] == done[None, :, :]).all(axis=2).any(axis=1)
+        order = np.empty((len(ei), 4), dtype=int)
+        order[:, 0], order[:, 1], order[:, 2], order[:, 3] = meta_index, search, step, position
         self._batches.append(_Batch(xm, categorical, standard, ei, acting, means,
-                                    np.all(means <= 0.0, axis=0), fresh,
-                                    order.reshape(len(ei), 4)))
+                                    np.all(means <= 0.0, axis=0), fresh, order))
         return ei
 
     def pick(self) -> AuxiliaryCandidate | None:
@@ -259,18 +274,21 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
     Each search keeps its own center, step sizes and evaluation count; one
     step scores the poll points of every active search as one batch.  Each
     search moves exactly as it would alone, because predictions do not
-    depend on the batch.
+    depend on the batch.  Poll cross-covariances come from the centers'
+    :class:`CrossFactors` (see the module docstring).
     """
-    domain = candidates.model.domain
+    model = candidates.model
+    domain = model.domain
     scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
     lo, hi = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
     count = len(centers)
     mesh = MeshState(scopes, count, ACQ_MIN_FRACTION)
+    cross = CrossFactors(model, xm, combos, centers)
     # score() keeps the arrays it is given and returns, so the search state
     # lives in copies.
     center = centers.copy()
-    center_ei = candidates.score(meta_index, xm, combos, centers,
-                                 np.arange(count), 0, 0).copy()
+    center_ei = candidates.score(meta_index, xm, combos, centers, np.arange(count), 0, 0,
+                                 cross.kappa(cross.factors)).copy()
     used = np.ones(count, dtype=int)
     active = used < cfg.acq_budget
     step = 0
@@ -284,10 +302,11 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
         owner, column, sign = np.nonzero(polls != base[:, :, None])  # search, column, +/-
         if not len(owner):
             break
-        rows = base[owner]
-        rows[np.arange(len(owner)), column] = polls[owner, column, sign]
-        ei = candidates.score(meta_index, xm, combos[owners[owner]], rows,
-                              owners[owner], step, 2 * column + sign)
+        rows, searches, values = base[owner], owners[owner], polls[owner, column, sign]
+        rows[np.arange(len(owner)), column] = values
+        factors = cross.polled(searches, column, values)
+        ei = candidates.score(meta_index, xm, combos[searches], rows,
+                              searches, step, 2 * column + sign, cross.kappa(factors))
         bounds = np.searchsorted(owner, np.arange(len(owners) + 1))
         for i, s in enumerate(owners):
             polled = ei[bounds[i]:bounds[i + 1]]
@@ -298,6 +317,7 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
             best = bounds[i] + int(np.argmax(polled))
             if ei[best] > center_ei[s]:
                 center[s], center_ei[s] = rows[best], ei[best]
+                cross.factors[:, s] = factors[:, best]
             elif mesh.at_minimum(s):
                 active[s] = False
                 continue
@@ -306,8 +326,32 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
             active[s] = used[s] < cfg.acq_budget
 
 
+def finite_candidates(domain: Domain, cap: int) -> dict:
+    """Every point of a finite domain as (categorical, standard) arrays per
+    meta component, columns in acting-set order and rows in enumeration
+    order; an empty dict when the domain is not finite or has more than
+    ``cap`` points."""
+    try:
+        points = enumerate_domain_points(domain, cap)
+    except NotEnumerableError:
+        return {}
+    out = {}
+    for xm in domain.enumerate_meta_set():
+        cat_ids = domain.acting_index_set(xm, "categorical")
+        std_ids = domain.acting_index_set(xm, "standard")
+        under = [p for p in points if p.meta == xm]
+        out[xm] = (np.array([[p.categorical[v] for v in cat_ids] for p in under],
+                            dtype=int).reshape(len(under), len(cat_ids)),
+                   np.array([[p.standard[v] for v in std_ids] for p in under],
+                            dtype=float).reshape(len(under), len(std_ids)))
+        for array in out[xm]:
+            array.flags.writeable = False  # shared by every search of the run
+    return out
+
+
 def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_star,
-                         cfg: BOConfig, rng) -> AuxiliaryCandidate | None:
+                         cfg: BOConfig, rng, finite: dict | None = None
+                         ) -> AuxiliaryCandidate | None:
     """Best expected-improvement candidate over the auxiliary domain.
 
     ``constraint_views`` maps constraint ids to row views of ``model``
@@ -316,30 +360,25 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
     when no surrogate-feasible candidate exists anywhere the global EI
     maximizer is returned flagged infeasible.  Points in ``evaluated`` (the
     points already evaluated or failed) are excluded; None signals an
-    exhausted finite domain.
+    exhausted finite domain.  ``finite`` is :func:`finite_candidates` of the
+    domain at ``cfg.enumeration_cap``, which a caller searching one domain
+    many times builds once; it is built here when not given.
     """
     domain = model.domain
     try:
         metas = domain.enumerate_meta_set()
     except NotEnumerableError as exc:
         raise ConfigurationError("acquisition needs an enumerable meta set") from exc
+    if finite is None:
+        finite = finite_candidates(domain, cfg.enumeration_cap)
     candidates = _Candidates(model, system, constraint_views, evaluated, f_star)
-    try:
-        points = enumerate_domain_points(domain, cfg.enumeration_cap)
-    except NotEnumerableError:
-        points = None
     for meta_index, xm in enumerate(metas):
-        cat_ids = domain.acting_index_set(xm, "categorical")
-        std_ids = domain.acting_index_set(xm, "standard")
-        if points is not None:
-            under = [p for p in points if p.meta == xm]
-            categorical = np.array([[p.categorical[v] for v in cat_ids] for p in under],
-                                   dtype=int).reshape(len(under), len(cat_ids))
-            standard = np.array([[p.standard[v] for v in std_ids] for p in under],
-                                dtype=float).reshape(len(under), len(std_ids))
+        if xm in finite:
+            categorical, standard = finite[xm]
             candidates.score(meta_index, xm, categorical, standard,
-                             0, 0, np.arange(len(under)))
+                             0, 0, np.arange(len(categorical)))
             continue
+        std_ids = domain.acting_index_set(xm, "standard")
         combos = _enumerate_categorical(domain, xm, cfg.categorical_cap, rng)
         default = domain.complete_point(xm, {}).standard
         centers = []
@@ -447,6 +486,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
             break
 
     acquisition_log = []
+    finite = finite_candidates(domain, cfg.enumeration_cap)
     base_config = merge_kernel_overrides(domain, cfg.categorical_mode,
                                          cfg.kernel or {})
     config: KernelConfig | None = None
@@ -488,7 +528,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
             f_star = min(train_values)
         evaluated = [r.point for r in evaluator.history if not r.cached]
         candidate = maximize_acquisition(model, system, constraint_views, evaluated,
-                                         f_star, cfg, rng)
+                                         f_star, cfg, rng, finite)
         if candidate is None:
             stop_reason = "exhausted"
             break

@@ -133,13 +133,15 @@ class ConstraintSystem:
         return [c for c in self.constraints if c.role == Role.DECREED]
 
     def _acting_tuples(self, xm):
-        """(acting constraints, acting decreed constraints) of a valid ``xm``."""
+        """(acting constraints, acting decreed constraints, the ``id`` of each
+        acting decreed constraint) of a valid ``xm``."""
         return self.domain.memoize_per_meta(self._acting, xm, self._build_acting)
 
     def _build_acting(self, xm):
         acting = tuple(c for c in self.constraints if c.role == Role.GLOBAL
                        or self.domain.decree_satisfied(c.decree, xm))
-        return acting, tuple(c for c in acting if c.role == Role.DECREED)
+        decreed = tuple(c for c in acting if c.role == Role.DECREED)
+        return acting, decreed, frozenset(map(id, decreed))
 
     def acting_decreed_constraints(self, xm):
         """Decreed constraints whose predicate ``xm`` satisfies, declaration order."""
@@ -156,11 +158,16 @@ class ConstraintSystem:
 
         Terms over nonacting variables contribute nothing for global
         constraints (the sum adapts to the acting set).  Evaluating a decreed
-        constraint where it is nonacting is a decree violation.
+        constraint where it is nonacting is a decree violation.  A spec in the
+        memoized acting list of ``point.meta`` (the evaluator passes only
+        those) skips the decree check; any other spec, such as one built
+        outside this system, is checked.
         """
         if not spec.analytic:
             raise ScopeError(f"constraint {spec.id!r} has no analytic body")
-        if spec.role == Role.DECREED and not self.domain.decree_satisfied(spec.decree, point.meta):
+        if (spec.role == Role.DECREED
+                and id(spec) not in self._acting_tuples(point.meta)[2]
+                and not self.domain.decree_satisfied(spec.decree, point.meta)):
             raise DecreeViolationError(
                 f"constraint {spec.id!r} is nonacting under {dict(point.meta)}")
         value = spec.body.constant

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -217,12 +218,9 @@ class SampleFeatures:
             acting, raw = columns.get(vid, nowhere)
             self.acting[vid] = acting
             if spec.type in GROUPS["standard"]:
-                if spec.type == VariableType.INTEGER:
-                    # round_half_away, elementwise
-                    raw = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
-                width = spec.scope.width
-                unit = (raw - spec.scope.lo) / width if width else 0.0
-                self.values[vid] = np.where(acting, unit, 0.0)
+                self.values[vid] = np.where(acting, _unit_values(
+                    spec.type == VariableType.INTEGER, spec.scope.lo, spec.scope.width, raw),
+                    0.0)
                 continue
             index = np.where(acting, raw, 0).astype(int)
             if encoder is None:
@@ -235,6 +233,21 @@ class SampleFeatures:
                 self.values[vid] = table[index]
 
 
+def _unit_values(integer: bool, lo, width, raw: np.ndarray) -> np.ndarray:
+    """Range-normalized standard values, elementwise: (raw - lo) / width, or 0
+    where the width is 0.  Integer values are first rounded half away from
+    zero.  ``lo`` and ``width`` are scalars or arrays shaped like ``raw``."""
+    if integer:
+        raw = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
+    return np.divide(raw - lo, width, out=np.zeros(np.shape(raw)),
+                     where=np.asarray(width) != 0)
+
+
+def _squared_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair tensor of a numeric factor, elementwise."""
+    return (a - b) ** 2
+
+
 def _pair_tensor(table: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pair tensor of one factor from two sets' values of its variable:
     whether the categories differ (correlation tables), the squared distance
@@ -244,7 +257,7 @@ def _pair_tensor(table: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if table == "categorical_weights":
         return ((a ** 2).sum(axis=1)[:, None] + (b ** 2).sum(axis=1)[None, :]
                 - 2.0 * a @ b.T)
-    return (a[:, None] - b[None, :]) ** 2
+    return _squared_difference(a[:, None], b[None, :])
 
 
 class PairTensors:
@@ -286,12 +299,13 @@ class PairTensors:
                                    mask))
 
 
-def _correlation_factor(table: str, value: float, tensor: np.ndarray) -> np.ndarray:
+def _correlation_factor(table: str, value, tensor: np.ndarray) -> np.ndarray:
     """One correlation factor, with the hyperparameter at ``value``, on the
     entries of its pair tensor that it is given.
 
     The tensor holds squared distances, or for correlation tables whether the
-    two samples' categories differ.
+    two samples' categories differ.  ``value`` may also be an array that
+    broadcasts against the tensor.
     """
     if _SLOT_TABLES[table][0] == "raw":
         return np.where(tensor, value, 1.0)
@@ -300,15 +314,27 @@ def _correlation_factor(table: str, value: float, tensor: np.ndarray) -> np.ndar
     return np.exp(-value * tensor)
 
 
-def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
-    """Kernel matrix without the signal variance factor."""
+def _masked_factors(pairs: PairTensors, config: KernelConfig):
+    """Yield the factors of :func:`correlation_matrix`, in product order: each
+    slot's correlation factor, set to 1 outside its mask."""
     if config.categorical_mode != pairs.mode:
         raise KernelDomainError(f"a {config.categorical_mode} config on {pairs.mode} features")
-    out = np.ones(pairs.shape)
     for table, key, tensor, mask in pairs.slots:
         factor = _correlation_factor(table, getattr(config, table)[key], tensor)
-        out *= factor if mask is None else np.where(mask, factor, 1.0)
+        yield factor if mask is None else np.where(mask, factor, 1.0)
+
+
+def _product(factors, shape) -> np.ndarray:
+    """The factors multiplied one after another into a new C-ordered array."""
+    out = np.ones(shape)
+    for factor in factors:
+        out *= factor
     return out
+
+
+def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
+    """Kernel matrix without the signal variance factor."""
+    return _product(_masked_factors(pairs, config), pairs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +446,17 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, b, lower=1)[0]
 
 
+class CrossCovariance(NamedTuple):
+    """Points given by their cross-covariance with a model's training
+    samples, computed ahead of prediction (see :class:`CrossFactors`)."""
+
+    kappa: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.kappa.shape[1]
+
+
 class GPModel:
     """Noise-free zero-mean GP conditioned on evaluated points.
 
@@ -454,19 +491,24 @@ class GPModel:
         return SampleFeatures(self.domain, points, self.encoder)
 
     def cross_covariance(self, points) -> np.ndarray:
-        """kappa matrix of shape (n_train, len(points))."""
+        """kappa matrix of shape (n_train, len(points)); a
+        :class:`CrossCovariance` gives its own."""
+        if isinstance(points, CrossCovariance):
+            return points.kappa
         features = points if isinstance(points, SampleFeatures) else self.features(points)
         pairs = PairTensors(self.domain, self._features, features)
         return self.config.signal_variance * correlation_matrix(pairs, self.config)
 
-    def _columns(self, points):
-        """kappa with at least two columns, and the number of points.
+    @staticmethod
+    def _columns(kappa: np.ndarray):
+        """``kappa`` C-ordered with at least two columns, and its column count.
 
         Sums over the training samples run row by row (axis 0), which gives
         every column the same bits whatever else the batch holds; numpy would
-        sum a lone column pairwise, so one point is predicted as two copies.
+        sum a lone column, or the columns of a Fortran-ordered array,
+        pairwise, so one point is predicted as two copies.
         """
-        kappa = self.cross_covariance(points)
+        kappa = np.ascontiguousarray(kappa)
         count = kappa.shape[1]
         if count == 1:
             kappa = np.repeat(kappa, 2, axis=1)
@@ -483,9 +525,10 @@ class GPModel:
 
         With ``outputs``, a sequence of this model's row views, also returns
         their posterior means as a (len(outputs), n) array, computed from the
-        same cross-covariance.
+        same cross-covariance.  ``points`` may be Points, their
+        :class:`SampleFeatures` or their :class:`CrossCovariance`.
         """
-        kappa, count = self._columns(points)
+        kappa, count = self._columns(self.cross_covariance(points))
         mean = np.sum(kappa * self.alpha[:, None], axis=0)
         solved = _cho_solve(self._factor[0], kappa)
         # k(x, x) equals the signal variance exactly: every factor is 1.
@@ -501,7 +544,7 @@ class GPModel:
 
     def mean_batch(self, points) -> np.ndarray:
         """Posterior means only (no variance solve), equal to predict_batch's."""
-        kappa, count = self._columns(points)
+        kappa, count = self._columns(self.cross_covariance(points))
         return np.sum(kappa * self.alpha[:, None], axis=0)[:count]
 
     def predict(self, point: Point):
@@ -552,6 +595,76 @@ class RowView:
         """Posterior means from the model's cross-covariance ``kappa``."""
         rows = kappa if self.rows is None else kappa[self.rows]
         return np.sum(rows * self.alpha[:, None], axis=0)
+
+
+class CrossFactors:
+    """The factors of a model's cross-covariance with rows under one meta
+    component, kept per row, so that a row differing from a kept one in one
+    standard column costs one recomputed factor.
+
+    ``factors[k, j]`` is the k-th factor :func:`correlation_matrix`
+    multiplies, in its order, between row j and the training samples, built
+    from one :class:`PairTensors` of the rows given at construction.  Meta and
+    categorical factors, and the factor of every standard column a row does
+    not change, are copied, so :meth:`kappa` of a polled row equals
+    :meth:`GPModel.cross_covariance` of it bit for bit.
+    """
+
+    def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard):
+        domain, config = model.domain, model.config
+        features = SampleFeatures.from_arrays(domain, xm, categorical, standard, model.encoder)
+        pairs = PairTensors(domain, model._features, features)
+        self.signal_variance = config.signal_variance
+        self.factors = np.empty((len(pairs.slots), pairs.shape[1], pairs.shape[0]))
+        for k, factor in enumerate(_masked_factors(pairs, config)):
+            self.factors[k] = factor.T
+        # A standard factor is 1 outside the training samples under xm, so
+        # only those are recomputed, and 1 where its variable does not act
+        # (its mask).  A variable acting in no training sample has no factor
+        # (index -1): it is 1 whatever a row holds.
+        self._under = np.flatnonzero(pairs.same_meta[:, 0])
+        slot = {key: k for k, (_, key, _, _) in enumerate(pairs.slots)}
+        specs = [domain.spec(v) for v in domain.acting_index_set(xm, "standard")]
+        self._slot = np.array([slot.get(spec.id, -1) for spec in specs], dtype=int)
+        self._lo = np.array([spec.scope.lo for spec in specs], dtype=float)
+        self._width = np.array([spec.scope.width for spec in specs], dtype=float)
+        self._weight = np.array([getattr(config, _table(spec, config.categorical_mode))[spec.id]
+                                 for spec in specs], dtype=float)
+        self._train = np.zeros((len(specs), len(self._under)))
+        self._mask = np.zeros((len(specs), len(self._under)), dtype=bool)
+        for c, k in enumerate(self._slot):
+            if k >= 0:
+                self._train[c] = model._features.values[specs[c].id][self._under]
+                self._mask[c] = pairs.slots[k][3][self._under, 0]
+        #: Columns grouped by their factor's formula: (table, integer, member mask).
+        self._groups = []
+        for kind in (VariableType.INTEGER, VariableType.CONTINUOUS):
+            members = np.array([spec.type == kind for spec in specs], dtype=bool)
+            if members.any():
+                self._groups.append((_MATRIX_TABLES[kind], kind == VariableType.INTEGER,
+                                     members & (self._slot >= 0)))
+
+    def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Factors of the rows that equal kept row ``rows[j]`` but for
+        standard column ``column[j]``, set to ``values[j]``."""
+        factors = self.factors[:, rows]
+        for table, integer, members in self._groups:
+            j = np.flatnonzero(members[column])
+            if not len(j):
+                continue
+            c = column[j]
+            unit = _unit_values(integer, self._lo[c], self._width[c], values[j])
+            tensor = _squared_difference(self._train[c], unit[:, None])
+            factor = _correlation_factor(table, self._weight[c][:, None], tensor)
+            factors[self._slot[c][:, None], j[:, None], self._under] = np.where(
+                self._mask[c], factor, 1.0)
+        return factors
+
+    def kappa(self, factors: np.ndarray) -> CrossCovariance:
+        """The rows' cross-covariance, a C-ordered (n_train, rows) array, from
+        factors such as :attr:`factors` or :meth:`polled`'s."""
+        product = self.signal_variance * _product(factors, factors.shape[1:])
+        return CrossCovariance(np.ascontiguousarray(product.T))
 
 
 def _likelihood_terms(factor: np.ndarray, y: np.ndarray):

@@ -63,7 +63,10 @@ def _number(value, constants, path):
         sign, name = match.groups()
         if name not in constants:
             _fail("unknown-constant", path, f"constant {name!r} is not declared")
-        return -constants[name] if sign else constants[name]
+        value = constants[name]
+        _expect(isinstance(value, (int, float)) and not isinstance(value, bool), "syntax",
+                f"constants.{name}", f"constant {name!r} must be a number, got {value!r}")
+        return -value if sign else value
     _fail("syntax", path, f"expected a number, got {type(value).__name__}")
 
 
@@ -72,8 +75,8 @@ def _parse_scope(data, var_type, path):
     try:
         if var_type in (VariableType.META_CATEGORICAL, VariableType.NOMINAL,
                         VariableType.ORDINAL):
-            _expect("categories" in data, "scope-malformed", path,
-                    "categorical scope needs a categories list")
+            _expect(isinstance(data.get("categories"), list), "scope-malformed",
+                    f"{path}.categories", "categorical scope needs a categories list")
             return CategoricalScope(tuple(data["categories"]))
         if var_type in (VariableType.META_INTEGER, VariableType.INTEGER):
             _expect("lo" in data and "hi" in data, "scope-malformed", path,
@@ -112,6 +115,18 @@ def _parse_atom(data, index, path, meta_ids, all_ids):
     _fail("syntax", apath, f"unknown decree atom kind {data['kind']!r}")
 
 
+def _decree_entries(entry, path):
+    """The decree list of a variable or constraint entry (empty when absent)."""
+    decree = entry.get("decree", [])
+    _expect(isinstance(decree, list), "syntax", f"{path}.decree", "decree must be a list")
+    return decree
+
+
+def _parse_decree(entry, path, meta_ids, all_ids) -> DecreePredicate:
+    return DecreePredicate(tuple(_parse_atom(a, j, path, meta_ids, all_ids)
+                                 for j, a in enumerate(_decree_entries(entry, path))))
+
+
 def _expand_variables(entries, constants):
     """Expand indexed families into individual variable descriptors."""
     expanded = []
@@ -128,9 +143,11 @@ def _expand_variables(entries, constants):
                 member = {k: v for k, v in entry.items()
                           if k not in ("family", "first", "last")}
                 member["id"] = f"{entry['family']}{index}"
+                # A malformed atom passes through for _parse_atom to reject.
                 member["decree"] = [
                     {k: (index if v == "$index" else v) for k, v in atom.items()}
-                    for atom in entry.get("decree", [])
+                    if isinstance(atom, dict) else atom
+                    for atom in _decree_entries(entry, path)
                 ]
                 expanded.append((member, path))
         else:
@@ -156,17 +173,17 @@ def _parse_variables(entries, constants):
         except ValueError as exc:
             _fail("syntax", path, str(exc))
         scope = _parse_scope(entry.get("scope"), var_type, f"{path}.scope")
-        atoms = tuple(_parse_atom(a, j, path, meta_ids, all_ids)
-                      for j, a in enumerate(entry.get("decree", [])))
+        decree = _parse_decree(entry, path, meta_ids, all_ids)
         try:
-            specs.append(VariableSpec(vid, var_type, role, scope,
-                                      DecreePredicate(atoms), entry.get("default")))
+            specs.append(VariableSpec(vid, var_type, role, scope, decree,
+                                      entry.get("default")))
         except ScopeError as exc:
             _fail("scope-malformed", path, str(exc))
     return specs, meta_ids, all_ids
 
 
 def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
+    _expect(isinstance(entries, list), "syntax", "constraints", "constraints must be a list")
     specs = []
     for i, entry in enumerate(entries):
         path = f"constraints[{i}]"
@@ -177,16 +194,18 @@ def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
             role = Role(entry.get("role"))
         except ValueError as exc:
             _fail("syntax", path, str(exc))
-        atoms = tuple(_parse_atom(a, j, path, meta_ids, all_ids)
-                      for j, a in enumerate(entry.get("decree", [])))
+        decree = _parse_decree(entry, path, meta_ids, all_ids)
         if entry.get("blackbox"):
             body = BlackboxOutput()
         else:
             analytic = entry.get("analytic")
             _expect(isinstance(analytic, dict), "syntax", path,
                     "constraint needs an analytic body or blackbox: true")
+            listed = analytic.get("terms", [])
+            _expect(isinstance(listed, list), "syntax", f"{path}.analytic.terms",
+                    "terms must be a list")
             terms = []
-            for t, term in enumerate(analytic.get("terms", [])):
+            for t, term in enumerate(listed):
                 tpath = f"{path}.analytic.terms[{t}]"
                 _expect(isinstance(term, list) and len(term) == 2, "syntax", tpath,
                         "term must be [coefficient, variable id]")
@@ -203,7 +222,7 @@ def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
                                f"{path}.analytic.constant")
             body = LinearExpression(tuple(terms), constant)
         try:
-            specs.append(ConstraintSpec(entry["id"], role, body, DecreePredicate(atoms)))
+            specs.append(ConstraintSpec(entry["id"], role, body, decree))
         except ScopeError as exc:
             _fail("syntax", path, str(exc))
     return specs

@@ -1,13 +1,15 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import metabox as mb
+from metabox import bayesian
 from metabox.bayesian import _Candidates, initial_design, write_acquisition_log
-from metabox.gp import PairTensors
+from metabox.gp import PairTensors, SampleFeatures
 from metabox.blackbox import barrier_value
 from metabox.domain import denormalize
 from conftest import charged_failures, nan_objective_at_k2, parse_bundled, random_point
@@ -338,28 +340,151 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
 
 @pytest.mark.parametrize("name", ["mlp", "toy"])
 def test_each_scored_batch_builds_one_pair_tensor(monkeypatch, name):
-    # The objective and every constraint view share one cross-covariance.
-    problem = parse_bundled(name).problem
-    model, views, _, points, f_star = acquisition_case(problem, 20, 2)
-    assert len(views) == len(problem.constraints.constraints)
-    built = [0]  # entry 0 counts builds outside score()
-    init, score = PairTensors.__init__, _Candidates.score
+    # On the finite-domain (toy) path each scored batch builds one PairTensors.
+    # A pattern search (mlp) builds one, at its centers, and its polls reuse
+    # it.  The objective and every constraint view share each cross-covariance.
+    events = []
+    init, score, search = PairTensors.__init__, _Candidates.score, bayesian._pattern_search
 
     def counting_init(self, *args):
-        built[-1] += 1
+        events.append("P")
         init(self, *args)
 
-    def counting_score(self, *args):
-        built.append(0)
-        return score(self, *args)
+    def counting_score(self, *args, **kwargs):
+        events.append("S")
+        return score(self, *args, **kwargs)
+
+    def counting_search(*args):
+        events.append("[")
+        search(*args)
+        events.append("]")
 
     monkeypatch.setattr(PairTensors, "__init__", counting_init)
     monkeypatch.setattr(_Candidates, "score", counting_score)
+    monkeypatch.setattr(bayesian, "_pattern_search", counting_search)
+    pattern = {"mlp": r"(\[PSS+\])+", "toy": r"(SP)+"}[name]
+    problem = parse_bundled(name).problem
+    model, views, _, points, f_star = acquisition_case(problem, 20, 2)
+    assert len(views) == len(problem.constraints.constraints)
+    events.clear()
     mb.maximize_acquisition(model, problem.constraints, views, points, f_star,
                             mb.BOConfig(budget=10, acq_budget=12, acq_starts=2),
                             np.random.default_rng(0))
-    assert len(built) > 1
-    assert built[0] == 0 and set(built[1:]) == {1}
+    assert re.fullmatch(pattern, "".join(events))
+
+
+def adam_only_case(problem, samples, seed):
+    """A model trained only under o=Adam: no ASGD-only variable acts in any
+    training sample, so polling one leaves its search's kappa as it was."""
+    domain = problem.domain
+    rng = np.random.default_rng(seed)
+    metas = [xm for xm in domain.enumerate_meta_set() if xm["o"] == "Adam"]
+    points = [random_point(domain, rng, metas) for _ in range(samples)]
+    values = [problem.objective(p)[0] for p in points]
+    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain),
+                       mb.Encoder(domain, "identity"))
+    return model, points, min(values)
+
+
+@pytest.mark.parametrize("case", ["matrix", "encoded", "adam-only"])
+def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, case):
+    domain = mlp_problem.domain
+    if case == "adam-only":
+        model, points, f_star = adam_only_case(mlp_problem, 12, 5)
+    else:
+        model, _, _, points, f_star = acquisition_case(mlp_problem, 20, 3)
+        if case == "encoded":
+            encoder = mb.Encoder(domain, "one-hot")
+            model = mb.GPModel(domain, points, model.values,
+                               mb.default_kernel_config(domain, "encoded"), encoder)
+    scored = []
+    score = _Candidates.score
+
+    def recording_score(self, meta_index, xm, categorical, standard, search, step, position,
+                        kappa=None):
+        scored.append((xm, categorical, standard, kappa))
+        return score(self, meta_index, xm, categorical, standard, search, step, position,
+                     kappa)
+
+    monkeypatch.setattr(_Candidates, "score", recording_score)
+    mb.maximize_acquisition(model, mlp_problem.constraints, {}, points, f_star,
+                            mb.BOConfig(budget=10, acq_budget=24, acq_starts=2),
+                            np.random.default_rng(1))
+    for xm, categorical, standard, kappa in scored:
+        assert kappa.kappa.flags.c_contiguous
+        fresh = model.cross_covariance(SampleFeatures.from_arrays(
+            domain, xm, categorical, standard, model.encoder))
+        assert np.array_equal(kappa.kappa, fresh)
+    assert {xm["o"] for xm, _, _, _ in scored} == {"Adam", "ASGD"}
+    # Integer columns (u1..u3) and continuous ones were both polled.
+    std = np.vstack([standard for xm, _, standard, _ in scored if xm == ADAM2])
+    assert len(np.unique(std[:, 1])) > 2 and len(np.unique(std[:, 0])) > 2
+    if case == "adam-only":
+        ids = domain.acting_index_set(mb.MetaComponent({"l": 2, "o": "ASGD"}), "standard")
+        lam = ids.index("lam")
+        asgd = [s for xm, _, s, _ in scored if xm["o"] == "ASGD"]
+        assert any(len(np.unique(s[:, lam])) > 1 for s in asgd)
+
+
+BARE = {
+    "name": "bare",
+    "variables": [
+        {"id": "m", "type": "meta-categorical", "role": "meta",
+         "scope": {"categories": ["A", "B", "C"]}},
+        {"id": "x", "type": "integer", "role": "decreed", "scope": {"lo": -2, "hi": 2},
+         "decree": [{"kind": "membership", "meta": "m", "allowed": ["A"]}]},
+    ],
+    "blackbox": {"command": ["true"]},
+}
+
+
+def tuple_fresh(domain, evaluated, batch):
+    """The per-row tuple-set check that the array comparison replaced."""
+    cat_ids = domain.acting_index_set(batch.xm, "categorical")
+    std_ids = domain.acting_index_set(batch.xm, "standard")
+    done = {tuple(p.categorical[v] for v in cat_ids) + tuple(p.standard[v] for v in std_ids)
+            for p in evaluated if p.meta == batch.xm}
+    rows = np.hstack([batch.categorical, batch.standard]).tolist()
+    return [tuple(row) not in done for row in rows]
+
+
+@pytest.mark.parametrize("enumeration_cap", [4096, 1], ids=["finite", "pattern"])
+def test_evaluated_points_are_never_offered_again(monkeypatch, enumeration_cap):
+    # Meta B has no acting non-meta variable and one evaluated point; meta C
+    # has none.  x = 0 was evaluated as an int.
+    domain = mb.parse_problem(BARE).domain
+    system = mb.ConstraintSystem(domain)
+    a, b, c = (mb.MetaComponent({"m": m}) for m in "ABC")
+    evaluated = [mb.Point(a, {}, {"x": 0}), mb.Point(a, {}, {"x": 1}), mb.Point(b, {}, {})]
+    model = mb.GPModel(domain, evaluated, [0.0, 1.0, -1.0], mb.default_kernel_config(domain))
+    pools = []
+    pick = _Candidates.pick
+    monkeypatch.setattr(_Candidates, "pick", lambda self: pools.append(self) or pick(self))
+    got = mb.maximize_acquisition(model, system, {}, evaluated, -1.0,
+                                  mb.BOConfig(budget=10, enumeration_cap=enumeration_cap),
+                                  np.random.default_rng(0))
+    assert got is not None and got.point() not in evaluated
+    candidates = pools[0]
+    # Floats stand for the int, and -0.0 equals 0.0, as in a cache key.
+    candidates.score(0, a, np.zeros((4, 0), dtype=int),
+                     np.array([[-0.0], [0.0], [1.0], [2.0]]), 9, 9, np.arange(4))
+    candidates.score(1, b, np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 9, 9, 0)
+    candidates.score(2, c, np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 9, 9, 0)
+    assert [list(batch.fresh) for batch in candidates._batches[-3:]] == [
+        [False, False, False, True], [False], [True]]
+    for batch in candidates._batches:
+        assert list(batch.fresh) == tuple_fresh(domain, evaluated, batch)
+    assert {batch.xm for batch in candidates._batches} == {a, b, c}
+
+
+def test_run_enumerates_a_finite_domain_once(monkeypatch, toy_problem):
+    calls = []
+    enumerate_points = bayesian.enumerate_domain_points
+    monkeypatch.setattr(bayesian, "enumerate_domain_points",
+                        lambda *args: calls.append(args) or enumerate_points(*args))
+    result = mb.run_bo(toy_problem, mb.BOConfig(budget=20, seed=1))
+    assert len(result.acquisition_log) > 1
+    assert len(calls) == 1
 
 
 # -- initial design and the loop -----------------------------------------------------------

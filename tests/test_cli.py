@@ -158,6 +158,25 @@ def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
     assert f"at {where}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d["variables"][3].update(decree=[3]), "variables[3].decree[0]"),
+    (lambda d: d.update(constraints=3), "constraints"),
+    (lambda d: d["variables"][1]["scope"].update(categories=3), "variables[1].scope.categories"),
+    (lambda d: d["variables"][5].update(decree=3), "variables[5].decree"),
+    (lambda d: d["constraints"][0]["analytic"].update(terms=3), "constraints[0].analytic.terms"),
+    (lambda d: d["constants"].update(u_hat=[1]), "constants.u_hat"),
+], ids=["family-decree-atom", "constraints", "categories", "variable-decree", "terms",
+        "constant"])
+def test_wrongly_typed_containers_are_validation_errors(tmp_path, capsys, edit, where):
+    # Each of these once escaped as a TypeError or AttributeError (exit 1).
+    document = json.loads(bundled_problem_path("mlp").read_text())
+    edit(document)
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"at {where}:" in capsys.readouterr().err
+
+
 def test_enumerate_renders_meta_like_the_history(tmp_path, capsys):
     document = {
         "variables": [

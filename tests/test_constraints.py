@@ -75,6 +75,23 @@ def test_evaluating_nonacting_constraint_is_a_decree_violation(mlp_system, mlp_d
         mlp_system.evaluate_analytic(spec, units_point(mlp_domain, 2))
 
 
+def test_a_spec_from_outside_the_system_keeps_its_decree_check(mlp_system, mlp_domain):
+    # The system's own acting specs skip the decree check; an equal copy, or a
+    # spec sharing an acting constraint's id under another decree, does not.
+    own = next(c for c in mlp_system.constraints if c.id == "units_mono_3")
+    copy = mb.ConstraintSpec(own.id, own.role, own.body, own.decree)
+    assert copy == own and copy is not own
+    assert mlp_system.evaluate_analytic(copy, units_point(mlp_domain, 3, u3=250)) == 50.0
+    with pytest.raises(mb.DecreeViolationError):
+        mlp_system.evaluate_analytic(copy, units_point(mlp_domain, 2))
+    acting = next(c for c in mlp_system.constraints if c.id == "units_mono_2")
+    stricter = mb.ConstraintSpec(acting.id, acting.role, acting.body,
+                                 mb.DecreePredicate((mb.Threshold("l", 3),)))
+    assert mlp_system.evaluate_analytic(acting, units_point(mlp_domain, 2, u2=250)) == 50.0
+    with pytest.raises(mb.DecreeViolationError):
+        mlp_system.evaluate_analytic(stricter, units_point(mlp_domain, 2, u2=250))
+
+
 # -- feasibility ---------------------------------------------------------------------
 
 def test_feasibility_all_nonpositive(mlp_system, mlp_domain):
