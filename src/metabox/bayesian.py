@@ -178,9 +178,8 @@ class _Candidates:
         component.
 
         Evaluated points are the rows of a (count, q + d) float array,
-        categorical indices then standard values.  Float equality matches
-        cache-key equality: keys render reals with 17 significant digits,
-        which round-trips exactly.
+        categorical indices then standard values.  Row equality under xm is
+        Point equality, the evaluator's identity: ``0.0`` matches ``-0.0``.
         """
         if xm not in self._under:
             domain = self.model.domain

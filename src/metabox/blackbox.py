@@ -2,8 +2,8 @@
 
 A Problem bundles a domain, a constraint system and one evaluation backend
 (an in-process callable or an external command).  An Evaluator wraps a
-Problem with a budget, a result cache keyed by canonical point strings, and
-an append-only history.  Cached hits append to the history but never spend
+Problem with a budget, a result cache keyed by Point equality, and an
+append-only history.  Cached hits append to the history but never spend
 budget.
 """
 
@@ -49,6 +49,16 @@ def cache_key(point: Point) -> str:
     acting = {**point.categorical, **point.standard}
     rest = ";".join(f"{k}={render_value(v)}" for k, v in sorted(acting.items()))
     return f"{point.meta.rendered}|{rest}"
+
+
+def _identity(point: Point) -> tuple:
+    """The evaluator's key of a point: its rendered meta component and its
+    sorted categorical and standard items, all memoized on the point.
+
+    Two valid points share it when they are equal as Points (``0.0`` equals
+    ``-0.0``), except that meta values compare as rendered.
+    """
+    return (point.meta.rendered, point._key[1], point._key[2])
 
 
 @dataclass
@@ -129,8 +139,12 @@ def _env_timeout(default: float) -> float:
 class Evaluator:
     """Stateful evaluation session: budget + cache + history as one synchronized unit.
 
-    Concurrent evaluate() calls are permitted; the budget check and increment
-    are atomic and duplicate in-flight keys coalesce onto one backend call.
+    Points are identified by Point equality: the same meta component (as
+    rendered) and equal categorical and standard maps, so ``0.0`` and
+    ``-0.0`` are one evaluation although :func:`cache_key` renders them
+    apart.  Concurrent evaluate() calls are permitted; the budget check and
+    increment are atomic, and duplicates in flight coalesce onto one backend
+    call.
     A failed evaluation is remembered too: requesting its point again records
     a cached failure and raises the same EvaluationError, free of budget.
     """
@@ -139,10 +153,11 @@ class Evaluator:
         self.problem = problem
         self.budget = BudgetState(int(max_evaluations))
         self.history: list[EvaluationRecord] = []
-        self._cache: dict[str, EvaluationRecord] = {}
-        self._failed: dict[str, str] = {}   # key -> error message
-        self._inflight: dict[str, threading.Event] = {}
+        # identity -> the fresh record, failed (``error`` set) or not
+        self._records: dict[tuple, EvaluationRecord] = {}
+        self._inflight: set[tuple] = set()
         self._lock = threading.Lock()
+        self._settled = threading.Condition(self._lock)
         if timeout is None:
             timeout = _env_timeout(problem.timeout)
         else:
@@ -154,62 +169,58 @@ class Evaluator:
     @property
     def evaluated_keys(self):
         with self._lock:
-            return set(self._cache)
+            points = [r.point for r in self._records.values() if r.error is None]
+        return {cache_key(p) for p in points}
 
     def is_evaluated(self, point: Point) -> bool:
         with self._lock:
-            return cache_key(point) in self._cache
+            record = self._records.get(_identity(point))
+        return record is not None and record.error is None
 
     def evaluate(self, point: Point) -> EvaluationRecord:
+        # Membership first: a float twin of an integer value is an equal
+        # Point, and must be refused rather than served the cached record.
         issues = self.problem.domain.membership_issues(point)
         if issues:
             raise DomainError(
                 f"point outside domain: {'; '.join(map(str, issues))}", issues)
-        key = cache_key(point)
-        while True:
-            with self._lock:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    record = EvaluationRecord(
-                        point=point, objective=hit.objective,
-                        constraints=dict(hit.constraints), feasible=hit.feasible,
-                        index=len(self.history), cached=True, wall_ms=0.0)
-                    self.history.append(record)
-                    return record
-                error = self._failed.get(key)
-                if error is not None:
-                    self.history.append(EvaluationRecord(
-                        point=point, objective=math.inf, constraints={}, feasible=False,
-                        index=len(self.history), cached=True, wall_ms=0.0, error=error))
-                    raise EvaluationError(error)
-                waiter = self._inflight.get(key)
-                if waiter is None:
-                    if self.budget.used >= self.budget.max_evaluations:
-                        raise BudgetExhaustedError(
-                            f"budget of {self.budget.max_evaluations} evaluations exhausted")
-                    self.budget.used += 1
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    break
-            waiter.wait()
+        key = _identity(point)
+        with self._lock:
+            while key in self._inflight:
+                self._settled.wait()
+            hit = self._records.get(key)
+            if hit is not None:
+                record = EvaluationRecord(
+                    point=point, objective=hit.objective,
+                    constraints=dict(hit.constraints), feasible=hit.feasible,
+                    index=len(self.history), cached=True, wall_ms=0.0, error=hit.error)
+                self.history.append(record)
+                if record.error is not None:
+                    raise EvaluationError(record.error)
+                return record
+            if self.budget.used >= self.budget.max_evaluations:
+                raise BudgetExhaustedError(
+                    f"budget of {self.budget.max_evaluations} evaluations exhausted")
+            self.budget.used += 1
+            self._inflight.add(key)
+        record = None
         try:
             record = self._run_backend(point)
         except EvaluationError as exc:
-            with self._lock:
-                failed = EvaluationRecord(
-                    point=point, objective=math.inf, constraints={}, feasible=False,
-                    index=len(self.history), cached=False, wall_ms=0.0, error=str(exc))
-                self.history.append(failed)
-                self._failed[key] = failed.error
-                del self._inflight[key]
-            event.set()
+            record = EvaluationRecord(
+                point=point, objective=math.inf, constraints={}, feasible=False,
+                index=-1, cached=False, wall_ms=0.0, error=str(exc))
             raise
-        with self._lock:
-            record.index = len(self.history)
-            self.history.append(record)
-            self._cache[key] = record
-            del self._inflight[key]
-        event.set()
+        finally:
+            with self._lock:
+                # Any other exception records nothing; a waiter then runs
+                # the point itself.
+                if record is not None:
+                    record.index = len(self.history)
+                    self.history.append(record)
+                    self._records[key] = record
+                self._inflight.discard(key)
+                self._settled.notify_all()
         return record
 
     # -- backend dispatch ----------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A problem file declares variables (with optional indexed families expanded at
 load), constraints (linear analytic bodies or blackbox outputs), named
-constants substituted into constraint bodies, the blackbox binding (builtin
-name or external command), and optional neighborhood rules.  Validation
-failures raise ProblemFileError with a stable code and the offending field
-path, e.g. ``variables[3].decree[0]``.
+constants substituted into constraint bodies and threshold minimums, the
+blackbox binding (builtin name or external command), and optional
+neighborhood rules.  Validation failures raise ProblemFileError with a
+stable code and the offending field path, e.g. ``variables[3].decree[0]``.
 """
 
 from __future__ import annotations
@@ -75,9 +75,11 @@ def _parse_scope(data, var_type, path):
     try:
         if var_type in (VariableType.META_CATEGORICAL, VariableType.NOMINAL,
                         VariableType.ORDINAL):
-            _expect(isinstance(data.get("categories"), list), "scope-malformed",
-                    f"{path}.categories", "categorical scope needs a categories list")
-            return CategoricalScope(tuple(data["categories"]))
+            categories = data.get("categories")
+            _expect(isinstance(categories, list) and not any(
+                isinstance(c, (list, dict)) for c in categories), "scope-malformed",
+                f"{path}.categories", "categorical scope needs a list of scalar labels")
+            return CategoricalScope(tuple(categories))
         if var_type in (VariableType.META_INTEGER, VariableType.INTEGER):
             _expect("lo" in data and "hi" in data, "scope-malformed", path,
                     "integer scope needs lo and hi")
@@ -92,7 +94,7 @@ def _parse_scope(data, var_type, path):
         _fail("scope-malformed", path, str(exc))
 
 
-def _parse_atom(data, index, path, meta_ids, all_ids):
+def _parse_atom(data, index, path, meta_ids, all_ids, constants):
     apath = f"{path}.decree[{index}]"
     _expect(isinstance(data, dict) and "kind" in data, "syntax", apath,
             "decree atom needs a kind")
@@ -110,8 +112,7 @@ def _parse_atom(data, index, path, meta_ids, all_ids):
         return Membership(meta_id, tuple(
             tuple(entry) if isinstance(entry, list) else entry for entry in allowed))
     if data["kind"] == "threshold":
-        _expect("min" in data, "syntax", apath, "threshold atom needs a min")
-        return Threshold(meta_id, data["min"])
+        return Threshold(meta_id, _number(data.get("min"), constants, f"{apath}.min"))
     _fail("syntax", apath, f"unknown decree atom kind {data['kind']!r}")
 
 
@@ -122,8 +123,8 @@ def _decree_entries(entry, path):
     return decree
 
 
-def _parse_decree(entry, path, meta_ids, all_ids) -> DecreePredicate:
-    return DecreePredicate(tuple(_parse_atom(a, j, path, meta_ids, all_ids)
+def _parse_decree(entry, path, meta_ids, all_ids, constants) -> DecreePredicate:
+    return DecreePredicate(tuple(_parse_atom(a, j, path, meta_ids, all_ids, constants)
                                  for j, a in enumerate(_decree_entries(entry, path))))
 
 
@@ -151,6 +152,8 @@ def _expand_variables(entries, constants):
                 ]
                 expanded.append((member, path))
         else:
+            _expect(isinstance(entry.get("id"), str) and entry["id"], "syntax", path,
+                    "variable needs an id")
             expanded.append((entry, path))
     return expanded
 
@@ -162,8 +165,6 @@ def _parse_variables(entries, constants):
     specs = []
     seen = set()
     for entry, path in expanded:
-        _expect(isinstance(entry.get("id"), str) and entry["id"], "syntax", path,
-                "variable needs an id")
         vid = entry["id"]
         _expect(vid not in seen, "duplicate-id", path, f"variable id {vid!r} repeats")
         seen.add(vid)
@@ -173,7 +174,7 @@ def _parse_variables(entries, constants):
         except ValueError as exc:
             _fail("syntax", path, str(exc))
         scope = _parse_scope(entry.get("scope"), var_type, f"{path}.scope")
-        decree = _parse_decree(entry, path, meta_ids, all_ids)
+        decree = _parse_decree(entry, path, meta_ids, all_ids, constants)
         try:
             specs.append(VariableSpec(vid, var_type, role, scope, decree,
                                       entry.get("default")))
@@ -194,7 +195,7 @@ def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
             role = Role(entry.get("role"))
         except ValueError as exc:
             _fail("syntax", path, str(exc))
-        decree = _parse_decree(entry, path, meta_ids, all_ids)
+        decree = _parse_decree(entry, path, meta_ids, all_ids, constants)
         if entry.get("blackbox"):
             body = BlackboxOutput()
         else:
@@ -207,16 +208,13 @@ def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
             terms = []
             for t, term in enumerate(listed):
                 tpath = f"{path}.analytic.terms[{t}]"
-                _expect(isinstance(term, list) and len(term) == 2, "syntax", tpath,
-                        "term must be [coefficient, variable id]")
-                coefficient = _number(term[0], constants, tpath)
-                vid = term[1]
-                if vid not in domain:
-                    _fail("unknown-id", tpath, f"unknown variable {vid!r}")
-                if domain.spec(vid).type not in GROUPS["standard"]:
-                    _fail("invalid-reference", tpath,
-                          f"analytic bodies may only reference integer/continuous "
-                          f"variables, not {vid!r}")
+                _expect(isinstance(term, list) and len(term) == 2 and isinstance(term[1], str),
+                        "syntax", tpath, "term must be [coefficient, variable id]")
+                coefficient, vid = _number(term[0], constants, tpath), term[1]
+                _expect(vid in domain, "unknown-id", tpath, f"unknown variable {vid!r}")
+                _expect(domain.spec(vid).type in GROUPS["standard"], "invalid-reference",
+                        tpath, "analytic bodies may only reference integer/continuous "
+                        f"variables, not {vid!r}")
                 terms.append((coefficient, vid))
             constant = _number(analytic.get("constant", 0.0), constants,
                                f"{path}.analytic.constant")
@@ -294,8 +292,9 @@ def parse_problem(document: dict) -> ParsedProblem:
     builtin = None
     if "builtin" in blackbox:
         builtin = blackbox["builtin"]
-        _expect(builtin in BUILTIN_OBJECTIVES, "unknown-id", "blackbox.builtin",
-                f"unknown builtin {builtin!r}; expected one of {sorted(BUILTIN_OBJECTIVES)}")
+        _expect(isinstance(builtin, str) and builtin in BUILTIN_OBJECTIVES, "unknown-id",
+                "blackbox.builtin", f"unknown builtin {builtin!r}; expected one of "
+                f"{sorted(BUILTIN_OBJECTIVES)}")
         problem = Problem(domain=domain, constraints=system,
                           objective=BUILTIN_OBJECTIVES[builtin](domain),
                           timeout=timeout, name=document.get("name", builtin))

@@ -128,6 +128,114 @@ def test_in_flight_duplicates_wait_for_one_slow_call(toy_problem):
     assert all(r.objective == 3.0 for r in records)
 
 
+def test_in_flight_duplicates_of_a_failing_call_share_its_failure(toy_problem):
+    calls = []
+
+    def failing_objective(point):
+        calls.append(point)
+        time.sleep(0.15)
+        raise RuntimeError("solver diverged")
+
+    problem = mb.Problem(domain=toy_problem.domain,
+                         constraints=mb.ConstraintSystem(toy_problem.domain, []),
+                         objective=failing_objective)
+    evaluator = mb.Evaluator(problem, 10)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
+
+    def attempt(_):
+        with pytest.raises(mb.EvaluationError, match="solver diverged"):
+            evaluator.evaluate(point)
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(attempt, range(4), timeout=30))
+    assert len(calls) == 1 and evaluator.budget.used == 1
+    assert sorted(r.cached for r in evaluator.history) == [False, True, True, True]
+    assert all(r.error and "solver diverged" in r.error for r in evaluator.history)
+
+
+def test_concurrent_evaluations_charge_each_point_once(toy_problem):
+    # Eight threads race over 50 requests for 10 points, with a short
+    # switch interval so a lost update in the bookkeeping would show.  The
+    # objective sleeps, so duplicates are in flight together.
+    def objective(point):
+        time.sleep(0.002)
+        return toy_problem.objective(point)
+
+    domain = toy_problem.domain
+    problem = mb.Problem(domain=domain, constraints=toy_problem.constraints,
+                         objective=objective)
+    points = [domain.complete_point(mb.MetaComponent({"m": m}), {"k": k})
+              for m in ("A", "B") for k in range(5)]
+    requests = points * 5
+    evaluator = mb.Evaluator(problem, len(points))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            records = list(pool.map(evaluator.evaluate, requests, timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert evaluator.budget.used == len(points)
+    assert len(evaluator.history) == len(requests)
+    assert sorted(r.index for r in evaluator.history) == list(range(len(requests)))
+    fresh = [r.point for r in evaluator.history if not r.cached]
+    assert sorted(map(cache_key, fresh)) == sorted(set(map(cache_key, points)))
+    assert all(r.objective == evaluator.evaluate(r.point).objective for r in records)
+
+
+def test_waiters_run_the_point_when_the_backend_aborts(toy_problem):
+    # An exception that is not an EvaluationError records nothing; the
+    # duplicate waiting on that call must wake and run the point itself.
+    class Abort(BaseException):
+        pass
+
+    calls = []
+
+    def objective(point):
+        calls.append(point)
+        if len(calls) == 1:
+            time.sleep(0.15)
+            raise Abort()
+        return 1.0, {}
+
+    problem = mb.Problem(domain=toy_problem.domain,
+                         constraints=mb.ConstraintSystem(toy_problem.domain, []),
+                         objective=objective)
+    evaluator = mb.Evaluator(problem, 10)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(evaluator.evaluate, point)
+        time.sleep(0.05)
+        second = pool.submit(evaluator.evaluate, point)
+        with pytest.raises(Abort):
+            first.result(timeout=30)
+        assert second.result(timeout=30).objective == 1.0
+    assert len(calls) == 2 and evaluator.budget.used == 2
+    assert [r.cached for r in evaluator.history] == [False]
+
+
+def test_signed_zero_twins_are_one_evaluation():
+    # Point equality is the evaluator's identity: 0.0 == -0.0, although the
+    # two render differently in cache_key.
+    domain = mb.Domain([
+        mb.VariableSpec("m", mb.VariableType.META_CATEGORICAL, mb.Role.META,
+                        mb.CategoricalScope(("A", "B"))),
+        mb.VariableSpec("x", mb.VariableType.CONTINUOUS, mb.Role.GLOBAL,
+                        mb.ContinuousScope(-1.0, 1.0)),
+    ])
+    problem = mb.Problem(domain=domain, constraints=mb.ConstraintSystem(domain, []),
+                         objective=lambda point: (point.standard["x"] ** 2, {}))
+    evaluator = mb.Evaluator(problem, 5)
+    zero, negative_zero = (mb.Point({"m": "A"}, {}, {"x": x}) for x in (0.0, -0.0))
+    assert cache_key(zero) != cache_key(negative_zero)
+    assert not evaluator.is_evaluated(negative_zero)
+    assert not evaluator.evaluate(zero).cached
+    assert evaluator.is_evaluated(negative_zero)
+    assert evaluator.evaluate(negative_zero).cached
+    assert evaluator.budget.used == 1
+    assert evaluator.evaluated_keys == {cache_key(zero)}
+
+
 def test_timeout_env_var_override(monkeypatch, toy_problem):
     monkeypatch.setenv("METABOX_BLACKBOX_TIMEOUT", "7.5")
     evaluator = mb.Evaluator(toy_problem, 1)

@@ -277,7 +277,7 @@ def proxy_samples(mlp_problem, count, seed=5):
     points, values = [], []
     while len(points) < count:
         point = random_point(mlp_problem.domain, rng)
-        if mb.cache_key(point) in evaluator.evaluated_keys:
+        if evaluator.is_evaluated(point):
             continue
         record = evaluator.evaluate(point)
         points.append(point)

@@ -121,6 +121,15 @@ def test_unknown_constant(mlp_parsed):
     expect_error(document, "unknown-constant")
 
 
+def test_threshold_minimum_may_name_a_constant():
+    document = base_document()
+    document["constants"]["deep"] = 3
+    document["constraints"][2]["decree"][0]["min"] = "$deep"
+    parsed = mb.parse_problem(document)
+    assert parsed.system.constraints[2].decree.atoms == (mb.Threshold("l", 3),)
+    document["constraints"][2]["decree"][0]["min"] = "$ghost"
+    expect_error(document, "unknown-constant", "constraints[2].decree[0].min")
+
 def test_duplicate_variable_id(mlp_parsed):
     document = base_document()
     document["variables"].append(dict(document["variables"][0]))
@@ -151,3 +160,70 @@ def test_syntax_error_on_invalid_json(tmp_path):
 def test_missing_file_is_a_syntax_error(tmp_path):
     with pytest.raises(mb.ProblemFileError):
         mb.parse_problem_file(tmp_path / "missing.json")
+
+
+
+# -- total validation: every single-field mutation of the bundled files -----------
+
+MUTATION_VALUES = (3, None, "x", [], {}, True)
+
+
+def field_paths(node, prefix=""):
+    """``(path, container, key)`` for every field below ``node``, in document order."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        path = (f"{prefix}[{key}]" if isinstance(key, int)
+                else f"{prefix}.{key}" if prefix else key)
+        yield path, node, key
+        yield from field_paths(child, path)
+
+
+def mutations():
+    """``(file, path, value, document)``: a bundled file with the field at
+    ``path`` replaced by ``value``, for every field and every MUTATION_VALUE.
+    The document is restored after each step, so consume it before advancing."""
+    for name in ("mlp", "toy"):
+        document = json.loads(bundled_problem_path(name).read_text())
+        for path, container, key in list(field_paths(document)):
+            original = container[key]
+            for value in MUTATION_VALUES:
+                container[key] = value
+                yield name, path, value, document
+            container[key] = original
+
+
+def test_every_single_field_mutation_parses_or_names_its_field():
+    count = 0
+    escapes = []
+    for name, path, value, document in mutations():
+        count += 1
+        try:
+            mb.parse_problem(document)
+        except mb.ProblemFileError as exc:
+            if not exc.path:
+                escapes.append((name, path, value, "no field path"))
+        except Exception as exc:
+            escapes.append((name, path, value, repr(exc)))
+    assert count == 1908
+    assert escapes == []
+
+
+@pytest.mark.parametrize("name, field, value, where", [
+    ("mlp", "variables[0].id", [], "variables[0]"),
+    ("toy", "variables[3].id", {}, "variables[3]"),
+    ("toy", "variables[0].scope.categories[1]", {}, "variables[0].scope.categories"),
+    ("mlp", "constraints[0].analytic.terms[2][1]", [], "constraints[0].analytic.terms[2]"),
+    ("mlp", "constraints[1].decree[0].min", "x", "constraints[1].decree[0].min"),
+    ("mlp", "variables[3].decree[0].min", None, "variables[3].decree[0].min"),
+    ("toy", "blackbox.builtin", [], "blackbox.builtin"),
+])
+def test_untyped_fields_raise_with_their_path(name, field, value, where):
+    # Each of these once escaped parse_problem as a raw TypeError.
+    for case in mutations():
+        if case[:3] == (name, field, value):
+            with pytest.raises(mb.ProblemFileError) as err:
+                mb.parse_problem(case[3])
+            assert err.value.path == where
+            return
+    pytest.fail(f"{field} is not a field of {name}")
