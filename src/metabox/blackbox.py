@@ -110,7 +110,10 @@ class Problem:
         if (self.objective is None) == (not self.command):
             raise ValueError("exactly one of objective/command must be provided")
         _check_timeout(self.timeout, "Problem timeout")
-        object.__setattr__(self, "command", tuple(self.command))
+        command = self.command
+        object.__setattr__(self, "command", tuple(command))
+        if isinstance(command, str) or not all(isinstance(part, str) for part in self.command):
+            raise ConfigurationError(f"command must be a sequence of strings, got {command!r}")
 
 
 def subprocess_payload(domain: Domain, point: Point) -> dict:

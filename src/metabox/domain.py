@@ -238,6 +238,12 @@ class Membership:
     def __post_init__(self):
         object.__setattr__(self, "allowed", tuple(
             tuple(a) if isinstance(a, (tuple, list)) else a for a in self.allowed))
+        for entry in self.allowed:
+            if isinstance(entry, tuple) and not (
+                    len(entry) == 2 and all(isinstance(b, numbers.Real) and not _is_bool(b)
+                                            for b in entry)):
+                raise ScopeError(f"membership interval {entry!r} on {self.meta_id!r} "
+                                 "must be a (lo, hi) pair of numbers")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ constants substituted into constraint bodies and threshold minimums, the
 blackbox binding (builtin name or external command), and optional
 neighborhood rules.  Validation failures raise ProblemFileError with a
 stable code and the offending field path, e.g. ``variables[3].decree[0]``.
+Every field is read through :func:`_field`, which checks its JSON kind
+against the one table ``_KINDS``; the parse functions keep only the semantic
+checks (scopes, decrees, co-acting, ids and constants).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .blackbox import Problem, valid_timeout
+from .blackbox import Problem
 from .builtin_problems import _mlp_objective_factory, _toy_objective_factory
 from .constraints import (BlackboxOutput, ConstraintSpec, ConstraintSystem,
                           LinearExpression)
@@ -34,6 +37,40 @@ BUILTIN_OBJECTIVES = {
 _CONSTANT_RE = re.compile(r"^(-)?\$(\w+)$")
 
 
+def _is_number(value):
+    """A number no larger in size than the largest float (so neither NaN nor
+    infinite); a bool is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= 1.7976931348623157e308)
+
+
+def _is_scalar(value):
+    return not isinstance(value, (list, dict))
+
+
+#: The JSON kinds a problem-file field may hold: kind -> (test, what it expects).
+_KINDS = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "nonempty list": (lambda v: isinstance(v, list) and v != [], "a nonempty list"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "id": (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "number": (_is_number, "a finite number"),
+    "quantity": (lambda v: _is_number(v) or isinstance(v, str) and bool(_CONSTANT_RE.match(v)),
+                 'a finite number or "$constant"'),
+    "scalar": (_is_scalar, "a scalar"),
+    "labels": (lambda v: isinstance(v, list) and all(map(_is_scalar, v)),
+               "a list of scalar labels"),
+    "pair": (lambda v: isinstance(v, list) and len(v) == 2, "a two-element list"),
+    "entry": (lambda v: _is_scalar(v) or isinstance(v, list) and len(v) == 2
+              and all(map(_is_number, v)), "a scalar or a [lo, hi] pair of numbers"),
+}
+
+_REQUIRED = object()
+
+
 def _fail(code, path, message):
     raise ProblemFileError(code, path, message)
 
@@ -43,125 +80,116 @@ def _expect(condition, code, path, message):
         _fail(code, path, message)
 
 
-def _cast(cast, value, code, path):
-    """``cast(value)``, or a validation failure with ``code`` at ``path``."""
+def _check(value, path, kind, code="syntax"):
+    """``value``, if it is of ``kind`` (a key of ``_KINDS``); else a failure at ``path``."""
+    test, expected = _KINDS[kind]
+    if not test(value):
+        _fail(code, path, f"expected {expected}, got {value!r}")
+    return value
+
+
+def _field(obj, key, path, kind, default=_REQUIRED, code="syntax"):
+    """``obj[key]`` checked to be of ``kind``, or ``default`` when the key is
+    absent; a missing required field fails with ``code`` at ``path``."""
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        _fail(code, path, f"expected {cast.__name__}, got {value!r}")
+        value = obj[key]
+    except KeyError:
+        _expect(default is not _REQUIRED, code, path,
+                f"{key!r} is required: {_KINDS[kind][1]}")
+        return default
+    return _check(value, path, kind, code)
 
 
-def _number(value, constants, path):
-    if isinstance(value, bool):
-        _fail("syntax", path, "expected a number")
-    if isinstance(value, (int, float)):
+def _items(obj, key, path, kind, item_kind, default=_REQUIRED):
+    """``(element, its path)`` for each element of the list field ``obj[key]``
+    of ``kind``, each element checked to be of ``item_kind``."""
+    return [(_check(item, f"{path}[{j}]", item_kind), f"{path}[{j}]")
+            for j, item in enumerate(_field(obj, key, path, kind, default))]
+
+
+def _number(obj, key, path, constants, default=_REQUIRED):
+    """The number at ``obj[key]``, or the declared constant a ``$name`` or
+    ``-$name`` there refers to."""
+    value = _field(obj, key, path, "quantity", default)
+    if _is_number(value):
         return value
-    if isinstance(value, str):
-        match = _CONSTANT_RE.match(value)
-        if not match:
-            _fail("syntax", path, f"expected a number or $constant, got {value!r}")
-        sign, name = match.groups()
-        if name not in constants:
-            _fail("unknown-constant", path, f"constant {name!r} is not declared")
-        value = constants[name]
-        _expect(isinstance(value, (int, float)) and not isinstance(value, bool), "syntax",
-                f"constants.{name}", f"constant {name!r} must be a number, got {value!r}")
-        return -value if sign else value
-    _fail("syntax", path, f"expected a number, got {type(value).__name__}")
+    sign, name = _CONSTANT_RE.match(value).groups()
+    _expect(name in constants, "unknown-constant", path, f"constant {name!r} is not declared")
+    value = _field(constants, name, f"constants.{name}", "number")
+    return -value if sign else value
 
 
-def _parse_scope(data, var_type, path):
-    _expect(isinstance(data, dict), "scope-malformed", path, "scope must be an object")
+def _parse_scope(entry, var_type, path):
+    path = f"{path}.scope"
+    scope = _field(entry, "scope", path, "object", code="scope-malformed")
+
+    def bound(key, kind, default=_REQUIRED):
+        return _field(scope, key, f"{path}.{key}", kind, default, "scope-malformed")
+
     try:
         if var_type in (VariableType.META_CATEGORICAL, VariableType.NOMINAL,
                         VariableType.ORDINAL):
-            categories = data.get("categories")
-            _expect(isinstance(categories, list) and not any(
-                isinstance(c, (list, dict)) for c in categories), "scope-malformed",
-                f"{path}.categories", "categorical scope needs a list of scalar labels")
-            return CategoricalScope(tuple(categories))
+            return CategoricalScope(tuple(bound("categories", "labels")))
         if var_type in (VariableType.META_INTEGER, VariableType.INTEGER):
-            _expect("lo" in data and "hi" in data, "scope-malformed", path,
-                    "integer scope needs lo and hi")
-            return IntegerScope(data["lo"], data["hi"])
-        _expect("lo" in data and "hi" in data, "scope-malformed", path,
-                "continuous scope needs lo and hi")
-        return ContinuousScope(_cast(float, data["lo"], "scope-malformed", f"{path}.lo"),
-                               _cast(float, data["hi"], "scope-malformed", f"{path}.hi"),
-                               bool(data.get("lo_open", False)),
-                               bool(data.get("hi_open", False)))
+            return IntegerScope(bound("lo", "integer"), bound("hi", "integer"))
+        return ContinuousScope(float(bound("lo", "number")), float(bound("hi", "number")),
+                               bound("lo_open", "bool", False), bound("hi_open", "bool", False))
     except ScopeError as exc:
         _fail("scope-malformed", path, str(exc))
 
 
-def _parse_atom(data, index, path, meta_ids, all_ids, constants):
-    apath = f"{path}.decree[{index}]"
-    _expect(isinstance(data, dict) and "kind" in data, "syntax", apath,
-            "decree atom needs a kind")
-    meta_id = data.get("meta")
-    _expect(isinstance(meta_id, str), "syntax", apath, "decree atom needs a meta id")
+def _parse_atom(data, apath, meta_ids, all_ids, constants):
+    kind = _field(data, "kind", apath, "string")
+    meta_id = _field(data, "meta", apath, "string")
     if meta_id not in meta_ids:
         if meta_id in all_ids:
             _fail("meta-decreeing-meta", apath,
                   f"{meta_id!r} is not a meta variable; only meta variables decree")
         _fail("unknown-id", apath, f"unknown variable {meta_id!r} in decree")
-    if data["kind"] == "membership":
-        allowed = data.get("allowed")
-        _expect(isinstance(allowed, list) and allowed, "syntax", apath,
-                "membership atom needs a nonempty allowed list")
-        return Membership(meta_id, tuple(
-            tuple(entry) if isinstance(entry, list) else entry for entry in allowed))
-    if data["kind"] == "threshold":
-        return Threshold(meta_id, _number(data.get("min"), constants, f"{apath}.min"))
-    _fail("syntax", apath, f"unknown decree atom kind {data['kind']!r}")
+    if kind == "membership":
+        return Membership(meta_id, tuple(entry for entry, _ in _items(
+            data, "allowed", f"{apath}.allowed", "nonempty list", "entry")))
+    if kind == "threshold":
+        return Threshold(meta_id, _number(data, "min", f"{apath}.min", constants))
+    _fail("syntax", apath, f"unknown decree atom kind {kind!r}")
 
 
-def _decree_entries(entry, path):
-    """The decree list of a variable or constraint entry (empty when absent)."""
-    decree = entry.get("decree", [])
-    _expect(isinstance(decree, list), "syntax", f"{path}.decree", "decree must be a list")
-    return decree
+def _decree_atoms(entry, path):
+    """``(atom, its path)`` for the decree of a variable or constraint entry."""
+    return _items(entry, "decree", f"{path}.decree", "list", "object", [])
 
 
 def _parse_decree(entry, path, meta_ids, all_ids, constants) -> DecreePredicate:
-    return DecreePredicate(tuple(_parse_atom(a, j, path, meta_ids, all_ids, constants)
-                                 for j, a in enumerate(_decree_entries(entry, path))))
+    return DecreePredicate(tuple(_parse_atom(atom, apath, meta_ids, all_ids, constants)
+                                 for atom, apath in _decree_atoms(entry, path)))
 
 
-def _expand_variables(entries, constants):
+def _expand_variables(document):
     """Expand indexed families into individual variable descriptors."""
     expanded = []
-    for i, entry in enumerate(entries):
-        path = f"variables[{i}]"
-        _expect(isinstance(entry, dict), "syntax", path, "variable must be an object")
-        if "family" in entry:
-            _expect("first" in entry and "last" in entry, "syntax", path,
-                    "family needs first and last indices")
-            first = _cast(int, entry["first"], "syntax", f"{path}.first")
-            last = _cast(int, entry["last"], "syntax", f"{path}.last")
-            _expect(first <= last, "syntax", path, "family needs first <= last")
-            for index in range(first, last + 1):
-                member = {k: v for k, v in entry.items()
-                          if k not in ("family", "first", "last")}
-                member["id"] = f"{entry['family']}{index}"
-                # A malformed atom passes through for _parse_atom to reject.
-                member["decree"] = [
-                    {k: (index if v == "$index" else v) for k, v in atom.items()}
-                    if isinstance(atom, dict) else atom
-                    for atom in _decree_entries(entry, path)
-                ]
-                expanded.append((member, path))
-        else:
-            _expect(isinstance(entry.get("id"), str) and entry["id"], "syntax", path,
-                    "variable needs an id")
+    for entry, path in _items(document, "variables", "variables", "nonempty list", "object"):
+        if "family" not in entry:
+            _field(entry, "id", path, "id")
             expanded.append((entry, path))
+            continue
+        family = _field(entry, "family", f"{path}.family", "id")
+        first = _field(entry, "first", f"{path}.first", "integer")
+        last = _field(entry, "last", f"{path}.last", "integer")
+        _expect(first <= last, "syntax", path, "family needs first <= last")
+        atoms = [atom for atom, _ in _decree_atoms(entry, path)]
+        for index in range(first, last + 1):
+            member = {k: v for k, v in entry.items() if k not in ("family", "first", "last")}
+            member["id"] = f"{family}{index}"
+            member["decree"] = [{k: (index if v == "$index" else v) for k, v in atom.items()}
+                                for atom in atoms]
+            expanded.append((member, path))
     return expanded
 
 
-def _parse_variables(entries, constants):
-    expanded = _expand_variables(entries, constants)
-    meta_ids = {entry.get("id") for entry, _ in expanded if entry.get("role") == "meta"}
-    all_ids = {entry.get("id") for entry, _ in expanded}
+def _parse_variables(document, constants):
+    expanded = _expand_variables(document)
+    meta_ids = {entry["id"] for entry, _ in expanded if entry.get("role") == "meta"}
+    all_ids = {entry["id"] for entry, _ in expanded}
     specs = []
     seen = set()
     for entry, path in expanded:
@@ -169,81 +197,67 @@ def _parse_variables(entries, constants):
         _expect(vid not in seen, "duplicate-id", path, f"variable id {vid!r} repeats")
         seen.add(vid)
         try:
-            var_type = VariableType(entry.get("type"))
-            role = Role(entry.get("role"))
+            var_type = VariableType(_field(entry, "type", path, "string"))
+            role = Role(_field(entry, "role", path, "string"))
         except ValueError as exc:
             _fail("syntax", path, str(exc))
-        scope = _parse_scope(entry.get("scope"), var_type, f"{path}.scope")
+        scope = _parse_scope(entry, var_type, path)
         decree = _parse_decree(entry, path, meta_ids, all_ids, constants)
         try:
             specs.append(VariableSpec(vid, var_type, role, scope, decree,
-                                      entry.get("default")))
+                                      _field(entry, "default", f"{path}.default", "scalar",
+                                             None)))
         except ScopeError as exc:
             _fail("scope-malformed", path, str(exc))
     return specs, meta_ids, all_ids
 
 
-def _parse_constraints(entries, constants, domain, meta_ids, all_ids):
-    _expect(isinstance(entries, list), "syntax", "constraints", "constraints must be a list")
+def _parse_constraints(document, constants, domain, meta_ids, all_ids):
     specs = []
-    for i, entry in enumerate(entries):
-        path = f"constraints[{i}]"
-        _expect(isinstance(entry, dict), "syntax", path, "constraint must be an object")
-        _expect(isinstance(entry.get("id"), str) and entry["id"], "syntax", path,
-                "constraint needs an id")
+    for entry, path in _items(document, "constraints", "constraints", "list", "object", []):
+        cid = _field(entry, "id", path, "id")
         try:
-            role = Role(entry.get("role"))
+            role = Role(_field(entry, "role", path, "string"))
         except ValueError as exc:
             _fail("syntax", path, str(exc))
         decree = _parse_decree(entry, path, meta_ids, all_ids, constants)
-        if entry.get("blackbox"):
+        if _field(entry, "blackbox", f"{path}.blackbox", "bool", False):
             body = BlackboxOutput()
         else:
-            analytic = entry.get("analytic")
-            _expect(isinstance(analytic, dict), "syntax", path,
-                    "constraint needs an analytic body or blackbox: true")
-            listed = analytic.get("terms", [])
-            _expect(isinstance(listed, list), "syntax", f"{path}.analytic.terms",
-                    "terms must be a list")
+            apath = f"{path}.analytic"
+            analytic = _field(entry, "analytic", apath, "object")
             terms = []
-            for t, term in enumerate(listed):
-                tpath = f"{path}.analytic.terms[{t}]"
-                _expect(isinstance(term, list) and len(term) == 2 and isinstance(term[1], str),
-                        "syntax", tpath, "term must be [coefficient, variable id]")
-                coefficient, vid = _number(term[0], constants, tpath), term[1]
+            for term, tpath in _items(analytic, "terms", f"{apath}.terms", "list", "pair", []):
+                vid = _field(term, 1, tpath, "string")
+                coefficient = _number(term, 0, tpath, constants)
                 _expect(vid in domain, "unknown-id", tpath, f"unknown variable {vid!r}")
                 _expect(domain.spec(vid).type in GROUPS["standard"], "invalid-reference",
                         tpath, "analytic bodies may only reference integer/continuous "
                         f"variables, not {vid!r}")
                 terms.append((coefficient, vid))
-            constant = _number(analytic.get("constant", 0.0), constants,
-                               f"{path}.analytic.constant")
-            body = LinearExpression(tuple(terms), constant)
+            body = LinearExpression(tuple(terms), _number(analytic, "constant",
+                                                          f"{apath}.constant", constants, 0.0))
         try:
-            specs.append(ConstraintSpec(entry["id"], role, body, decree))
+            specs.append(ConstraintSpec(cid, role, body, decree))
         except ScopeError as exc:
             _fail("syntax", path, str(exc))
     return specs
 
 
 def _parse_rule(data, path):
-    _expect(isinstance(data, dict) and "kind" in data, "syntax", path, "rule needs a kind")
-    kind = data["kind"]
+    kind = _field(data, "kind", path, "string")
     if kind == "combined":
-        moves = data.get("moves")
-        _expect(isinstance(moves, list) and moves, "syntax", path,
-                "combined rule needs a nonempty moves list")
-        return Combined(tuple(_parse_rule(m, f"{path}.moves[{j}]")
-                              for j, m in enumerate(moves)))
+        return Combined(tuple(_parse_rule(move, mpath) for move, mpath in _items(
+            data, "moves", f"{path}.moves", "nonempty list", "object")))
     _expect(kind in ("increment-meta", "swap", "increment-ordinal"), "syntax", path,
             f"unknown rule kind {kind!r}")
-    _expect(isinstance(data.get("id"), str), "syntax", path, "rule needs a variable id")
+    var_id = _field(data, "id", path, "string")
     if kind == "swap":
-        return SwapCategorical(data["id"])
-    delta = _cast(int, data.get("delta", 1), "syntax", f"{path}.delta")
+        return SwapCategorical(var_id)
+    delta = _field(data, "delta", f"{path}.delta", "integer", 1)
     if kind == "increment-meta":
-        return IncrementMetaInteger(data["id"], delta)
-    return IncrementOrdinal(data["id"], delta)
+        return IncrementMetaInteger(var_id, delta)
+    return IncrementOrdinal(var_id, delta)
 
 
 @dataclass
@@ -260,21 +274,15 @@ class ParsedProblem:
 
 
 def parse_problem(document: dict) -> ParsedProblem:
-    _expect(isinstance(document, dict), "syntax", "", "problem file must be a JSON object")
-    constants = document.get("constants", {})
-    _expect(isinstance(constants, dict), "syntax", "constants",
-            "constants must be an object")
-    variables = document.get("variables")
-    _expect(isinstance(variables, list) and variables, "syntax", "variables",
-            "variables must be a nonempty list")
-    specs, meta_ids, all_ids = _parse_variables(variables, constants)
+    _check(document, "", "object")
+    name = _field(document, "name", "name", "string", "")
+    constants = _field(document, "constants", "constants", "object", {})
+    specs, meta_ids, all_ids = _parse_variables(document, constants)
     try:
-        domain = Domain(specs, name=document.get("name", ""))
+        domain = Domain(specs, name=name)
     except ScopeError as exc:
-        _fail("meta-decreeing-meta" if "not a meta variable" in str(exc) else "syntax",
-              "variables", str(exc))
-    constraint_specs = _parse_constraints(document.get("constraints", []), constants,
-                                          domain, meta_ids, all_ids)
+        _fail("syntax", "variables", str(exc))
+    constraint_specs = _parse_constraints(document, constants, domain, meta_ids, all_ids)
     try:
         system = ConstraintSystem(domain, constraint_specs)
     except ScopeError as exc:
@@ -282,44 +290,35 @@ def parse_problem(document: dict) -> ParsedProblem:
                 or "acting whenever" in str(exc) else "syntax")
         _fail(code, "constraints", str(exc))
 
-    blackbox = document.get("blackbox")
-    _expect(isinstance(blackbox, dict), "syntax", "blackbox",
-            "blackbox must be an object with builtin or command")
-    timeout = blackbox.get("timeout", 60.0)
-    _expect(valid_timeout(timeout), "syntax", "blackbox.timeout",
+    blackbox = _field(document, "blackbox", "blackbox", "object")
+    timeout = _field(blackbox, "timeout", "blackbox.timeout", "number", 60.0)
+    _expect(timeout > 0, "syntax", "blackbox.timeout",
             f"timeout must be a positive number of seconds, got {timeout!r}")
     timeout = float(timeout)
     builtin = None
     if "builtin" in blackbox:
-        builtin = blackbox["builtin"]
-        _expect(isinstance(builtin, str) and builtin in BUILTIN_OBJECTIVES, "unknown-id",
-                "blackbox.builtin", f"unknown builtin {builtin!r}; expected one of "
-                f"{sorted(BUILTIN_OBJECTIVES)}")
+        builtin = _field(blackbox, "builtin", "blackbox.builtin", "string")
+        _expect(builtin in BUILTIN_OBJECTIVES, "unknown-id", "blackbox.builtin",
+                f"unknown builtin {builtin!r}; expected one of {sorted(BUILTIN_OBJECTIVES)}")
         problem = Problem(domain=domain, constraints=system,
-                          objective=BUILTIN_OBJECTIVES[builtin](domain),
-                          timeout=timeout, name=document.get("name", builtin))
+                          objective=BUILTIN_OBJECTIVES[builtin](domain), timeout=timeout,
+                          name=name if "name" in document else builtin)
     else:
-        command = blackbox.get("command")
-        _expect(isinstance(command, list) and command, "syntax", "blackbox.command",
-                "command must be a nonempty list of strings")
-        problem = Problem(domain=domain, constraints=system, command=tuple(command),
-                          timeout=timeout, name=document.get("name", ""))
+        command = _items(blackbox, "command", "blackbox.command", "nonempty list", "string")
+        problem = Problem(domain=domain, constraints=system,
+                          command=tuple(part for part, _ in command), timeout=timeout,
+                          name=name)
 
-    neighborhoods = document.get("neighborhoods", {})
-    _expect(isinstance(neighborhoods, dict), "syntax", "neighborhoods",
-            "neighborhoods must be an object")
+    neighborhoods = _field(document, "neighborhoods", "neighborhoods", "object", {})
     mappings = {}
     for kind in ("meta", "categorical"):
-        rules = neighborhoods.get(kind)
+        rules = _items(neighborhoods, kind, f"neighborhoods.{kind}", "list", "object", [])
         if rules:
-            _expect(isinstance(rules, list), "syntax", f"neighborhoods.{kind}",
-                    "neighborhood rules must be a list")
             mappings[kind] = NeighborhoodMapping(kind, tuple(
-                _parse_rule(r, f"neighborhoods.{kind}[{j}]") for j, r in enumerate(rules)))
-    metadata = document.get("metadata", {})
-    _expect(isinstance(metadata, dict), "syntax", "metadata", "metadata must be an object")
+                _parse_rule(rule, rpath) for rule, rpath in rules))
+    metadata = _field(document, "metadata", "metadata", "object", {})
 
-    return ParsedProblem(name=document.get("name", ""), domain=domain, system=system,
+    return ParsedProblem(name=name, domain=domain, system=system,
                          problem=problem, meta_mapping=mappings.get("meta"),
                          categorical_mapping=mappings.get("categorical"),
                          constants=dict(constants), metadata=dict(metadata),

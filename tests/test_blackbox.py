@@ -260,6 +260,16 @@ def test_invalid_timeout_in_code_is_a_configuration_error(toy_problem, timeout):
         mb.Evaluator(toy_problem, 1, timeout=timeout)
 
 
+@pytest.mark.parametrize("command", [("python3", 3), "python3 blackbox.py"])
+def test_command_that_is_not_a_sequence_of_strings_is_a_configuration_error(toy_problem,
+                                                                             command):
+    # A non-string entry once made Popen raise a TypeError out of evaluate,
+    # which catches only OSError; a string was split into one-letter arguments.
+    with pytest.raises(mb.ConfigurationError, match="command"):
+        mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                   command=command)
+
+
 # -- the proxy problem ----------------------------------------------------------------
 
 def test_proxy_minimum_is_zero(mlp_problem):

@@ -147,9 +147,15 @@ def rule_without_id(document):
     (rule_without_id, "neighborhoods.meta[0]"),
     (lambda d: d.update(neighborhoods=[]), "neighborhoods"),
     (lambda d: d.update(metadata=3), "metadata"),
-], ids=["scope-bound", "family-index", "rule-id", "neighborhoods", "metadata"])
+    (lambda d: d["variables"][0]["scope"].update(lo_open="false"), "variables[0].scope.lo_open"),
+    (lambda d: d["variables"][3].update(first=1.7), "variables[3].first"),
+    (lambda d: d.update(blackbox={"command": [3]}), "blackbox.command[0]"),
+], ids=["scope-bound", "family-index", "rule-id", "neighborhoods", "metadata", "open-flag",
+        "fractional-index", "command-entry"])
 def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
-    # Each of these once escaped validation as a raw Python exception.
+    # Each of these once escaped validation as a raw Python exception, was
+    # coerced (an open flag read as true, an index truncated), or passed
+    # validation only to fail in solve (a command entry that is not a string).
     document = json.loads(bundled_problem_path("mlp").read_text())
     edit(document)
     path = tmp_path / "mlp.json"

@@ -212,6 +212,14 @@ def test_meta_continuous_interval_decree():
     assert domain.acting_index_set(high, "continuous") == []
 
 
+@pytest.mark.parametrize("entry", [(), (400.0,), (400.0, 500.0, 600.0), ("a", "b"),
+                                   (True, 500.0)])
+def test_membership_interval_must_be_a_pair_of_numbers(entry):
+    # A malformed interval once reached Domain._atom_satisfied as a raw ValueError.
+    with pytest.raises(mb.ScopeError, match="interval"):
+        mb.Membership("freq", (entry,))
+
+
 # -- point completion ------------------------------------------------------------
 
 def test_complete_point_defaults_midpoint_and_first_category(mlp_domain):

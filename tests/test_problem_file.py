@@ -217,9 +217,18 @@ def test_every_single_field_mutation_parses_or_names_its_field():
     ("mlp", "constraints[1].decree[0].min", "x", "constraints[1].decree[0].min"),
     ("mlp", "variables[3].decree[0].min", None, "variables[3].decree[0].min"),
     ("toy", "blackbox.builtin", [], "blackbox.builtin"),
+    ("mlp", "variables[0].scope.lo_open", "x", "variables[0].scope.lo_open"),
+    ("mlp", "variables[7].scope.lo", True, "variables[7].scope.lo"),
+    ("mlp", "variables[3].first", True, "variables[3].first"),
+    ("mlp", "neighborhoods.meta[0].delta", True, "neighborhoods.meta[0].delta"),
+    ("mlp", "name", 3, "name"),
+    ("toy", "constraints[0].blackbox", "x", "constraints[0].blackbox"),
+    ("toy", "constraints[0].decree[0].allowed[0]", [], "constraints[0].decree[0].allowed[0]"),
 ])
 def test_untyped_fields_raise_with_their_path(name, field, value, where):
-    # Each of these once escaped parse_problem as a raw TypeError.
+    # Each of these once escaped parse_problem as a raw TypeError, or was
+    # accepted by coercion (True as 1, "x" as an open endpoint, an empty
+    # interval).
     for case in mutations():
         if case[:3] == (name, field, value):
             with pytest.raises(mb.ProblemFileError) as err:
@@ -227,3 +236,36 @@ def test_untyped_fields_raise_with_their_path(name, field, value, where):
             assert err.value.path == where
             return
     pytest.fail(f"{field} is not a field of {name}")
+
+
+def test_malformed_membership_interval_is_rejected_at_its_path():
+    # The co-acting check of a decreed constraint once read this interval and
+    # raised a raw ValueError out of parse_problem.
+    document = base_document()
+    lam = next(v for v in document["variables"] if v.get("id") == "lam")
+    lam["decree"][0]["allowed"] = [[1], "ASGD"]
+    document["constraints"].append({
+        "id": "lam_cap", "role": "decreed",
+        "decree": [{"kind": "membership", "meta": "o", "allowed": ["ASGD"]}],
+        "analytic": {"terms": [[1, "lam"]], "constant": -1},
+    })
+    expect_error(document, "syntax", "variables[5].decree[0].allowed[0]")
+
+
+def test_every_mutation_that_parses_solves_or_fails_cleanly():
+    # validate ok => solve raises nothing but a MetaboxError.
+    crashes = []
+    for name, path, value, document in mutations():
+        try:
+            parsed = mb.parse_problem(document)
+        except mb.ProblemFileError:
+            continue
+        try:
+            mb.run_direct_search(parsed.problem, mb.SearchConfig(budget=3, seed=0),
+                                 meta_mapping=parsed.meta_mapping,
+                                 categorical_mapping=parsed.categorical_mapping)
+        except mb.MetaboxError:
+            pass
+        except Exception as exc:
+            crashes.append((name, path, value, repr(exc)))
+    assert crashes == []
