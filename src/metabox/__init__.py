@@ -26,12 +26,10 @@ from .errors import (BudgetExhaustedError, ConfigurationError, DecreeViolationEr
                      KernelDomainError, MetaboxError, NotEnumerableError,
                      ProblemFileError, ScopeError, ShapeError)
 from .gp import (GPModel, KernelConfig, MixedKernel, default_kernel_config,
-                 fit_hyperparameters, log_marginal_likelihood,
-                 merge_kernel_overrides)
-from .neighborhoods import (Combined, Custom, IncrementMetaInteger, IncrementOrdinal,
+                 fit_hyperparameters, log_marginal_likelihood)
+from .neighborhoods import (Combined, IncrementMetaInteger, IncrementOrdinal,
                             NeighborhoodMapping, SwapCategorical, categorical_neighbors,
-                            default_meta_mapping, meta_neighbors, realize_neighbor,
-                            register_custom_rule)
+                            default_meta_mapping, meta_neighbors, realize_neighbor)
 from .problem_file import (ParsedProblem, bundled_problem_path, parse_problem,
                            parse_problem_file, serialize_problem)
 

@@ -45,14 +45,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
-from .direct_search import MeshState
+from .direct_search import MeshState, check_counts
 from .domain import (Domain, IntegerScope, MetaComponent, Point, denormalize,
                      enumerate_domain_points)
 from .encoders import Encoder
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
 from .gp import (CrossCovariance, CrossFactors, GPModel, KernelConfig, SampleFeatures,
-                 fit_hyperparameters, merge_kernel_overrides)
+                 default_kernel_config, fit_hyperparameters)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: The acquisition's pattern searches stop refining continuous steps at this
@@ -96,10 +96,21 @@ class BOConfig:
     kernel: dict | None = None         # serialized KernelConfig overriding the defaults
 
     def __post_init__(self):
-        for name in ("budget", "max_iterations", "acq_starts", "acq_budget",
-                     "categorical_cap"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
+        positive = ("budget", "max_iterations", "acq_starts", "acq_budget", "categorical_cap")
+        check_counts(self, (*positive, "enumeration_cap", "refit_full_until", "refit_every",
+                            "fit_sweeps"), positive)
+        if self.categorical_mode not in ("matrix", "encoded"):
+            raise ConfigurationError('categorical_mode must be "matrix" or "encoded", '
+                                     f"got {self.categorical_mode!r}")
+
+    def kernel_setup(self, domain: Domain):
+        """The encoder the kernel's features are built with (None in matrix
+        mode) and the base kernel config: the defaults, with ``kernel``'s
+        overrides.  The encoder kind is checked in either mode."""
+        encoder = Encoder(domain, self.encoder_kind)
+        if self.categorical_mode == "matrix":
+            encoder = None
+        return encoder, default_kernel_config(domain, encoder=encoder, overrides=self.kernel)
 
 
 @dataclass
@@ -460,7 +471,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         raise ConfigurationError("Bayesian optimization needs an enumerable meta set") from exc
     evaluator = Evaluator(problem, cfg.budget)
     rng = np.random.default_rng(cfg.seed)
-    encoder = Encoder(domain, cfg.encoder_kind)
+    encoder, base_config = cfg.kernel_setup(domain)
 
     train_points, train_values = [], []
     constraint_data = {c.id: ([], []) for c in system.constraints}  # (rows, values)
@@ -486,8 +497,6 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
 
     acquisition_log = []
     finite = finite_candidates(domain, cfg.enumeration_cap)
-    base_config = merge_kernel_overrides(domain, cfg.categorical_mode,
-                                         cfg.kernel or {})
     config: KernelConfig | None = None
     samples_at_refit = -1
     iteration = 0
@@ -506,9 +515,8 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         if model is None:
             try:
                 config = fit_hyperparameters(
-                    domain, train_points, train_values, seed=cfg.seed,
-                    mode=cfg.categorical_mode, encoder=encoder, sweeps=cfg.fit_sweeps,
-                    base=base_config)
+                    domain, train_points, train_values, seed=cfg.seed, encoder=encoder,
+                    sweeps=cfg.fit_sweeps, base=base_config)
             except FittingError:
                 config = base_config
             samples_at_refit = len(train_points)

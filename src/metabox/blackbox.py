@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import signal
 import subprocess
@@ -20,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .constraints import ConstraintSystem
-from .domain import Domain, GROUPS, Point, render_value
+from .domain import Domain, GROUPS, Point, _is_real, render_value
 from .errors import (BudgetExhaustedError, ConfigurationError, DomainError,
                      EvaluationError)
 
@@ -30,8 +29,7 @@ DEFAULT_TIMEOUT = 60.0
 
 def valid_timeout(value) -> bool:
     """True for a positive, finite number of seconds (bool is not a number here)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+    return _is_real(value) and math.isfinite(value) and value > 0
 
 
 def _check_timeout(value, source: str):

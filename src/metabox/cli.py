@@ -13,7 +13,8 @@ import sys
 from .bayesian import BOConfig, run_bo, write_acquisition_log
 from .blackbox import write_history
 from .direct_search import SearchConfig, run_direct_search
-from .errors import MetaboxError, ProblemFileError
+from .errors import (ConfigurationError, KernelDomainError, MetaboxError, ProblemFileError,
+                     ShapeError)
 from .neighborhoods import default_meta_mapping
 from .problem_file import parse_problem_file
 
@@ -55,17 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path, section, cls, **overrides):
+def _load_config(path, section, cls, check=None, **overrides):
+    """``cls`` built from the ``section`` object of the JSON file at ``path``
+    and ``overrides``, then passed to ``check``; a malformed option is a
+    validation error at ``section``."""
     options = {}
     if path:
         with open(path) as fh:
             document = json.load(fh)
+        if not isinstance(document, dict) or not isinstance(document.get(section, {}), dict):
+            raise ProblemFileError("syntax", section, "solver options must be an object")
         options = dict(document.get(section, {}))
         unknown = set(options) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ProblemFileError("syntax", f"{section}", f"unknown options {sorted(unknown)}")
+            raise ProblemFileError("syntax", section, f"unknown options {sorted(unknown)}")
     options.update(overrides)
-    return cls(**options)
+    try:
+        cfg = cls(**options)
+        if check is not None:
+            check(cfg)
+    except (ConfigurationError, KernelDomainError, ShapeError) as exc:
+        raise ProblemFileError("syntax", section, str(exc)) from exc
+    return cfg
 
 
 def _cmd_validate(args) -> int:
@@ -101,6 +113,7 @@ def _cmd_solve(args) -> int:
                                    progress=not args.quiet)
     else:
         cfg = _load_config(args.config, "bo", BOConfig,
+                           lambda cfg: cfg.kernel_setup(parsed.domain),
                            budget=args.budget, seed=args.seed)
         result = run_bo(parsed.problem, cfg, progress=not args.quiet)
         if args.aux_log:

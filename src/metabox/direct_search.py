@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
-from .domain import Domain, IntegerScope, MetaComponent, Point
+from .domain import Domain, IntegerScope, MetaComponent, Point, _is_int
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      NotEnumerableError)
 from .neighborhoods import (carried_categorical, categorical_neighbors,
@@ -63,6 +63,18 @@ class MeshState:
         return bool((self.scale[row] <= self.floor).all())
 
 
+def check_counts(config, counts, positive):
+    """Raise ConfigurationError unless each option of ``config`` named in
+    ``counts`` is an integer (a bool is not one), and each in ``positive`` is
+    at least 1."""
+    for name in counts:
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if name in positive and value < 1:
+            raise ConfigurationError(f"{name} must be positive")
+
+
 @dataclass
 class SearchConfig:
     budget: int = 100
@@ -73,8 +85,11 @@ class SearchConfig:
     global_search: str = "random"  # "random" | "none"
 
     def __post_init__(self):
-        if self.budget < 1 or self.subproblem_budget < 1 or self.max_iterations < 1:
-            raise ConfigurationError("budgets and iteration limits must be positive")
+        counts = ("budget", "subproblem_budget", "max_iterations")
+        check_counts(self, counts, positive=counts)
+        if not isinstance(self.opportunistic, bool):
+            raise ConfigurationError("opportunistic must be true or false, "
+                                     f"got {self.opportunistic!r}")
         if self.global_search not in ("random", "none"):
             raise ConfigurationError(f"unknown global search strategy {self.global_search!r}")
 

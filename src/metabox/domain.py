@@ -198,6 +198,10 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not _is_bool(v)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not _is_bool(v)
+
+
 def _canonical_value(v):
     """Coerce numpy scalars and friends to plain Python values."""
     if type(v) in _PLAIN_TYPES:
@@ -240,8 +244,7 @@ class Membership:
             tuple(a) if isinstance(a, (tuple, list)) else a for a in self.allowed))
         for entry in self.allowed:
             if isinstance(entry, tuple) and not (
-                    len(entry) == 2 and all(isinstance(b, numbers.Real) and not _is_bool(b)
-                                            for b in entry)):
+                    len(entry) == 2 and all(map(_is_real, entry))):
                 raise ScopeError(f"membership interval {entry!r} on {self.meta_id!r} "
                                  "must be a (lo, hi) pair of numbers")
 

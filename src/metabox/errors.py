@@ -42,7 +42,8 @@ class EvaluationError(MetaboxError):
 
 
 class KernelDomainError(MetaboxError):
-    """Kernel inputs have mismatched dimensions or the wrong categorical mode."""
+    """Kernel inputs have mismatched dimensions, or a kernel config lacks an
+    entry its domain and categorical mode need or holds one they lack."""
 
 
 class ShapeError(MetaboxError):

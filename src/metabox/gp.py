@@ -23,7 +23,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .blackbox import cache_key
-from .domain import Domain, GROUPS, MetaComponent, Point, VariableType, normalize
+from .domain import (Domain, GROUPS, MetaComponent, Point, VariableType, _is_real,
+                     normalize)
 from .errors import FactorizationError, FittingError, KernelDomainError
 
 JITTER_FRACTION = 1e-8
@@ -61,20 +62,11 @@ _MATRIX_TABLES = {
 }
 
 
-def _table(spec, mode: str) -> str:
-    """The config table holding the hyperparameter of ``spec``'s factor."""
-    if mode == "encoded" and spec.type in GROUPS["categorical"]:
+def _table(spec, encoded: bool) -> str:
+    """The config table of ``spec``'s factor on features built with an encoder or not."""
+    if encoded and spec.type in GROUPS["categorical"]:
         return "categorical_weights"  # a weight on the encoding
     return _MATRIX_TABLES[spec.type]
-
-
-def _mode_encoder(mode: str, encoder):
-    """The encoder the kernel reads in ``mode``; only encoded mode reads one."""
-    if mode != "encoded":
-        return None
-    if encoder is None:
-        raise KernelDomainError("encoded categorical mode needs an encoder")
-    return encoder
 
 
 @dataclass
@@ -82,15 +74,15 @@ class KernelConfig:
     """Hyperparameters of the mixed kernel.
 
     Weights are positive squared-exponential coefficients keyed by variable
-    id.  In matrix mode each nominal variable carries a compound-symmetry
-    off-diagonal correlation in [0, 1) and each ordinal variable a positive
-    lengthscale on its level index.  In encoded mode each categorical
-    variable carries one weight applied to all of its encoded dimensions.
+    id.  On features built without an encoder (matrix mode) each nominal
+    variable carries a compound-symmetry off-diagonal correlation in [0, 1)
+    and each ordinal variable a positive lengthscale on its level index.
+    With an encoder (encoded mode) each categorical variable carries one
+    weight applied to all of its encoded dimensions.
     """
 
     continuous_weights: dict = field(default_factory=dict)
     integer_weights: dict = field(default_factory=dict)
-    categorical_mode: str = "matrix"  # "matrix" | "encoded"
     categorical_weights: dict = field(default_factory=dict)
     nominal_correlations: dict = field(default_factory=dict)
     ordinal_lengthscales: dict = field(default_factory=dict)
@@ -99,16 +91,17 @@ class KernelConfig:
     signal_variance: float = 1.0
 
     def __post_init__(self):
-        if self.categorical_mode not in ("matrix", "encoded"):
-            raise KernelDomainError(f"unknown categorical mode {self.categorical_mode!r}")
         for table, (kind, _, _) in _SLOT_TABLES.items():
             for key, value in getattr(self, table).items():
-                if kind == "log" and not value > 0:
-                    raise KernelDomainError(f"{table}[{key!r}] must be positive, got {value}")
-                if kind == "raw" and not 0.0 <= value < 1.0:
-                    raise KernelDomainError(f"{table}[{key!r}] must lie in [0, 1), got {value}")
-        if not self.signal_variance > 0:
-            raise KernelDomainError("signal variance must be positive")
+                if kind == "log" and not (_is_real(value) and value > 0):
+                    raise KernelDomainError(
+                        f"{table}[{key!r}] must be a positive number, got {value!r}")
+                if kind == "raw" and not (_is_real(value) and 0.0 <= value < 1.0):
+                    raise KernelDomainError(
+                        f"{table}[{key!r}] must be a number in [0, 1), got {value!r}")
+        if not (_is_real(self.signal_variance) and self.signal_variance > 0):
+            raise KernelDomainError(
+                f"signal variance must be a positive number, got {self.signal_variance!r}")
 
     @property
     def jitter(self) -> float:
@@ -122,24 +115,27 @@ class KernelConfig:
         return cls(**data)
 
 
-def merge_kernel_overrides(domain: Domain, mode: str, overrides: dict) -> KernelConfig:
-    """Default config with entries overridden from a serialized (partial) dict."""
-    config = default_kernel_config(domain, mode)
-    for table in _SLOT_TABLES:
-        for key, value in overrides.get(table, {}).items():
-            if key in getattr(config, table):
-                getattr(config, table)[key] = value
-    if "signal_variance" in overrides:
-        config.signal_variance = overrides["signal_variance"]
-    return KernelConfig.from_dict(config.to_dict())  # re-validate bounds
-
-
-def default_kernel_config(domain: Domain, mode: str = "matrix") -> KernelConfig:
-    config = KernelConfig(categorical_mode=mode)
+def default_kernel_config(domain: Domain, *, encoder=None, overrides=None) -> KernelConfig:
+    """The default config of the kernel on ``domain``'s features built with
+    ``encoder`` (None: matrix mode), with the entries of ``overrides``, a
+    partial serialized config, in place of the defaults.  An override table
+    or variable id that the default config lacks is rejected."""
+    tables = {table: {} for table in _SLOT_TABLES}
     for v in domain.variables:
-        table = _table(v, mode)
-        getattr(config, table)[v.id] = _SLOT_TABLES[table][2]
-    return config
+        table = _table(v, encoder is not None)
+        tables[table][v.id] = _SLOT_TABLES[table][2]
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise KernelDomainError(f"kernel overrides must be an object, got {overrides!r}")
+    for table, entries in overrides.items():
+        if table == "signal_variance":
+            continue
+        known = tables.get(table)
+        if known is None or not (isinstance(entries, dict) and entries.keys() <= known.keys()):
+            raise KernelDomainError(f"kernel override {table}={entries!r} must map ids of "
+                                    "a table of the default config to values")
+        known.update(entries)
+    return KernelConfig(**tables, signal_variance=overrides.get("signal_variance", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +273,12 @@ class PairTensors:
     def __init__(self, domain: Domain, fa: SampleFeatures, fb: SampleFeatures):
         if fa.encoded != fb.encoded:
             raise KernelDomainError("cannot pair encoded features with plain ones")
-        self.mode = "encoded" if fa.encoded else "matrix"
         self.shape = (fa.n, fb.n)
         codes = {}
         code_a = np.array([codes.setdefault(k, len(codes)) for k in fa.metas], dtype=int)
         code_b = np.array([codes.setdefault(k, len(codes)) for k in fb.metas], dtype=int)
         self.same_meta = code_a[fa.which_meta][:, None] == code_b[fb.which_meta][None, :]
-        meta = sorted(((_table(domain.spec(mid), self.mode), mid) for mid in fa.meta),
+        meta = sorted(((_table(domain.spec(mid), fa.encoded), mid) for mid in fa.meta),
                       key=lambda slot: slot[0] == "meta_correlations")
         self.slots = [(table, mid, _pair_tensor(table, fa.meta[mid], fb.meta[mid]), None)
                       for table, mid in meta]
@@ -292,7 +287,7 @@ class PairTensors:
         for vid in fa.acting:
             acting_a, acting_b = fa.acting[vid], fb.acting[vid]
             if acting_a.any() and acting_b.any():
-                table = _table(domain.spec(vid), self.mode)
+                table = _table(domain.spec(vid), fa.encoded)
                 mask = self.same_meta & acting_a[:, None] & acting_b[None, :]
                 self.slots.append((table, vid,
                                    _pair_tensor(table, fa.values[vid], fb.values[vid]),
@@ -317,10 +312,12 @@ def _correlation_factor(table: str, value, tensor: np.ndarray) -> np.ndarray:
 def _masked_factors(pairs: PairTensors, config: KernelConfig):
     """Yield the factors of :func:`correlation_matrix`, in product order: each
     slot's correlation factor, set to 1 outside its mask."""
-    if config.categorical_mode != pairs.mode:
-        raise KernelDomainError(f"a {config.categorical_mode} config on {pairs.mode} features")
     for table, key, tensor, mask in pairs.slots:
-        factor = _correlation_factor(table, getattr(config, table)[key], tensor)
+        try:
+            value = getattr(config, table)[key]
+        except KeyError:
+            raise KernelDomainError(f"the config has no {table} entry for {key!r}") from None
+        factor = _correlation_factor(table, value, tensor)
         yield factor if mask is None else np.where(mask, factor, 1.0)
 
 
@@ -343,7 +340,8 @@ def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
 
 class MixedKernel:
     """Covariance of one pair of points, or of one component of a pair,
-    under a domain, a config and (in encoded mode) an encoder.
+    under a domain, a config and the encoder of its features (None in
+    matrix mode).
 
     Every value is :func:`correlation_matrix` on a 1 x 1 pair, so the
     kernel formulas live only there.  A component method pairs points that
@@ -354,7 +352,7 @@ class MixedKernel:
     def __init__(self, domain: Domain, config: KernelConfig, encoder=None):
         self.domain = domain
         self.config = config
-        self.encoder = _mode_encoder(config.categorical_mode, encoder)
+        self.encoder = encoder
 
     def _correlation(self, x: Point, y: Point) -> float:
         fa = SampleFeatures(self.domain, [x], self.encoder)
@@ -472,7 +470,7 @@ class GPModel:
             raise ValueError("need matching, nonempty points and values")
         self.domain = domain
         self.config = config
-        self.encoder = _mode_encoder(config.categorical_mode, encoder)
+        self.encoder = encoder
         self.points = list(points)
         self.values = np.asarray(values, dtype=float)
         self._features = SampleFeatures(domain, self.points, self.encoder)
@@ -628,7 +626,7 @@ class CrossFactors:
         self._slot = np.array([slot.get(spec.id, -1) for spec in specs], dtype=int)
         self._lo = np.array([spec.scope.lo for spec in specs], dtype=float)
         self._width = np.array([spec.scope.width for spec in specs], dtype=float)
-        self._weight = np.array([getattr(config, _table(spec, config.categorical_mode))[spec.id]
+        self._weight = np.array([getattr(config, _MATRIX_TABLES[spec.type])[spec.id]
                                  for spec in specs], dtype=float)
         self._train = np.zeros((len(specs), len(self._under)))
         self._mask = np.zeros((len(specs), len(self._under)), dtype=bool)
@@ -675,8 +673,7 @@ def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig,
                             encoder=None) -> float:
     """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter."""
-    features = SampleFeatures(domain, points,
-                              _mode_encoder(config.categorical_mode, encoder))
+    features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     gram = config.signal_variance * correlation_matrix(pairs, config)
@@ -735,8 +732,7 @@ class _FactorGroup:
         self.product = np.multiply.reduce(self.rows, axis=0)
 
 
-def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
-                        mode: str = "matrix", encoder=None,
+def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encoder=None,
                         starts: int = 8, sweeps: int = 8,
                         base: KernelConfig | None = None) -> KernelConfig:
     """Maximize the log marginal likelihood by multi-start coordinate search.
@@ -744,7 +740,8 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     Weight-like parameters move in log space within their box bounds;
     correlations move in raw space within [0, 0.99].  The base config (the
     default one unless overridden) is always one of the starts, so the result
-    never has lower likelihood than it.  Deterministic for a fixed seed.
+    never has lower likelihood than it; it holds only entries of the default
+    config for ``encoder``.  Deterministic for a fixed seed.
 
     All starts are drawn first: the base config, then ``starts - 1`` random
     ones.  A start is live when its own kernel matrix factorizes.  When any
@@ -775,9 +772,10 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
     rng = np.random.default_rng(seed)
-    base = merge_kernel_overrides(domain, mode, {} if base is None else base.to_dict())
+    base = default_kernel_config(domain, encoder=encoder,
+                                 overrides=None if base is None else base.to_dict())
     slots = _config_slots(base)
-    features = SampleFeatures(domain, points, _mode_encoder(mode, encoder))
+    features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
@@ -826,7 +824,7 @@ def fit_hyperparameters(domain: Domain, points, values, seed: int = 0,
         return likelihood()
 
     def build(params):
-        config = default_kernel_config(domain, mode)
+        config = default_kernel_config(domain, encoder=encoder)
         for (table, key, _, _), value in zip(slots, params):
             getattr(config, table)[key] = value
         return config

@@ -3,7 +3,9 @@
 Neighborhoods are generated by ordered rule lists.  Each rule maps the
 current point to zero or more candidate components; results are validated,
 deduplicated preserving first occurrence, and the current component is
-excluded.  Rule application is pure, so mappings are safe to share.
+excluded.  A rule is one of the atomic moves below, a :class:`Combined`
+move, or any callable ``(domain, point) -> components``.  Rule application
+is pure, so mappings are safe to share.
 """
 
 from __future__ import annotations
@@ -12,14 +14,6 @@ from dataclasses import dataclass
 
 from .domain import Domain, IntegerScope, MetaComponent, Point, VariableType
 from .errors import ConfigurationError, InvalidMetaError
-
-#: Custom rules are registered here by name and referenced with Custom(name).
-CUSTOM_RULES: dict = {}
-
-
-def register_custom_rule(name: str, fn):
-    CUSTOM_RULES[name] = fn
-
 
 @dataclass(frozen=True)
 class IncrementMetaInteger:
@@ -52,13 +46,6 @@ class Combined:
 
     def __post_init__(self):
         object.__setattr__(self, "moves", tuple(self.moves))
-
-
-@dataclass(frozen=True)
-class Custom:
-    """Hook registered via register_custom_rule; library embedding only."""
-
-    name: str
 
 
 @dataclass(frozen=True)
@@ -95,8 +82,8 @@ def _apply_to_meta(rule, domain: Domain, component: MetaComponent, point: Point)
         for move in rule.moves:
             outputs = [r for c in outputs for r in _apply_to_meta(move, domain, c, point)]
         return outputs
-    if isinstance(rule, Custom):
-        return list(CUSTOM_RULES[rule.name](domain, point))
+    if callable(rule):
+        return list(rule(domain, point))
     raise ConfigurationError(f"rule {rule!r} cannot target the meta component")
 
 
@@ -122,8 +109,8 @@ def _apply_to_categorical(rule, domain: Domain, component: dict, point: Point):
             outputs = [r for c in outputs
                        for r in _apply_to_categorical(move, domain, c, point)]
         return outputs
-    if isinstance(rule, Custom):
-        return list(CUSTOM_RULES[rule.name](domain, point))
+    if callable(rule):
+        return list(rule(domain, point))
     raise ConfigurationError(f"rule {rule!r} cannot target the categorical component")
 
 

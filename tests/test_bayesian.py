@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -125,9 +126,8 @@ def test_ei_monotone_in_sigma():
 
 # -- acquisition maximization -----------------------------------------------------------
 
-def bo_pieces(problem, points, values, mode="matrix", kind="identity"):
-    encoder = mb.Encoder(problem.domain, kind)
-    config = mb.default_kernel_config(problem.domain, mode)
+def bo_pieces(problem, points, values, encoder=None):
+    config = mb.default_kernel_config(problem.domain, encoder=encoder)
     return mb.GPModel(problem.domain, points, values, config, encoder)
 
 
@@ -298,7 +298,7 @@ def acquisition_case(problem, samples, seed):
     records = [r for r in evaluator.history if not r.cached]
     points = [r.point for r in records]
     values = [r.objective for r in records]
-    encoder = mb.Encoder(domain, "identity")
+    encoder = None  # matrix mode
     config = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
     model = mb.GPModel(domain, points, values, config, encoder)
     views, standalone = {}, {}
@@ -382,7 +382,7 @@ def adam_only_case(problem, samples, seed):
     points = [random_point(domain, rng, metas) for _ in range(samples)]
     values = [problem.objective(p)[0] for p in points]
     model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain),
-                       mb.Encoder(domain, "identity"))
+                       encoder=None)
     return model, points, min(values)
 
 
@@ -396,7 +396,7 @@ def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, ca
         if case == "encoded":
             encoder = mb.Encoder(domain, "one-hot")
             model = mb.GPModel(domain, points, model.values,
-                               mb.default_kernel_config(domain, "encoded"), encoder)
+                               mb.default_kernel_config(domain, encoder=encoder), encoder)
     scored = []
     score = _Candidates.score
 
@@ -596,14 +596,18 @@ def test_bo_kernel_overrides_from_run_config(toy_problem):
     assert len(result.history) >= 12
 
 
-def test_merge_kernel_overrides_validates_bounds(toy_problem):
-    from metabox.gp import merge_kernel_overrides
-    merged = merge_kernel_overrides(toy_problem.domain, "matrix",
-                                    {"meta_correlations": {"m": 0.3}})
+def test_kernel_overrides_are_validated(toy_problem):
+    domain = toy_problem.domain
+    merged = mb.default_kernel_config(domain, overrides={"meta_correlations": {"m": 0.3}})
     assert merged.meta_correlations["m"] == 0.3
+    # run_bo checks the overrides (see test_bad_kernel_overrides_are_rejected)
+    # before its first evaluation.
+    calls = []
+    problem = dataclasses.replace(toy_problem,
+                                  objective=lambda p: calls.append(p) or (0.0, {}))
     with pytest.raises(mb.KernelDomainError):
-        merge_kernel_overrides(toy_problem.domain, "matrix",
-                               {"meta_correlations": {"m": 1.5}})
+        mb.run_bo(problem, mb.BOConfig(budget=5, kernel={"nominal_correlations": {"x": 0.2}}))
+    assert calls == []
 
 
 def test_bo_requires_enumerable_meta_set():
@@ -622,12 +626,21 @@ def test_bo_requires_enumerable_meta_set():
         mb.run_direct_search(problem, mb.SearchConfig(budget=5), progress=False)
 
 
-@pytest.mark.parametrize("field", ["budget", "max_iterations", "acq_starts",
-                                   "acq_budget", "categorical_cap"])
-@pytest.mark.parametrize("value", [0, -1])
+POSITIVE_BO_COUNTS = ["budget", "max_iterations", "acq_starts", "acq_budget",
+                      "categorical_cap"]
+BO_COUNTS = POSITIVE_BO_COUNTS + ["enumeration_cap", "refit_full_until", "refit_every",
+                                  "fit_sweeps"]
+
+
+@pytest.mark.parametrize("value, field", [
+    *itertools.product([0, -1], POSITIVE_BO_COUNTS),
+    *itertools.product([2.5, True], BO_COUNTS),
+    ("x", "categorical_mode")])
 def test_bo_config_rejects_values_that_would_end_the_run(field, value):
     # acq_starts=0 once ended BO on mlp after its initial design, stop reason
-    # "exhausted", though the domain is continuous.
+    # "exhausted", though the domain is continuous.  A fractional count once
+    # raised a raw TypeError mid-run, and max_iterations=True ran one
+    # iteration.
     with pytest.raises(mb.ConfigurationError, match=field):
         mb.BOConfig(**{"budget": 40, field: value})
 

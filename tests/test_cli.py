@@ -150,17 +150,46 @@ def rule_without_id(document):
     (lambda d: d["variables"][0]["scope"].update(lo_open="false"), "variables[0].scope.lo_open"),
     (lambda d: d["variables"][3].update(first=1.7), "variables[3].first"),
     (lambda d: d.update(blackbox={"command": [3]}), "blackbox.command[0]"),
+    # Solver options, given as the contents of a --config file.
+    ({"bo": {"acq_starts": 2.5}}, "bo"),
+    ({"bo": {"fit_sweeps": 2.5}}, "bo"),
+    ({"bo": {"categorical_cap": 1.5}}, "bo"),
+    ({"bo": {"max_iterations": True}}, "bo"),
+    ({"direct": {"opportunistic": "no"}}, "direct"),
+    ({"bo": 3}, "bo"),
+    ([1], "bo"),
+    ({"bo": {"kernel": 3}}, "bo"),
+    ({"bo": {"kernel": {"meta_correlations": 0.3}}}, "bo"),
+    ({"bo": {"kernel": {"meta_correlations": {"o": "x"}}}}, "bo"),
+    ({"bo": {"kernel": {"signal_variance": "x"}}}, "bo"),
+    ({"bo": {"kernel": {"meta_correlations": {"oo": 0.2}}}}, "bo"),
+    ({"bo": {"kernel": {"meta_correlation": {"o": 0.2}}}}, "bo"),
+    ({"bo": {"encoder_kind": "nope"}}, "bo"),
 ], ids=["scope-bound", "family-index", "rule-id", "neighborhoods", "metadata", "open-flag",
-        "fractional-index", "command-entry"])
+        "fractional-index", "command-entry", "fractional-acq-starts", "fractional-fit-sweeps",
+        "fractional-categorical-cap", "bool-max-iterations", "string-opportunistic",
+        "section-not-object", "file-not-object", "kernel-not-object",
+        "kernel-table-not-object", "kernel-string-value", "kernel-string-variance",
+        "kernel-unknown-id", "kernel-unknown-table", "unknown-encoder-kind"])
 def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
     # Each of these once escaped validation as a raw Python exception, was
-    # coerced (an open flag read as true, an index truncated), or passed
-    # validation only to fail in solve (a command entry that is not a string).
+    # coerced (an open flag read as true, an index truncated, a bool option
+    # read as a count or a string as true), was ignored (a kernel override of
+    # an unknown id or table), or passed validation only to fail in solve (a
+    # command entry that is not a string).
     document = json.loads(bundled_problem_path("mlp").read_text())
-    edit(document)
     path = tmp_path / "mlp.json"
+    if callable(edit):
+        edit(document)
+        argv = ["validate", str(path)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(edit))
+        argv = ["solve", str(path), "--solver", "direct" if "direct" in edit else "bo",
+                "--budget", "40", "--seed", "0", "--out", str(tmp_path / "history.csv"),
+                "--config", str(config), "--quiet"]
     path.write_text(json.dumps(document))
-    assert cli_main(["validate", str(path)]) == 2
+    assert cli_main(argv) == 2
     assert f"at {where}:" in capsys.readouterr().err
 
 

@@ -257,7 +257,10 @@ def test_default_library_calls_write_nothing_to_stderr(capfd, toy_problem):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(mb.ConfigurationError):
-        mb.SearchConfig(budget=0)
-    with pytest.raises(mb.ConfigurationError):
-        mb.SearchConfig(global_search="annealing")
+    # A fractional count once raised a raw TypeError mid-run, a bool was read
+    # as a count, and opportunistic="no" ran opportunistic.
+    for field, value in (("budget", 0), ("global_search", "annealing"),
+                         ("subproblem_budget", 2.5), ("max_iterations", True),
+                         ("budget", "3"), ("opportunistic", "no"), ("opportunistic", 1)):
+        with pytest.raises(mb.ConfigurationError):
+            mb.SearchConfig(**{field: value})

@@ -130,24 +130,59 @@ def test_matrix_mode_ordinal_squared_exponential(small_kernel):
 
 
 def test_encoded_mode_one_hot_distance(small_domain):
-    config = mb.default_kernel_config(small_domain, mode="encoded")
     encoder = mb.Encoder(small_domain, "one-hot")
+    config = mb.default_kernel_config(small_domain, encoder=encoder)
     kernel = mb.MixedKernel(small_domain, config, encoder)
     k = kernel.k_categorical({"n1": 1, "o1": 2}, {"n1": 2, "o1": 2}, G0)
     assert np.isclose(k, math.exp(-2.0))  # two one-hot lanes flip
 
 
 def test_encoded_mode_requires_encoder(small_domain):
-    config = mb.default_kernel_config(small_domain, mode="encoded")
+    # The encoder is the mode: an encoded config on features built without
+    # one lacks their categorical tables' entries.
+    config = mb.default_kernel_config(small_domain, encoder=mb.Encoder(small_domain, "one-hot"))
     points = [small_domain.complete_point(G0, {"c1": c}) for c in (0.2, 0.7)]
     values = [0.0, 1.0]
-    for build in (lambda: mb.MixedKernel(small_domain, config),
+    kernel = mb.MixedKernel(small_domain, config)
+    for build in (lambda: kernel.k_mixed(points[0], points[1]),
                   lambda: mb.GPModel(small_domain, points, values, config),
-                  lambda: log_marginal_likelihood(small_domain, points, values, config),
-                  lambda: mb.fit_hyperparameters(small_domain, points, values,
-                                                 mode="encoded")):
-        with pytest.raises(mb.KernelDomainError, match="needs an encoder"):
+                  lambda: log_marginal_likelihood(small_domain, points, values, config)):
+        with pytest.raises(mb.KernelDomainError, match="no nominal_correlations entry for 'n1'"):
             build()
+    with pytest.raises(mb.KernelDomainError, match="categorical_weights"):
+        mb.fit_hyperparameters(small_domain, points, values, base=config)
+
+
+def test_config_of_another_domain_is_a_kernel_domain_error(mlp_domain, small_domain):
+    points = [small_domain.complete_point(G0, {"c1": c}) for c in (0.2, 0.7)]
+    with pytest.raises(mb.KernelDomainError, match="no .* entry for"):
+        mb.GPModel(small_domain, points, [0.0, 1.0], mb.default_kernel_config(mlp_domain))
+    with pytest.raises(mb.KernelDomainError):
+        mb.fit_hyperparameters(small_domain, points, [0.0, 1.0],
+                               base=mb.default_kernel_config(mlp_domain))
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"meta_correlations": {"o": 1.5}}, "must be a number in"),
+    ({"meta_correlations": {"oo": 0.2}}, "meta_correlations"),
+    ({"meta_correlation": {"o": 0.2}}, "meta_correlation"),
+    ({"categorical_weights": {"a": 2.0}}, "categorical_weights"),
+    ({"meta_correlations": 0.3}, "meta_correlations"),
+    ({"meta_correlations": {"o": "x"}}, "must be a number"),
+    ({"meta_weights": {"l": True}}, "must be a positive number"),
+    ({"signal_variance": "x"}, "signal variance"),
+    ({"signal_variance": False}, "signal variance"),
+    (3, "must be an object"),
+], ids=["out-of-bounds", "unknown-id", "unknown-table", "other-mode-table", "table-not-object",
+        "string-value", "bool-value", "string-variance", "bool-variance", "not-object"])
+def test_bad_kernel_overrides_are_rejected(mlp_domain, overrides, match):
+    with pytest.raises(mb.KernelDomainError, match=match):
+        mb.default_kernel_config(mlp_domain, overrides=overrides)
+
+
+def test_default_kernel_config_takes_no_positional_mode(mlp_domain):
+    with pytest.raises(TypeError):
+        mb.default_kernel_config(mlp_domain, "encoded")
 
 
 # -- mixed kernel ----------------------------------------------------------------------
@@ -238,7 +273,7 @@ def scalar_kernel(domain, config, encoder, x, y):
                                  [unit(v, round_half_away(x.standard[v])) for v in ids],
                                  [unit(v, round_half_away(y.standard[v])) for v in ids])
     ids = domain.acting_index_set(xm, "categorical")
-    if config.categorical_mode == "encoded":
+    if encoder is not None:
         weights = [w for v in ids for w in [config.categorical_weights[v]] * encoder.width(v)]
         return value * squared_exponential(weights, encoder.encode(x.categorical, xm),
                                            encoder.encode(y.categorical, xm))
@@ -254,7 +289,7 @@ def scalar_kernel(domain, config, encoder, x, y):
 def test_vectorized_matches_scalar_kernel(mlp_domain):
     encoded = mb.Encoder(parse_bundled("mlp").domain, "one-hot")
     for mode, encoder in (("matrix", None), ("encoded", encoded)):
-        config = mb.default_kernel_config(mlp_domain, mode=mode)
+        config = mb.default_kernel_config(mlp_domain, encoder=encoder)
         config.signal_variance = 1.3
         kernel = mb.MixedKernel(mlp_domain, config, encoder)
         rng = np.random.default_rng(11)
@@ -379,10 +414,10 @@ def test_matrix_mode_features_hold_no_encodings(mlp_problem):
     points, values = proxy_samples(mlp_problem, 6)
     domain = mlp_problem.domain
     encoder = mb.Encoder(domain, "one-hot")
-    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain), encoder)
+    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain), encoder=None)
     assert model.encoder is None and not model.features(points).encoded
     encoded = mb.GPModel(domain, points, values,
-                         mb.default_kernel_config(domain, "encoded"), encoder)
+                         mb.default_kernel_config(domain, encoder=encoder), encoder)
     assert encoded.encoder is encoder and encoded.features(points).encoded
     assert encoded.features(points).values["a"].shape == (6, 2)
     assert model.features(points).values["a"].shape == (6,)
@@ -398,7 +433,7 @@ def test_pair_tensors_build_one_tensor_per_factor(mlp_domain, mode):
     encoder = mb.Encoder(mlp_domain, "one-hot") if mode == "encoded" else None
     pairs = PairTensors(mlp_domain, SampleFeatures(mlp_domain, points, encoder),
                         SampleFeatures(mlp_domain, others, encoder))
-    config = mb.default_kernel_config(mlp_domain, mode)
+    config = mb.default_kernel_config(mlp_domain, encoder=encoder)
     table_of = {key: table for table, entries in config.to_dict().items()
                 if isinstance(entries, dict) for key in entries}
     shared = ({v for p in points for v in [*p.categorical, *p.standard]}
@@ -419,8 +454,8 @@ def test_encoded_and_plain_features_do_not_mix(mlp_domain):
     with pytest.raises(mb.KernelDomainError):
         PairTensors(mlp_domain, plain, encoded)
     with pytest.raises(mb.KernelDomainError):
-        correlation_matrix(PairTensors(mlp_domain, plain, plain),
-                           mb.default_kernel_config(mlp_domain, "encoded"))
+        correlation_matrix(PairTensors(mlp_domain, plain, plain), mb.default_kernel_config(
+            mlp_domain, encoder=mb.Encoder(mlp_domain, "one-hot")))
 
 
 # -- hyperparameter fitting ----------------------------------------------------------------------
@@ -463,30 +498,30 @@ def reference_starts(base, seed, starts):
     return slots, drawn
 
 
-def start_config(domain, mode, slots, params):
-    config = mb.default_kernel_config(domain, mode)
+def start_config(domain, encoder, slots, params):
+    config = mb.default_kernel_config(domain, encoder=encoder)
     for (table, key, _, _), value in zip(slots, params):
         getattr(config, table)[key] = value
     return config
 
 
-def reference_fit(domain, points, values, seed=0, mode="matrix", encoder=None,
+def reference_fit(domain, points, values, seed=0, encoder=None,
                   starts=8, sweeps=8, base=None):
     """Reference compass search: rebuilds correlation_matrix on every trial.
 
-    ``base``, a config in ``mode``, sets the first start (default: the
+    ``base``, a config for ``encoder``, sets the first start (default: the
     default config).  The search runs from the starts whose own kernel
     matrix factorizes, or from all starts when none does.
     """
-    slots, drawn = reference_starts(base or mb.default_kernel_config(domain, mode),
+    slots, drawn = reference_starts(base or mb.default_kernel_config(domain, encoder=encoder),
                                     seed, starts)
-    features = SampleFeatures(domain, points, encoder if mode == "encoded" else None)
+    features = SampleFeatures(domain, points, encoder)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
 
     def build(params):
-        return start_config(domain, mode, slots, params)
+        return start_config(domain, encoder, slots, params)
 
     def profiled(config):
         matrix = correlation_matrix(pairs, config) + JITTER_FRACTION * np.eye(n)
@@ -585,12 +620,13 @@ def fit_samples(name, count, seed):
 
 
 def fit_encoding(domain, name):
-    """Kernel mode and encoder of a test encoding name ("encoded" is one-hot)."""
+    """The encoder of a test encoding name: None in matrix mode, and one-hot
+    for "encoded"."""
     if name == "matrix":
-        return "matrix", mb.Encoder(domain, "identity")
+        return None
     if name == "embedding":
-        return "encoded", EmbeddingEncoder(domain)
-    return "encoded", mb.Encoder(domain, "one-hot" if name == "encoded" else name)
+        return EmbeddingEncoder(domain)
+    return mb.Encoder(domain, "one-hot" if name == "encoded" else name)
 
 
 @pytest.mark.parametrize("name, count, seed, mode",
@@ -603,18 +639,17 @@ def fit_encoding(domain, name):
                           ("mlp", 16, 12, "embedding")])
 def test_cached_factor_fit_matches_reference(name, count, seed, mode):
     domain, points, values = fit_samples(name, count, seed)
-    mode, encoder = fit_encoding(domain, mode)
-    got = mb.fit_hyperparameters(domain, points, values, seed=seed, mode=mode,
-                                 encoder=encoder)
-    want = reference_fit(domain, points, values, seed=seed, mode=mode, encoder=encoder)
+    encoder = fit_encoding(domain, mode)
+    got = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
+    want = reference_fit(domain, points, values, seed=seed, encoder=encoder)
     assert got.to_dict() == want.to_dict()
 
 
 def test_embedding_encoder_moves_the_correlation_diagonal():
     domain, points, _ = fit_samples("toy", 14, 11)
-    mode, encoder = fit_encoding(domain, "embedding")
+    encoder = fit_encoding(domain, "embedding")
     features = SampleFeatures(domain, points, encoder)
-    config = mb.default_kernel_config(domain, mode)
+    config = mb.default_kernel_config(domain, encoder=encoder)
     diagonal = np.diag(correlation_matrix(PairTensors(domain, features, features), config))
     assert np.any(diagonal != 1.0)
 
@@ -639,7 +674,7 @@ def test_dead_fit_start_costs_one_factorization(monkeypatch):
     from metabox import gp
     domain, points, values = fit_samples("mlp", 12, 0)
     slots, drawn = reference_starts(mb.default_kernel_config(domain), 0, 8)
-    configs = [start_config(domain, "matrix", slots, params) for params in drawn]
+    configs = [start_config(domain, None, slots, params) for params in drawn]
     live = [log_marginal_likelihood(domain, points, values, c) > -math.inf for c in configs]
     assert live[0] and not all(live)
     calls, cholesky = [], gp._cholesky
@@ -665,7 +700,7 @@ def test_all_dead_fit_starts_are_searched():
     for key in base.meta_correlations:
         base.meta_correlations[key] = 0.98
     slots, drawn = reference_starts(base, 0, 4)
-    configs = [start_config(domain, "matrix", slots, params) for params in drawn]
+    configs = [start_config(domain, None, slots, params) for params in drawn]
     assert all(log_marginal_likelihood(domain, points, values, c) == -math.inf
                for c in configs)
     alone = []

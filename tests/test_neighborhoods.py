@@ -129,17 +129,20 @@ def test_realize_swaps_optimizer_variables(mlp_domain):
     assert mlp_domain.contains(realized)
 
 
-# -- custom rules --------------------------------------------------------------------------
+# -- callable rules ------------------------------------------------------------------------
 
-def test_custom_rule_via_registry(wide_mlp_domain):
+def test_callable_rule(wide_mlp_domain, mlp_domain):
     def jump_to_max(domain, point):
         return [point.meta.replace(l=3)]
 
-    mb.register_custom_rule("jump-max", jump_to_max)
-    mapping = mb.NeighborhoodMapping("meta", (mb.Custom("jump-max"),))
+    mapping = mb.NeighborhoodMapping("meta", (jump_to_max, mb.SwapCategorical("o")))
     point = wide_point(wide_mlp_domain, 0)
     neighbors = mb.meta_neighbors(wide_mlp_domain, mapping, point)
-    assert [n["l"] for n in neighbors] == [3]
+    assert neighbors[0]["l"] == 3 and len(neighbors) == 2
+    both_a = mb.NeighborhoodMapping(
+        "categorical", (lambda domain, point: [{**point.categorical, "a": 1}],))
+    point = mlp_domain.complete_point(ADAM2, {"a": 2})
+    assert mb.categorical_neighbors(mlp_domain, both_a, point, ADAM2) == [{"a": 1}]
 
 
 def test_guard_can_read_standard_values(mlp_domain):
