@@ -97,8 +97,8 @@ class BOConfig:
 
     def __post_init__(self):
         positive = ("budget", "max_iterations", "acq_starts", "acq_budget", "categorical_cap")
-        check_counts(self, (*positive, "enumeration_cap", "refit_full_until", "refit_every",
-                            "fit_sweeps"), positive)
+        check_counts(self, (*positive, "seed", "enumeration_cap", "refit_full_until",
+                            "refit_every", "fit_sweeps"), positive)
         if self.categorical_mode not in ("matrix", "encoded"):
             raise ConfigurationError('categorical_mode must be "matrix" or "encoded", '
                                      f"got {self.categorical_mode!r}")
@@ -486,14 +486,13 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         train_values.append(record.objective)
 
     stop_reason = "budget"
-    for point in initial_design(domain, rng, metas):
-        try:
-            absorb(evaluator.evaluate(point))
-        except EvaluationError:
-            continue
-        except BudgetExhaustedError:
-            stop_reason = "budget"
-            break
+    try:
+        with evaluator.lookahead(initial_design(domain, rng, metas)) as records:
+            for record in records:
+                if record.error is None:
+                    absorb(record)
+    except BudgetExhaustedError:
+        pass
 
     acquisition_log = []
     finite = finite_candidates(domain, cfg.enumeration_cap)

@@ -4,7 +4,8 @@ A Problem bundles a domain, a constraint system and one evaluation backend
 (an in-process callable or an external command).  An Evaluator wraps a
 Problem with a budget, a result cache keyed by Point equality, and an
 append-only history.  Cached hits append to the history but never spend
-budget.
+budget.  :meth:`Evaluator.lookahead` settles a sequence of points in order
+while running the next few command children at once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (BudgetExhaustedError, ConfigurationError, DomainError,
 
 TIMEOUT_ENV_VAR = "METABOX_BLACKBOX_TIMEOUT"
 DEFAULT_TIMEOUT = 60.0
+#: Most command children one lookahead runs at once, whatever the CPU count.
+MAX_LOOKAHEAD = 4
 
 
 def valid_timeout(value) -> bool:
@@ -122,6 +125,22 @@ def subprocess_payload(domain: Domain, point: Point) -> dict:
             "standard": dict(point.standard)}
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _kill_group(proc):
+    """SIGKILL the process group a child leads (it was started in its own session)."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def _env_timeout(default: float) -> float:
     """The timeout set by the environment variable, else ``default``."""
     text = os.environ.get(TIMEOUT_ENV_VAR)
@@ -148,6 +167,9 @@ class Evaluator:
     call.
     A failed evaluation is remembered too: requesting its point again records
     a cached failure and raises the same EvaluationError, free of budget.
+
+    ``discarded`` counts the command children a :meth:`lookahead` started
+    whose results were dropped unsettled: never charged, never recorded.
     """
 
     def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None):
@@ -157,8 +179,14 @@ class Evaluator:
         # identity -> the fresh record, failed (``error`` set) or not
         self._records: dict[tuple, EvaluationRecord] = {}
         self._inflight: set[tuple] = set()
+        # identity -> a lookahead's child not yet taken by the evaluate()
+        # that charges its point
+        self._ahead: dict[tuple, _Child] = {}
+        self.discarded = 0
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
+        # In-process callables run inline; command children may overlap.
+        self._width = 1 if problem.objective is not None else min(MAX_LOOKAHEAD, _cpus())
         if timeout is None:
             timeout = _env_timeout(problem.timeout)
         else:
@@ -224,6 +252,22 @@ class Evaluator:
                 self._settled.notify_all()
         return record
 
+    def lookahead(self, points) -> "_Lookahead":
+        """Settle ``points`` (any iterable, read lazily) in order; a context
+        manager whose value iterates the settled records.
+
+        Every point is settled by :meth:`evaluate`, so membership, cache,
+        budget and history are exactly as for a loop over ``evaluate``; a
+        failed evaluation yields its failure record instead of raising, and
+        any other error ends the iteration.  With a command backend the
+        children of the next few points (at most the usable CPUs, capped at
+        MAX_LOOKAHEAD) run while earlier ones settle, and never more than
+        the budget left.  Children of points the caller never settles are
+        killed with their process group on exit and counted in
+        ``discarded``.  In-process callables run inline, one at a time.
+        """
+        return _Lookahead(self, points)
+
     # -- backend dispatch ----------------------------------------------------------
 
     def _run_backend(self, point: Point) -> EvaluationRecord:
@@ -236,7 +280,13 @@ class Evaluator:
             except Exception as exc:  # backend bugs surface as evaluation errors
                 raise EvaluationError(f"builtin backend failed: {exc}") from exc
         else:
-            objective, blackbox_values = self._run_subprocess(point)
+            with self._lock:
+                child = self._ahead.pop(_identity(point), None)
+            if child is None:
+                objective, blackbox_values = self._run_subprocess(point)
+            else:
+                start = child.start
+                objective, blackbox_values = child.result()
         constraints = {}
         system = self.problem.constraints
         for spec in system.acting_constraints(point.meta):
@@ -259,7 +309,7 @@ class Evaluator:
                                 constraints=constraints, feasible=feasible,
                                 index=-1, cached=False, wall_ms=wall_ms)
 
-    def _run_subprocess(self, point: Point):
+    def _run_subprocess(self, point: Point, child: "_Child | None" = None):
         payload = json.dumps(subprocess_payload(self.problem.domain, point))
         try:
             # The child leads its own session, so a timeout kills every
@@ -269,14 +319,13 @@ class Evaluator:
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
         except OSError as exc:
             raise EvaluationError(f"blackbox could not be launched: {exc}") from exc
+        if child is not None:
+            child.attach(proc)
         with proc:
             try:
                 stdout, stderr = proc.communicate(payload.encode(), timeout=self.timeout)
             except BaseException as exc:
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+                _kill_group(proc)
                 proc.wait()
                 if isinstance(exc, subprocess.TimeoutExpired):
                     raise EvaluationError(
@@ -294,6 +343,114 @@ class Evaluator:
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise EvaluationError(f"blackbox output malformed: {exc}") from exc
         return objective, constraint_values
+
+
+class _Child:
+    """A command child a lookahead started before its point's settle."""
+
+    def __init__(self, point: Point):
+        self.point = point
+        self.start = time.perf_counter()
+        self.future = None
+        self._proc = None
+        self._dropped = False
+        self._lock = threading.Lock()
+
+    def attach(self, proc):
+        """Called by the worker once the child runs; kills it if already dropped."""
+        with self._lock:
+            self._proc = proc
+            dropped = self._dropped
+        if dropped:
+            _kill_group(proc)
+
+    def drop(self):
+        """Kill the child's process group if it still runs, now or once it starts."""
+        with self._lock:
+            self._dropped = True
+            proc = self._proc
+        # A reaped child's group id may be reused: poll() reaps an exited
+        # child instead of signalling it.
+        if proc is not None and proc.poll() is None:
+            _kill_group(proc)
+
+    def result(self):
+        """The child's (objective, constraint values); waits for it to finish."""
+        try:
+            return self.future.result()
+        except EvaluationError:
+            raise
+        except BaseException:  # an interrupted wait must not leave it running
+            self.drop()
+            raise
+
+
+class _Lookahead:
+    """The context manager :meth:`Evaluator.lookahead` returns."""
+
+    def __init__(self, evaluator: Evaluator, points):
+        self._evaluator = evaluator
+        self._points = points
+        self._children: list[_Child] = []
+        self._pool = None
+
+    def __enter__(self):
+        width = self._evaluator._width
+        if width == 1:
+            return self._settled(self._points)
+        from concurrent.futures import ThreadPoolExecutor
+        self._pool = ThreadPoolExecutor(width, thread_name_prefix="metabox-lookahead")
+        return self._settled(self._launched(width))
+
+    def _settled(self, points):
+        evaluator = self._evaluator
+        for point in points:
+            try:
+                yield evaluator.evaluate(point)
+            except EvaluationError:
+                yield evaluator.history[-1]
+
+    def _launched(self, width: int):
+        """``points`` in order; each is pulled, and its child started, while
+        the ``width - 1`` points before it are still to be settled."""
+        window = []
+        for point in self._points:
+            self._launch(point)
+            window.append(point)
+            if len(window) == width:
+                yield window.pop(0)
+        yield from window
+
+    def _launch(self, point: Point):
+        """Start ``point``'s child unless evaluate() would refuse, serve from
+        the records or coalesce it, or the budget left is already spoken for."""
+        evaluator = self._evaluator
+        if evaluator.problem.domain.membership_issues(point):
+            return
+        key = _identity(point)
+        with evaluator._lock:
+            if (key in evaluator._records or key in evaluator._inflight
+                    or key in evaluator._ahead
+                    or len(evaluator._ahead) >= evaluator.budget.remaining):
+                return
+            child = evaluator._ahead[key] = _Child(point)
+            child.future = self._pool.submit(evaluator._run_subprocess, point, child)
+        self._children.append(child)
+
+    def __exit__(self, *exc_info):
+        if self._pool is None:
+            return
+        evaluator = self._evaluator
+        for child in self._children:
+            with evaluator._lock:
+                key = _identity(child.point)
+                untaken = evaluator._ahead.get(key) is child
+                if untaken:
+                    del evaluator._ahead[key]
+                    evaluator.discarded += 1
+            if untaken:
+                child.drop()
+        self._pool.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------

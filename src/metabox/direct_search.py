@@ -65,14 +65,16 @@ class MeshState:
 
 def check_counts(config, counts, positive):
     """Raise ConfigurationError unless each option of ``config`` named in
-    ``counts`` is an integer (a bool is not one), and each in ``positive`` is
-    at least 1."""
+    ``counts`` is an integer (a bool is not one) and at least 0, and each in
+    ``positive`` is at least 1."""
     for name in counts:
         value = getattr(config, name)
         if not _is_int(value):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if name in positive and value < 1:
             raise ConfigurationError(f"{name} must be positive")
+        if value < 0:
+            raise ConfigurationError(f"{name} must not be negative, got {value}")
 
 
 @dataclass
@@ -85,8 +87,8 @@ class SearchConfig:
     global_search: str = "random"  # "random" | "none"
 
     def __post_init__(self):
-        counts = ("budget", "subproblem_budget", "max_iterations")
-        check_counts(self, counts, positive=counts)
+        positive = ("budget", "subproblem_budget", "max_iterations")
+        check_counts(self, (*positive, "seed"), positive)
         if not isinstance(self.opportunistic, bool):
             raise ConfigurationError("opportunistic must be true or false, "
                                      f"got {self.opportunistic!r}")
@@ -164,34 +166,48 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
     if not ids:
         return SubproblemResult(best_point, best_record, best_barrier, evaluations,
                                 "start_only", mesh)
-    while True:
-        improved = False
-        # Converted once per sweep: polls add Python floats, and scope.clamp
-        # returns ints for integer variables.
-        steps = mesh.steps().tolist()
+
+    def sweep(center: Point, steps, room: int):
+        """The poll candidates around ``center``: +/- one step along each
+        coordinate in order, skipping steps the scope clamps away.  Yields at
+        most ``room`` of them, and sets ``cut`` if the room ran out before
+        the last step."""
+        nonlocal cut
         for vid, scope, step in zip(ids, scopes, steps):
             for sign in (1, -1):
-                if evaluations >= cfg.subproblem_budget:
-                    return SubproblemResult(best_point, best_record, best_barrier,
-                                            evaluations, "subproblem_budget", mesh)
-                value = scope.clamp(best_point.standard[vid] + sign * step)
-                if value == best_point.standard[vid]:
-                    continue
-                candidate = Point(tm, tq, {**best_point.standard, vid: value})
-                try:
-                    record, barrier = _evaluate_barrier(evaluator, candidate)
+                if room <= 0:
+                    cut = True
+                    return
+                value = scope.clamp(center.standard[vid] + sign * step)
+                if value != center.standard[vid]:
+                    room -= 1
+                    yield Point(tm, tq, {**center.standard, vid: value})
+
+    while True:
+        improved = False
+        cut = False
+        # Converted once per sweep: polls add Python floats, and scope.clamp
+        # returns ints for integer variables.  The candidates are fixed until
+        # the first improvement, so command children may run ahead.
+        candidates = sweep(best_point, mesh.steps().tolist(),
+                           cfg.subproblem_budget - evaluations)
+        try:
+            with evaluator.lookahead(candidates) as records:
+                for record in records:
                     evaluations += 1
-                except BudgetExhaustedError:
-                    return SubproblemResult(best_point, best_record, best_barrier,
-                                            evaluations, "global_budget", mesh)
-                if barrier < best_barrier:
-                    best_point, best_record, best_barrier = candidate, record, barrier
-                    improved = True
-                    break
-            if improved:
-                break
+                    barrier = barrier_value(record)
+                    if barrier < best_barrier:
+                        best_point, best_record, best_barrier = record.point, record, barrier
+                        improved = True
+                        break
+        except BudgetExhaustedError:
+            return SubproblemResult(best_point, best_record, best_barrier,
+                                    evaluations, "global_budget", mesh)
         if improved:
             continue
+        if cut:
+            return SubproblemResult(best_point, best_record, best_barrier,
+                                    evaluations, "subproblem_budget", mesh)
         if mesh.at_minimum():
             return SubproblemResult(best_point, best_record, best_barrier,
                                     evaluations, "min_mesh", mesh)

@@ -634,6 +634,7 @@ BO_COUNTS = POSITIVE_BO_COUNTS + ["enumeration_cap", "refit_full_until", "refit_
 
 @pytest.mark.parametrize("value, field", [
     *itertools.product([0, -1], POSITIVE_BO_COUNTS),
+    *itertools.product([-1], BO_COUNTS[len(POSITIVE_BO_COUNTS):]),
     *itertools.product([2.5, True], BO_COUNTS),
     ("x", "categorical_mode")])
 def test_bo_config_rejects_values_that_would_end_the_run(field, value):

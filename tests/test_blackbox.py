@@ -1,14 +1,18 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
 import signal
 import sys
+import threading
 import time
 
 import pytest
 
 import metabox as mb
+from metabox import blackbox, direct_search
+from metabox.bayesian import write_acquisition_log
 from metabox.blackbox import cache_key, history_header, render_value
 from metabox.builtin_problems import (MLP_ACTIVATION_GAP, MLP_CONTINUOUS_TARGETS,
                                       MLP_OPTIMIZER_BASE, MLP_UNIT_TARGETS, toy_table)
@@ -500,6 +504,254 @@ def test_subprocess_timeout_kills_grandchildren(tmp_path, toy_problem):
     finally:
         if process_running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+# -- lookahead: command children run ahead of their settle -------------------------------
+
+def lookahead_width(monkeypatch, width):
+    """Evaluators built from now on run ``width`` command children at once."""
+    monkeypatch.setattr(blackbox, "_cpus", lambda: width)
+
+
+@pytest.fixture
+def launches(monkeypatch):
+    """(evaluator, started ahead of its settle) for every command child started."""
+    started = []
+    original = mb.Evaluator._run_subprocess
+
+    def recorded(self, point, child=None):
+        started.append((self, child is not None))
+        return original(self, point, child)
+
+    monkeypatch.setattr(mb.Evaluator, "_run_subprocess", recorded)
+    return started
+
+
+def command_problem(toy_problem, script, *args, timeout=20.0):
+    """The toy problem with a stdlib command blackbox (no site import, so it starts fast)."""
+    return mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                      command=(sys.executable, "-I", "-S", str(script), *map(str, args)),
+                      timeout=timeout)
+
+
+def lookahead_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("metabox-lookahead")]
+
+
+def kill_recorded(pid_dir):
+    """SIGKILL every process whose pid a blackbox published in ``pid_dir``."""
+    for path in pid_dir.glob("[0-9]*"):
+        pid = int(path.read_text())
+        if process_running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+def wait_until_gone(pids, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while any(map(process_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if process_running(pid)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lookahead_width_leaves_command_histories_unchanged(tmp_path, monkeypatch, launches,
+                                                            toy_problem, seed):
+    problem = command_problem(toy_problem, quadratic_child(tmp_path, CHILD_OK))
+    outputs = {}
+    for width in (1, 2):
+        lookahead_width(monkeypatch, width)
+        direct = mb.run_direct_search(problem, mb.SearchConfig(budget=12, seed=seed,
+                                                               subproblem_budget=5))
+        bo = mb.run_bo(problem, mb.BOConfig(budget=12, seed=seed))
+        written = []
+        for name, result in (("direct", direct), ("bo", bo)):
+            path = tmp_path / f"{name}-{width}.csv"
+            mb.write_history(problem.domain, problem.constraints, result.history, path)
+            written.append(path.read_bytes())
+        path = tmp_path / f"acquisition-{width}.csv"
+        write_acquisition_log(bo.acquisition_log, path)
+        written.append(path.read_bytes())
+        outputs[width] = written
+        assert any(ahead for _, ahead in launches) == (width == 2)
+        launches.clear()
+    assert outputs[1] == outputs[2]
+
+
+# Every child leaves a grandchild in its own process group and publishes its
+# pid (by rename, so a pid file is never read half written); the k == 2
+# child then outlives any timeout.
+SLOW_AT_K2 = """\
+import json, os, subprocess, sys, time
+data = json.load(sys.stdin)
+k = data["standard"]["k"]
+grandchild = subprocess.Popen(
+    [sys.executable, "-c", "import time; time.sleep(30)"], stdin=subprocess.DEVNULL,
+    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+path = os.path.join(sys.argv[1], str(k))
+with open(path + ".part", "w") as fh:
+    fh.write(str(grandchild.pid))
+os.replace(path + ".part", path)
+if k == 2:
+    time.sleep(30)
+json.dump({"objective": k}, sys.stdout)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_lookahead_timeout_kills_only_its_own_child(tmp_path, monkeypatch, launches,
+                                                   toy_problem):
+    script = quadratic_child(tmp_path, SLOW_AT_K2)
+    points = [toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": k})
+              for k in (1, 2, 3)]
+    histories = {}
+    for width in (1, 2):
+        lookahead_width(monkeypatch, width)
+        pid_dir = tmp_path / f"width-{width}"
+        pid_dir.mkdir()
+        problem = command_problem(toy_problem, script, pid_dir, timeout=1.0)
+        evaluator = mb.Evaluator(problem, 5)
+        try:
+            with evaluator.lookahead(points) as records:
+                settled = list(records)
+            grandchildren = {int(path.name): int(path.read_text())
+                             for path in pid_dir.glob("[0-9]*")}
+            # The k == 3 child ran while the k == 2 child timed out.
+            assert [ahead for _, ahead in launches] == [width == 2] * 3
+            assert wait_until_gone([grandchildren[2]]) == []
+            assert process_running(grandchildren[1]) and process_running(grandchildren[3])
+        finally:
+            kill_recorded(pid_dir)
+        assert settled == evaluator.history
+        histories[width] = [(r.index, cache_key(r.point), r.objective, r.error)
+                            for r in evaluator.history]
+        launches.clear()
+    assert histories[1] == histories[2]
+    assert [objective for _, _, objective, _ in histories[2]] == [1.0, math.inf, 3.0]
+    assert "timed out" in histories[2][1][3]
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_lookahead_kills_the_child_of_a_point_never_settled(tmp_path, monkeypatch,
+                                                            toy_problem):
+    lookahead_width(monkeypatch, 2)
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    problem = command_problem(toy_problem, quadratic_child(tmp_path, SLOW_AT_K2), pid_dir)
+    points = [toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": k})
+              for k in (1, 2)]
+    evaluator = mb.Evaluator(problem, 5)
+    start = time.monotonic()
+    with evaluator.lookahead(points) as records:
+        first = next(records)
+        deadline = time.monotonic() + 5.0
+        while not (pid_dir / "2").exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+    grandchild = int((pid_dir / "2").read_text())
+    try:
+        # Killed, not awaited: the k == 2 child sleeps for 30 s.
+        assert time.monotonic() - start < 15.0
+        assert wait_until_gone([grandchild]) == []
+    finally:
+        kill_recorded(pid_dir)
+    assert evaluator.history == [first] and evaluator.budget.used == 1
+    assert evaluator.discarded == 1
+    assert lookahead_threads() == []
+
+
+PID_CHILD = """\
+import json, os, sys
+open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+data = json.load(sys.stdin)
+out = {"objective": -data["standard"]["k"]}
+if data["meta"]["m"] == "B":
+    out["constraints"] = {"branch_cap": -1.0}
+json.dump(out, sys.stdout)
+"""
+
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupt_third_barrier(monkeypatch):
+    """The direct search's third barrier_value call raises: the first poll
+    record of its first subproblem, with the next candidate's child running."""
+    calls = itertools.count(1)
+    original = direct_search.barrier_value
+
+    def barrier(record):
+        if next(calls) == 3:
+            raise Interrupted
+        return original(record)
+
+    monkeypatch.setattr(direct_search, "barrier_value", barrier)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("case", ["improving-first-candidate", "budget-mid-design",
+                                  "consumer-raises"])
+def test_lookahead_leaves_no_child_or_thread_behind(tmp_path, monkeypatch, launches,
+                                                    toy_problem, case):
+    lookahead_width(monkeypatch, 2)
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    problem = command_problem(toy_problem, quadratic_child(tmp_path, PID_CHILD), pid_dir)
+    if case == "improving-first-candidate":
+        # Objective -k: each sweep's first candidate (k + 1) improves while
+        # the second (k - 1) runs.
+        mb.run_direct_search(problem, mb.SearchConfig(budget=12, seed=0))
+    elif case == "budget-mid-design":
+        # Eight design points, five evaluations: the budget ends with the
+        # lookahead full.
+        result = mb.run_bo(problem, mb.BOConfig(budget=5, seed=0))
+        assert result.evaluator.budget.used == 5
+    else:
+        interrupt_third_barrier(monkeypatch)
+        with pytest.raises(Interrupted):
+            mb.run_direct_search(problem, mb.SearchConfig(budget=12, seed=0))
+    assert lookahead_threads() == []
+    assert wait_until_gone([int(path.name) for path in pid_dir.iterdir()]) == []
+    (evaluator,) = {id(e): e for e, _ in launches}.values()
+    assert evaluator.discarded == len(launches) - evaluator.budget.used
+    if case == "budget-mid-design":
+        assert evaluator.discarded == 0  # no child starts beyond the budget
+    else:
+        assert evaluator.discarded >= 1
+
+
+def test_concurrent_lookaheads_charge_each_point_once(tmp_path, monkeypatch, launches,
+                                                     toy_problem):
+    # Four children at once on fewer cores, three consumers in lookaheads
+    # over the same points in different orders: a child one consumer
+    # started may be taken by another's evaluate().
+    lookahead_width(monkeypatch, 4)
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    problem = command_problem(toy_problem, quadratic_child(tmp_path, PID_CHILD), pid_dir)
+    points = [toy_problem.domain.complete_point(mb.MetaComponent({"m": m}), {"k": k})
+              for m in "AB" for k in range(5)]
+    evaluator = mb.Evaluator(problem, 100)
+
+    def consume(order):
+        with evaluator.lookahead([points[i] for i in order]) as records:
+            return [r.objective for r in records]
+
+    orders = [range(10), range(9, -1, -1), [i * 3 % 10 for i in range(10)]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(consume, o) for o in orders]]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [-float(p.standard["k"]) for p in points]
+    assert [sorted(r) for r in results] == [sorted(expected)] * 3
+    fresh = [cache_key(r.point) for r in evaluator.history if not r.cached]
+    assert sorted(fresh) == sorted(map(cache_key, points))
+    assert evaluator.budget.used == 10 and len(evaluator.history) == 30
+    assert evaluator.discarded == len(launches) - evaluator.budget.used
+    assert lookahead_threads() == []
+    assert wait_until_gone([int(path.name) for path in pid_dir.iterdir()]) == []
 
 
 def test_subprocess_payload_uses_labels(toy_problem):

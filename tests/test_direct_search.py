@@ -264,3 +264,12 @@ def test_invalid_config_rejected():
                          ("budget", "3"), ("opportunistic", "no"), ("opportunistic", 1)):
         with pytest.raises(mb.ConfigurationError):
             mb.SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config", [mb.SearchConfig, mb.BOConfig])
+@pytest.mark.parametrize("seed", [2.5, -1, True, "0"])
+def test_seed_must_be_a_nonnegative_integer(config, seed):
+    # seed=2.5 once raised a raw TypeError from np.random.default_rng, and
+    # seed=-1 a raw ValueError, both mid-run.
+    with pytest.raises(mb.ConfigurationError, match="seed"):
+        config(seed=seed)
