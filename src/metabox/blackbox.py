@@ -168,6 +168,9 @@ class Evaluator:
     A failed evaluation is remembered too: requesting its point again records
     a cached failure and raises the same EvaluationError, free of budget.
 
+    Membership is checked first; a point moved from a checked member
+    (:meth:`Point.moved`) is re-checked only at its moved value.
+
     ``discarded`` counts the command children a :meth:`lookahead` started
     whose results were dropped unsettled: never charged, never recorded.
     """
@@ -194,12 +197,6 @@ class Evaluator:
         self.timeout = timeout
 
     # -- public API -------------------------------------------------------------
-
-    @property
-    def evaluated_keys(self):
-        with self._lock:
-            points = [r.point for r in self._records.values() if r.error is None]
-        return {cache_key(p) for p in points}
 
     def is_evaluated(self, point: Point) -> bool:
         with self._lock:
@@ -287,23 +284,14 @@ class Evaluator:
             else:
                 start = child.start
                 objective, blackbox_values = child.result()
-        constraints = {}
-        system = self.problem.constraints
-        for spec in system.acting_constraints(point.meta):
-            if spec.analytic:
-                constraints[spec.id] = system.evaluate_analytic(spec, point)
-            else:
-                if spec.id not in blackbox_values:
-                    raise EvaluationError(
-                        f"backend returned no value for acting constraint {spec.id!r}")
-                constraints[spec.id] = float(blackbox_values[spec.id])
+        constraints, feasible = self.problem.constraints.evaluate_acting(
+            point, blackbox_values)
         objective = float(objective)
         if not math.isfinite(objective):
             raise EvaluationError(f"backend returned a non-finite objective {objective!r}")
         for cid, value in constraints.items():
             if not math.isfinite(value):
                 raise EvaluationError(f"constraint {cid!r} has the non-finite value {value!r}")
-        feasible = system.is_feasible(point, constraints)
         wall_ms = (time.perf_counter() - start) * 1e3
         return EvaluationRecord(point=point, objective=objective,
                                 constraints=constraints, feasible=feasible,

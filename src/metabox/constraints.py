@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .domain import (ALWAYS, DecreePredicate, Domain, GROUPS, Membership, Point, Role,
                      Threshold)
-from .errors import (DecreeViolationError, IncompleteConstraintValuesError,
-                     NotEnumerableError, ScopeError)
+from .errors import (DecreeViolationError, EvaluationError,
+                     IncompleteConstraintValuesError, NotEnumerableError, ScopeError)
 
 
 @dataclass(frozen=True)
@@ -128,20 +128,14 @@ class ConstraintSystem:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def decreed_constraints(self):
-        return [c for c in self.constraints if c.role == Role.DECREED]
-
     def _acting_tuples(self, xm):
-        """(acting constraints, acting decreed constraints, the ``id`` of each
-        acting decreed constraint) of a valid ``xm``."""
+        """(acting constraints, acting decreed constraints) of a valid ``xm``."""
         return self.domain.memoize_per_meta(self._acting, xm, self._build_acting)
 
     def _build_acting(self, xm):
         acting = tuple(c for c in self.constraints if c.role == Role.GLOBAL
                        or self.domain.decree_satisfied(c.decree, xm))
-        decreed = tuple(c for c in acting if c.role == Role.DECREED)
-        return acting, decreed, frozenset(map(id, decreed))
+        return acting, tuple(c for c in acting if c.role == Role.DECREED)
 
     def acting_decreed_constraints(self, xm):
         """Decreed constraints whose predicate ``xm`` satisfies, declaration order."""
@@ -159,25 +153,32 @@ class ConstraintSystem:
         Terms over nonacting variables contribute nothing for global
         constraints (the sum adapts to the acting set).  Evaluating a decreed
         constraint where it is nonacting is a decree violation.  A spec in the
-        memoized acting list of ``point.meta`` (the evaluator passes only
-        those) skips the decree check; any other spec, such as one built
-        outside this system, is checked.
+        memoized acting list of ``point.meta`` skips the decree check; any
+        other spec, such as one built outside this system, is checked.
         """
         if not spec.analytic:
             raise ScopeError(f"constraint {spec.id!r} has no analytic body")
         if (spec.role == Role.DECREED
-                and id(spec) not in self._acting_tuples(point.meta)[2]
+                and spec not in self._acting_tuples(point.meta)[1]
                 and not self.domain.decree_satisfied(spec.decree, point.meta)):
             raise DecreeViolationError(
                 f"constraint {spec.id!r} is nonacting under {dict(point.meta)}")
-        value = spec.body.constant
-        for coefficient, vid in spec.body.terms:
-            if vid in point.standard:
-                value += coefficient * point.standard[vid]
-            elif spec.role == Role.DECREED:
-                raise DecreeViolationError(
-                    f"constraint {spec.id!r}: referenced variable {vid!r} is nonacting")
-        return value
+        return _linear_value(spec, point.standard)
+
+    def evaluate_acting(self, point: Point, blackbox_values):
+        """(value of every acting constraint by id, all values <= 0) at a domain
+        member, in one walk of its memoized acting list, so with no decree
+        check; blackbox bodies are read from ``blackbox_values``."""
+        values = {}
+        for spec in self._acting_tuples(point.meta)[0]:
+            if spec.analytic:
+                values[spec.id] = _linear_value(spec, point.standard)
+            elif spec.id in blackbox_values:
+                values[spec.id] = float(blackbox_values[spec.id])
+            else:
+                raise EvaluationError(
+                    f"backend returned no value for acting constraint {spec.id!r}")
+        return values, all(v <= 0.0 for v in values.values())  # NaN is infeasible
 
     def is_feasible(self, point: Point, values) -> bool:
         """True iff every acting constraint value is <= 0, exactly (no tolerance)."""
@@ -188,6 +189,18 @@ class ConstraintSystem:
             if not values[c.id] <= 0.0:  # NaN is infeasible
                 return False
         return True
+
+
+def _linear_value(spec: ConstraintSpec, standard) -> float:
+    """A linear body over a standard map, which a decreed body must cover."""
+    value = spec.body.constant
+    for coefficient, vid in spec.body.terms:
+        if vid in standard:
+            value += coefficient * standard[vid]
+        elif spec.role == Role.DECREED:
+            raise DecreeViolationError(
+                f"constraint {spec.id!r}: referenced variable {vid!r} is nonacting")
+    return value
 
 
 def _implies(have, needed) -> bool:

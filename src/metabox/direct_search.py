@@ -181,7 +181,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
                 value = scope.clamp(center.standard[vid] + sign * step)
                 if value != center.standard[vid]:
                     room -= 1
-                    yield Point(tm, tq, {**center.standard, vid: value})
+                    yield center.moved(vid, value)
 
     while True:
         improved = False

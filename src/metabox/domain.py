@@ -395,10 +395,12 @@ class Point:
 
     ``categorical`` maps variable ids to 1-based category indices; labels
     exist only at I/O boundaries.  ``standard`` maps ids to numbers.  Points
-    are value objects: treat them as immutable.
+    are value objects, immutable by contract: :meth:`moved` shares maps with
+    its center, and a point moved from a checked member is re-checked only
+    at its moved value (:meth:`Domain.membership_issues`).
     """
 
-    __slots__ = ("meta", "categorical", "standard", "_key")
+    __slots__ = ("meta", "categorical", "standard", "_key", "_witness")
 
     def __init__(self, meta, categorical=None, standard=None):
         self.meta = meta if isinstance(meta, MetaComponent) else MetaComponent(meta)
@@ -406,6 +408,26 @@ class Point:
         self.standard = _canonical_map(standard)
         self._key = (self.meta, tuple(sorted(self.categorical.items())),
                      tuple(sorted(self.standard.items())))
+        # (layout passed against, None) or (center's layout, unchecked moved id)
+        self._witness = (None, None)
+
+    def moved(self, vid: str, value) -> "Point":
+        """This point with standard variable ``vid`` set to ``value``."""
+        if vid not in self.standard:
+            raise ScopeError(f"{vid!r} is not a standard variable of this point")
+        value = _canonical_value(value)
+        point = Point.__new__(Point)
+        point.meta, point.categorical = self.meta, self.categorical
+        point.standard = {**self.standard, vid: value}
+        items = self._key[2]  # sorted by id, so replaced in place
+        at = [k for k, _ in items].index(vid)
+        point._key = (self.meta, self._key[1], items[:at] + ((vid, value),) + items[at + 1:])
+        layout, unchecked = self._witness
+        point._witness = (layout, vid) if unchecked is None else (None, None)
+        return point
+
+    def __reduce__(self):  # copies and pickles drop the witness
+        return Point, (self.meta, self.categorical, self.standard)
 
     def __eq__(self, other):
         return isinstance(other, Point) and self._key == other._key
@@ -600,13 +622,18 @@ class Domain:
         except InvalidMetaError as exc:
             return [MembershipIssue("invalid-meta", "meta", str(exc))]
         categorical, standard = point.categorical, point.standard
-        # A member holds exactly the acting ids, each inside its scope.
-        if (categorical.keys() == layout.categorical_ids
-                and standard.keys() == layout.standard_ids
-                and all(scope.contains_index(categorical[vid])
-                        for vid, scope in layout.categorical)
-                and all(scope.contains_value(standard[vid])
-                        for vid, scope in layout.standard)):
+        passed, moved_id = point._witness
+        # A member holds exactly the acting ids, each inside its scope; a point
+        # moved from a member that passed this layout differs only at moved_id.
+        if ((passed is layout and moved_id is not None
+             and self._by_id[moved_id].scope.contains_value(standard[moved_id]))
+                or (categorical.keys() == layout.categorical_ids
+                    and standard.keys() == layout.standard_ids
+                    and all(scope.contains_index(categorical[vid])
+                            for vid, scope in layout.categorical)
+                    and all(scope.contains_value(standard[vid])
+                            for vid, scope in layout.standard))):
+            point._witness = (layout, None)
             return []
         issues = []
         for vid in point.categorical:

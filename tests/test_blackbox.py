@@ -1,8 +1,11 @@
 import concurrent.futures
+import copy
+import dataclasses
 import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -102,6 +105,56 @@ def test_float_twin_of_an_evaluated_integer_point_is_refused(mlp_problem, mlp_do
         evaluator.evaluate(twin)
     assert evaluator.budget.used == 1
     assert len(evaluator.history) == 1
+
+
+def test_moved_twins_of_an_integer_point_are_refused(mlp_problem, mlp_domain):
+    evaluator = mb.Evaluator(mlp_problem, 5)
+    center = mlp_domain.complete_point(ADAM2, {"u1": 150})
+    evaluator.evaluate(center)
+    member = center.moved("u1", 200)
+    evaluator.evaluate(member)
+    twins = [mb.Point(ADAM2, member.categorical, {**member.standard, "u1": 200.0}),
+             center.moved("u1", 200.0), member.moved("u1", 200.0),
+             center.moved("u1", 200.0).moved("u2", 200)]
+    for twin in twins:
+        assert twin == member
+        with pytest.raises(mb.DomainError):
+            evaluator.evaluate(twin)
+    assert evaluator.budget.used == len(evaluator.history) == 2
+
+
+def test_the_membership_witness_does_not_cross_domains(mlp_problem, mlp_domain):
+    # u2 is carried unchanged by the move, and the narrower domain refuses it.
+    narrow = mb.Domain([dataclasses.replace(v, scope=mb.IntegerScope(100, 120))
+                        if v.id == "u2" else v for v in mlp_domain.variables])
+    problem = dataclasses.replace(
+        mlp_problem, domain=narrow,
+        constraints=mb.ConstraintSystem(narrow, mlp_problem.constraints.constraints))
+    center = mlp_domain.complete_point(ADAM2, {"u2": 200})
+    mb.Evaluator(mlp_problem, 5).evaluate(center)
+    moved = center.moved("u1", 250)
+    evaluator = mb.Evaluator(problem, 5)
+    with pytest.raises(mb.DomainError) as err:
+        evaluator.evaluate(moved)
+    assert [(i.code, i.subject) for i in err.value.reasons] == [("scope", "u2")]
+    assert mlp_domain.contains(moved) and not narrow.contains(moved)
+    assert evaluator.budget.used == len(evaluator.history) == 0
+
+
+def test_a_moved_point_is_the_point_built_from_scratch(mlp_problem, mlp_domain):
+    center = mlp_domain.complete_point(ADAM2, {"u1": 150})
+    evaluator = mb.Evaluator(mlp_problem, 5)
+    evaluator.evaluate(center)
+    moved = center.moved("r", 0.25)
+    scratch = mb.Point(ADAM2, dict(center.categorical), {**center.standard, "r": 0.25})
+    assert moved == scratch and hash(moved) == hash(scratch)
+    assert cache_key(moved) == cache_key(scratch)
+    assert not evaluator.evaluate(scratch).cached
+    assert evaluator.evaluate(moved).cached
+    assert evaluator.budget.used == 2
+    # Copies are rebuilt from the values, without the witness.
+    for copied in (copy.deepcopy(moved), pickle.loads(pickle.dumps(moved))):
+        assert copied == moved and mlp_domain.contains(copied)
 
 
 def test_concurrent_duplicate_evaluations_coalesce(toy_problem):
@@ -237,7 +290,7 @@ def test_signed_zero_twins_are_one_evaluation():
     assert evaluator.is_evaluated(negative_zero)
     assert evaluator.evaluate(negative_zero).cached
     assert evaluator.budget.used == 1
-    assert evaluator.evaluated_keys == {cache_key(zero)}
+    assert [cache_key(r.point) for r in evaluator.history if not r.cached] == [cache_key(zero)]
 
 
 def test_timeout_env_var_override(monkeypatch, toy_problem):

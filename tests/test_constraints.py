@@ -42,7 +42,7 @@ def test_decreed_count_is_layers_minus_one(mlp_system):
 
 
 def test_acting_decreed_is_subset_of_static_decreed(mlp_system):
-    static = set(c.id for c in mlp_system.decreed_constraints)
+    static = set(c.id for c in mlp_system.constraints if c.role == mb.Role.DECREED)
     for xm in mlp_system.domain.enumerate_meta_set():
         acting = set(c.id for c in mlp_system.acting_decreed_constraints(xm))
         assert acting <= static

@@ -216,6 +216,28 @@ def test_mlp_history_matches_golden_digest(tmp_path, mlp_problem, seed):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MLP_HISTORY_SHA256[seed]
 
 
+# sha256 of the mlp direct-search history CSV (budget 2000) per solver seed,
+# polled on the file's own meta mapping, as the bench's direct-mlp solves.
+MLP_FILE_MAPPING_HISTORY_SHA256 = {
+    0: "46de20b9031cce9571c1b3bbae829576bab4065899631568b01fbcffcfd66f39",
+    1: "8f6763fabaf694fbde149066de760799871540b17a3cc31dacba477caa28b51d",
+    2: "67d6d0ce58a5174802e6ebd177977a50de121505beb0f8b95e29734272d7236b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MLP_FILE_MAPPING_HISTORY_SHA256))
+def test_mlp_file_mapping_history_matches_golden_digest(tmp_path, mlp_parsed, seed):
+    """As ``test_mlp_history_matches_golden_digest``, with the meta mapping
+    that mlp.json declares."""
+    problem = mlp_parsed.problem
+    result = mb.run_direct_search(problem, mb.SearchConfig(budget=2000, seed=seed),
+                                  meta_mapping=mlp_parsed.meta_mapping)
+    path = tmp_path / "history.csv"
+    mb.write_history(problem.domain, problem.constraints, result.history, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == MLP_FILE_MAPPING_HISTORY_SHA256[seed])
+
+
 def test_without_global_search_runs_are_seed_independent(toy_problem):
     results = [mb.run_direct_search(
         toy_problem,

@@ -171,6 +171,42 @@ def test_near_miss_points_are_refused_with_exact_issues(mlp_domain, point, expec
     assert not mlp_domain.contains(point)
 
 
+@pytest.mark.parametrize("vid, value, detail", [
+    ("u1", 200.0, "value 200.0 outside scope"),
+    ("u1", True, "value True outside scope"),
+    ("u1", 301, "value 301 outside scope"),
+    ("r", math.nan, "value nan outside scope"),
+    ("r", 1.0, "value 1.0 outside scope"),
+], ids=["float-on-integer", "bool-on-integer", "past-scope", "nan-continuous",
+        "open-bound"])
+def test_points_moved_from_a_member_are_checked_at_the_moved_value(mlp_domain, vid,
+                                                                  value, detail):
+    center = table_point()
+    assert mlp_domain.contains(center)
+    moved = center.moved(vid, value)
+    issues = mlp_domain.membership_issues(moved)
+    assert [(i.code, i.subject, i.detail) for i in issues] == [("scope", vid, detail)]
+    # A move from a point that was never passed is checked in full.
+    assert not mlp_domain.contains(moved.moved("u2", 150))
+    assert not mlp_domain.contains(center.moved(vid, value).moved("u2", 150))
+
+
+def test_a_passed_moved_point_serves_as_the_next_center(mlp_domain):
+    point = table_point()
+    for vid, value in (("u1", 250), ("r", 0.5), ("u2", 100), ("u1", 300)):
+        point = point.moved(vid, value)
+        assert mlp_domain.contains(point)
+    assert point == table_point(u1=300, r=0.5, u2=100)
+    assert not mlp_domain.contains(point.moved("u2", 99))
+
+
+@pytest.mark.parametrize("vid", ["lam", "a", "l", "zz"],
+                         ids=["nonacting", "categorical", "meta", "unknown"])
+def test_moving_a_variable_the_point_lacks_raises(vid):
+    with pytest.raises(mb.ScopeError):
+        table_point().moved(vid, 0.5)
+
+
 # -- meta set enumeration -------------------------------------------------------
 
 def test_meta_set_enumeration_matches_explicit_set(mlp_domain):
