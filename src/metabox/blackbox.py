@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .constraints import ConstraintSystem
-from .domain import Domain, GROUPS, Point, _is_real, render_value
+from .domain import Domain, GROUPS, Point, _is_int, _is_real, render_value
 from .errors import (BudgetExhaustedError, ConfigurationError, DomainError,
                      EvaluationError)
 
@@ -176,6 +176,9 @@ class Evaluator:
     """
 
     def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None):
+        if not (_is_int(max_evaluations) and max_evaluations >= 0):
+            raise ConfigurationError(
+                f"max_evaluations must be an integer >= 0, got {max_evaluations!r}")
         self.problem = problem
         self.budget = BudgetState(int(max_evaluations))
         self.history: list[EvaluationRecord] = []

@@ -1,5 +1,8 @@
 """Command line interface: validate, enumerate, solve.
 
+A solver's module is imported only by the ``solve`` that runs it, so
+``validate`` and ``enumerate`` load neither numpy nor scipy.
+
 Exit codes: 0 success, 1 usage, 2 problem-file validation failure, 3 runtime
 failure.
 """
@@ -10,9 +13,7 @@ import argparse
 import json
 import sys
 
-from .bayesian import BOConfig, run_bo, write_acquisition_log
 from .blackbox import write_history
-from .direct_search import SearchConfig, run_direct_search
 from .errors import (ConfigurationError, KernelDomainError, MetaboxError, ProblemFileError,
                      ShapeError)
 from .neighborhoods import default_meta_mapping
@@ -105,6 +106,8 @@ def _cmd_solve(args) -> int:
     if args.budget < 1:
         raise ProblemFileError("syntax", "budget", "budget must be positive")
     if args.solver == "direct":
+        from .direct_search import SearchConfig, run_direct_search
+
         cfg = _load_config(args.config, "direct", SearchConfig,
                            budget=args.budget, seed=args.seed)
         mapping = parsed.meta_mapping or default_meta_mapping(parsed.domain)
@@ -112,6 +115,8 @@ def _cmd_solve(args) -> int:
                                    categorical_mapping=parsed.categorical_mapping,
                                    progress=not args.quiet)
     else:
+        from .bayesian import BOConfig, run_bo, write_acquisition_log
+
         cfg = _load_config(args.config, "bo", BOConfig,
                            lambda cfg: cfg.kernel_setup(parsed.domain),
                            budget=args.budget, seed=args.seed)

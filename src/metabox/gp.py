@@ -110,10 +110,6 @@ class KernelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelConfig":
-        return cls(**data)
-
 
 def default_kernel_config(domain: Domain, *, encoder=None, overrides=None) -> KernelConfig:
     """The default config of the kernel on ``domain``'s features built with
@@ -332,68 +328,6 @@ def _product(factors, shape) -> np.ndarray:
 def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
     """Kernel matrix without the signal variance factor."""
     return _product(_masked_factors(pairs, config), pairs.shape)
-
-
-# ---------------------------------------------------------------------------
-# Scalar view of the kernel (one pair of points or components)
-# ---------------------------------------------------------------------------
-
-class MixedKernel:
-    """Covariance of one pair of points, or of one component of a pair,
-    under a domain, a config and the encoder of its features (None in
-    matrix mode).
-
-    Every value is :func:`correlation_matrix` on a 1 x 1 pair, so the
-    kernel formulas live only there.  A component method pairs points that
-    share the meta component ``xm`` and hold only that component, so every
-    other factor is exactly 1.
-    """
-
-    def __init__(self, domain: Domain, config: KernelConfig, encoder=None):
-        self.domain = domain
-        self.config = config
-        self.encoder = encoder
-
-    def _correlation(self, x: Point, y: Point) -> float:
-        fa = SampleFeatures(self.domain, [x], self.encoder)
-        fb = SampleFeatures(self.domain, [y], self.encoder)
-        return float(correlation_matrix(PairTensors(self.domain, fa, fb), self.config)[0, 0])
-
-    def _component(self, group: str, xm: MetaComponent, a: dict, b: dict) -> float:
-        """Correlation of two components over the acting set of ``group``."""
-        ids = self.domain.acting_index_set(xm, group)
-        if set(a) != set(ids) or set(b) != set(ids):
-            raise KernelDomainError(
-                f"{group} components must cover the acting set {ids}")
-        if group == "categorical":
-            return self._correlation(Point(xm, a, {}), Point(xm, b, {}))
-        return self._correlation(Point(xm, {}, a), Point(xm, {}, b))
-
-    def k_continuous(self, xc: dict, yc: dict, xm: MetaComponent) -> float:
-        """exp(-sum of weighted squared differences) over acting continuous variables."""
-        return self._component("continuous", xm, xc, yc)
-
-    def k_integer(self, xz: dict, yz: dict, xm: MetaComponent) -> float:
-        """Like the continuous kernel after rounding relaxed values half away
-        from zero, making each one-dimensional factor piecewise constant."""
-        return self._component("integer", xm, xz, yz)
-
-    def k_standard(self, xs: dict, ys: dict, xm: MetaComponent) -> float:
-        """Product of the integer and continuous kernels."""
-        return self._component("standard", xm, xs, ys)
-
-    def k_categorical(self, xq: dict, yq: dict, xm: MetaComponent) -> float:
-        """Compound-symmetry and ordinal-index factors (matrix mode), or a
-        squared-exponential kernel on the encodings (encoded mode)."""
-        return self._component("categorical", xm, xq, yq)
-
-    def k_mixed(self, x: Point, y: Point) -> float:
-        """Full covariance between two points.
-
-        Categorical and standard factors enter only when both points share
-        the same meta component; otherwise the meta factors stand alone.
-        """
-        return self.config.signal_variance * self._correlation(x, y)
 
 
 # ---------------------------------------------------------------------------

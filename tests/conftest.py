@@ -73,6 +73,66 @@ def toy_brute_force(toy_problem):
     return best
 
 
+class ScalarKernel:
+    """Covariance of one pair of points, or of one component of a pair,
+    under a domain, a config and the encoder of its features (None in
+    matrix mode).
+
+    Every value is :func:`metabox.gp.correlation_matrix` on a 1 x 1 pair, so
+    the kernel formulas live only there.  A component method pairs points
+    that share the meta component ``xm`` and hold only that component, so
+    every other factor is exactly 1.
+    """
+
+    def __init__(self, domain, config, encoder=None):
+        self.domain = domain
+        self.config = config
+        self.encoder = encoder
+
+    def _correlation(self, x, y):
+        gp = mb.gp
+        fa = gp.SampleFeatures(self.domain, [x], self.encoder)
+        fb = gp.SampleFeatures(self.domain, [y], self.encoder)
+        return float(gp.correlation_matrix(gp.PairTensors(self.domain, fa, fb),
+                                           self.config)[0, 0])
+
+    def _component(self, group, xm, a, b):
+        """Correlation of two components over the acting set of ``group``."""
+        ids = self.domain.acting_index_set(xm, group)
+        if set(a) != set(ids) or set(b) != set(ids):
+            raise mb.KernelDomainError(
+                f"{group} components must cover the acting set {ids}")
+        if group == "categorical":
+            return self._correlation(mb.Point(xm, a, {}), mb.Point(xm, b, {}))
+        return self._correlation(mb.Point(xm, {}, a), mb.Point(xm, {}, b))
+
+    def k_continuous(self, xc, yc, xm):
+        """exp(-sum of weighted squared differences) over acting continuous variables."""
+        return self._component("continuous", xm, xc, yc)
+
+    def k_integer(self, xz, yz, xm):
+        """Like the continuous kernel after rounding relaxed values half away
+        from zero, making each one-dimensional factor piecewise constant."""
+        return self._component("integer", xm, xz, yz)
+
+    def k_standard(self, xs, ys, xm):
+        """Product of the integer and continuous kernels."""
+        return self._component("standard", xm, xs, ys)
+
+    def k_categorical(self, xq, yq, xm):
+        """Compound-symmetry and ordinal-index factors (matrix mode), or a
+        squared-exponential kernel on the encodings (encoded mode)."""
+        return self._component("categorical", xm, xq, yq)
+
+    def k_mixed(self, x, y):
+        """Full covariance between two points.
+
+        Categorical and standard factors enter only when both points share
+        the same meta component; otherwise the meta factors stand alone.
+        """
+        return self.config.signal_variance * self._correlation(x, y)
+
+
 def random_point(domain, rng, metas=None):
     """Uniform draw over a domain with enumerable meta set."""
     metas = metas or domain.enumerate_meta_set()

@@ -14,7 +14,7 @@ from metabox.blackbox import barrier_value
 from metabox.cli import cli_main
 from metabox.gp import PairTensors, SampleFeatures, correlation_matrix
 from metabox.problem_file import bundled_problem_path
-from conftest import parse_wide_mlp, random_point, uniform_random_search
+from conftest import ScalarKernel, parse_wide_mlp, random_point, uniform_random_search
 
 
 def report(number, text):
@@ -74,7 +74,7 @@ def test_criterion_4_kernel_property_suite(mlp_domain):
     start = time.perf_counter()
     config = mb.default_kernel_config(mlp_domain)
     config.signal_variance = 1.9
-    kernel = mb.MixedKernel(mlp_domain, config)
+    kernel = ScalarKernel(mlp_domain, config)
     rng = np.random.default_rng(2024)
     for _ in range(200):
         x, y = random_point(mlp_domain, rng), random_point(mlp_domain, rng)

@@ -77,6 +77,20 @@ def test_budget_exhaustion_raises(mlp_problem, mlp_domain):
     assert evaluator.evaluate(mlp_domain.complete_point(ADAM2, {})).cached
 
 
+@pytest.mark.parametrize("budget", [2.7, "3", True, -1, math.nan],
+                         ids=["float", "str", "bool", "negative", "nan"])
+def test_a_budget_that_is_not_an_integer_at_least_zero_is_refused(mlp_problem, budget):
+    with pytest.raises(mb.ConfigurationError, match="max_evaluations"):
+        mb.Evaluator(mlp_problem, budget)
+
+
+def test_a_zero_budget_is_accepted_and_already_exhausted(mlp_problem, mlp_domain):
+    evaluator = mb.Evaluator(mlp_problem, 0)
+    assert evaluator.budget.remaining == 0
+    with pytest.raises(mb.BudgetExhaustedError):
+        evaluator.evaluate(mlp_domain.complete_point(ADAM2, {}))
+
+
 def test_used_counts_only_fresh_records(mlp_problem, mlp_domain):
     evaluator = mb.Evaluator(mlp_problem, 10)
     for u1 in (150, 150, 200, 200, 150):

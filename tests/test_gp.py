@@ -10,7 +10,7 @@ from scipy import linalg
 from metabox.domain import normalize, round_half_away
 from metabox.gp import (JITTER_FRACTION, PairTensors, SampleFeatures, correlation_matrix,
                         log_marginal_likelihood)
-from conftest import parse_bundled, random_point
+from conftest import ScalarKernel, parse_bundled, random_point
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 ADAM3 = mb.MetaComponent({"l": 3, "o": "Adam"})
@@ -39,7 +39,7 @@ def small_domain():
 @pytest.fixture(scope="module")
 def small_kernel(small_domain):
     config = mb.default_kernel_config(small_domain)
-    return mb.MixedKernel(small_domain, config)
+    return ScalarKernel(small_domain, config)
 
 
 G0 = mb.MetaComponent({"g": 0})
@@ -61,7 +61,7 @@ def test_continuous_kernel_unit_distance(small_kernel):
 def test_continuous_kernel_weighted_sum(small_domain):
     config = mb.default_kernel_config(small_domain)
     config.continuous_weights["c2"] = 2.0
-    kernel = mb.MixedKernel(small_domain, config)
+    kernel = ScalarKernel(small_domain, config)
     k = kernel.k_continuous({"c1": 0.0, "c2": 0.0}, {"c1": 1.0, "c2": 1.0}, G0)
     assert np.isclose(k, math.exp(-3.0))
 
@@ -74,7 +74,7 @@ def test_continuous_kernel_dimension_mismatch(small_kernel):
 # -- integer kernel -----------------------------------------------------------------
 
 def test_integer_kernel_rounding_plateau(mlp_domain):
-    kernel = mb.MixedKernel(mlp_domain, mb.default_kernel_config(mlp_domain))
+    kernel = ScalarKernel(mlp_domain, mb.default_kernel_config(mlp_domain))
     x = {"u1": 200.4, "u2": 150}
     y = {"u1": 200.49, "u2": 150}
     assert kernel.k_integer(x, y, ADAM2) == 1.0
@@ -132,7 +132,7 @@ def test_matrix_mode_ordinal_squared_exponential(small_kernel):
 def test_encoded_mode_one_hot_distance(small_domain):
     encoder = mb.Encoder(small_domain, "one-hot")
     config = mb.default_kernel_config(small_domain, encoder=encoder)
-    kernel = mb.MixedKernel(small_domain, config, encoder)
+    kernel = ScalarKernel(small_domain, config, encoder)
     k = kernel.k_categorical({"n1": 1, "o1": 2}, {"n1": 2, "o1": 2}, G0)
     assert np.isclose(k, math.exp(-2.0))  # two one-hot lanes flip
 
@@ -143,7 +143,7 @@ def test_encoded_mode_requires_encoder(small_domain):
     config = mb.default_kernel_config(small_domain, encoder=mb.Encoder(small_domain, "one-hot"))
     points = [small_domain.complete_point(G0, {"c1": c}) for c in (0.2, 0.7)]
     values = [0.0, 1.0]
-    kernel = mb.MixedKernel(small_domain, config)
+    kernel = ScalarKernel(small_domain, config)
     for build in (lambda: kernel.k_mixed(points[0], points[1]),
                   lambda: mb.GPModel(small_domain, points, values, config),
                   lambda: log_marginal_likelihood(small_domain, points, values, config)):
@@ -190,7 +190,7 @@ def test_default_kernel_config_takes_no_positional_mode(mlp_domain):
 def test_mixed_kernel_on_itself_is_signal_variance(mlp_domain):
     config = mb.default_kernel_config(mlp_domain)
     config.signal_variance = 2.5
-    kernel = mb.MixedKernel(mlp_domain, config)
+    kernel = ScalarKernel(mlp_domain, config)
     point = mlp_domain.complete_point(ADAM2, {})
     assert np.isclose(kernel.k_mixed(point, point), 2.5)
 
@@ -199,7 +199,7 @@ def test_mixed_kernel_different_meta_uses_meta_factors_only(mlp_domain):
     config = mb.default_kernel_config(mlp_domain)
     config.meta_correlations["o"] = 0.3
     config.signal_variance = 2.0
-    kernel = mb.MixedKernel(mlp_domain, config)
+    kernel = ScalarKernel(mlp_domain, config)
     x = mlp_domain.complete_point(ADAM2, {"r": 0.9})
     y = mlp_domain.complete_point(ASGD2, {"r": 0.1})  # same l, other optimizer
     assert np.isclose(kernel.k_mixed(x, y), 0.3 * 2.0)
@@ -208,7 +208,7 @@ def test_mixed_kernel_different_meta_uses_meta_factors_only(mlp_domain):
 def test_mixed_kernel_same_meta_multiplies_standard_factor(mlp_domain):
     config = mb.default_kernel_config(mlp_domain)
     config.continuous_weights["r"] = 4.0
-    kernel = mb.MixedKernel(mlp_domain, config)
+    kernel = ScalarKernel(mlp_domain, config)
     x = mlp_domain.complete_point(ADAM2, {"r": 0.9})
     y = mlp_domain.complete_point(ADAM2, {"r": 0.4})
     assert np.isclose(kernel.k_mixed(x, y), math.exp(-1.0))  # 4 * 0.5^2
@@ -219,7 +219,7 @@ def test_mixed_kernel_same_meta_multiplies_standard_factor(mlp_domain):
 def test_kernel_symmetry_bounds_and_diagonal(mlp_domain):
     config = mb.default_kernel_config(mlp_domain)
     config.signal_variance = 1.7
-    kernel = mb.MixedKernel(mlp_domain, config)
+    kernel = ScalarKernel(mlp_domain, config)
     rng = np.random.default_rng(123)
     for _ in range(200):
         x = random_point(mlp_domain, rng)
@@ -291,7 +291,7 @@ def test_vectorized_matches_scalar_kernel(mlp_domain):
     for mode, encoder in (("matrix", None), ("encoded", encoded)):
         config = mb.default_kernel_config(mlp_domain, encoder=encoder)
         config.signal_variance = 1.3
-        kernel = mb.MixedKernel(mlp_domain, config, encoder)
+        kernel = ScalarKernel(mlp_domain, config, encoder)
         rng = np.random.default_rng(11)
         points = [random_point(mlp_domain, rng) for _ in range(12)]
         features = SampleFeatures(mlp_domain, points, encoder)
@@ -344,7 +344,7 @@ def test_prior_recovered_far_from_samples(mlp_domain):
 
 def test_two_sample_prediction_matches_direct_solve(mlp_domain):
     config = mb.default_kernel_config(mlp_domain)
-    kernel = mb.MixedKernel(mlp_domain, config)
+    kernel = ScalarKernel(mlp_domain, config)
     a = mlp_domain.complete_point(ADAM2, {"u1": 120, "r": 0.2})
     b = mlp_domain.complete_point(ADAM2, {"u1": 280, "r": 0.8})
     x = mlp_domain.complete_point(ADAM2, {"u1": 200, "r": 0.5})
@@ -770,7 +770,7 @@ def test_model_dump_round_trips_config(tmp_path, mlp_problem):
     path = tmp_path / "model.json"
     model.dump(path)
     payload = json.loads(path.read_text())
-    assert mb.KernelConfig.from_dict(payload["config"]) == config
+    assert mb.KernelConfig(**payload["config"]) == config
     assert len(payload["samples"]) == 5
 
 
