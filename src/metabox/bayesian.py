@@ -45,8 +45,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
-from .direct_search import MeshState, check_counts
-from .domain import (Domain, IntegerScope, MetaComponent, Point, denormalize,
+from .direct_search import MeshState
+from .domain import (Domain, IntegerScope, MetaComponent, Point, check_counts, denormalize,
                      enumerate_domain_points)
 from .encoders import Encoder
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
@@ -97,8 +97,9 @@ class BOConfig:
 
     def __post_init__(self):
         positive = ("budget", "max_iterations", "acq_starts", "acq_budget", "categorical_cap")
-        check_counts(self, (*positive, "seed", "enumeration_cap", "refit_full_until",
-                            "refit_every", "fit_sweeps"), positive)
+        check_counts({name: getattr(self, name) for name in (
+            *positive, "seed", "enumeration_cap", "refit_full_until", "refit_every",
+            "fit_sweeps")}, positive)
         if self.categorical_mode not in ("matrix", "encoded"):
             raise ConfigurationError('categorical_mode must be "matrix" or "encoded", '
                                      f"got {self.categorical_mode!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
-from .domain import Domain, IntegerScope, MetaComponent, Point, _is_int
+from .domain import Domain, IntegerScope, MetaComponent, Point, check_counts
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      NotEnumerableError)
 from .neighborhoods import (carried_categorical, categorical_neighbors,
@@ -63,20 +63,6 @@ class MeshState:
         return bool((self.scale[row] <= self.floor).all())
 
 
-def check_counts(config, counts, positive):
-    """Raise ConfigurationError unless each option of ``config`` named in
-    ``counts`` is an integer (a bool is not one) and at least 0, and each in
-    ``positive`` is at least 1."""
-    for name in counts:
-        value = getattr(config, name)
-        if not _is_int(value):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if name in positive and value < 1:
-            raise ConfigurationError(f"{name} must be positive")
-        if value < 0:
-            raise ConfigurationError(f"{name} must not be negative, got {value}")
-
-
 @dataclass
 class SearchConfig:
     budget: int = 100
@@ -88,7 +74,7 @@ class SearchConfig:
 
     def __post_init__(self):
         positive = ("budget", "subproblem_budget", "max_iterations")
-        check_counts(self, (*positive, "seed"), positive)
+        check_counts({name: getattr(self, name) for name in (*positive, "seed")}, positive)
         if not isinstance(self.opportunistic, bool):
             raise ConfigurationError("opportunistic must be true or false, "
                                      f"got {self.opportunistic!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import InvalidMetaError, NotEnumerableError, ScopeError
+from .errors import ConfigurationError, InvalidMetaError, NotEnumerableError, ScopeError
 
 
 class VariableType(str, Enum):
@@ -196,6 +196,19 @@ def _is_int(v) -> bool:
     if type(v) is int:
         return True
     return isinstance(v, numbers.Integral) and not _is_bool(v)
+
+
+def check_counts(counts: dict, positive=()):
+    """Raise ConfigurationError unless each value of ``counts``, a map from
+    option name to value, is an integer (a bool is not one) and at least 0,
+    and the value of each name in ``positive`` is at least 1."""
+    for name, value in counts.items():
+        if not _is_int(value):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if name in positive and value < 1:
+            raise ConfigurationError(f"{name} must be positive")
+        if value < 0:
+            raise ConfigurationError(f"{name} must not be negative, got {value}")
 
 
 def _is_real(v) -> bool:

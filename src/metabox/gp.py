@@ -24,7 +24,7 @@ from scipy.linalg import lapack
 
 from .blackbox import cache_key
 from .domain import (Domain, GROUPS, MetaComponent, Point, VariableType, _is_real,
-                     normalize)
+                     check_counts, normalize)
 from .errors import FactorizationError, FittingError, KernelDomainError
 
 JITTER_FRACTION = 1e-8
@@ -290,19 +290,25 @@ class PairTensors:
                                    mask))
 
 
-def _correlation_factor(table: str, value, tensor: np.ndarray) -> np.ndarray:
+def _correlation_factor(table: str, value, tensor: np.ndarray, out=None) -> np.ndarray:
     """One correlation factor, with the hyperparameter at ``value``, on the
     entries of its pair tensor that it is given.
 
     The tensor holds squared distances, or for correlation tables whether the
     two samples' categories differ.  ``value`` may also be an array that
-    broadcasts against the tensor.
+    broadcasts against the tensor.  With ``out`` the factor is written there,
+    a correlation table's only where the tensor is True: ``out`` holds 1 elsewhere.
     """
     if _SLOT_TABLES[table][0] == "raw":
-        return np.where(tensor, value, 1.0)
+        if out is None:
+            return np.where(tensor, value, 1.0)
+        np.copyto(out, value, where=tensor)
+        return out
     if table == "ordinal_lengthscales":
-        return np.exp(-tensor / (2.0 * value ** 2))
-    return np.exp(-value * tensor)
+        out = np.divide(tensor, -(2.0 * value ** 2), out=out)
+    else:
+        out = np.multiply(tensor, -value, out=out)
+    return np.exp(out, out=out)
 
 
 def _masked_factors(pairs: PairTensors, config: KernelConfig):
@@ -407,6 +413,7 @@ class GPModel:
         self.encoder = encoder
         self.points = list(points)
         self.values = np.asarray(values, dtype=float)
+        _require_finite(self.values)
         self._features = SampleFeatures(domain, self.points, self.encoder)
         self._gram = config.signal_variance * correlation_matrix(
             PairTensors(domain, self._features, self._features), config)
@@ -513,6 +520,7 @@ class RowView:
         values = np.asarray(values, dtype=float)
         if len(rows) != len(values) or not len(rows):
             raise ValueError("need matching, nonempty rows and values")
+        _require_finite(values)
         self.model = model
         if np.array_equal(rows, np.arange(len(model))):
             self.rows = None
@@ -601,7 +609,7 @@ class CrossFactors:
 
 def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
     """(y^T K^-1 y, log det K) from the lower Cholesky factor of K."""
-    return float(y @ _cho_solve(factor, y)), 2.0 * np.sum(np.log(np.diag(factor)))
+    return float(y @ _cho_solve(factor, y)), 2.0 * np.log(factor.diagonal()).sum()
 
 
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig,
@@ -642,28 +650,38 @@ def _profiled_lml(quadratic: float, logdet: float, n: int):
 class _FactorGroup:
     """The correlation factors of one group of lower-triangle entries.
 
-    ``index`` holds the group's entries as flat positions in a
-    Fortran-ordered n x n matrix.  Row k of ``rows`` is the group's k-th
-    factor on those entries: 1 outside the factor's support, where no value
-    of its hyperparameter can move it, and recomputed only on the support.
-    ``product`` multiplies the rows in correlation_matrix's factor order.
+    Row k of ``rows`` is the group's k-th factor on all of the group's
+    entries: its tensor is neutral (a squared distance of 0, or no category
+    difference) off the factor's support, where the factor is exactly 1.
+    ``product``, a view of the fit's products buffer, multiplies the rows in
+    correlation_matrix's factor order.  A rejected trial restores the row
+    and the product it replaced from spares.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, slots):
-        self.index = rows + cols * n
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, slots, product: np.ndarray):
         self.rows = np.ones((len(slots), len(rows)))
-        self.factors = []  # (table, support, tensor on the support)
+        self.factors = []  # (table, tensor over the group, whether it has support)
         for table, _, tensor, mask in slots:
-            support = slice(None) if mask is None else np.flatnonzero(mask[rows, cols])
-            self.factors.append((table, support, tensor[rows[support], cols[support]]))
-        self.product = np.ones(len(rows))
+            entries = tensor[rows, cols]
+            support = np.ones(len(rows), dtype=bool) if mask is None else mask[rows, cols]
+            entries[~support] = 0
+            self.factors.append((table, entries, bool(support.any())))
+        self.product = product
+        self.kept_row, self.kept_product = np.empty(len(rows)), np.empty(len(rows))
 
     def set(self, k: int, value: float):
-        table, support, tensor = self.factors[k]
-        self.rows[k, support] = _correlation_factor(table, value, tensor)
+        table, tensor, _ = self.factors[k]
+        _correlation_factor(table, value, tensor, out=self.rows[k])
 
-    def refresh(self):
-        self.product = np.multiply.reduce(self.rows, axis=0)
+    def trial(self, k: int, value: float):
+        np.copyto(self.kept_row, self.rows[k])
+        np.copyto(self.kept_product, self.product)
+        self.set(k, value)
+        np.multiply.reduce(self.rows, axis=0, out=self.product)
+
+    def restore(self, k: int):
+        np.copyto(self.rows[k], self.kept_row)
+        np.copyto(self.product, self.kept_product)
 
 
 def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encoder=None,
@@ -675,7 +693,8 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
     correlations move in raw space within [0, 0.99].  The base config (the
     default one unless overridden) is always one of the starts, so the result
     never has lower likelihood than it; it holds only entries of the default
-    config for ``encoder``.  Deterministic for a fixed seed.
+    config for ``encoder``.  Deterministic for a fixed seed.  ``starts`` must
+    be an integer of at least 1 and ``sweeps`` one of at least 0.
 
     All starts are drawn first: the base config, then ``starts - 1`` random
     ones.  A start is live when its own kernel matrix factorizes.  When any
@@ -685,24 +704,25 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
     matrix that factorizes.
 
     Each hyperparameter enters exactly one correlation factor, and a trial
-    move recomputes only the matrix entries that factor can change.  LAPACK
-    potrf reads the lower triangle and the diagonal, so the search keeps
-    those entries in two support groups:
+    move recomputes, in place, only that factor and the product of its
+    group.  LAPACK potrf reads the lower triangle and the diagonal, so the
+    search keeps those entries in two groups:
 
     - the meta group, on pairs with different meta components, holds the
       meta factors: every other factor is exactly 1 there;
-    - the non-meta group, on same-meta pairs, holds every other factor,
-      each compressed to its support (the pairs where its variable acts in
-      both samples): every meta factor is exactly 1 there.
+    - the non-meta group, on same-meta pairs, holds every other factor, each
+      exactly 1 off the pairs where its variable acts in both samples: every
+      meta factor is exactly 1 there.
 
-    A trial recomputes its factor on the factor's support and the product of
-    that factor's group, scatters both groups' products into a Fortran-ordered
-    buffer, adds the jitter on the diagonal and factorizes the buffer in
-    place.  Products are taken in correlation_matrix's factor order and
-    multiplying by an exact 1 changes nothing, so every likelihood is
-    bit-identical to evaluating correlation_matrix on the trial config.
-    Finiteness is checked once, on ``values`` and the pair tensors.
+    Both groups' products share one buffer, which a trial scatters into a
+    Fortran-ordered matrix before it adds the jitter on the diagonal and
+    factorizes the matrix in place; every buffer is allocated once per fit.
+    Products are taken in correlation_matrix's factor order and multiplying
+    by an exact 1 changes nothing, so every likelihood is bit-identical to
+    evaluating correlation_matrix on the trial config.  Finiteness is
+    checked once, on ``values`` and the pair tensors.
     """
+    check_counts({"starts": starts, "sweeps": sweeps}, ("starts",))
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
     rng = np.random.default_rng(seed)
@@ -716,30 +736,35 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
     factors = pairs.slots
     _require_finite(y, *(tensor for _, _, tensor, _ in factors))
 
+    # The lower triangle's entries, the meta group's first.
     rows, cols = np.tril_indices(n)
     same = pairs.same_meta[rows, cols]
+    order = np.argsort(same, kind="stable")
+    rows, cols = rows[order], cols[order]
+    index = rows + cols * n
+    products = np.ones(len(index))
+    split = len(index) - int(same.sum())
     groups = []
     factor_of = {}  # (table, key) -> (group, row)
-    for on_pairs, members in ((~same, [f for f in factors if f[3] is None]),
-                              (same, [f for f in factors if f[3] is not None])):
-        group = _FactorGroup(n, rows[on_pairs], cols[on_pairs], members)
+    for part, members in ((slice(None, split), [f for f in factors if f[3] is None]),
+                          (slice(split, None), [f for f in factors if f[3] is not None])):
+        group = _FactorGroup(rows[part], cols[part], members, products[part])
         groups.append(group)
         for k, (table, key, _, _) in enumerate(members):
             # A meta factor has no support when all samples share one meta
             # component: it is 1 everywhere.
-            if group.factors[k][2].size:
+            if group.factors[k][2]:
                 factor_of[(table, key)] = (group, k)
     # A slot without a factor (its variable acts in no sample) cannot change
     # the likelihood, so the search skips it.
     slot_factor = [factor_of.get((table, key)) for table, key, _, _ in slots]
     flat = np.empty(n * n)
     matrix = flat.reshape((n, n), order="F")
-    diagonal = np.arange(n) * (n + 1)
+    diagonal = flat[::n + 1]
 
     def likelihood():
-        for group in groups:
-            flat[group.index] = group.product
-        flat[diagonal] += JITTER_FRACTION
+        flat[index] = products
+        diagonal[...] += JITTER_FRACTION
         factor = _cholesky(matrix, overwrite=True)
         if factor is None:
             return -math.inf, None
@@ -751,7 +776,7 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
                 group, k = slot_factor[i]
                 group.set(k, value)
         for group in groups:
-            group.refresh()
+            np.multiply.reduce(group.rows, axis=0, out=group.product)
 
     def load(params):
         set_params(params)
@@ -794,15 +819,13 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
                         trial = min(max(params[i] + direction * 0.2 * step, lo), hi)
                     if trial == params[i]:
                         continue
-                    kept_row, kept_product = group.rows[k].copy(), group.product
-                    group.set(k, trial)
-                    group.refresh()
+                    group.trial(k, trial)
                     trial_value = likelihood()[0]
                     if trial_value > value:
                         params[i], value = trial, trial_value
                         moved = True
                         break
-                    group.rows[k], group.product = kept_row, kept_product
+                    group.restore(k)
             if not moved:
                 step *= 0.5
                 if step < 0.05:

@@ -636,13 +636,29 @@ def fit_encoding(domain, name):
                           ("mlp-adam2", 12, 6, "matrix"), ("toy", 2, 7, "matrix"),
                           ("mlp", 2, 8, "matrix"), ("mlp", 20, 9, "encoded"),
                           ("toy", 14, 10, "ordinal-index"), ("toy", 14, 11, "embedding"),
-                          ("mlp", 16, 12, "embedding")])
-def test_cached_factor_fit_matches_reference(name, count, seed, mode):
+                          ("mlp", 16, 12, "embedding"), ("toy", 48, 13, "matrix"),
+                          ("mlp", 50, 14, "matrix"), ("mlp", 40, 15, "encoded")])
+def test_cached_factor_fit_matches_reference(name, count, seed, mode, monkeypatch):
+    from metabox import gp
     domain, points, values = fit_samples(name, count, seed)
     encoder = fit_encoding(domain, mode)
+    factorized, cholesky = [], gp._cholesky
+
+    def recorded(*args, **kwargs):
+        factor = cholesky(*args, **kwargs)
+        factorized.append(factor is not None)
+        return factor
+
+    monkeypatch.setattr(gp, "_cholesky", recorded)
     got = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
     want = reference_fit(domain, points, values, seed=seed, encoder=encoder)
     assert got.to_dict() == want.to_dict()
+    if count >= 40:
+        # At the sizes BO fits reach, some trials fail to factorize between
+        # trials that do, so the search goes on after potrf has overwritten
+        # its matrix.
+        first, last = factorized.index(True), len(factorized) - factorized[::-1].index(True)
+        assert not all(factorized[first:last])
 
 
 def test_embedding_encoder_moves_the_correlation_diagonal():
@@ -731,8 +747,25 @@ def test_non_finite_training_values_are_rejected(mlp_problem, bad):
     domain = mlp_problem.domain
     with pytest.raises(ValueError):
         mb.fit_hyperparameters(domain, points, values, seed=0)
+    config = mb.default_kernel_config(domain)
     with pytest.raises(ValueError):
-        log_marginal_likelihood(domain, points, values, mb.default_kernel_config(domain))
+        log_marginal_likelihood(domain, points, values, config)
+    with pytest.raises(ValueError):
+        mb.GPModel(domain, points, values, config)
+    finite = list(values)
+    finite[3] = 0.0
+    model = mb.GPModel(domain, points, finite, config)
+    with pytest.raises(ValueError):
+        model.row_view([0, 1], [1.0, bad])
+
+
+@pytest.mark.parametrize("name, value", [("starts", 0), ("starts", -2), ("starts", True),
+                                         ("starts", 1.5), ("sweeps", -1), ("sweeps", 2.0),
+                                         ("sweeps", False)])
+def test_fit_refuses_bad_counts(mlp_problem, name, value):
+    points, values = proxy_samples(mlp_problem, 6, seed=2)
+    with pytest.raises(mb.ConfigurationError, match=name):
+        mb.fit_hyperparameters(mlp_problem.domain, points, values, seed=0, **{name: value})
 
 
 def test_fit_requires_two_samples(mlp_domain):
