@@ -4,8 +4,10 @@ A Problem bundles a domain, a constraint system and one evaluation backend
 (an in-process callable or an external command).  An Evaluator wraps a
 Problem with a budget, a result cache keyed by Point equality, and an
 append-only history.  Cached hits append to the history but never spend
-budget.  :meth:`Evaluator.lookahead` settles a sequence of points in order
-while running the next few command children at once.
+budget.  A screening evaluator settles a point that breaks an analytic
+constraint without the backend: never charged, cached or recorded.
+:meth:`Evaluator.lookahead` settles a sequence of points in order while
+running the next few command children at once.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ class EvaluationRecord:
     cached: bool
     wall_ms: float
     error: str | None = None
+    screened: bool = False  # settled by the a priori screen, without the backend
 
 
 @dataclass
@@ -171,11 +174,19 @@ class Evaluator:
     Membership is checked first; a point moved from a checked member
     (:meth:`Point.moved`) is re-checked only at its moved value.
 
+    With ``screen`` set, a member that breaks an acting analytic constraint
+    is settled next, before the cache and the budget: it gets an infeasible
+    record with objective +inf and its analytic values, marked ``screened``,
+    that is never charged, cached or appended to the history, and it is
+    counted in ``screened``.  Under the extreme barrier such a record scores
+    what an evaluated infeasible one would.
+
     ``discarded`` counts the command children a :meth:`lookahead` started
     whose results were dropped unsettled: never charged, never recorded.
     """
 
-    def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None):
+    def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None,
+                 screen: bool = False):
         if not (_is_int(max_evaluations) and max_evaluations >= 0):
             raise ConfigurationError(
                 f"max_evaluations must be an integer >= 0, got {max_evaluations!r}")
@@ -189,6 +200,8 @@ class Evaluator:
         # that charges its point
         self._ahead: dict[tuple, _Child] = {}
         self.discarded = 0
+        self.screen = screen
+        self.screened = 0
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
         # In-process callables run inline; command children may overlap.
@@ -213,6 +226,15 @@ class Evaluator:
         if issues:
             raise DomainError(
                 f"point outside domain: {'; '.join(map(str, issues))}", issues)
+        analytic = None
+        if self.screen:
+            analytic, feasible = self.problem.constraints.screen(point)
+            if not feasible:
+                with self._lock:
+                    self.screened += 1
+                return EvaluationRecord(
+                    point=point, objective=math.inf, constraints=analytic, feasible=False,
+                    index=-1, cached=False, wall_ms=0.0, screened=True)
         key = _identity(point)
         with self._lock:
             while key in self._inflight:
@@ -234,7 +256,7 @@ class Evaluator:
             self._inflight.add(key)
         record = None
         try:
-            record = self._run_backend(point)
+            record = self._run_backend(point, analytic)
         except EvaluationError as exc:
             record = EvaluationRecord(
                 point=point, objective=math.inf, constraints={}, feasible=False,
@@ -256,21 +278,22 @@ class Evaluator:
         """Settle ``points`` (any iterable, read lazily) in order; a context
         manager whose value iterates the settled records.
 
-        Every point is settled by :meth:`evaluate`, so membership, cache,
-        budget and history are exactly as for a loop over ``evaluate``; a
-        failed evaluation yields its failure record instead of raising, and
-        any other error ends the iteration.  With a command backend the
-        children of the next few points (at most the usable CPUs, capped at
-        MAX_LOOKAHEAD) run while earlier ones settle, and never more than
-        the budget left.  Children of points the caller never settles are
-        killed with their process group on exit and counted in
-        ``discarded``.  In-process callables run inline, one at a time.
+        Every point is settled by :meth:`evaluate`, so membership, screen,
+        cache, budget and history are exactly as for a loop over
+        ``evaluate``; a failed evaluation yields its failure record instead
+        of raising, and any other error ends the iteration.  With a command
+        backend the children of the next few points (at most the usable
+        CPUs, capped at MAX_LOOKAHEAD) run while earlier ones settle, and
+        never more than the budget left; a screened point starts none.
+        Children of points the caller never settles are killed with their
+        process group on exit and counted in ``discarded``.  In-process
+        callables run inline, one at a time.
         """
         return _Lookahead(self, points)
 
     # -- backend dispatch ----------------------------------------------------------
 
-    def _run_backend(self, point: Point) -> EvaluationRecord:
+    def _run_backend(self, point: Point, analytic=None) -> EvaluationRecord:
         start = time.perf_counter()
         if self.problem.objective is not None:
             try:
@@ -288,7 +311,7 @@ class Evaluator:
                 start = child.start
                 objective, blackbox_values = child.result()
         constraints, feasible = self.problem.constraints.evaluate_acting(
-            point, blackbox_values)
+            point, blackbox_values, analytic)
         objective = float(objective)
         if not math.isfinite(objective):
             raise EvaluationError(f"backend returned a non-finite objective {objective!r}")
@@ -413,10 +436,13 @@ class _Lookahead:
         yield from window
 
     def _launch(self, point: Point):
-        """Start ``point``'s child unless evaluate() would refuse, serve from
-        the records or coalesce it, or the budget left is already spoken for."""
+        """Start ``point``'s child unless evaluate() would refuse, screen,
+        serve from the records or coalesce it, or the budget left is already
+        spoken for."""
         evaluator = self._evaluator
         if evaluator.problem.domain.membership_issues(point):
+            return
+        if evaluator.screen and not evaluator.problem.constraints.screen(point)[1]:
             return
         key = _identity(point)
         with evaluator._lock:

@@ -130,7 +130,8 @@ def _cmd_solve(args) -> int:
     else:
         print(f"best objective {best.objective:.17g} feasible "
               f"{'true' if best.feasible else 'false'} "
-              f"evaluations {result.evaluator.budget.used}")
+              f"evaluations {result.evaluator.budget.used} "
+              f"screened {result.evaluator.screened}")
     return 0
 
 

@@ -165,14 +165,28 @@ class ConstraintSystem:
                 f"constraint {spec.id!r} is nonacting under {dict(point.meta)}")
         return _linear_value(spec, point.standard)
 
-    def evaluate_acting(self, point: Point, blackbox_values):
-        """(value of every acting constraint by id, all values <= 0) at a domain
-        member, in one walk of its memoized acting list, so with no decree
-        check; blackbox bodies are read from ``blackbox_values``."""
+    def screen(self, point: Point):
+        """(value of every acting analytic constraint by id, all values <= 0)
+        at a domain member, in one walk of its memoized acting list: the
+        a priori part of :meth:`evaluate_acting`, known before any backend
+        call."""
         values = {}
         for spec in self._acting_tuples(point.meta)[0]:
             if spec.analytic:
                 values[spec.id] = _linear_value(spec, point.standard)
+        return values, all(v <= 0.0 for v in values.values())  # NaN is infeasible
+
+    def evaluate_acting(self, point: Point, blackbox_values, analytic=None):
+        """(value of every acting constraint by id, all values <= 0) at a domain
+        member, in one walk of its memoized acting list, so with no decree
+        check; blackbox bodies are read from ``blackbox_values``, analytic
+        ones from ``analytic`` (the values :meth:`screen` gave) if given."""
+        if analytic is None:
+            analytic = self.screen(point)[0]
+        values = {}
+        for spec in self._acting_tuples(point.meta)[0]:
+            if spec.analytic:
+                values[spec.id] = analytic[spec.id]
             elif spec.id in blackbox_values:
                 values[spec.id] = float(blackbox_values[spec.id])
             else:

@@ -5,8 +5,11 @@ meta and categorical components) with a poll over the user-defined
 neighborhoods.  Every candidate pair of fixed components is resolved by a
 coordinate pattern search over the acting standard variables under the
 extreme barrier: infeasible or failed points count as +inf.  Acceptance is
-strict decrease only.  The step sizes are a :class:`MeshState`, the same
-mesh the BO acquisition's pattern searches refine.
+strict decrease only.  A point that breaks an analytic constraint is
+screened by the evaluator, so it never reaches the blackbox; it scores +inf
+as an evaluated infeasible point would.  The step sizes are a
+:class:`MeshState`, the same mesh the BO acquisition's pattern searches
+refine.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class IterationStats:
 
 @dataclass
 class DirectSearchResult:
-    best: EvaluationRecord
+    best: EvaluationRecord | None  # None when the history is empty
     history: list
     iterations: list
     stop_reason: str
@@ -223,6 +226,7 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
     improving neighbor; otherwise all neighbors are evaluated and the best
     improving one is accepted.  Stops on budget, iteration limit, or a fully
     failed poll with the incumbent's own subproblem at the minimum mesh.
+    ``best`` is always a history record, or None when the history is empty.
     """
     domain = problem.domain
     if meta_mapping is None:
@@ -231,7 +235,7 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
         metas = domain.enumerate_meta_set()
     except NotEnumerableError as exc:
         raise ConfigurationError("direct search needs an enumerable meta set") from exc
-    evaluator = Evaluator(problem, cfg.budget)
+    evaluator = Evaluator(problem, cfg.budget, screen=True)
     rng = np.random.default_rng(cfg.seed)
 
     start = domain.complete_point(metas[0], {})
@@ -328,6 +332,10 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
             stop_reason = "converged"
             break
 
+    if incumbent_record.screened:
+        # A screened start is still the incumbent only when no record scored
+        # below +inf: report the first lowest-barrier record instead.
+        incumbent_record = min(evaluator.history, key=barrier_value, default=None)
     return DirectSearchResult(best=incumbent_record, history=evaluator.history,
                               iterations=iterations, stop_reason=stop_reason,
                               evaluator=evaluator)

@@ -171,3 +171,13 @@ def charged_failures(history):
     """Charged (not cached) failed evaluations per cache key."""
     return collections.Counter(mb.cache_key(r.point) for r in history
                                if r.error is not None and not r.cached)
+
+
+def toy_with_k_cap(constant):
+    """The bundled toy problem plus the analytic global constraint
+    ``k + constant <= 0``: its start point (k = 2, the scope midpoint) is
+    screened when ``constant > -2``."""
+    document = json.loads(mb.bundled_problem_path("toy").read_text())
+    document["constraints"].append({"id": "k_cap", "role": "global",
+                                    "analytic": {"terms": [[1, "k"]], "constant": constant}})
+    return document

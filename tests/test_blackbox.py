@@ -16,9 +16,10 @@ import pytest
 import metabox as mb
 from metabox import blackbox, direct_search
 from metabox.bayesian import write_acquisition_log
-from metabox.blackbox import cache_key, history_header, render_value
+from metabox.blackbox import barrier_value, cache_key, history_header, render_value
 from metabox.builtin_problems import (MLP_ACTIVATION_GAP, MLP_CONTINUOUS_TARGETS,
                                       MLP_OPTIMIZER_BASE, MLP_UNIT_TARGETS, toy_table)
+from conftest import toy_with_k_cap
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -96,6 +97,54 @@ def test_used_counts_only_fresh_records(mlp_problem, mlp_domain):
     for u1 in (150, 150, 200, 200, 150):
         evaluator.evaluate(mlp_domain.complete_point(ADAM2, {"u1": u1}))
     assert evaluator.budget.used == sum(1 for r in evaluator.history if not r.cached) == 2
+
+
+def test_a_screened_point_is_never_run_charged_recorded_or_cached(mlp_problem, mlp_domain):
+    calls = []
+
+    def objective(point):
+        calls.append(point)
+        return mlp_problem.objective(point)
+
+    problem = dataclasses.replace(mlp_problem, objective=objective)
+    evaluator = mb.Evaluator(problem, 1, screen=True)
+    broken = mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300})  # u2 > u1
+    for _ in range(2):
+        record = evaluator.evaluate(broken)
+        assert record.screened and not record.cached and record.error is None
+        assert not record.feasible and record.objective == math.inf
+        assert record.index == -1 and barrier_value(record) == math.inf
+        assert record.constraints == problem.constraints.screen(broken)[0]
+        assert record.constraints["units_mono_2"] == 200.0
+    assert calls == [] and evaluator.history == [] and evaluator.budget.used == 0
+    assert evaluator.screened == 2 and not evaluator.is_evaluated(broken)
+    # Screened before the budget: once the one evaluation is spent, a broken
+    # point still settles and a new feasible one is refused.
+    kept = evaluator.evaluate(mlp_domain.complete_point(ADAM2, {}))
+    assert kept.feasible and not kept.screened and kept.index == 0
+    assert evaluator.evaluate(broken).screened and evaluator.screened == 3
+    with pytest.raises(mb.BudgetExhaustedError):
+        evaluator.evaluate(mlp_domain.complete_point(ADAM2, {"u1": 250}))
+    assert len(calls) == 1 and evaluator.history == [kept]
+
+
+def test_without_screening_a_broken_point_is_run_and_charged(mlp_problem, mlp_domain):
+    evaluator = mb.Evaluator(mlp_problem, 5)
+    record = evaluator.evaluate(mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300}))
+    assert not record.screened and not record.feasible and math.isfinite(record.objective)
+    assert evaluator.history == [record] and evaluator.budget.used == 1
+    assert evaluator.screened == 0
+
+
+def test_a_non_member_is_refused_before_the_screen(mlp_problem, mlp_domain):
+    # The float twin of a broken integer point is an equal Point outside the domain.
+    evaluator = mb.Evaluator(mlp_problem, 5, screen=True)
+    broken = mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300})
+    twin = mb.Point(ADAM2, broken.categorical, {**broken.standard, "u2": 300.0})
+    assert twin == broken and not mlp_problem.constraints.screen(twin)[1]
+    with pytest.raises(mb.DomainError):
+        evaluator.evaluate(twin)
+    assert evaluator.screened == 0 and evaluator.history == []
 
 
 def test_out_of_domain_point_refused(mlp_problem, mlp_domain):
@@ -252,6 +301,28 @@ def test_concurrent_evaluations_charge_each_point_once(toy_problem):
     fresh = [r.point for r in evaluator.history if not r.cached]
     assert sorted(map(cache_key, fresh)) == sorted(set(map(cache_key, points)))
     assert all(r.objective == evaluator.evaluate(r.point).objective for r in records)
+
+
+def test_concurrent_screening_counts_each_screened_request(toy_problem):
+    # As above, with the k <= 2 cap screening k = 3 and 4, 4 of the 10 points:
+    # a lost update of ``screened`` would show.
+    capped = mb.parse_problem(toy_with_k_cap(-2)).problem
+    domain = capped.domain
+    points = [domain.complete_point(mb.MetaComponent({"m": m}), {"k": k})
+              for m in ("A", "B") for k in range(5)]
+    kept = [p for p in points if p.standard["k"] <= 2]
+    evaluator = mb.Evaluator(capped, len(points), screen=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            records = list(pool.map(evaluator.evaluate, points * 5, timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert evaluator.screened == 5 * (len(points) - len(kept)) == 20
+    assert evaluator.budget.used == len(kept)
+    assert sorted(r.index for r in evaluator.history) == list(range(5 * len(kept)))
+    assert [r.screened for r in records] == [p not in kept for p in points] * 5
 
 
 def test_waiters_run_the_point_when_the_backend_aborts(toy_problem):
@@ -819,6 +890,45 @@ def test_concurrent_lookaheads_charge_each_point_once(tmp_path, monkeypatch, lau
     assert evaluator.discarded == len(launches) - evaluator.budget.used
     assert lookahead_threads() == []
     assert wait_until_gone([int(path.name) for path in pid_dir.iterdir()]) == []
+
+
+# Each child logs its payload to a fresh file; the objective falls towards
+# k = 4, which the k <= 2 cap of ``toy_with_k_cap(-2)`` screens.
+LOGGING_CHILD = """\
+import json, os, sys, tempfile
+data = json.load(sys.stdin)
+fd, _ = tempfile.mkstemp(dir=sys.argv[1])
+with os.fdopen(fd, "w") as fh:
+    json.dump(data, fh)
+out = {"objective": -data["standard"]["k"]}
+if data["meta"]["m"] == "B":
+    out["constraints"] = {"branch_cap": -1.0}
+json.dump(out, sys.stdout)
+"""
+
+
+def test_no_command_child_runs_a_screened_point(tmp_path, monkeypatch, launches):
+    lookahead_width(monkeypatch, 3)
+    log_dir = tmp_path / "payloads"
+    log_dir.mkdir()
+    capped = mb.parse_problem(toy_with_k_cap(-2)).problem
+    problem = command_problem(capped, quadratic_child(tmp_path, LOGGING_CHILD), log_dir)
+    result = mb.run_direct_search(problem, mb.SearchConfig(budget=20, seed=0))
+    evaluator = result.evaluator
+    payloads = [json.loads(path.read_text()) for path in log_dir.iterdir()]
+    assert any(ahead for _, ahead in launches)  # children did run ahead
+    assert len(payloads) == len(launches) == evaluator.budget.used + evaluator.discarded
+    assert payloads and all(p["standard"]["k"] <= 2 for p in payloads)
+    assert evaluator.screened > 0
+    assert all(r.feasible and not r.screened for r in result.history)
+    broken = problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
+    assert not evaluator.is_evaluated(broken)
+    with evaluator.lookahead([broken]) as records:
+        (record,) = records
+    assert record.screened and len(list(log_dir.iterdir())) == len(payloads)
+    twin = mb.Point(broken.meta, broken.categorical, {"k": 3.0})
+    with pytest.raises(mb.DomainError):
+        evaluator.evaluate(twin)
 
 
 def test_subprocess_payload_uses_labels(toy_problem):

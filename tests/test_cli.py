@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from metabox.cli import cli_main
 from metabox.problem_file import bundled_problem_path
+from conftest import toy_with_k_cap
 
 MLP = str(bundled_problem_path("mlp"))
 TOY = str(bundled_problem_path("toy"))
@@ -46,6 +48,34 @@ def test_solve_direct_writes_history(tmp_path, capsys):
     assert lines[0].startswith("eval_index,cached,feasible,objective,m,pA,pB,s,k")
     assert len(lines) > 1
     assert "best objective" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solver, problem, screens", [("direct", MLP, True),
+                                                      ("direct", TOY, False),
+                                                      ("bo", MLP, False)])
+def test_solve_summary_counts_evaluations_and_screened_points(tmp_path, capsys, solver,
+                                                              problem, screens):
+    out = tmp_path / "history.csv"
+    assert cli_main(["solve", problem, "--solver", solver, "--budget", "12",
+                     "--seed", "0", "--out", str(out), "--quiet"]) == 0
+    match = re.fullmatch(r"best objective \S+ feasible (true|false) "
+                         r"evaluations (\d+) screened (\d+)\n", capsys.readouterr().out)
+    assert match, "summary line"
+    evaluations, screened = int(match[2]), int(match[3])
+    fresh = [line for line in out.read_text().splitlines()[1:]
+             if line.split(",")[1] == "false"]
+    assert evaluations == len(fresh) <= 12
+    assert (screened > 0) == screens
+
+
+def test_solve_with_every_point_screened_reports_no_evaluations(tmp_path, capsys):
+    problem = tmp_path / "capped.json"
+    problem.write_text(json.dumps(toy_with_k_cap(1)))  # k <= -1: nothing is feasible
+    out = tmp_path / "history.csv"
+    assert cli_main(["solve", str(problem), "--solver", "direct", "--budget", "10",
+                     "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == "no evaluations performed\n"
+    assert len(out.read_text().splitlines()) == 1  # the header only
 
 
 def test_solve_reruns_byte_identical(tmp_path):

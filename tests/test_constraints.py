@@ -92,6 +92,41 @@ def test_a_spec_from_outside_the_system_keeps_its_decree_check(mlp_system, mlp_d
         mlp_system.evaluate_analytic(stricter, units_point(mlp_domain, 2, u2=250))
 
 
+# -- a priori screen ------------------------------------------------------------------
+
+@pytest.mark.parametrize("l, units, expected, feasible", [
+    (2, {"u1": 200, "u2": 150}, {"units_total": -150.0, "units_mono_2": -50.0}, True),
+    (2, {"u1": 100, "u2": 100}, {"units_total": -300.0, "units_mono_2": 0.0}, True),
+    (2, {"u1": 100, "u2": 300}, {"units_total": -100.0, "units_mono_2": 200.0}, False),
+    (3, {"u1": 300, "u2": 200, "u3": 100},
+     {"units_total": 100.0, "units_mono_2": -100.0, "units_mono_3": -100.0}, False),
+])
+def test_screen_gives_the_acting_analytic_values(mlp_system, mlp_domain, l, units,
+                                                  expected, feasible):
+    point = units_point(mlp_domain, l, **units)
+    values, ok = mlp_system.screen(point)
+    assert values == expected and list(values) == list(expected)
+    assert ok == feasible
+    # evaluate_acting reads the values it is given instead of recomputing them.
+    assert mlp_system.evaluate_acting(point, {}) == (values, ok)
+    marked = {cid: -7.0 for cid in values}
+    assert mlp_system.evaluate_acting(point, {}, marked) == (marked, True)
+
+
+def test_screen_fails_a_nan_value_and_skips_blackbox_bodies(toy_problem, mlp_system,
+                                                            mlp_domain):
+    point = units_point(mlp_domain, 2)
+    spec = next(c for c in mlp_system.constraints if c.id == "units_total")
+    nan_spec = mb.ConstraintSpec(spec.id, spec.role,
+                                 mb.LinearExpression(spec.body.terms, math.nan))
+    system = mb.ConstraintSystem(mlp_domain, [nan_spec])
+    values, ok = system.screen(point)
+    assert math.isnan(values["units_total"]) and not ok
+    # toy's only constraint has a blackbox body: nothing to screen.
+    toy_point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
+    assert toy_problem.constraints.screen(toy_point) == ({}, True)
+
+
 # -- feasibility ---------------------------------------------------------------------
 
 def test_feasibility_all_nonpositive(mlp_system, mlp_domain):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,10 +7,11 @@ import pytest
 
 import metabox as mb
 from metabox.bayesian import ACQ_MIN_FRACTION
-from metabox.blackbox import barrier_value
+from metabox import direct_search
+from metabox.blackbox import barrier_value, cache_key
 from metabox.builtin_problems import MLP_CONTINUOUS_TARGETS, mlp_normalized
 from metabox.direct_search import MIN_FRACTION, MeshState
-from conftest import charged_failures, nan_objective_at_k2
+from conftest import charged_failures, nan_objective_at_k2, toy_with_k_cap
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -195,9 +197,9 @@ def test_identical_runs_produce_identical_history(tmp_path, toy_problem):
 
 # sha256 of the mlp direct-search history CSV (budget 2000) per solver seed.
 MLP_HISTORY_SHA256 = {
-    0: "0d788960048a99f6f5118db69c581d28fb79917fd474101745a3e8b127e97ab5",
-    1: "e7eb55625b7c663b49880df01882c0cd369f1e5d54eaddf45ccb4decb5ff7b95",
-    2: "a6da6cb8c15d65c4b16b3f32f9be1319af240392972a8ae0c7611f0e0cc7df06",
+    0: "eba688f87b966ecb53fd235849a67ac0ef1d6b66a6c61f99700449504dbfefa0",
+    1: "7e2121588586ae9616bfaad791604aaccd3e37d038ab8b760344d88b13c962e7",
+    2: "2a9a610f105567054623cd207d4c5d668f0622e1d8b9d664b9315daecb226766",
 }
 
 
@@ -218,10 +220,11 @@ def test_mlp_history_matches_golden_digest(tmp_path, mlp_problem, seed):
 
 # sha256 of the mlp direct-search history CSV (budget 2000) per solver seed,
 # polled on the file's own meta mapping, as the bench's direct-mlp solves.
+# The two mappings differ only in points that the screen keeps from the history.
 MLP_FILE_MAPPING_HISTORY_SHA256 = {
-    0: "46de20b9031cce9571c1b3bbae829576bab4065899631568b01fbcffcfd66f39",
-    1: "8f6763fabaf694fbde149066de760799871540b17a3cc31dacba477caa28b51d",
-    2: "67d6d0ce58a5174802e6ebd177977a50de121505beb0f8b95e29734272d7236b",
+    0: "eba688f87b966ecb53fd235849a67ac0ef1d6b66a6c61f99700449504dbfefa0",
+    1: "7e2121588586ae9616bfaad791604aaccd3e37d038ab8b760344d88b13c962e7",
+    2: "2a9a610f105567054623cd207d4c5d668f0622e1d8b9d664b9315daecb226766",
 }
 
 
@@ -236,6 +239,52 @@ def test_mlp_file_mapping_history_matches_golden_digest(tmp_path, mlp_parsed, se
     mb.write_history(problem.domain, problem.constraints, result.history, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == MLP_FILE_MAPPING_HISTORY_SHA256[seed])
+
+
+def settled(records):
+    """What a history says of each record, its index aside."""
+    return [(cache_key(r.point), r.objective, r.feasible, r.cached, r.error, r.constraints)
+            for r in records]
+
+
+@pytest.mark.parametrize("mapping", ["default", "file"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_screening_only_drops_the_infeasible_records(monkeypatch, mlp_parsed, seed, mapping):
+    """Every mlp constraint is analytic, and under the extreme barrier a
+    screened point scores what an evaluated infeasible one does: screening
+    changes no decision of the search, only what is charged and recorded."""
+    meta_mapping = mlp_parsed.meta_mapping if mapping == "file" else None
+    runs = {}
+    for screen in (False, True):
+        monkeypatch.setattr(direct_search, "Evaluator",
+                            lambda problem, budget, screen, s=screen:
+                            mb.Evaluator(problem, budget, screen=s))
+        runs[screen] = mb.run_direct_search(mlp_parsed.problem,
+                                            mb.SearchConfig(budget=2000, seed=seed),
+                                            meta_mapping=meta_mapping)
+    plain, screened = runs[False], runs[True]
+    assert settled(screened.history) == settled(r for r in plain.history if r.feasible)
+    assert [r.index for r in screened.history] == list(range(len(screened.history)))
+    assert settled([screened.best]) == settled([plain.best])
+    assert screened.stop_reason == plain.stop_reason == "converged"
+    assert plain.evaluator.screened == 0 < screened.evaluator.screened
+    assert screened.evaluator.budget.used < plain.evaluator.budget.used
+
+
+@pytest.mark.parametrize("case", ["all-screened", "rest-failing"])
+def test_best_is_never_a_screened_start(case):
+    # The start point (k = 2) breaks the cap.  With k <= -1 every point is
+    # screened; with k <= 1 the blackbox fails on every point it runs.
+    problem = mb.parse_problem(toy_with_k_cap(1 if case == "all-screened" else -1)).problem
+    if case == "rest-failing":
+        problem = dataclasses.replace(problem, objective=lambda point: (math.nan, {}))
+    result = mb.run_direct_search(problem, mb.SearchConfig(budget=30, seed=0))
+    assert result.evaluator.screened > 0
+    if case == "all-screened":
+        assert result.history == [] and result.best is None
+    else:
+        assert result.history and all(r.error is not None for r in result.history)
+        assert result.best is result.history[0]
 
 
 def test_without_global_search_runs_are_seed_independent(toy_problem):
