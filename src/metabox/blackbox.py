@@ -12,11 +12,13 @@ running the next few command children at once.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import signal
 import subprocess
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -115,9 +117,10 @@ class Problem:
             raise ValueError("exactly one of objective/command must be provided")
         _check_timeout(self.timeout, "Problem timeout")
         command = self.command
-        object.__setattr__(self, "command", tuple(command))
-        if isinstance(command, str) or not all(isinstance(part, str) for part in self.command):
+        if not (isinstance(command, (list, tuple))
+                and all(isinstance(part, str) for part in command)):
             raise ConfigurationError(f"command must be a sequence of strings, got {command!r}")
+        object.__setattr__(self, "command", tuple(command))
 
 
 def subprocess_payload(domain: Domain, point: Point) -> dict:
@@ -247,7 +250,9 @@ class Evaluator:
                     index=len(self.history), cached=True, wall_ms=0.0, error=hit.error)
                 self.history.append(record)
                 if record.error is not None:
-                    raise EvaluationError(record.error)
+                    error = EvaluationError(record.error)
+                    error.record = record
+                    raise error
                 return record
             if self.budget.used >= self.budget.max_evaluations:
                 raise BudgetExhaustedError(
@@ -258,7 +263,7 @@ class Evaluator:
         try:
             record = self._run_backend(point, analytic)
         except EvaluationError as exc:
-            record = EvaluationRecord(
+            record = exc.record = EvaluationRecord(
                 point=point, objective=math.inf, constraints={}, feasible=False,
                 index=-1, cached=False, wall_ms=0.0, error=str(exc))
             raise
@@ -274,7 +279,8 @@ class Evaluator:
                 self._settled.notify_all()
         return record
 
-    def lookahead(self, points) -> "_Lookahead":
+    @contextlib.contextmanager
+    def lookahead(self, points):
         """Settle ``points`` (any iterable, read lazily) in order; a context
         manager whose value iterates the settled records.
 
@@ -284,12 +290,66 @@ class Evaluator:
         of raising, and any other error ends the iteration.  With a command
         backend the children of the next few points (at most the usable
         CPUs, capped at MAX_LOOKAHEAD) run while earlier ones settle, and
-        never more than the budget left; a screened point starts none.
-        Children of points the caller never settles are killed with their
-        process group on exit and counted in ``discarded``.  In-process
-        callables run inline, one at a time.
+        never more than the budget left; a screened point starts none.  No
+        thread is started: each child runs as its own process and is settled
+        in the caller's thread.  Children of points the caller never settles
+        are killed with their process group on exit and counted in
+        ``discarded``.  In-process callables run inline, one at a time.
         """
-        return _Lookahead(self, points)
+        children: list[_Child] = []
+        try:
+            yield self._settle_each(points if self._width == 1
+                                    else self._launched(points, children))
+        finally:
+            for child in children:
+                key = _identity(child.point)
+                with self._lock:
+                    untaken = self._ahead.get(key) is child
+                    if untaken:
+                        del self._ahead[key]
+                        self.discarded += 1
+                if untaken:
+                    child.discard()
+
+    def _settle_each(self, points):
+        for point in points:
+            try:
+                yield self.evaluate(point)
+            except EvaluationError as exc:
+                yield exc.record
+
+    def _launched(self, points, children: list):
+        """``points`` in order; each is pulled, and its child started (and
+        appended to ``children``), while the ``width - 1`` points before it
+        are still to be settled."""
+        window = []
+        for point in points:
+            child = self._launch(point)
+            if child is not None:
+                children.append(child)
+            window.append(point)
+            if len(window) == self._width:
+                yield window.pop(0)
+        yield from window
+
+    def _launch(self, point: Point) -> "_Child | None":
+        """Start ``point``'s child unless evaluate() would refuse, screen,
+        serve from the records or coalesce it, or the budget left is already
+        spoken for."""
+        if self.problem.domain.membership_issues(point):
+            return None
+        if self.screen and not self.problem.constraints.screen(point)[1]:
+            return None
+        key = _identity(point)
+        with self._lock:
+            if (key in self._records or key in self._inflight or key in self._ahead
+                    or len(self._ahead) >= self.budget.remaining):
+                return None
+            try:
+                child = self._ahead[key] = _Child(self, point)
+            except EvaluationError:  # its settle launches it again and records why
+                return None
+        return child
 
     # -- backend dispatch ----------------------------------------------------------
 
@@ -305,11 +365,9 @@ class Evaluator:
         else:
             with self._lock:
                 child = self._ahead.pop(_identity(point), None)
-            if child is None:
-                objective, blackbox_values = self._run_subprocess(point)
-            else:
+            if child is not None:
                 start = child.start
-                objective, blackbox_values = child.result()
+            objective, blackbox_values = self._run_subprocess(point, child)
         constraints, feasible = self.problem.constraints.evaluate_acting(
             point, blackbox_values, analytic)
         objective = float(objective)
@@ -324,20 +382,19 @@ class Evaluator:
                                 index=-1, cached=False, wall_ms=wall_ms)
 
     def _run_subprocess(self, point: Point, child: "_Child | None" = None):
-        payload = json.dumps(subprocess_payload(self.problem.domain, point))
-        try:
-            # The child leads its own session, so a timeout kills every
-            # process it started, not just the child.
-            proc = subprocess.Popen(
-                list(self.problem.command), stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
-        except OSError as exc:
-            raise EvaluationError(f"blackbox could not be launched: {exc}") from exc
-        if child is not None:
-            child.attach(proc)
-        with proc:
+        """Settle ``point``'s command child: the one a lookahead started, else
+        one started now.  Returns (objective, blackbox constraint values)."""
+        if child is None:
+            child = _Child(self, point)
+        proc = child.proc
+        # The timeout counts from the child's start; a child that has exited
+        # has only its output left to read.
+        timeout = self.timeout
+        if proc.poll() is None:
+            timeout -= time.perf_counter() - child.start
+        with proc, child.stderr:
             try:
-                stdout, stderr = proc.communicate(payload.encode(), timeout=self.timeout)
+                stdout, _ = proc.communicate(timeout=timeout)
             except BaseException as exc:
                 _kill_group(proc)
                 proc.wait()
@@ -345,129 +402,57 @@ class Evaluator:
                     raise EvaluationError(
                         f"blackbox timed out after {self.timeout} s") from None
                 raise
-        if proc.returncode != 0:
-            raise EvaluationError(
-                f"blackbox exited with code {proc.returncode}: "
-                f"{stderr.decode(errors='replace')[:500]}")
+            if proc.returncode != 0:
+                child.stderr.seek(0)
+                # 500 characters take at most 2000 bytes.
+                detail = child.stderr.read(2000).decode(errors="replace")[:500]
+                raise EvaluationError(f"blackbox exited with code {proc.returncode}: {detail}")
         try:
             output = json.loads(stdout.decode())
             objective = float(output["objective"])
-            constraint_values = {str(k): float(v)
-                                 for k, v in output.get("constraints", {}).items()}
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            constraints = output.get("constraints", {})
+            if not isinstance(constraints, dict):
+                raise TypeError(f"constraints must be an object, got {constraints!r}")
+            constraint_values = {str(k): float(v) for k, v in constraints.items()}
+        except (ValueError, KeyError, TypeError) as exc:
             raise EvaluationError(f"blackbox output malformed: {exc}") from exc
         return objective, constraint_values
 
 
 class _Child:
-    """A command child a lookahead started before its point's settle."""
+    """A command child, started at construction.
 
-    def __init__(self, point: Point):
+    Its stdin is read from a file that holds the payload and its stderr is
+    written to a file, so the child never blocks on this process; stdout
+    stays a pipe, so a settle wakes as soon as the child exits.
+    """
+
+    def __init__(self, evaluator: Evaluator, point: Point):
         self.point = point
+        payload = json.dumps(subprocess_payload(evaluator.problem.domain, point)).encode()
+        self.stderr = tempfile.TemporaryFile()
+        with tempfile.TemporaryFile() as stdin:
+            stdin.write(payload)
+            stdin.seek(0)
+            try:
+                # The child leads its own session, so a kill reaches every
+                # process it started, not just the child.
+                self.proc = subprocess.Popen(
+                    evaluator.problem.command, stdin=stdin, stdout=subprocess.PIPE,
+                    stderr=self.stderr, start_new_session=True)
+            except OSError as exc:
+                self.stderr.close()
+                raise EvaluationError(f"blackbox could not be launched: {exc}") from exc
         self.start = time.perf_counter()
-        self.future = None
-        self._proc = None
-        self._dropped = False
-        self._lock = threading.Lock()
 
-    def attach(self, proc):
-        """Called by the worker once the child runs; kills it if already dropped."""
-        with self._lock:
-            self._proc = proc
-            dropped = self._dropped
-        if dropped:
-            _kill_group(proc)
-
-    def drop(self):
-        """Kill the child's process group if it still runs, now or once it starts."""
-        with self._lock:
-            self._dropped = True
-            proc = self._proc
+    def discard(self):
+        """Kill the child's process group if the child still runs, then reap it."""
         # A reaped child's group id may be reused: poll() reaps an exited
         # child instead of signalling it.
-        if proc is not None and proc.poll() is None:
-            _kill_group(proc)
-
-    def result(self):
-        """The child's (objective, constraint values); waits for it to finish."""
-        try:
-            return self.future.result()
-        except EvaluationError:
-            raise
-        except BaseException:  # an interrupted wait must not leave it running
-            self.drop()
-            raise
-
-
-class _Lookahead:
-    """The context manager :meth:`Evaluator.lookahead` returns."""
-
-    def __init__(self, evaluator: Evaluator, points):
-        self._evaluator = evaluator
-        self._points = points
-        self._children: list[_Child] = []
-        self._pool = None
-
-    def __enter__(self):
-        width = self._evaluator._width
-        if width == 1:
-            return self._settled(self._points)
-        from concurrent.futures import ThreadPoolExecutor
-        self._pool = ThreadPoolExecutor(width, thread_name_prefix="metabox-lookahead")
-        return self._settled(self._launched(width))
-
-    def _settled(self, points):
-        evaluator = self._evaluator
-        for point in points:
-            try:
-                yield evaluator.evaluate(point)
-            except EvaluationError:
-                yield evaluator.history[-1]
-
-    def _launched(self, width: int):
-        """``points`` in order; each is pulled, and its child started, while
-        the ``width - 1`` points before it are still to be settled."""
-        window = []
-        for point in self._points:
-            self._launch(point)
-            window.append(point)
-            if len(window) == width:
-                yield window.pop(0)
-        yield from window
-
-    def _launch(self, point: Point):
-        """Start ``point``'s child unless evaluate() would refuse, screen,
-        serve from the records or coalesce it, or the budget left is already
-        spoken for."""
-        evaluator = self._evaluator
-        if evaluator.problem.domain.membership_issues(point):
-            return
-        if evaluator.screen and not evaluator.problem.constraints.screen(point)[1]:
-            return
-        key = _identity(point)
-        with evaluator._lock:
-            if (key in evaluator._records or key in evaluator._inflight
-                    or key in evaluator._ahead
-                    or len(evaluator._ahead) >= evaluator.budget.remaining):
-                return
-            child = evaluator._ahead[key] = _Child(point)
-            child.future = self._pool.submit(evaluator._run_subprocess, point, child)
-        self._children.append(child)
-
-    def __exit__(self, *exc_info):
-        if self._pool is None:
-            return
-        evaluator = self._evaluator
-        for child in self._children:
-            with evaluator._lock:
-                key = _identity(child.point)
-                untaken = evaluator._ahead.get(key) is child
-                if untaken:
-                    del evaluator._ahead[key]
-                    evaluator.discarded += 1
-            if untaken:
-                child.drop()
-        self._pool.shutdown(wait=True)
+        if self.proc.poll() is None:
+            _kill_group(self.proc)
+        with self.proc, self.stderr:
+            pass
 
 
 # ---------------------------------------------------------------------------

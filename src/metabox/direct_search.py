@@ -121,8 +121,8 @@ def _evaluate_barrier(evaluator: Evaluator, point: Point):
     """Evaluate under the extreme barrier; failed runs yield +inf."""
     try:
         record = evaluator.evaluate(point)
-    except EvaluationError:
-        return evaluator.history[-1], math.inf
+    except EvaluationError as exc:
+        return exc.record, math.inf
     return record, barrier_value(record)
 
 

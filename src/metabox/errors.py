@@ -38,7 +38,13 @@ class BudgetExhaustedError(MetaboxError):
 
 
 class EvaluationError(MetaboxError):
-    """The blackbox process failed, timed out, or returned malformed output."""
+    """The blackbox process failed, timed out, or returned malformed output.
+
+    When ``Evaluator.evaluate`` raises it, ``record`` is the failure record
+    that call appended to the history.
+    """
+
+    record = None
 
 
 class KernelDomainError(MetaboxError):

@@ -59,3 +59,28 @@ def test_traced_solve_records_spans_and_restores_the_library(spans, toy_problem,
     after = library_bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_traced_lookahead_opens_each_backend_span_inside_its_evaluate(spans, monkeypatch,
+                                                                     tmp_path, toy_problem):
+    # Two command children at once: every backend wait must happen in the
+    # thread that settles the point, under that point's evaluate span.
+    monkeypatch.setattr(mb.blackbox, "_cpus", lambda: 2)
+    script = tmp_path / "bb.py"
+    script.write_text('import json, sys\n'
+                      'data = json.load(sys.stdin)\n'
+                      'out = {"objective": (data["standard"]["k"] - 1) ** 2}\n'
+                      'if data["meta"]["m"] == "B":\n'
+                      '    out["constraints"] = {"branch_cap": -1.0}\n'
+                      'json.dump(out, sys.stdout)\n')
+    problem = mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                         command=(sys.executable, "-I", "-S", str(script)), timeout=20.0)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        result = mb.run_direct_search(problem, mb.SearchConfig(budget=12, seed=0))
+    assert result.evaluator.budget.used == 12
+    labels = [tracer.labels[i] for i in tracer.name]
+    parents = [labels[p] if p >= 0 else None
+               for p, label in zip(tracer.parent, labels) if label == "blackbox.backend"]
+    assert len(parents) == 12
+    assert set(parents) == {"blackbox.evaluate"}

@@ -402,14 +402,16 @@ def test_invalid_timeout_in_code_is_a_configuration_error(toy_problem, timeout):
         mb.Evaluator(toy_problem, 1, timeout=timeout)
 
 
-@pytest.mark.parametrize("command", [("python3", 3), "python3 blackbox.py"])
+@pytest.mark.parametrize("command", [("python3", 3), "python3 blackbox.py", 5, None])
 def test_command_that_is_not_a_sequence_of_strings_is_a_configuration_error(toy_problem,
                                                                              command):
     # A non-string entry once made Popen raise a TypeError out of evaluate,
     # which catches only OSError; a string was split into one-letter arguments.
+    # A number, or None beside an objective, once failed in tuple(command).
+    objective = (lambda point: (0.0, {})) if command is None else None
     with pytest.raises(mb.ConfigurationError, match="command"):
         mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
-                   command=command)
+                   objective=objective, command=command)
 
 
 # -- the proxy problem ----------------------------------------------------------------
@@ -577,12 +579,16 @@ def test_subprocess_failure_recorded_and_raised(tmp_path, toy_problem):
 
 
 def test_subprocess_malformed_output_is_an_evaluation_error(tmp_path, toy_problem):
-    script = quadratic_child(tmp_path, "print('not json')\n")
-    problem = subprocess_problem(toy_problem, script)
-    evaluator = mb.Evaluator(problem, 5)
-    with pytest.raises(mb.EvaluationError):
-        evaluator.evaluate(
-            toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {}))
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {})
+    for output in ("not json", '{"objective": 1, "constraints": null}',
+                   '{"objective": 1, "constraints": [1]}'):
+        script = quadratic_child(tmp_path, f"print({output!r})\n")
+        evaluator = mb.Evaluator(subprocess_problem(toy_problem, script), 5)
+        with pytest.raises(mb.EvaluationError, match="malformed"):
+            evaluator.evaluate(point)
+        (record,) = evaluator.history
+        assert record.error.startswith("blackbox output malformed")
+        assert evaluator.budget.used == 1
 
 
 def test_subprocess_missing_constraint_value_is_an_error(tmp_path, toy_problem):
@@ -655,13 +661,22 @@ def lookahead_width(monkeypatch, width):
 def launches(monkeypatch):
     """(evaluator, started ahead of its settle) for every command child started."""
     started = []
-    original = mb.Evaluator._run_subprocess
+    settling = threading.local()  # set while a settle starts its own child
+    start, settle = blackbox._Child.__init__, mb.Evaluator._run_subprocess
 
-    def recorded(self, point, child=None):
-        started.append((self, child is not None))
-        return original(self, point, child)
+    def recorded_start(self, evaluator, point):
+        started.append((evaluator, not getattr(settling, "now", False)))
+        start(self, evaluator, point)
 
-    monkeypatch.setattr(mb.Evaluator, "_run_subprocess", recorded)
+    def recorded_settle(self, point, child=None):
+        settling.now = child is None
+        try:
+            return settle(self, point, child)
+        finally:
+            settling.now = False
+
+    monkeypatch.setattr(blackbox._Child, "__init__", recorded_start)
+    monkeypatch.setattr(mb.Evaluator, "_run_subprocess", recorded_settle)
     return started
 
 
@@ -794,6 +809,98 @@ def test_lookahead_kills_the_child_of_a_point_never_settled(tmp_path, monkeypatc
     assert evaluator.history == [first] and evaluator.budget.used == 1
     assert evaluator.discarded == 1
     assert lookahead_threads() == []
+
+
+# The k == 2 child writes 1 MiB to stderr and then creates a marker, which
+# the k == 1 child waits up to 5 s for: a stderr nobody reads would block it.
+STDERR_THEN_MARKER = """\
+import json, os, sys, time
+k = json.load(sys.stdin)["standard"]["k"]
+marker = os.path.join(sys.argv[1], "marker")
+if k == 2:
+    sys.stderr.write("x" * 2 ** 20)
+    sys.stderr.flush()
+    open(marker, "w").close()
+deadline = time.monotonic() + 5.0
+while not os.path.exists(marker) and time.monotonic() < deadline:
+    time.sleep(0.01)
+json.dump({"objective": float(os.path.exists(marker))}, sys.stdout)
+"""
+
+
+def test_lookahead_child_never_blocks_on_its_stderr(tmp_path, monkeypatch, launches,
+                                                    toy_problem):
+    lookahead_width(monkeypatch, 2)
+    problem = command_problem(toy_problem, quadratic_child(tmp_path, STDERR_THEN_MARKER),
+                              tmp_path)
+    points = [toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": k})
+              for k in (1, 2)]
+    evaluator = mb.Evaluator(problem, 5)
+    with evaluator.lookahead(points) as records:
+        assert [r.objective for r in records] == [1.0, 1.0]
+    assert [ahead for _, ahead in launches] == [True, True]
+
+
+def test_lookahead_records_a_child_that_cannot_be_launched(tmp_path, monkeypatch,
+                                                          toy_problem):
+    lookahead_width(monkeypatch, 2)
+    problem = mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                         command=(str(tmp_path / "missing"),))
+    points = [toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": k})
+              for k in (1, 2)]
+    evaluator = mb.Evaluator(problem, 5)
+    with evaluator.lookahead(points) as records:
+        settled = list(records)
+    assert settled == evaluator.history and len(settled) == 2
+    assert all("could not be launched" in r.error for r in settled)
+    assert evaluator.budget.used == 2 and evaluator.discarded == 0
+
+
+class InterleavedHistory(list):
+    """A history whose first ``[-1]`` read first lets another thread run
+    ``interleave`` to completion, as a preempted reader would."""
+
+    def __init__(self, interleave):
+        super().__init__()
+        self.interleave = interleave
+
+    def __getitem__(self, index):
+        if index == -1 and self.interleave is not None:
+            thread = threading.Thread(target=self.interleave)
+            self.interleave = None
+            thread.start()
+            thread.join()
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("settle", ["lookahead", "direct-search"])
+def test_failure_record_belongs_to_the_failed_point(toy_problem, settle):
+    def objective(point):
+        raise RuntimeError(f"k={point.standard['k']}")
+
+    problem = mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
+                         objective=objective)
+    evaluator = mb.Evaluator(problem, 5)
+    mine, other = [toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": k})
+                   for k in (1, 2)]
+
+    def evaluate_other():
+        with pytest.raises(mb.EvaluationError):
+            evaluator.evaluate(other)
+
+    # Another thread's failure may be appended between this point's failure
+    # and a read of the history's last entry.
+    evaluator.history = InterleavedHistory(evaluate_other)
+    if settle == "lookahead":
+        with evaluator.lookahead([mine]) as records:
+            (record,) = records
+    else:
+        record, barrier = direct_search._evaluate_barrier(evaluator, mine)
+        assert barrier == math.inf
+    assert record.point == mine and "k=1" in record.error
+    with pytest.raises(mb.EvaluationError) as raised:
+        evaluator.evaluate(mine)
+    assert raised.value.record.cached and raised.value.record.point == mine
 
 
 PID_CHILD = """\
