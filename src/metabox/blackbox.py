@@ -19,7 +19,6 @@ import os
 import signal
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 
@@ -163,14 +162,13 @@ def _env_timeout(default: float) -> float:
 
 
 class Evaluator:
-    """Stateful evaluation session: budget + cache + history as one synchronized unit.
+    """Stateful evaluation session: budget, cache and history, used from one
+    thread.
 
     Points are identified by Point equality: the same meta component (as
     rendered) and equal categorical and standard maps, so ``0.0`` and
     ``-0.0`` are one evaluation although :func:`cache_key` renders them
-    apart.  Concurrent evaluate() calls are permitted; the budget check and
-    increment are atomic, and duplicates in flight coalesce onto one backend
-    call.
+    apart.
     A failed evaluation is remembered too: requesting its point again records
     a cached failure and raises the same EvaluationError, free of budget.
 
@@ -198,15 +196,12 @@ class Evaluator:
         self.history: list[EvaluationRecord] = []
         # identity -> the fresh record, failed (``error`` set) or not
         self._records: dict[tuple, EvaluationRecord] = {}
-        self._inflight: set[tuple] = set()
         # identity -> a lookahead's child not yet taken by the evaluate()
         # that charges its point
         self._ahead: dict[tuple, _Child] = {}
         self.discarded = 0
         self.screen = screen
         self.screened = 0
-        self._lock = threading.Lock()
-        self._settled = threading.Condition(self._lock)
         # In-process callables run inline; command children may overlap.
         self._width = 1 if problem.objective is not None else min(MAX_LOOKAHEAD, _cpus())
         if timeout is None:
@@ -216,11 +211,6 @@ class Evaluator:
         self.timeout = timeout
 
     # -- public API -------------------------------------------------------------
-
-    def is_evaluated(self, point: Point) -> bool:
-        with self._lock:
-            record = self._records.get(_identity(point))
-        return record is not None and record.error is None
 
     def evaluate(self, point: Point) -> EvaluationRecord:
         # Membership first: a float twin of an integer value is an equal
@@ -233,32 +223,27 @@ class Evaluator:
         if self.screen:
             analytic, feasible = self.problem.constraints.screen(point)
             if not feasible:
-                with self._lock:
-                    self.screened += 1
+                self.screened += 1
                 return EvaluationRecord(
                     point=point, objective=math.inf, constraints=analytic, feasible=False,
                     index=-1, cached=False, wall_ms=0.0, screened=True)
         key = _identity(point)
-        with self._lock:
-            while key in self._inflight:
-                self._settled.wait()
-            hit = self._records.get(key)
-            if hit is not None:
-                record = EvaluationRecord(
-                    point=point, objective=hit.objective,
-                    constraints=dict(hit.constraints), feasible=hit.feasible,
-                    index=len(self.history), cached=True, wall_ms=0.0, error=hit.error)
-                self.history.append(record)
-                if record.error is not None:
-                    error = EvaluationError(record.error)
-                    error.record = record
-                    raise error
-                return record
-            if self.budget.used >= self.budget.max_evaluations:
-                raise BudgetExhaustedError(
-                    f"budget of {self.budget.max_evaluations} evaluations exhausted")
-            self.budget.used += 1
-            self._inflight.add(key)
+        hit = self._records.get(key)
+        if hit is not None:
+            record = EvaluationRecord(
+                point=point, objective=hit.objective,
+                constraints=dict(hit.constraints), feasible=hit.feasible,
+                index=len(self.history), cached=True, wall_ms=0.0, error=hit.error)
+            self.history.append(record)
+            if record.error is not None:
+                error = EvaluationError(record.error)
+                error.record = record
+                raise error
+            return record
+        if self.budget.used >= self.budget.max_evaluations:
+            raise BudgetExhaustedError(
+                f"budget of {self.budget.max_evaluations} evaluations exhausted")
+        self.budget.used += 1
         record = None
         try:
             record = self._run_backend(point, analytic)
@@ -268,15 +253,12 @@ class Evaluator:
                 index=-1, cached=False, wall_ms=0.0, error=str(exc))
             raise
         finally:
-            with self._lock:
-                # Any other exception records nothing; a waiter then runs
-                # the point itself.
-                if record is not None:
-                    record.index = len(self.history)
-                    self.history.append(record)
-                    self._records[key] = record
-                self._inflight.discard(key)
-                self._settled.notify_all()
+            # Any other exception records nothing: the point's next request
+            # runs it again.
+            if record is not None:
+                record.index = len(self.history)
+                self.history.append(record)
+                self._records[key] = record
         return record
 
     @contextlib.contextmanager
@@ -303,12 +285,9 @@ class Evaluator:
         finally:
             for child in children:
                 key = _identity(child.point)
-                with self._lock:
-                    untaken = self._ahead.get(key) is child
-                    if untaken:
-                        del self._ahead[key]
-                        self.discarded += 1
-                if untaken:
+                if self._ahead.get(key) is child:
+                    del self._ahead[key]
+                    self.discarded += 1
                     child.discard()
 
     def _settle_each(self, points):
@@ -333,22 +312,20 @@ class Evaluator:
         yield from window
 
     def _launch(self, point: Point) -> "_Child | None":
-        """Start ``point``'s child unless evaluate() would refuse, screen,
-        serve from the records or coalesce it, or the budget left is already
-        spoken for."""
+        """Start ``point``'s child unless evaluate() would refuse, screen or
+        serve it from the records, or the budget left is already spoken for."""
         if self.problem.domain.membership_issues(point):
             return None
         if self.screen and not self.problem.constraints.screen(point)[1]:
             return None
         key = _identity(point)
-        with self._lock:
-            if (key in self._records or key in self._inflight or key in self._ahead
-                    or len(self._ahead) >= self.budget.remaining):
-                return None
-            try:
-                child = self._ahead[key] = _Child(self, point)
-            except EvaluationError:  # its settle launches it again and records why
-                return None
+        if (key in self._records or key in self._ahead
+                or len(self._ahead) >= self.budget.remaining):
+            return None
+        try:
+            child = self._ahead[key] = _Child(self, point)
+        except EvaluationError:  # its settle launches it again and records why
+            return None
         return child
 
     # -- backend dispatch ----------------------------------------------------------
@@ -363,8 +340,7 @@ class Evaluator:
             except Exception as exc:  # backend bugs surface as evaluation errors
                 raise EvaluationError(f"builtin backend failed: {exc}") from exc
         else:
-            with self._lock:
-                child = self._ahead.pop(_identity(point), None)
+            child = self._ahead.pop(_identity(point), None)
             if child is not None:
                 start = child.start
             objective, blackbox_values = self._run_subprocess(point, child)

@@ -10,14 +10,13 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .blackbox import write_history
 from .errors import (ConfigurationError, KernelDomainError, MetaboxError, ProblemFileError,
                      ShapeError)
 from .neighborhoods import default_meta_mapping
-from .problem_file import parse_problem_file
+from .problem_file import parse_problem_file, read_json
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -59,12 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path, section, cls, check=None, **overrides):
     """``cls`` built from the ``section`` object of the JSON file at ``path``
-    and ``overrides``, then passed to ``check``; a malformed option is a
-    validation error at ``section``."""
+    and ``overrides``, then passed to ``check``; a missing or malformed file
+    or option is a validation error at ``section``."""
     options = {}
     if path:
-        with open(path) as fh:
-            document = json.load(fh)
+        document = read_json(path, section)
         if not isinstance(document, dict) or not isinstance(document.get(section, {}), dict):
             raise ProblemFileError("syntax", section, "solver options must be an object")
         options = dict(document.get(section, {}))

@@ -1,10 +1,8 @@
 """Encoders mapping categorical components to quantitative vectors.
 
-Every encoder guarantees exact pre-image recovery: decode(encode(xq)) == xq
-for any categorical component in the set decreed by the meta component.
-Decoding also accepts relaxed vectors (argmax for one-hot blocks, rounding
-and clamping for index encodings) so acquisition searches can hand back
-slightly off-lattice values.
+Each acting categorical variable becomes a block of reals; distinct
+categorical components decreed by one meta component encode to distinct
+vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, MetaComponent, VariableType, round_half_away
+from .domain import Domain, MetaComponent, VariableType
 from .errors import DecreeViolationError, ShapeError
 
 KINDS = ("identity", "one-hot", "ordinal-index")
@@ -42,9 +40,6 @@ class Encoder:
             return spec.scope.size
         return 1
 
-    def length(self, xm: MetaComponent) -> int:
-        return sum(self.width(vid) for vid in self.domain.acting_index_set(xm, "categorical"))
-
     def encode_variable(self, var_id: str, index: int) -> np.ndarray:
         spec = self.domain.spec(var_id)
         if self.kind == "one-hot" and spec.type == VariableType.NOMINAL:
@@ -66,23 +61,3 @@ class Encoder:
         if not ids:
             return np.empty(0)
         return np.concatenate([self.encode_variable(vid, xq[vid]) for vid in ids])
-
-    def decode(self, vector, xm: MetaComponent) -> dict:
-        ids = self.domain.acting_index_set(xm, "categorical")
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.length(xm),):
-            raise ShapeError(
-                f"encoded vector has length {vector.shape}, expected ({self.length(xm)},)")
-        component = {}
-        offset = 0
-        for vid in ids:
-            spec = self.domain.spec(vid)
-            w = self.width(vid)
-            block = vector[offset:offset + w]
-            offset += w
-            if w > 1:
-                component[vid] = int(np.argmax(block)) + 1  # ties resolve to the lowest index
-            else:
-                component[vid] = min(max(round_half_away(float(block[0])), 1),
-                                     spec.scope.size)
-        return component

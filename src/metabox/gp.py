@@ -14,7 +14,6 @@ kernel evaluation, so weight bounds are scale-free.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
@@ -22,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .blackbox import cache_key
-from .domain import (Domain, GROUPS, MetaComponent, Point, VariableType, _is_real,
+from .domain import (Domain, GROUPS, MetaComponent, VariableType, _is_real,
                      check_counts, normalize)
 from .errors import FactorizationError, FittingError, KernelDomainError
 
@@ -485,24 +483,6 @@ class GPModel:
         """Posterior means only (no variance solve), equal to predict_batch's."""
         kappa, count = self._columns(self.cross_covariance(points))
         return np.sum(kappa * self.alpha[:, None], axis=0)[:count]
-
-    def predict(self, point: Point):
-        mean, variance = self.predict_batch([point])
-        return float(mean[0]), float(variance[0])
-
-    def dump(self, path):
-        """Write samples and config to a JSON file for inspection."""
-        payload = {
-            "config": self.config.to_dict(),
-            "jitter": self.jitter,
-            "samples": [
-                {"meta": dict(p.meta), "categorical": dict(p.categorical),
-                 "standard": dict(p.standard), "value": float(y), "key": cache_key(p)}
-                for p, y in zip(self.points, self.values)
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
 
 
 class RowView:

@@ -325,15 +325,20 @@ def parse_problem(document: dict) -> ParsedProblem:
                          builtin=builtin)
 
 
-def parse_problem_file(path) -> ParsedProblem:
+def read_json(path, where: str = ""):
+    """The JSON document in the file at ``path``; a missing file, or one that
+    is not JSON text, is a ``syntax`` ProblemFileError at ``where``."""
     try:
         with open(path) as fh:
-            document = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        _fail("syntax", "", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        _fail("syntax", "", f"invalid JSON: {exc}")
-    return parse_problem(document)
+        _fail("syntax", where, f"no such file: {path}")
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+        _fail("syntax", where, f"invalid JSON in {path}: {exc}")
+
+
+def parse_problem_file(path) -> ParsedProblem:
+    return parse_problem(read_json(path))
 
 
 def bundled_problem_path(name: str):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import copy
 import dataclasses
 import itertools
@@ -22,6 +21,11 @@ from metabox.builtin_problems import (MLP_ACTIVATION_GAP, MLP_CONTINUOUS_TARGETS
 from conftest import toy_with_k_cap
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
+
+
+def is_evaluated(evaluator, point):
+    """Whether ``evaluator``'s history holds a successful record of ``point``."""
+    return any(r.point == point and r.error is None for r in evaluator.history)
 
 
 # -- cache keys ------------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_a_screened_point_is_never_run_charged_recorded_or_cached(mlp_problem, m
         assert record.constraints == problem.constraints.screen(broken)[0]
         assert record.constraints["units_mono_2"] == 200.0
     assert calls == [] and evaluator.history == [] and evaluator.budget.used == 0
-    assert evaluator.screened == 2 and not evaluator.is_evaluated(broken)
+    assert evaluator.screened == 2 and not is_evaluated(evaluator, broken)
     # Screened before the budget: once the one evaluation is spent, a broken
     # point still settles and a new feasible one is refused.
     kept = evaluator.evaluate(mlp_domain.complete_point(ADAM2, {}))
@@ -220,114 +224,9 @@ def test_a_moved_point_is_the_point_built_from_scratch(mlp_problem, mlp_domain):
         assert copied == moved and mlp_domain.contains(copied)
 
 
-def test_concurrent_duplicate_evaluations_coalesce(toy_problem):
-    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {})
-    evaluator = mb.Evaluator(toy_problem, 10)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        records = list(pool.map(lambda _: evaluator.evaluate(point), range(8)))
-    assert evaluator.budget.used == 1
-    assert sum(1 for r in records if not r.cached) == 1
-    assert len({r.objective for r in records}) == 1
-
-
-def test_in_flight_duplicates_wait_for_one_slow_call(toy_problem):
-    import time as _time
-
-    def slow_objective(point):
-        _time.sleep(0.15)
-        return float(point.standard["k"]), {}
-
-    problem = mb.Problem(domain=toy_problem.domain,
-                         constraints=mb.ConstraintSystem(toy_problem.domain, []),
-                         objective=slow_objective)
-    evaluator = mb.Evaluator(problem, 10)
-    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(lambda _: evaluator.evaluate(point), range(4)))
-    assert evaluator.budget.used == 1  # overlapping calls coalesced onto one run
-    assert all(r.objective == 3.0 for r in records)
-
-
-def test_in_flight_duplicates_of_a_failing_call_share_its_failure(toy_problem):
-    calls = []
-
-    def failing_objective(point):
-        calls.append(point)
-        time.sleep(0.15)
-        raise RuntimeError("solver diverged")
-
-    problem = mb.Problem(domain=toy_problem.domain,
-                         constraints=mb.ConstraintSystem(toy_problem.domain, []),
-                         objective=failing_objective)
-    evaluator = mb.Evaluator(problem, 10)
-    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
-
-    def attempt(_):
-        with pytest.raises(mb.EvaluationError, match="solver diverged"):
-            evaluator.evaluate(point)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        list(pool.map(attempt, range(4), timeout=30))
-    assert len(calls) == 1 and evaluator.budget.used == 1
-    assert sorted(r.cached for r in evaluator.history) == [False, True, True, True]
-    assert all(r.error and "solver diverged" in r.error for r in evaluator.history)
-
-
-def test_concurrent_evaluations_charge_each_point_once(toy_problem):
-    # Eight threads race over 50 requests for 10 points, with a short
-    # switch interval so a lost update in the bookkeeping would show.  The
-    # objective sleeps, so duplicates are in flight together.
-    def objective(point):
-        time.sleep(0.002)
-        return toy_problem.objective(point)
-
-    domain = toy_problem.domain
-    problem = mb.Problem(domain=domain, constraints=toy_problem.constraints,
-                         objective=objective)
-    points = [domain.complete_point(mb.MetaComponent({"m": m}), {"k": k})
-              for m in ("A", "B") for k in range(5)]
-    requests = points * 5
-    evaluator = mb.Evaluator(problem, len(points))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            records = list(pool.map(evaluator.evaluate, requests, timeout=30))
-    finally:
-        sys.setswitchinterval(interval)
-    assert evaluator.budget.used == len(points)
-    assert len(evaluator.history) == len(requests)
-    assert sorted(r.index for r in evaluator.history) == list(range(len(requests)))
-    fresh = [r.point for r in evaluator.history if not r.cached]
-    assert sorted(map(cache_key, fresh)) == sorted(set(map(cache_key, points)))
-    assert all(r.objective == evaluator.evaluate(r.point).objective for r in records)
-
-
-def test_concurrent_screening_counts_each_screened_request(toy_problem):
-    # As above, with the k <= 2 cap screening k = 3 and 4, 4 of the 10 points:
-    # a lost update of ``screened`` would show.
-    capped = mb.parse_problem(toy_with_k_cap(-2)).problem
-    domain = capped.domain
-    points = [domain.complete_point(mb.MetaComponent({"m": m}), {"k": k})
-              for m in ("A", "B") for k in range(5)]
-    kept = [p for p in points if p.standard["k"] <= 2]
-    evaluator = mb.Evaluator(capped, len(points), screen=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            records = list(pool.map(evaluator.evaluate, points * 5, timeout=30))
-    finally:
-        sys.setswitchinterval(interval)
-    assert evaluator.screened == 5 * (len(points) - len(kept)) == 20
-    assert evaluator.budget.used == len(kept)
-    assert sorted(r.index for r in evaluator.history) == list(range(5 * len(kept)))
-    assert [r.screened for r in records] == [p not in kept for p in points] * 5
-
-
 def test_waiters_run_the_point_when_the_backend_aborts(toy_problem):
-    # An exception that is not an EvaluationError records nothing; the
-    # duplicate waiting on that call must wake and run the point itself.
+    # An exception that is not an EvaluationError is charged but records
+    # nothing, so the point's next request runs it again.
     class Abort(BaseException):
         pass
 
@@ -336,7 +235,6 @@ def test_waiters_run_the_point_when_the_backend_aborts(toy_problem):
     def objective(point):
         calls.append(point)
         if len(calls) == 1:
-            time.sleep(0.15)
             raise Abort()
         return 1.0, {}
 
@@ -345,13 +243,10 @@ def test_waiters_run_the_point_when_the_backend_aborts(toy_problem):
                          objective=objective)
     evaluator = mb.Evaluator(problem, 10)
     point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
-    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        first = pool.submit(evaluator.evaluate, point)
-        time.sleep(0.05)
-        second = pool.submit(evaluator.evaluate, point)
-        with pytest.raises(Abort):
-            first.result(timeout=30)
-        assert second.result(timeout=30).objective == 1.0
+    with pytest.raises(Abort):
+        evaluator.evaluate(point)
+    assert evaluator.budget.used == 1 and evaluator.history == []
+    assert evaluator.evaluate(point).objective == 1.0
     assert len(calls) == 2 and evaluator.budget.used == 2
     assert [r.cached for r in evaluator.history] == [False]
 
@@ -370,9 +265,9 @@ def test_signed_zero_twins_are_one_evaluation():
     evaluator = mb.Evaluator(problem, 5)
     zero, negative_zero = (mb.Point({"m": "A"}, {}, {"x": x}) for x in (0.0, -0.0))
     assert cache_key(zero) != cache_key(negative_zero)
-    assert not evaluator.is_evaluated(negative_zero)
+    assert not is_evaluated(evaluator, negative_zero)
     assert not evaluator.evaluate(zero).cached
-    assert evaluator.is_evaluated(negative_zero)
+    assert is_evaluated(evaluator, negative_zero)
     assert evaluator.evaluate(negative_zero).cached
     assert evaluator.budget.used == 1
     assert [cache_key(r.point) for r in evaluator.history if not r.cached] == [cache_key(zero)]
@@ -501,7 +396,7 @@ def test_non_finite_outputs_are_evaluation_failures(toy_problem, objective, bran
         evaluator.evaluate(point)
     (record,) = evaluator.history
     assert record.error is not None and record.objective == math.inf
-    assert not record.feasible and not evaluator.is_evaluated(point)
+    assert not record.feasible and not is_evaluated(evaluator, point)
 
 
 def test_failed_evaluation_is_not_rerun(toy_problem):
@@ -524,7 +419,7 @@ def test_failed_evaluation_is_not_rerun(toy_problem):
     for record in evaluator.history:
         assert "boom" in record.error and record.objective == math.inf
         assert not record.feasible and record.point == point
-    assert not evaluator.is_evaluated(point)
+    assert not is_evaluated(evaluator, point)
 
 
 # -- external subprocess blackboxes --------------------------------------------------------
@@ -964,41 +859,6 @@ def test_lookahead_leaves_no_child_or_thread_behind(tmp_path, monkeypatch, launc
         assert evaluator.discarded >= 1
 
 
-def test_concurrent_lookaheads_charge_each_point_once(tmp_path, monkeypatch, launches,
-                                                     toy_problem):
-    # Four children at once on fewer cores, three consumers in lookaheads
-    # over the same points in different orders: a child one consumer
-    # started may be taken by another's evaluate().
-    lookahead_width(monkeypatch, 4)
-    pid_dir = tmp_path / "pids"
-    pid_dir.mkdir()
-    problem = command_problem(toy_problem, quadratic_child(tmp_path, PID_CHILD), pid_dir)
-    points = [toy_problem.domain.complete_point(mb.MetaComponent({"m": m}), {"k": k})
-              for m in "AB" for k in range(5)]
-    evaluator = mb.Evaluator(problem, 100)
-
-    def consume(order):
-        with evaluator.lookahead([points[i] for i in order]) as records:
-            return [r.objective for r in records]
-
-    orders = [range(10), range(9, -1, -1), [i * 3 % 10 for i in range(10)]]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
-            results = [f.result(timeout=60) for f in [pool.submit(consume, o) for o in orders]]
-    finally:
-        sys.setswitchinterval(interval)
-    expected = [-float(p.standard["k"]) for p in points]
-    assert [sorted(r) for r in results] == [sorted(expected)] * 3
-    fresh = [cache_key(r.point) for r in evaluator.history if not r.cached]
-    assert sorted(fresh) == sorted(map(cache_key, points))
-    assert evaluator.budget.used == 10 and len(evaluator.history) == 30
-    assert evaluator.discarded == len(launches) - evaluator.budget.used
-    assert lookahead_threads() == []
-    assert wait_until_gone([int(path.name) for path in pid_dir.iterdir()]) == []
-
-
 # Each child logs its payload to a fresh file; the objective falls towards
 # k = 4, which the k <= 2 cap of ``toy_with_k_cap(-2)`` screens.
 LOGGING_CHILD = """\
@@ -1029,7 +889,7 @@ def test_no_command_child_runs_a_screened_point(tmp_path, monkeypatch, launches)
     assert evaluator.screened > 0
     assert all(r.feasible and not r.screened for r in result.history)
     broken = problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
-    assert not evaluator.is_evaluated(broken)
+    assert not is_evaluated(evaluator, broken)
     with evaluator.lookahead([broken]) as records:
         (record,) = records
     assert record.screened and len(list(log_dir.iterdir())) == len(payloads)

@@ -137,6 +137,17 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
                      "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("content", [b'{"direct": ', b"\xff\xfe{}"])
+def test_malformed_config_file_is_a_validation_error(tmp_path, capsys, content):
+    config = tmp_path / "run.json"
+    config.write_bytes(content)
+    out = tmp_path / "history.csv"
+    assert cli_main(["solve", TOY, "--solver", "direct", "--budget", "10",
+                     "--seed", "0", "--out", str(out), "--config", str(config),
+                     "--quiet"]) == 2
+    assert str(config) in capsys.readouterr().err
+
+
 def test_missing_problem_file_exits_validation(tmp_path):
     assert cli_main(["validate", str(tmp_path / "missing.json")]) == 2
 

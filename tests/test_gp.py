@@ -312,7 +312,7 @@ def proxy_samples(mlp_problem, count, seed=5):
     points, values = [], []
     while len(points) < count:
         point = random_point(mlp_problem.domain, rng)
-        if evaluator.is_evaluated(point):
+        if point in points:
             continue
         record = evaluator.evaluate(point)
         points.append(point)
@@ -337,7 +337,7 @@ def test_prior_recovered_far_from_samples(mlp_domain):
     points = [mlp_domain.complete_point(ADAM2, {"u1": u}) for u in (150, 250)]
     model = mb.GPModel(mlp_domain, points, [1.0, 2.0], config)
     far = mlp_domain.complete_point(mb.MetaComponent({"l": 3, "o": "ASGD"}), {})
-    mean, variance = model.predict(far)
+    (mean,), (variance,) = model.predict_batch([far])
     assert abs(mean) <= 1e-12
     assert np.isclose(variance, 3.0)
 
@@ -355,7 +355,7 @@ def test_two_sample_prediction_matches_direct_solve(mlp_domain):
     expected_mean = kappa @ np.linalg.solve(K, y)
     expected_var = kernel.k_mixed(x, x) - kappa @ np.linalg.solve(K, kappa)
     model = mb.GPModel(mlp_domain, [a, b], y, config)
-    mean, variance = model.predict(x)
+    (mean,), (variance,) = model.predict_batch([x])
     assert np.isclose(mean, expected_mean, atol=1e-10)
     assert np.isclose(variance, expected_var, atol=1e-10)
 
@@ -736,7 +736,7 @@ def test_fit_handles_two_identical_values(mlp_domain):
               mlp_domain.complete_point(ADAM2, {"u1": 250})]
     config = mb.fit_hyperparameters(mlp_domain, points, [1.0, 1.0], seed=0)
     model = mb.GPModel(mlp_domain, points, [1.0, 1.0], config)
-    mean, _ = model.predict(points[0])
+    (mean,), _ = model.predict_batch([points[0]])
     assert np.isclose(mean, 1.0, atol=1e-5)
 
 
@@ -793,18 +793,6 @@ def test_irreparably_indefinite_kernel_raises(mlp_domain):
     points = [random_point(mlp_domain, rng) for _ in range(24)]
     with pytest.raises(mb.FactorizationError):
         mb.GPModel(mlp_domain, points, list(rng.standard_normal(24)), config)
-
-
-def test_model_dump_round_trips_config(tmp_path, mlp_problem):
-    import json
-    points, values = proxy_samples(mlp_problem, 5, seed=6)
-    config = mb.default_kernel_config(mlp_problem.domain)
-    model = mb.GPModel(mlp_problem.domain, points, values, config)
-    path = tmp_path / "model.json"
-    model.dump(path)
-    payload = json.loads(path.read_text())
-    assert mb.KernelConfig(**payload["config"]) == config
-    assert len(payload["samples"]) == 5
 
 
 # -- row views ---------------------------------------------------------------------------------

@@ -151,10 +151,11 @@ def test_timeout_must_be_a_positive_finite_number(timeout):
 
 def test_syntax_error_on_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
-    with pytest.raises(mb.ProblemFileError) as err:
-        mb.parse_problem_file(path)
-    assert err.value.code == "syntax"
+    for content in (b"{ not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        path.write_bytes(content)
+        with pytest.raises(mb.ProblemFileError) as err:
+            mb.parse_problem_file(path)
+        assert err.value.code == "syntax"
 
 
 def test_missing_file_is_a_syntax_error(tmp_path):
