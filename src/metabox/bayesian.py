@@ -28,13 +28,16 @@ column's factor, and multiplies the factors in the kernel's own order: its
 cross-covariance is bit-identical to one built from the row's features.  A
 search that moves keeps the winning row's factors.
 
-The pick is the highest-EI candidate (surrogate-feasible ones first), with
-ties broken by the order of a sequential search.  Only the winner becomes a
-Point.
+The pick is the highest-EI new candidate (surrogate-feasible ones first),
+with ties broken by the order of a sequential search.  Newness is checked
+only there: the pick walks the rows from the best down and takes the first
+one missing from its meta component's set of evaluated rows.  Only the
+winner becomes a Point.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import sys
@@ -122,7 +125,6 @@ class AuxiliaryCandidate:
     categorical: dict
     standard: dict
     acquisition: float
-    constraint_means: dict
     surrogate_feasible: bool
 
     def point(self) -> Point:
@@ -157,10 +159,7 @@ class _Batch(NamedTuple):
     categorical: np.ndarray     # (n, q) category indices, acting-set order
     standard: np.ndarray        # (n, d) raw standard values, acting-set order
     ei: np.ndarray
-    acting: list                # ids of the constraints acting under xm
-    means: np.ndarray           # (len(acting), n) surrogate constraint means
-    feasible: np.ndarray        # every surrogate constraint mean <= 0
-    fresh: np.ndarray           # not evaluated yet
+    feasible: np.ndarray        # every surrogate constraint mean <= 0 (0 without a view)
     order: np.ndarray           # (n, 4) sequential-order keys
 
 
@@ -181,31 +180,23 @@ class _Candidates:
         self._evaluated = {}
         for point in evaluated:
             self._evaluated.setdefault(point.meta, []).append(point)
-        self._under = {}
+        self._views = {}            # xm -> views of the constraints acting under xm
+        self._rows_done = {}        # xm -> evaluated rows, built at the first lookup
         self._batches: list[_Batch] = []
 
-    def _meta_state(self, xm: MetaComponent):
-        """(acting constraint ids, positions in that list of the constraints
-        with a row view, those views, evaluated points under xm) for one meta
-        component.
-
-        Evaluated points are the rows of a (count, q + d) float array,
-        categorical indices then standard values.  Row equality under xm is
-        Point equality, the evaluator's identity: ``0.0`` matches ``-0.0``.
-        """
-        if xm not in self._under:
+    def _is_new(self, batch: _Batch, row: int) -> bool:
+        """Whether a row is missing from the evaluated rows under its meta
+        component: tuples of categorical indices then standard values, whose
+        equality is Point equality (``0.0`` matches ``-0.0``)."""
+        done = self._rows_done.get(batch.xm)
+        if done is None:
             domain = self.model.domain
-            cat_ids = domain.acting_index_set(xm, "categorical")
-            std_ids = domain.acting_index_set(xm, "standard")
-            acting = [c.id for c in self.system.acting_constraints(xm)]
-            points = self._evaluated.get(xm, ())
-            done = np.array([[*(p.categorical[v] for v in cat_ids),
-                              *(p.standard[v] for v in std_ids)] for p in points],
-                            dtype=float).reshape(len(points), len(cat_ids) + len(std_ids))
-            modeled = [row for row, cid in enumerate(acting) if cid in self.constraint_views]
-            views = [self.constraint_views[acting[row]] for row in modeled]
-            self._under[xm] = acting, modeled, views, done
-        return self._under[xm]
+            cat_ids = domain.acting_index_set(batch.xm, "categorical")
+            std_ids = domain.acting_index_set(batch.xm, "standard")
+            done = self._rows_done[batch.xm] = {
+                (*(p.categorical[v] for v in cat_ids), *(p.standard[v] for v in std_ids))
+                for p in self._evaluated.get(batch.xm, ())}
+        return (*batch.categorical[row].tolist(), *batch.standard[row].tolist()) not in done
 
     def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
               standard: np.ndarray, search, step, position,
@@ -217,37 +208,39 @@ class _Candidates:
         training samples, built here from their features when not given.  The
         objective and every constraint view share it.
         """
-        acting, modeled, views, done = self._meta_state(xm)
+        views = self._views.get(xm)
+        if views is None:
+            views = self._views[xm] = [self.constraint_views[c.id]
+                                       for c in self.system.acting_constraints(xm)
+                                       if c.id in self.constraint_views]
         points = kappa if kappa is not None else SampleFeatures.from_arrays(
             self.model.domain, xm, categorical, standard, self.model.encoder)
         mean, variance, view_means = self.model.predict_batch(points, views)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
-        means = np.zeros((len(acting), len(ei)))
-        means[modeled] = view_means
-        rows = np.hstack([categorical, standard])
-        fresh = ~(rows[:, None, :] == done[None, :, :]).all(axis=2).any(axis=1)
         order = np.empty((len(ei), 4), dtype=int)
         order[:, 0], order[:, 1], order[:, 2], order[:, 3] = meta_index, search, step, position
-        self._batches.append(_Batch(xm, categorical, standard, ei, acting, means,
-                                    np.all(means <= 0.0, axis=0), fresh, order))
+        self._batches.append(_Batch(xm, categorical, standard, ei,
+                                    np.all(view_means <= 0.0, axis=0), order))
         return ei
 
     def pick(self) -> AuxiliaryCandidate | None:
-        """Highest-EI fresh candidate among the surrogate-feasible ones, else
+        """Highest-EI new candidate among the surrogate-feasible ones, else
         among all; ties go to the earliest in sequential order.  None when no
-        fresh candidate was scored."""
+        new candidate was scored."""
         if not self._batches:
             return None
-        ei, feasible, fresh, order = (np.concatenate([getattr(b, name) for b in self._batches])
-                                      for name in ("ei", "feasible", "fresh", "order"))
+        ei, feasible, order = (np.concatenate([getattr(b, name) for b in self._batches])
+                               for name in ("ei", "feasible", "order"))
         which = np.concatenate([np.full(len(b.ei), i) for i, b in enumerate(self._batches)])
         row = np.concatenate([np.arange(len(b.ei)) for b in self._batches])
-        offered = fresh & (ei > -math.inf)  # NaN never wins
-        for pool in (offered & feasible, offered):
-            if pool.any():
-                tied = np.flatnonzero(pool & (ei == ei[pool].max()))
-                first = tied[np.lexsort(order[tied].T[::-1])[0]]
-                return self._candidate(self._batches[which[first]], row[first])
+        offered = np.flatnonzero(ei > -math.inf)  # NaN never wins
+        # Best first: surrogate-feasible, then highest EI, then sequential order.
+        ranked = offered[np.lexsort((*order[offered].T[::-1], -ei[offered],
+                                     ~feasible[offered]))]
+        for i in ranked:
+            batch = self._batches[which[i]]
+            if self._is_new(batch, row[i]):
+                return self._candidate(batch, row[i])
         return None
 
     def _candidate(self, batch: _Batch, row: int) -> AuxiliaryCandidate:
@@ -260,7 +253,6 @@ class _Candidates:
         return AuxiliaryCandidate(
             meta=xm, categorical=xq, standard=xs,
             acquisition=float(batch.ei[row]),
-            constraint_means={cid: float(m[row]) for cid, m in zip(batch.acting, batch.means)},
             surrogate_feasible=bool(batch.feasible[row]))
 
 
@@ -437,17 +429,6 @@ def initial_design(domain: Domain, rng, metas) -> list:
     return points
 
 
-def _best_record(history):
-    best = None
-    for record in history:
-        if record.cached:
-            continue
-        key = (barrier_value(record), record.objective)
-        if best is None or key < best[0]:
-            best = (key, record)
-    return best[1] if best else None
-
-
 def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     """Initial design, then fit-maximize-evaluate until the budget is spent.
 
@@ -458,11 +439,12 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     row view of the objective model (:meth:`GPModel.row_view`): its training
     set is a list of the model's rows, and the acquisition computes one
     cross-covariance per batch for the objective and every constraint.
-    Failed evaluations are excluded from the acquisition, like evaluated
-    points, so they are never proposed again.  A config reused from an
-    earlier fit that no longer factorizes on the current samples is refitted
-    at once; when the refitted config does not factorize either, the run
-    ends with stop reason "factorization".
+    Each iteration trains on the evaluator's history: its records that are
+    neither cached nor failed.  Failed points are excluded from the
+    acquisition, like evaluated ones, so they are never proposed again.  A
+    config reused from an earlier fit that no longer factorizes on the
+    current samples is refitted at once; when the refitted config does not
+    factorize either, the run ends with stop reason "factorization".
     """
     domain = problem.domain
     system = problem.constraints
@@ -474,24 +456,11 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     rng = np.random.default_rng(cfg.seed)
     encoder, base_config = cfg.kernel_setup(domain)
 
-    train_points, train_values = [], []
-    constraint_data = {c.id: ([], []) for c in system.constraints}  # (rows, values)
-
-    def absorb(record):
-        if record.cached:  # repeats a sample absorbed at the key's first evaluation
-            return
-        for cid, value in record.constraints.items():
-            constraint_data[cid][0].append(len(train_points))
-            constraint_data[cid][1].append(value)
-        train_points.append(record.point)
-        train_values.append(record.objective)
-
     stop_reason = "budget"
     try:
         with evaluator.lookahead(initial_design(domain, rng, metas)) as records:
-            for record in records:
-                if record.error is None:
-                    absorb(record)
+            for _ in records:
+                pass
     except BudgetExhaustedError:
         pass
 
@@ -502,12 +471,15 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     iteration = 0
     while evaluator.budget.remaining > 0 and iteration < cfg.max_iterations:
         iteration += 1
-        if len(train_points) < 2:
+        fresh = [r for r in evaluator.history if not r.cached]
+        train = [r for r in fresh if r.error is None]
+        if len(train) < 2:
             stop_reason = "no_data"
             break
+        train_points, train_values = [r.point for r in train], [r.objective for r in train]
         model = None
-        if (config is not None and len(train_points) > cfg.refit_full_until
-                and len(train_points) - samples_at_refit < cfg.refit_every):
+        if (config is not None and len(train) > cfg.refit_full_until
+                and len(train) - samples_at_refit < cfg.refit_every):
             try:
                 model = GPModel(domain, train_points, train_values, config, encoder)
             except FactorizationError:
@@ -519,23 +491,19 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
                     sweeps=cfg.fit_sweeps, base=base_config)
             except FittingError:
                 config = base_config
-            samples_at_refit = len(train_points)
+            samples_at_refit = len(train)
             try:
                 model = GPModel(domain, train_points, train_values, config, encoder)
             except FactorizationError:
                 stop_reason = "factorization"
                 break
-        constraint_views = {cid: model.row_view(rows, vals)
-                            for cid, (rows, vals) in constraint_data.items() if rows}
-        feasible_values = [r.objective for r in evaluator.history
-                           if not r.cached and r.feasible and r.error is None]
-        if feasible_values:
-            f_star = min(feasible_values)
-        else:
-            f_star = min(train_values)
-        evaluated = [r.point for r in evaluator.history if not r.cached]
-        candidate = maximize_acquisition(model, system, constraint_views, evaluated,
-                                         f_star, cfg, rng, finite)
+        rows = {c.id: [i for i, r in enumerate(train) if c.id in r.constraints]
+                for c in system.constraints}
+        constraint_views = {cid: model.row_view(ids, [train[i].constraints[cid] for i in ids])
+                            for cid, ids in rows.items() if ids}
+        f_star = min((r.objective for r in train if r.feasible), default=min(train_values))
+        candidate = maximize_acquisition(model, system, constraint_views,
+                                         [r.point for r in fresh], f_star, cfg, rng, finite)
         if candidate is None:
             stop_reason = "exhausted"
             break
@@ -546,22 +514,24 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
             print(f"iteration {iteration} evaluations {evaluator.budget.used} "
                   f"acquisition {candidate.acquisition:.6g}", file=sys.stderr)
         try:
-            absorb(evaluator.evaluate(candidate.point()))
+            evaluator.evaluate(candidate.point())
         except EvaluationError:
-            continue
+            pass
         except BudgetExhaustedError:
             stop_reason = "budget"
             break
-    return BOResult(best=_best_record(evaluator.history), history=evaluator.history,
-                    acquisition_log=acquisition_log, evaluator=evaluator,
-                    stop_reason=stop_reason)
+    best = min((r for r in evaluator.history if not r.cached),
+               key=lambda r: (barrier_value(r), r.objective), default=None)
+    return BOResult(best=best, history=evaluator.history, acquisition_log=acquisition_log,
+                    evaluator=evaluator, stop_reason=stop_reason)
 
 
 def write_acquisition_log(rows, path):
-    """Sidecar CSV: iteration, chosen meta component, EI value, surrogate-feasible flag."""
-    lines = ["iteration,meta,acquisition,surrogate_feasible"]
-    for row in rows:
-        lines.append(f"{row.iteration},{row.meta.rendered},{row.acquisition:.17g},"
-                     f"{'true' if row.surrogate_feasible else 'false'}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Sidecar CSV: iteration, chosen meta component, EI value, surrogate-feasible flag.
+    A cell is quoted only when it holds a comma, a quote or a line break."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iteration", "meta", "acquisition", "surrogate_feasible"])
+        for row in rows:
+            writer.writerow([row.iteration, row.meta.rendered, f"{row.acquisition:.17g}",
+                             "true" if row.surrogate_feasible else "false"])

@@ -13,6 +13,7 @@ running the next few command children at once.
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -56,13 +57,14 @@ def cache_key(point: Point) -> str:
 
 
 def _identity(point: Point) -> tuple:
-    """The evaluator's key of a point: its rendered meta component and its
-    sorted categorical and standard items, all memoized on the point.
+    """The evaluator's key of a point: its sorted meta, categorical and
+    standard items, all memoized on the point.
 
-    Two valid points share it when they are equal as Points (``0.0`` equals
-    ``-0.0``), except that meta values compare as rendered.
+    Two valid points share it exactly when they are equal as Points
+    (``0.0`` equals ``-0.0``).  Plain tuples: hashing one calls no Python
+    method.
     """
-    return (point.meta.rendered, point._key[1], point._key[2])
+    return (point.meta._key, point._key[1], point._key[2])
 
 
 @dataclass
@@ -165,10 +167,9 @@ class Evaluator:
     """Stateful evaluation session: budget, cache and history, used from one
     thread.
 
-    Points are identified by Point equality: the same meta component (as
-    rendered) and equal categorical and standard maps, so ``0.0`` and
-    ``-0.0`` are one evaluation although :func:`cache_key` renders them
-    apart.
+    Points are identified by Point equality: equal meta, categorical and
+    standard maps, so ``0.0`` and ``-0.0`` are one evaluation although
+    :func:`cache_key` renders them apart.
     A failed evaluation is remembered too: requesting its point again records
     a cached failure and raises the same EvaluationError, free of budget.
 
@@ -456,19 +457,20 @@ def _cell(domain: Domain, vid: str, record: EvaluationRecord) -> str:
 
 
 def write_history(domain: Domain, system: ConstraintSystem, records, path):
-    """Write evaluation records as CSV; nonacting cells are empty.
+    """Write evaluation records as CSV; nonacting cells are empty, and a cell
+    is quoted only when it holds a comma, a quote or a line break.
 
     Deterministic column order: variables then constraints, declaration order.
     """
-    lines = [",".join(history_header(domain, system))]
-    for record in records:
-        row = [str(record.index),
-               "true" if record.cached else "false",
-               "true" if record.feasible else "false",
-               render_value(record.objective)]
-        row += [_cell(domain, v.id, record) for v in domain.variables]
-        row += [render_value(record.constraints[c.id]) if c.id in record.constraints else ""
-                for c in system.constraints]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(history_header(domain, system))
+        for record in records:
+            row = [str(record.index),
+                   "true" if record.cached else "false",
+                   "true" if record.feasible else "false",
+                   render_value(record.objective)]
+            row += [_cell(domain, v.id, record) for v in domain.variables]
+            row += [render_value(record.constraints[c.id]) if c.id in record.constraints
+                    else "" for c in system.constraints]
+            writer.writerow(row)

@@ -239,16 +239,12 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
     rng = np.random.default_rng(cfg.seed)
 
     start = domain.complete_point(metas[0], {})
-    record, barrier = _evaluate_barrier(evaluator, start)
-    incumbent_point, incumbent_record, incumbent = start, record, barrier
+    incumbent = SubproblemResult(start, *_evaluate_barrier(evaluator, start), 1, "start_only")
 
-    def solve(tm, tq, warm_standard):
-        return solve_standard_subproblem(evaluator, tm, tq, warm_standard, cfg)
-
-    def accept(result):
-        nonlocal incumbent_point, incumbent_record, incumbent
-        incumbent_point, incumbent_record, incumbent = (
-            result.point, result.record, result.barrier)
+    def solve(tm, tq):
+        """Solve (tm, tq) warm-started from the incumbent's realized neighbor."""
+        warm = realize_neighbor(domain, incumbent.point, tm, tq)
+        return solve_standard_subproblem(evaluator, tm, tq, warm.standard, cfg)
 
     iterations = []
     stop_reason = "max_iterations"
@@ -265,31 +261,26 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
         converged = False
 
         if cfg.global_search == "random":
-            tm, tq = global_search_step(domain, rng, metas)
-            warm = realize_neighbor(domain, incumbent_point, tm, tq)
-            result = solve(tm, tq, warm.standard)
+            result = solve(*global_search_step(domain, rng, metas))
             truncated |= result.truncated
-            if result.barrier < incumbent:
-                accept(result)
-                improved = True
+            if result.barrier < incumbent.barrier:
+                incumbent, improved = result, True
 
         if not improved and not truncated:
             polled = []
-            for tm in meta_neighbors(domain, meta_mapping, incumbent_point):
+            for tm in meta_neighbors(domain, meta_mapping, incumbent.point):
                 tqs = categorical_neighbors(domain, categorical_mapping,
-                                            incumbent_point, tm)
+                                            incumbent.point, tm)
                 if not tqs:
                     # No categorical neighbors under tm: poll the carried
                     # categorical component so pure meta moves are still tried.
-                    tqs = [carried_categorical(domain, incumbent_point, tm)]
+                    tqs = [carried_categorical(domain, incumbent.point, tm)]
                 for tq in tqs:
-                    warm = realize_neighbor(domain, incumbent_point, tm, tq)
-                    result = solve(tm, tq, warm.standard)
+                    result = solve(tm, tq)
                     truncated |= result.truncated
                     if cfg.opportunistic:
-                        if result.barrier < incumbent:
-                            accept(result)
-                            improved = True
+                        if result.barrier < incumbent.barrier:
+                            incumbent, improved = result, True
                             break
                     else:
                         polled.append(result)
@@ -299,32 +290,30 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
                     break
             if not cfg.opportunistic and polled:
                 best = min(polled, key=lambda r: r.barrier)
-                if best.barrier < incumbent:
-                    accept(best)
-                    improved = True
+                if best.barrier < incumbent.barrier:
+                    incumbent, improved = best, True
 
         if not improved and not truncated:
             # Refine the incumbent's own subproblem; a failed poll with the
             # incumbent already at the minimum mesh means convergence.
-            if refine_key != incumbent_point:
-                refine_mesh, refine_key = None, incumbent_point
+            if refine_key != incumbent.point:
+                refine_mesh, refine_key = None, incumbent.point
             result = solve_standard_subproblem(
-                evaluator, incumbent_point.meta, incumbent_point.categorical,
-                incumbent_point.standard, cfg, mesh=refine_mesh)
+                evaluator, incumbent.point.meta, incumbent.point.categorical,
+                incumbent.point.standard, cfg, mesh=refine_mesh)
             truncated |= result.truncated
-            if result.barrier < incumbent:
-                accept(result)
-                improved = True
-                refine_mesh, refine_key = result.mesh, incumbent_point
+            if result.barrier < incumbent.barrier:
+                incumbent, improved = result, True
+                refine_mesh, refine_key = result.mesh, incumbent.point
             else:
                 refine_mesh = result.mesh
                 if result.reason in ("min_mesh", "start_only"):
                     converged = True
 
-        iterations.append(IterationStats(k, evaluator.budget.used, incumbent, improved))
+        iterations.append(IterationStats(k, evaluator.budget.used, incumbent.barrier, improved))
         if progress:
             print(f"iteration {k} evaluations {evaluator.budget.used} "
-                  f"incumbent {incumbent:.6g}", file=sys.stderr)
+                  f"incumbent {incumbent.barrier:.6g}", file=sys.stderr)
         if truncated:
             stop_reason = "budget"
             break
@@ -332,10 +321,11 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
             stop_reason = "converged"
             break
 
-    if incumbent_record.screened:
+    best = incumbent.record
+    if best.screened:
         # A screened start is still the incumbent only when no record scored
         # below +inf: report the first lowest-barrier record instead.
-        incumbent_record = min(evaluator.history, key=barrier_value, default=None)
-    return DirectSearchResult(best=incumbent_record, history=evaluator.history,
+        best = min(evaluator.history, key=barrier_value, default=None)
+    return DirectSearchResult(best=best, history=evaluator.history,
                               iterations=iterations, stop_reason=stop_reason,
                               evaluator=evaluator)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -123,7 +124,7 @@ class IntegerScope:
 
 @dataclass(frozen=True)
 class ContinuousScope:
-    """Real interval, optionally open at either end."""
+    """Finite real interval, optionally open at either end."""
 
     lo: float
     hi: float
@@ -131,6 +132,9 @@ class ContinuousScope:
     hi_open: bool = False
 
     def __post_init__(self):
+        # A float's range, as in problem files; an int past it is refused too.
+        if not (abs(self.lo) <= sys.float_info.max and abs(self.hi) <= sys.float_info.max):
+            raise ScopeError(f"continuous scope needs finite bounds, got [{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):
             raise ScopeError(f"continuous scope needs lo < hi, got [{self.lo}, {self.hi}]")
 

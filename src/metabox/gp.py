@@ -415,9 +415,8 @@ class GPModel:
         self._features = SampleFeatures(domain, self.points, self.encoder)
         self._gram = config.signal_variance * correlation_matrix(
             PairTensors(domain, self._features, self._features), config)
-        factor, self.jitter = _factorize(self._gram, config.signal_variance)
-        self._factor = (factor, True)  # cho_factor's (factor, lower) form
-        self.alpha = _cho_solve(self._factor[0], self.values)
+        self._factor, self.jitter = _factorize(self._gram, config.signal_variance)
+        self.alpha = _cho_solve(self._factor, self.values)
 
     def __len__(self):
         return len(self.points)
@@ -467,7 +466,7 @@ class GPModel:
         """
         kappa, count = self._columns(self.cross_covariance(points))
         mean = np.sum(kappa * self.alpha[:, None], axis=0)
-        solved = _cho_solve(self._factor[0], kappa)
+        solved = _cho_solve(self._factor, kappa)
         # k(x, x) equals the signal variance exactly: every factor is 1.
         variance = self.config.signal_variance - np.sum(kappa * solved, axis=0)
         if outputs is None:
@@ -504,7 +503,7 @@ class RowView:
         self.model = model
         if np.array_equal(rows, np.arange(len(model))):
             self.rows = None
-            factor = model._factor[0]
+            factor = model._factor
         else:
             self.rows = rows
             factor, _ = _factorize(model._gram[np.ix_(rows, rows)],

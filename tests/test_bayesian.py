@@ -306,15 +306,19 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
     want, scored = sequential_acquisition(model, problem.constraints, standalone,
                                           points, f_star, cfg, np.random.default_rng(seed))
     assert (got.point(), got.acquisition, got.surrogate_feasible) == want
-    # Every candidate of every search, in sequential order, scores the same.
-    rows = [(b.order[i], b, i) for b in pools[0]._batches for i in range(len(b.ei))]
+    # Every candidate of every search, in sequential order, scores the same,
+    # and the pick's newness check agrees on it.
+    candidates = pools[0]
+    rows = [(b.order[i], b, i) for b in candidates._batches for i in range(len(b.ei))]
     rows.sort(key=lambda r: tuple(r[0]))
     lockstep = []
     for _, batch, i in rows:
-        candidate = pools[0]._candidate(batch, i)
+        candidate = candidates._candidate(batch, i)
         lockstep.append((candidate.point(), candidate.acquisition,
-                         candidate.surrogate_feasible, bool(batch.fresh[i])))
+                         candidate.surrogate_feasible, candidates._is_new(batch, i)))
     assert lockstep == scored
+    for batch in candidates._batches:
+        assert is_new(candidates, batch) == tuple_fresh(problem.domain, points, batch)
     assert any(not s[2] for s in scored) or name == "toy"
 
 
@@ -419,13 +423,19 @@ BARE = {
 
 
 def tuple_fresh(domain, evaluated, batch):
-    """The per-row tuple-set check that the array comparison replaced."""
+    """Reference newness of each row of a batch: its tuple is missing from
+    the set of evaluated row tuples under the batch's meta component."""
     cat_ids = domain.acting_index_set(batch.xm, "categorical")
     std_ids = domain.acting_index_set(batch.xm, "standard")
     done = {tuple(p.categorical[v] for v in cat_ids) + tuple(p.standard[v] for v in std_ids)
             for p in evaluated if p.meta == batch.xm}
     rows = np.hstack([batch.categorical, batch.standard]).tolist()
     return [tuple(row) not in done for row in rows]
+
+
+def is_new(candidates, batch):
+    """The pick-time newness check of each row of a batch."""
+    return [candidates._is_new(batch, i) for i in range(len(batch.ei))]
 
 
 @pytest.mark.parametrize("enumeration_cap", [4096, 1], ids=["finite", "pattern"])
@@ -450,10 +460,10 @@ def test_evaluated_points_are_never_offered_again(monkeypatch, enumeration_cap):
                      np.array([[-0.0], [0.0], [1.0], [2.0]]), 9, 9, np.arange(4))
     candidates.score(1, b, np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 9, 9, 0)
     candidates.score(2, c, np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 9, 9, 0)
-    assert [list(batch.fresh) for batch in candidates._batches[-3:]] == [
+    assert [is_new(candidates, batch) for batch in candidates._batches[-3:]] == [
         [False, False, False, True], [False], [True]]
     for batch in candidates._batches:
-        assert list(batch.fresh) == tuple_fresh(domain, evaluated, batch)
+        assert is_new(candidates, batch) == tuple_fresh(domain, evaluated, batch)
     assert {batch.xm for batch in candidates._batches} == {a, b, c}
 
 
@@ -641,6 +651,34 @@ def test_bo_charges_each_failing_point_once(toy_problem, toy_brute_force):
     # Every proposal is a point neither evaluated nor failed, so each costs budget.
     assert len(result.acquisition_log) < 60
     assert barrier_value(result.best) == toy_brute_force[0]
+
+
+def test_every_model_trains_on_the_fresh_successful_records(monkeypatch, toy_problem):
+    # Failures (k == 2) and cache hits train no model: each GPModel of the run
+    # holds the fresh records without errors so far, in history order.
+    evaluators, trained = [], []
+
+    class RecordingEvaluator(mb.Evaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            evaluators.append(self)
+
+    build = bayesian.GPModel
+
+    def recording_model(domain, points, values, *args):
+        want = [(r.point, r.objective) for r in evaluators[0].history
+                if not r.cached and r.error is None]
+        trained.append((list(zip(points, values)), want,
+                        any(r.error is not None for r in evaluators[0].history)))
+        return build(domain, points, values, *args)
+
+    monkeypatch.setattr(bayesian, "Evaluator", RecordingEvaluator)
+    monkeypatch.setattr(bayesian, "GPModel", recording_model)
+    result = mb.run_bo(nan_objective_at_k2(toy_problem), mb.BOConfig(budget=40, seed=0))
+    assert len(trained) >= len(result.acquisition_log) > 1
+    assert any(failed for _, _, failed in trained) and any(r.cached for r in result.history)
+    for got, want, _ in trained:
+        assert got == want
 
 
 def test_bo_refits_a_kernel_config_that_stops_factorizing(mlp_problem):

@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import metabox as mb
 from metabox import blackbox, direct_search
-from metabox.bayesian import write_acquisition_log
+from metabox.bayesian import AcquisitionLogRow, write_acquisition_log
 from metabox.blackbox import barrier_value, cache_key, history_header, render_value
 from metabox.builtin_problems import (MLP_ACTIVATION_GAP, MLP_CONTINUOUS_TARGETS,
                                       MLP_OPTIMIZER_BASE, MLP_UNIT_TARGETS, toy_table)
@@ -908,6 +909,32 @@ def test_subprocess_payload_uses_labels(toy_problem):
                        "standard": {"k": 1}}
 
 
+def test_meta_components_are_told_apart_by_value():
+    # Rendered, {a: "x", b: "y;b=z"} and {a: "x;b=y", b: "z"} both read
+    # "a=x;b=y;b=z", and 0.0 and -0.0 read apart; as values, the first two
+    # differ and the last two are equal.
+    domain = mb.Domain([
+        mb.VariableSpec("a", mb.VariableType.META_CATEGORICAL, mb.Role.META,
+                        mb.CategoricalScope(("x", "x;b=y"))),
+        mb.VariableSpec("b", mb.VariableType.META_CATEGORICAL, mb.Role.META,
+                        mb.CategoricalScope(("z", "y;b=z", "y"))),
+        mb.VariableSpec("w", mb.VariableType.META_CONTINUOUS, mb.Role.META,
+                        mb.ContinuousScope(-1.0, 1.0)),
+    ])
+    calls = []
+    problem = mb.Problem(domain=domain, constraints=mb.ConstraintSystem(domain, []),
+                         objective=lambda p: calls.append(p) or (float(p.meta["a"] == "x"), {}))
+    evaluator = mb.Evaluator(problem, 5)
+    first, second = mb.Point({"a": "x;b=y", "b": "z", "w": 0.0}), mb.Point(
+        {"a": "x", "b": "y;b=z", "w": 0.0})
+    assert first.meta.rendered == second.meta.rendered
+    assert evaluator.evaluate(first).objective == 0.0
+    record = evaluator.evaluate(second)
+    assert not record.cached and record.objective == 1.0
+    assert evaluator.evaluate(mb.Point({"a": "x", "b": "y;b=z", "w": -0.0})).cached
+    assert calls == [first, second] and evaluator.budget.used == 2
+
+
 # -- history files ----------------------------------------------------------------------------
 
 def test_history_columns_and_empty_nonacting_cells(tmp_path, mlp_problem, mlp_domain):
@@ -924,6 +951,36 @@ def test_history_columns_and_empty_nonacting_cells(tmp_path, mlp_problem, mlp_do
     assert row["a"] == "ReLU"         # labels at the I/O boundary
     assert row["cached"] == "false"
     assert float(row["objective"]) == evaluator.history[0].objective
+
+
+def test_history_and_acquisition_log_quote_cells_that_hold_commas(tmp_path):
+    domain = mb.Domain([
+        mb.VariableSpec("m", mb.VariableType.META_CATEGORICAL, mb.Role.META,
+                        mb.CategoricalScope(("red, dark", "blue"))),
+        mb.VariableSpec("c", mb.VariableType.NOMINAL, mb.Role.GLOBAL,
+                        mb.CategoricalScope(('say "hi"', "plain"))),
+        mb.VariableSpec("x", mb.VariableType.CONTINUOUS, mb.Role.GLOBAL,
+                        mb.ContinuousScope(0.0, 1.0)),
+    ])
+    problem = mb.Problem(domain=domain, constraints=mb.ConstraintSystem(domain, []),
+                         objective=lambda p: (p.standard["x"], {}))
+    evaluator = mb.Evaluator(problem, 5)
+    evaluator.evaluate(mb.Point({"m": "red, dark"}, {"c": 1}, {"x": 0.5}))
+    path = tmp_path / "history.csv"
+    mb.write_history(domain, problem.constraints, evaluator.history, path)
+    with open(path, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == history_header(domain, problem.constraints)
+    assert dict(zip(header, row)) == {"eval_index": "0", "cached": "false",
+                                      "feasible": "true", "objective": "0.5",
+                                      "m": "red, dark", "c": 'say "hi"', "x": "0.5"}
+    log = tmp_path / "acquisition.csv"
+    write_acquisition_log([AcquisitionLogRow(1, mb.MetaComponent({"m": "red, dark"}),
+                                             0.25, True)], log)
+    with open(log, newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["iteration", "meta", "acquisition", "surrogate_feasible"],
+            ["1", "m=red, dark", "0.25", "true"]]
 
 
 def test_history_zero_records_is_header_only(tmp_path, mlp_problem, mlp_domain):

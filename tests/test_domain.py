@@ -256,6 +256,14 @@ def test_membership_interval_must_be_a_pair_of_numbers(entry):
         mb.Membership("freq", (entry,))
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (0, 10 ** 400)])
+def test_continuous_scope_needs_finite_bounds(lo, hi):
+    # An infinite bound once made direct search generate a NaN point and BO
+    # evaluate x = inf.
+    with pytest.raises(mb.ScopeError, match="finite bounds"):
+        mb.ContinuousScope(lo, hi)
+
+
 # -- point completion ------------------------------------------------------------
 
 def test_complete_point_defaults_midpoint_and_first_category(mlp_domain):

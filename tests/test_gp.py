@@ -366,7 +366,7 @@ def test_variance_clamp_never_hides_large_negatives(mlp_problem):
     model = mb.GPModel(mlp_problem.domain, points, values, config)
     kappa = model.cross_covariance(points)
     from scipy.linalg import cho_solve
-    solved = cho_solve(model._factor, kappa)
+    solved = cho_solve((model._factor, True), kappa)
     raw = config.signal_variance - np.sum(kappa * solved, axis=0)
     assert raw.min() >= -1e-8 * config.signal_variance
 
