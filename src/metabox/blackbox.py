@@ -176,12 +176,16 @@ class Evaluator:
     Membership is checked first; a point moved from a checked member
     (:meth:`Point.moved`) is re-checked only at its moved value.
 
-    With ``screen`` set, a member that breaks an acting analytic constraint
-    is settled next, before the cache and the budget: it gets an infeasible
-    record with objective +inf and its analytic values, marked ``screened``,
-    that is never charged, cached or appended to the history, and it is
-    counted in ``screened``.  Under the extreme barrier such a record scores
-    what an evaluated infeasible one would.
+    The cache comes next.  With ``screen`` set, a member that is not cached
+    and breaks an acting analytic constraint is settled before the budget: it
+    gets an infeasible record with objective +inf and its analytic values,
+    marked ``screened``, that is never charged, cached or appended to the
+    history, and it is counted in ``screened``.  Under the extreme barrier
+    such a record scores what an evaluated infeasible one would.  A cached
+    point passed the screen when it was evaluated, so it is not screened
+    again.  ``screened`` also counts the points a caller settles from
+    :meth:`ConstraintSystem.move_breaks` without requesting them, as direct
+    search does with its poll moves.
 
     ``discarded`` counts the command children a :meth:`lookahead` started
     whose results were dropped unsettled: never charged, never recorded.
@@ -220,14 +224,6 @@ class Evaluator:
         if issues:
             raise DomainError(
                 f"point outside domain: {'; '.join(map(str, issues))}", issues)
-        analytic = None
-        if self.screen:
-            analytic, feasible = self.problem.constraints.screen(point)
-            if not feasible:
-                self.screened += 1
-                return EvaluationRecord(
-                    point=point, objective=math.inf, constraints=analytic, feasible=False,
-                    index=-1, cached=False, wall_ms=0.0, screened=True)
         key = _identity(point)
         hit = self._records.get(key)
         if hit is not None:
@@ -241,6 +237,14 @@ class Evaluator:
                 error.record = record
                 raise error
             return record
+        analytic = None
+        if self.screen:
+            analytic, feasible = self.problem.constraints.screen(point)
+            if not feasible:
+                self.screened += 1
+                return EvaluationRecord(
+                    point=point, objective=math.inf, constraints=analytic, feasible=False,
+                    index=-1, cached=False, wall_ms=0.0, screened=True)
         if self.budget.used >= self.budget.max_evaluations:
             raise BudgetExhaustedError(
                 f"budget of {self.budget.max_evaluations} evaluations exhausted")
@@ -267,8 +271,8 @@ class Evaluator:
         """Settle ``points`` (any iterable, read lazily) in order; a context
         manager whose value iterates the settled records.
 
-        Every point is settled by :meth:`evaluate`, so membership, screen,
-        cache, budget and history are exactly as for a loop over
+        Every point is settled by :meth:`evaluate`, so membership, cache,
+        screen, budget and history are exactly as for a loop over
         ``evaluate``; a failed evaluation yields its failure record instead
         of raising, and any other error ends the iteration.  With a command
         backend the children of the next few points (at most the usable
@@ -313,15 +317,16 @@ class Evaluator:
         yield from window
 
     def _launch(self, point: Point) -> "_Child | None":
-        """Start ``point``'s child unless evaluate() would refuse, screen or
-        serve it from the records, or the budget left is already spoken for."""
+        """Start ``point``'s child unless evaluate() would refuse, serve it
+        from the records or screen it, or the budget left is already spoken
+        for."""
         if self.problem.domain.membership_issues(point):
-            return None
-        if self.screen and not self.problem.constraints.screen(point)[1]:
             return None
         key = _identity(point)
         if (key in self._records or key in self._ahead
                 or len(self._ahead) >= self.budget.remaining):
+            return None
+        if self.screen and not self.problem.constraints.screen(point)[1]:
             return None
         try:
             child = self._ahead[key] = _Child(self, point)

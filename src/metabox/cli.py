@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path, section, cls, check=None, **overrides):
     """``cls`` built from the ``section`` object of the JSON file at ``path``
     and ``overrides``, then passed to ``check``; a missing or malformed file
-    or option is a validation error at ``section``."""
+    or option, or an option of ``overrides`` (set on the command line), is a
+    validation error at ``section``."""
     options = {}
     if path:
         document = read_json(path, section)
@@ -69,6 +70,10 @@ def _load_config(path, section, cls, check=None, **overrides):
         unknown = set(options) - set(cls.__dataclass_fields__)
         if unknown:
             raise ProblemFileError("syntax", section, f"unknown options {sorted(unknown)}")
+        fixed = set(options) & set(overrides)
+        if fixed:
+            raise ProblemFileError("syntax", section, f"options {sorted(fixed)} are set "
+                                   "on the command line, not in the file")
     options.update(overrides)
     try:
         cfg = cls(**options)
@@ -137,6 +142,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "solve" and args.aux_log and args.solver != "bo":
+            parser.error("--aux-log needs --solver bo")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -4,6 +4,13 @@ Every constraint has the form c(x) <= 0.  Global constraints are always
 acting; decreed constraints are acting only when their decree predicate is
 satisfied by the meta component.  Analytic bodies are linear expressions over
 standard variables; blackbox bodies are read from the evaluation backend.
+
+Each meta component's acting analytic constraints are compiled once into a
+plan of ``(id, constant, terms)`` tuples whose terms cover only the acting
+standard variables.  One loop, :func:`_linear_value`, evaluates every
+linear body: the screen of a whole point, the check of a single poll move
+and :meth:`ConstraintSystem.evaluate_analytic` make the same additions in
+the same order, so their values agree bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domain import (ALWAYS, DecreePredicate, Domain, GROUPS, Membership, Point, Role,
-                     Threshold)
+                     Threshold, _canonical_value)
 from .errors import (DecreeViolationError, EvaluationError,
                      IncompleteConstraintValuesError, NotEnumerableError, ScopeError)
 
@@ -61,9 +68,10 @@ class ConstraintSystem:
     """All constraints of a problem, validated against a domain.
 
     The constraints are immutable after construction.  The acting
-    constraints of each meta component are memoized as immutable tuples,
-    filled idempotently (a racing thread stores an equal value), so a system
-    is safe to share across threads.
+    constraints of each meta component, and the plan of its acting analytic
+    ones, are memoized as immutable tuples, filled idempotently (a racing
+    thread stores an equal value), so a system is safe to share across
+    threads.
     """
 
     def __init__(self, domain: Domain, constraints=()):
@@ -129,13 +137,16 @@ class ConstraintSystem:
     # -- queries ---------------------------------------------------------------
 
     def _acting_tuples(self, xm):
-        """(acting constraints, acting decreed constraints) of a valid ``xm``."""
+        """(acting constraints, acting decreed constraints, plan of the acting
+        analytic constraints) of a valid ``xm``."""
         return self.domain.memoize_per_meta(self._acting, xm, self._build_acting)
 
     def _build_acting(self, xm):
         acting = tuple(c for c in self.constraints if c.role == Role.GLOBAL
                        or self.domain.decree_satisfied(c.decree, xm))
-        return acting, tuple(c for c in acting if c.role == Role.DECREED)
+        standard = frozenset(self.domain.acting_index_set(xm, "standard"))
+        return (acting, tuple(c for c in acting if c.role == Role.DECREED),
+                tuple(_compile(c, standard) for c in acting if c.analytic))
 
     def acting_decreed_constraints(self, xm):
         """Decreed constraints whose predicate ``xm`` satisfies, declaration order."""
@@ -163,18 +174,35 @@ class ConstraintSystem:
                 and not self.domain.decree_satisfied(spec.decree, point.meta)):
             raise DecreeViolationError(
                 f"constraint {spec.id!r} is nonacting under {dict(point.meta)}")
-        return _linear_value(spec, point.standard)
+        _, constant, terms = _compile(spec, point.standard)
+        return _linear_value(constant, terms, point.standard)
 
     def screen(self, point: Point):
         """(value of every acting analytic constraint by id, all values <= 0)
-        at a domain member, in one walk of its memoized acting list: the
+        at a domain member, in one walk of its meta component's plan: the
         a priori part of :meth:`evaluate_acting`, known before any backend
         call."""
-        values = {}
-        for spec in self._acting_tuples(point.meta)[0]:
-            if spec.analytic:
-                values[spec.id] = _linear_value(spec, point.standard)
+        standard = point.standard
+        values = {cid: _linear_value(constant, terms, standard)
+                  for cid, constant, terms in self._acting_tuples(point.meta)[2]}
         return values, all(v <= 0.0 for v in values.values())  # NaN is infeasible
+
+    def move_breaks(self, center: Point, vid: str, value) -> bool:
+        """Whether ``center.moved(vid, value)`` breaks an acting analytic
+        constraint, that is whether :meth:`screen` would call it infeasible,
+        computed from the plan of ``center.meta`` without building the point.
+
+        Assumes what a poll guarantees: ``center`` is a domain member that
+        was settled, and ``value`` was clamped into the scope of its
+        standard variable ``vid``, so the moved point is a member too.  Any
+        other point must go through the evaluator, which checks membership
+        first.
+        """
+        standard = {**center.standard, vid: _canonical_value(value)}
+        for _, constant, terms in self._acting_tuples(center.meta)[2]:
+            if not _linear_value(constant, terms, standard) <= 0.0:  # NaN breaks
+                return True
+        return False
 
     def evaluate_acting(self, point: Point, blackbox_values, analytic=None):
         """(value of every acting constraint by id, all values <= 0) at a domain
@@ -205,15 +233,28 @@ class ConstraintSystem:
         return True
 
 
-def _linear_value(spec: ConstraintSpec, standard) -> float:
-    """A linear body over a standard map, which a decreed body must cover."""
-    value = spec.body.constant
+def _compile(spec: ConstraintSpec, standard):
+    """``(id, constant, terms)`` of a linear body, keeping the terms over the
+    ids in ``standard`` in body order; a decreed body must cover none other.
+
+    A global body drops its terms over nonacting variables: the sum adapts
+    to the acting set.
+    """
+    terms = []
     for coefficient, vid in spec.body.terms:
         if vid in standard:
-            value += coefficient * standard[vid]
+            terms.append((coefficient, vid))
         elif spec.role == Role.DECREED:
             raise DecreeViolationError(
                 f"constraint {spec.id!r}: referenced variable {vid!r} is nonacting")
+    return spec.id, spec.body.constant, tuple(terms)
+
+
+def _linear_value(constant: float, terms, standard) -> float:
+    """The value of compiled terms over a standard map that holds their ids."""
+    value = constant
+    for coefficient, vid in terms:
+        value += coefficient * standard[vid]
     return value
 
 

@@ -6,14 +6,19 @@ neighborhoods.  Every candidate pair of fixed components is resolved by a
 coordinate pattern search over the acting standard variables under the
 extreme barrier: infeasible or failed points count as +inf.  Acceptance is
 strict decrease only.  A point that breaks an analytic constraint is
-screened by the evaluator, so it never reaches the blackbox; it scores +inf
-as an evaluated infeasible point would.  The step sizes are a
+screened, so it never reaches the blackbox; it scores +inf as an evaluated
+infeasible point would.  A poll move is screened from the constraint plan of
+its meta component before its point is built
+(:meth:`ConstraintSystem.move_breaks`), any other point by the evaluator;
+both count in ``Evaluator.screened`` and in the subproblem's evaluations, by
+their place among the candidates.  The step sizes are a
 :class:`MeshState`, the same mesh the BO acquisition's pattern searches
 refine.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 from dataclasses import dataclass
@@ -156,40 +161,70 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
         return SubproblemResult(best_point, best_record, best_barrier, evaluations,
                                 "start_only", mesh)
 
+    breaks = evaluator.problem.constraints.move_breaks if evaluator.screen else None
+
     def sweep(center: Point, steps, room: int):
         """The poll candidates around ``center``: +/- one step along each
-        coordinate in order, skipping steps the scope clamps away.  Yields at
+        coordinate in order, skipping steps the scope clamps away.  Takes at
         most ``room`` of them, and sets ``cut`` if the room ran out before
-        the last step."""
+        the last step.  Yields the candidates that ``breaks`` passes, and
+        appends to ``screened_before``, before each yield and once at the
+        end, how many candidates it screened since the previous yield."""
         nonlocal cut
+        skipped = 0
         for vid, scope, step in zip(ids, scopes, steps):
             for sign in (1, -1):
                 if room <= 0:
                     cut = True
+                    screened_before.append(skipped)
                     return
                 value = scope.clamp(center.standard[vid] + sign * step)
                 if value != center.standard[vid]:
                     room -= 1
-                    yield center.moved(vid, value)
+                    if breaks is not None and breaks(center, vid, value):
+                        skipped += 1
+                    else:
+                        screened_before.append(skipped)
+                        skipped = 0
+                        yield center.moved(vid, value)
+        screened_before.append(skipped)
+
+    def settle_screened():
+        """Settle the screened candidates before the next candidate position
+        as the evaluator's screen would: each counts as one evaluation of
+        this subproblem and once in ``evaluator.screened``."""
+        nonlocal evaluations
+        count = screened_before.popleft()
+        evaluations += count
+        evaluator.screened += count
 
     while True:
         improved = False
         cut = False
+        screened_before = collections.deque()
         # Converted once per sweep: polls add Python floats, and scope.clamp
         # returns ints for integer variables.  The candidates are fixed until
-        # the first improvement, so command children may run ahead.
+        # the first improvement, so command children may run ahead.  A
+        # screened candidate is settled by its position among the records:
+        # one the generator pulled past an improving record never counts.
         candidates = sweep(best_point, mesh.steps().tolist(),
                            cfg.subproblem_budget - evaluations)
         try:
             with evaluator.lookahead(candidates) as records:
                 for record in records:
+                    settle_screened()
                     evaluations += 1
                     barrier = barrier_value(record)
                     if barrier < best_barrier:
                         best_point, best_record, best_barrier = record.point, record, barrier
                         improved = True
                         break
+                else:
+                    settle_screened()
         except BudgetExhaustedError:
+            # The candidate refused was pulled, so its screened
+            # predecessors are at the head of the queue.
+            settle_screened()
             return SubproblemResult(best_point, best_record, best_barrier,
                                     evaluations, "global_budget", mesh)
         if improved:

@@ -899,6 +899,44 @@ def test_no_command_child_runs_a_screened_point(tmp_path, monkeypatch, launches)
         evaluator.evaluate(twin)
 
 
+@pytest.mark.parametrize("bound", ["cap", "floor"])
+def test_screened_poll_moves_count_alike_at_every_lookahead_width(tmp_path, monkeypatch,
+                                                                   bound):
+    # The objective falls with k.  Under the cap k <= 2 a sweep from k = 2
+    # screens k = 3 before it evaluates k = 1; under the floor k >= 2 it
+    # improves at k = 3 while a wider lookahead has already pulled the
+    # screened k = 1 past it, which must not count.
+    document = toy_with_k_cap(-2)
+    if bound == "floor":
+        document["constraints"][-1]["analytic"] = {"terms": [[-1, "k"]], "constant": 2}
+    log_dir = tmp_path / "payloads"
+    log_dir.mkdir()
+    problem = command_problem(mb.parse_problem(document).problem,
+                              quadratic_child(tmp_path, LOGGING_CHILD), log_dir)
+    solve, breaks = direct_search.solve_standard_subproblem, mb.ConstraintSystem.move_breaks
+    runs = {}
+    for width in (1, 2, 3):
+        lookahead_width(monkeypatch, width)
+        subproblems, broken = [], []
+        monkeypatch.setattr(direct_search, "solve_standard_subproblem",
+                            lambda *args, **kw: subproblems.append(solve(*args, **kw))
+                            or subproblems[-1])
+        monkeypatch.setattr(mb.ConstraintSystem, "move_breaks",
+                            lambda *move: broken.append(breaks(*move)) or broken[-1])
+        result = mb.run_direct_search(problem, mb.SearchConfig(budget=16, seed=0))
+        path = tmp_path / f"history-{width}.csv"
+        mb.write_history(problem.domain, problem.constraints, result.history, path)
+        evaluator = result.evaluator
+        runs[width] = (path.read_bytes(), evaluator.screened, evaluator.budget.used,
+                       [r.evaluations for r in subproblems])
+        if width == 1:  # nothing is pulled ahead of its settle
+            assert sum(broken) == evaluator.screened
+        elif bound == "floor":
+            assert sum(broken) > evaluator.screened
+    assert runs[1] == runs[2] == runs[3]
+    assert (runs[1][1] > 0) == (bound == "cap")
+
+
 def test_subprocess_payload_uses_labels(toy_problem):
     from metabox.blackbox import subprocess_payload
     point = toy_problem.domain.complete_point(

@@ -137,6 +137,27 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
                      "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("solver", ["direct", "bo"])
+def test_config_budget_and_seed_are_validation_errors(tmp_path, capsys, solver):
+    # They come from --budget and --seed; a file that sets them would be overridden.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({solver: {"budget": 7, "seed": 3}}))
+    out = tmp_path / "history.csv"
+    assert cli_main(["solve", TOY, "--solver", solver, "--out", str(out),
+                     "--config", str(config), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "'budget'" in err and "'seed'" in err
+    assert not out.exists()
+
+
+def test_aux_log_with_direct_search_is_a_usage_error(tmp_path, capsys):
+    out, aux = tmp_path / "history.csv", tmp_path / "aux.csv"
+    assert cli_main(["solve", TOY, "--solver", "direct", "--out", str(out),
+                     "--aux-log", str(aux), "--quiet"]) == 1
+    assert "--aux-log" in capsys.readouterr().err
+    assert not out.exists() and not aux.exists()
+
+
 @pytest.mark.parametrize("content", [b'{"direct": ', b"\xff\xfe{}"])
 def test_malformed_config_file_is_a_validation_error(tmp_path, capsys, content):
     config = tmp_path / "run.json"

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import metabox as mb
+from conftest import random_point
+from metabox.domain import denormalize
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 ADAM3 = mb.MetaComponent({"l": 3, "o": "Adam"})
@@ -125,6 +128,52 @@ def test_screen_fails_a_nan_value_and_skips_blackbox_bodies(toy_problem, mlp_sys
     # toy's only constraint has a blackbox body: nothing to screen.
     toy_point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
     assert toy_problem.constraints.screen(toy_point) == ({}, True)
+
+
+def summed_in_body_order(spec, standard):
+    """Reference value of a linear body: its constant, then each term over
+    an acting variable added in body order."""
+    value = spec.body.constant
+    for coefficient, vid in spec.body.terms:
+        if vid in standard:
+            value += coefficient * standard[vid]
+    return value
+
+
+@pytest.mark.parametrize("parsed", ["mlp_parsed", "wide_mlp_parsed"])
+def test_the_plan_gives_evaluate_analytic_values_bit_for_bit(request, parsed):
+    # units_total is global over u1..u3, which are decreed: at l < 3 the plan
+    # drops its nonacting terms (all of them at l = 0 in the wide domain).
+    system = request.getfixturevalue(parsed).system
+    domain = system.domain
+    rng = np.random.default_rng(0)
+    for xm in domain.enumerate_meta_set():
+        specs = [c for c in system.acting_constraints(xm) if c.analytic]
+        ids = domain.acting_index_set(xm, "standard")
+        for _ in range(25):
+            point = random_point(domain, rng, [xm])
+            values, ok = system.screen(point)
+            assert list(values) == [c.id for c in specs]
+            expected = [summed_in_body_order(c, point.standard).hex() for c in specs]
+            assert [values[c.id].hex() for c in specs] == expected
+            assert [system.evaluate_analytic(c, point).hex() for c in specs] == expected
+            assert ok == all(v <= 0.0 for v in values.values())
+            vid = ids[int(rng.integers(len(ids)))]
+            scope = domain.spec(vid).scope
+            moved = point.moved(vid, denormalize(scope, float(rng.random())))
+            assert (system.move_breaks(point, vid, moved.standard[vid])
+                    == (not system.screen(moved)[1]))
+
+
+def test_a_nan_value_breaks_every_move(mlp_system, mlp_domain):
+    spec = next(c for c in mlp_system.constraints if c.id == "units_total")
+    nan_spec = mb.ConstraintSpec(spec.id, spec.role,
+                                 mb.LinearExpression(spec.body.terms, math.nan))
+    system = mb.ConstraintSystem(mlp_domain, [nan_spec])
+    point = units_point(mlp_domain, 2)
+    assert math.isnan(system.evaluate_analytic(nan_spec, point))
+    assert system.move_breaks(point, "u1", 250)
+    assert not mlp_system.move_breaks(point, "u1", 250)
 
 
 # -- feasibility ---------------------------------------------------------------------
