@@ -444,7 +444,9 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     acquisition, like evaluated ones, so they are never proposed again.  A
     config reused from an earlier fit that no longer factorizes on the
     current samples is refitted at once; when the refitted config does not
-    factorize either, the run ends with stop reason "factorization".
+    factorize either, the run ends with stop reason "factorization"; the
+    others are "budget", "max_iterations", "no_data" (under two records to
+    train on) and "exhausted" (no candidate left).
     """
     domain = problem.domain
     system = problem.constraints
@@ -520,6 +522,9 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         except BudgetExhaustedError:
             stop_reason = "budget"
             break
+    else:
+        if evaluator.budget.remaining > 0:
+            stop_reason = "max_iterations"
     best = min((r for r in evaluator.history if not r.cached),
                key=lambda r: (barrier_value(r), r.objective), default=None)
     return BOResult(best=best, history=evaluator.history, acquisition_log=acquisition_log,

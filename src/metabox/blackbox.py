@@ -4,8 +4,7 @@ A Problem bundles a domain, a constraint system and one evaluation backend
 (an in-process callable or an external command).  An Evaluator wraps a
 Problem with a budget, a result cache keyed by Point equality, and an
 append-only history.  Cached hits append to the history but never spend
-budget.  A screening evaluator settles a point that breaks an analytic
-constraint without the backend: never charged, cached or recorded.
+budget.
 :meth:`Evaluator.lookahead` settles a sequence of points in order while
 running the next few command children at once.
 """
@@ -77,7 +76,6 @@ class EvaluationRecord:
     cached: bool
     wall_ms: float
     error: str | None = None
-    screened: bool = False  # settled by the a priori screen, without the backend
 
 
 @dataclass
@@ -115,7 +113,9 @@ class Problem:
 
     def __post_init__(self):
         if (self.objective is None) == (not self.command):
-            raise ValueError("exactly one of objective/command must be provided")
+            raise ConfigurationError("exactly one of objective/command must be provided")
+        if self.objective is not None and not callable(self.objective):
+            raise ConfigurationError(f"objective must be callable, got {self.objective!r}")
         _check_timeout(self.timeout, "Problem timeout")
         command = self.command
         if not (isinstance(command, (list, tuple))
@@ -173,26 +173,20 @@ class Evaluator:
     A failed evaluation is remembered too: requesting its point again records
     a cached failure and raises the same EvaluationError, free of budget.
 
-    Membership is checked first; a point moved from a checked member
-    (:meth:`Point.moved`) is re-checked only at its moved value.
+    A request is settled in this order: membership (a non-member raises
+    DomainError; a point moved from a checked member, :meth:`Point.moved`,
+    is re-checked only at its moved value), the cache, the budget, then the
+    backend, whose output passes one check for both backends.
 
-    The cache comes next.  With ``screen`` set, a member that is not cached
-    and breaks an acting analytic constraint is settled before the budget: it
-    gets an infeasible record with objective +inf and its analytic values,
-    marked ``screened``, that is never charged, cached or appended to the
-    history, and it is counted in ``screened``.  Under the extreme barrier
-    such a record scores what an evaluated infeasible one would.  A cached
-    point passed the screen when it was evaluated, so it is not screened
-    again.  ``screened`` also counts the points a caller settles from
-    :meth:`ConstraintSystem.move_breaks` without requesting them, as direct
-    search does with its poll moves.
+    ``screened`` counts the points that direct search settled without
+    requesting them, as they break an acting analytic constraint; the
+    evaluator itself never changes it.
 
     ``discarded`` counts the command children a :meth:`lookahead` started
     whose results were dropped unsettled: never charged, never recorded.
     """
 
-    def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None,
-                 screen: bool = False):
+    def __init__(self, problem: Problem, max_evaluations: int, timeout: float | None = None):
         if not (_is_int(max_evaluations) and max_evaluations >= 0):
             raise ConfigurationError(
                 f"max_evaluations must be an integer >= 0, got {max_evaluations!r}")
@@ -205,7 +199,6 @@ class Evaluator:
         # that charges its point
         self._ahead: dict[tuple, _Child] = {}
         self.discarded = 0
-        self.screen = screen
         self.screened = 0
         # In-process callables run inline; command children may overlap.
         self._width = 1 if problem.objective is not None else min(MAX_LOOKAHEAD, _cpus())
@@ -237,21 +230,13 @@ class Evaluator:
                 error.record = record
                 raise error
             return record
-        analytic = None
-        if self.screen:
-            analytic, feasible = self.problem.constraints.screen(point)
-            if not feasible:
-                self.screened += 1
-                return EvaluationRecord(
-                    point=point, objective=math.inf, constraints=analytic, feasible=False,
-                    index=-1, cached=False, wall_ms=0.0, screened=True)
         if self.budget.used >= self.budget.max_evaluations:
             raise BudgetExhaustedError(
                 f"budget of {self.budget.max_evaluations} evaluations exhausted")
         self.budget.used += 1
         record = None
         try:
-            record = self._run_backend(point, analytic)
+            record = self._run_backend(point)
         except EvaluationError as exc:
             record = exc.record = EvaluationRecord(
                 point=point, objective=math.inf, constraints={}, feasible=False,
@@ -272,12 +257,12 @@ class Evaluator:
         manager whose value iterates the settled records.
 
         Every point is settled by :meth:`evaluate`, so membership, cache,
-        screen, budget and history are exactly as for a loop over
+        budget and history are exactly as for a loop over
         ``evaluate``; a failed evaluation yields its failure record instead
         of raising, and any other error ends the iteration.  With a command
         backend the children of the next few points (at most the usable
         CPUs, capped at MAX_LOOKAHEAD) run while earlier ones settle, and
-        never more than the budget left; a screened point starts none.  No
+        never more than the budget left.  No
         thread is started: each child runs as its own process and is settled
         in the caller's thread.  Children of points the caller never settles
         are killed with their process group on exit and counted in
@@ -317,16 +302,13 @@ class Evaluator:
         yield from window
 
     def _launch(self, point: Point) -> "_Child | None":
-        """Start ``point``'s child unless evaluate() would refuse, serve it
-        from the records or screen it, or the budget left is already spoken
-        for."""
+        """Start ``point``'s child unless evaluate() would refuse or serve it
+        from the records, or the budget left is already spoken for."""
         if self.problem.domain.membership_issues(point):
             return None
         key = _identity(point)
         if (key in self._records or key in self._ahead
                 or len(self._ahead) >= self.budget.remaining):
-            return None
-        if self.screen and not self.problem.constraints.screen(point)[1]:
             return None
         try:
             child = self._ahead[key] = _Child(self, point)
@@ -336,11 +318,11 @@ class Evaluator:
 
     # -- backend dispatch ----------------------------------------------------------
 
-    def _run_backend(self, point: Point, analytic=None) -> EvaluationRecord:
+    def _run_backend(self, point: Point) -> EvaluationRecord:
         start = time.perf_counter()
         if self.problem.objective is not None:
             try:
-                objective, blackbox_values = self.problem.objective(point)
+                output = self.problem.objective(point)
             except EvaluationError:
                 raise
             except Exception as exc:  # backend bugs surface as evaluation errors
@@ -349,10 +331,17 @@ class Evaluator:
             child = self._ahead.pop(_identity(point), None)
             if child is not None:
                 start = child.start
-            objective, blackbox_values = self._run_subprocess(point, child)
+            output = self._run_subprocess(point, child)
+        try:  # one check of both backends' (objective, blackbox constraint values)
+            objective, blackbox_values = output
+            if not isinstance(blackbox_values, dict):
+                raise TypeError(f"constraints must be a mapping, got {blackbox_values!r}")
+            objective = float(objective)
+            blackbox_values = {str(k): float(v) for k, v in blackbox_values.items()}
+        except (ValueError, TypeError) as exc:
+            raise EvaluationError(f"blackbox output malformed: {exc}") from exc
         constraints, feasible = self.problem.constraints.evaluate_acting(
-            point, blackbox_values, analytic)
-        objective = float(objective)
+            point, blackbox_values)
         if not math.isfinite(objective):
             raise EvaluationError(f"backend returned a non-finite objective {objective!r}")
         for cid, value in constraints.items():
@@ -391,14 +380,9 @@ class Evaluator:
                 raise EvaluationError(f"blackbox exited with code {proc.returncode}: {detail}")
         try:
             output = json.loads(stdout.decode())
-            objective = float(output["objective"])
-            constraints = output.get("constraints", {})
-            if not isinstance(constraints, dict):
-                raise TypeError(f"constraints must be an object, got {constraints!r}")
-            constraint_values = {str(k): float(v) for k, v in constraints.items()}
+            return output["objective"], output.get("constraints", {})
         except (ValueError, KeyError, TypeError) as exc:
             raise EvaluationError(f"blackbox output malformed: {exc}") from exc
-        return objective, constraint_values
 
 
 class _Child:

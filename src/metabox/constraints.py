@@ -204,19 +204,18 @@ class ConstraintSystem:
                 return True
         return False
 
-    def evaluate_acting(self, point: Point, blackbox_values, analytic=None):
+    def evaluate_acting(self, point: Point, blackbox_values):
         """(value of every acting constraint by id, all values <= 0) at a domain
         member, in one walk of its memoized acting list, so with no decree
-        check; blackbox bodies are read from ``blackbox_values``, analytic
-        ones from ``analytic`` (the values :meth:`screen` gave) if given."""
-        if analytic is None:
-            analytic = self.screen(point)[0]
+        check; blackbox bodies are read from ``blackbox_values`` (floats),
+        analytic ones from :meth:`screen`."""
+        analytic = self.screen(point)[0]
         values = {}
         for spec in self._acting_tuples(point.meta)[0]:
             if spec.analytic:
                 values[spec.id] = analytic[spec.id]
             elif spec.id in blackbox_values:
-                values[spec.id] = float(blackbox_values[spec.id])
+                values[spec.id] = blackbox_values[spec.id]
             else:
                 raise EvaluationError(
                     f"backend returned no value for acting constraint {spec.id!r}")

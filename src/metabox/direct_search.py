@@ -5,13 +5,14 @@ meta and categorical components) with a poll over the user-defined
 neighborhoods.  Every candidate pair of fixed components is resolved by a
 coordinate pattern search over the acting standard variables under the
 extreme barrier: infeasible or failed points count as +inf.  Acceptance is
-strict decrease only.  A point that breaks an analytic constraint is
-screened, so it never reaches the blackbox; it scores +inf as an evaluated
-infeasible point would.  A poll move is screened from the constraint plan of
-its meta component before its point is built
-(:meth:`ConstraintSystem.move_breaks`), any other point by the evaluator;
-both count in ``Evaluator.screened`` and in the subproblem's evaluations, by
-their place among the candidates.  The step sizes are a
+strict decrease only.  A point that breaks an acting analytic constraint
+is screened: it scores +inf, as an evaluated infeasible point would, but is
+never requested from the evaluator, so never run, charged, recorded or
+cached.  A start point is screened once it is known to be a domain member,
+a poll move from the constraint plan of its meta component before its point
+is built (:meth:`ConstraintSystem.move_breaks`); both count in
+``Evaluator.screened`` and in the subproblem's evaluations, by their place
+among the candidates.  The step sizes are a
 :class:`MeshState`, the same mesh the BO acquisition's pattern searches
 refine.
 """
@@ -123,7 +124,15 @@ class DirectSearchResult:
 
 
 def _evaluate_barrier(evaluator: Evaluator, point: Point):
-    """Evaluate under the extreme barrier; failed runs yield +inf."""
+    """(record, barrier value) of ``point``; failed runs yield +inf.  A
+    member that breaks an acting analytic constraint is screened, even once
+    the budget is spent: ``(None, inf)``, counted in ``evaluator.screened``.
+    Any other point, a non-member too, goes to ``evaluator.evaluate``."""
+    problem = evaluator.problem
+    if (not problem.domain.membership_issues(point)
+            and not problem.constraints.screen(point)[1]):
+        evaluator.screened += 1
+        return None, math.inf
     try:
         record = evaluator.evaluate(point)
     except EvaluationError as exc:
@@ -140,7 +149,8 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
     step along every coordinate, recentering on the first strict improvement;
     a fully failed poll refines the mesh.  Stops at the per-subproblem budget
     or once a poll fails with every step at its minimum.  Passing a mesh
-    resumes refinement where a previous solve left off.
+    resumes refinement where a previous solve left off.  The start point and
+    every poll move are always screened, as the module docstring says.
     """
     domain = evaluator.problem.domain
     ids = domain.acting_index_set(tm, "standard")
@@ -161,7 +171,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
         return SubproblemResult(best_point, best_record, best_barrier, evaluations,
                                 "start_only", mesh)
 
-    breaks = evaluator.problem.constraints.move_breaks if evaluator.screen else None
+    breaks = evaluator.problem.constraints.move_breaks
 
     def sweep(center: Point, steps, room: int):
         """The poll candidates around ``center``: +/- one step along each
@@ -181,7 +191,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
                 value = scope.clamp(center.standard[vid] + sign * step)
                 if value != center.standard[vid]:
                     room -= 1
-                    if breaks is not None and breaks(center, vid, value):
+                    if breaks(center, vid, value):
                         skipped += 1
                     else:
                         screened_before.append(skipped)
@@ -190,9 +200,9 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
         screened_before.append(skipped)
 
     def settle_screened():
-        """Settle the screened candidates before the next candidate position
-        as the evaluator's screen would: each counts as one evaluation of
-        this subproblem and once in ``evaluator.screened``."""
+        """Settle the screened candidates before the next candidate
+        position: each counts as one evaluation of this subproblem and once
+        in ``evaluator.screened``."""
         nonlocal evaluations
         count = screened_before.popleft()
         evaluations += count
@@ -261,7 +271,8 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
     improving neighbor; otherwise all neighbors are evaluated and the best
     improving one is accepted.  Stops on budget, iteration limit, or a fully
     failed poll with the incumbent's own subproblem at the minimum mesh.
-    ``best`` is always a history record, or None when the history is empty.
+    Stop reasons: "budget", "max_iterations" or "converged".  ``best`` is
+    always a history record, or None when the history is empty.
     """
     domain = problem.domain
     if meta_mapping is None:
@@ -270,7 +281,7 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
         metas = domain.enumerate_meta_set()
     except NotEnumerableError as exc:
         raise ConfigurationError("direct search needs an enumerable meta set") from exc
-    evaluator = Evaluator(problem, cfg.budget, screen=True)
+    evaluator = Evaluator(problem, cfg.budget)
     rng = np.random.default_rng(cfg.seed)
 
     start = domain.complete_point(metas[0], {})
@@ -356,11 +367,9 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
             stop_reason = "converged"
             break
 
-    best = incumbent.record
-    if best.screened:
-        # A screened start is still the incumbent only when no record scored
-        # below +inf: report the first lowest-barrier record instead.
-        best = min(evaluator.history, key=barrier_value, default=None)
+    # A screened start (no record) is still the incumbent only when no record
+    # scored below +inf: report the first lowest-barrier record instead.
+    best = incumbent.record or min(evaluator.history, key=barrier_value, default=None)
     return DirectSearchResult(best=best, history=evaluator.history,
                               iterations=iterations, stop_reason=stop_reason,
                               evaluator=evaluator)

@@ -507,6 +507,18 @@ def test_bo_budget_below_design_returns_best_design_point(toy_problem):
     assert barrier_value(result.best) == best
 
 
+@pytest.mark.parametrize("solver", ["direct", "bo"])
+def test_an_iteration_cap_is_reported_as_the_stop_reason(toy_problem, solver):
+    # BO once reported "budget" here, with 31 of its 40 evaluations left.
+    if solver == "direct":
+        result = mb.run_direct_search(toy_problem, mb.SearchConfig(
+            budget=40, max_iterations=1, subproblem_budget=5, global_search="none"))
+    else:
+        result = mb.run_bo(toy_problem, mb.BOConfig(budget=40, max_iterations=2))
+    assert result.stop_reason == "max_iterations"
+    assert result.evaluator.budget.remaining > 0
+
+
 def test_bo_sweeps_finite_domain_to_the_minimum(toy_problem, toy_brute_force):
     result = mb.run_bo(toy_problem, mb.BOConfig(budget=70, seed=0), progress=False)
     assert result.best.objective == toy_brute_force[0]

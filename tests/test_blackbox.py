@@ -104,52 +104,12 @@ def test_used_counts_only_fresh_records(mlp_problem, mlp_domain):
     assert evaluator.budget.used == sum(1 for r in evaluator.history if not r.cached) == 2
 
 
-def test_a_screened_point_is_never_run_charged_recorded_or_cached(mlp_problem, mlp_domain):
-    calls = []
-
-    def objective(point):
-        calls.append(point)
-        return mlp_problem.objective(point)
-
-    problem = dataclasses.replace(mlp_problem, objective=objective)
-    evaluator = mb.Evaluator(problem, 1, screen=True)
-    broken = mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300})  # u2 > u1
-    for _ in range(2):
-        record = evaluator.evaluate(broken)
-        assert record.screened and not record.cached and record.error is None
-        assert not record.feasible and record.objective == math.inf
-        assert record.index == -1 and barrier_value(record) == math.inf
-        assert record.constraints == problem.constraints.screen(broken)[0]
-        assert record.constraints["units_mono_2"] == 200.0
-    assert calls == [] and evaluator.history == [] and evaluator.budget.used == 0
-    assert evaluator.screened == 2 and not is_evaluated(evaluator, broken)
-    # Screened before the budget: once the one evaluation is spent, a broken
-    # point still settles and a new feasible one is refused.
-    kept = evaluator.evaluate(mlp_domain.complete_point(ADAM2, {}))
-    assert kept.feasible and not kept.screened and kept.index == 0
-    assert evaluator.evaluate(broken).screened and evaluator.screened == 3
-    with pytest.raises(mb.BudgetExhaustedError):
-        evaluator.evaluate(mlp_domain.complete_point(ADAM2, {"u1": 250}))
-    assert len(calls) == 1 and evaluator.history == [kept]
-
-
 def test_without_screening_a_broken_point_is_run_and_charged(mlp_problem, mlp_domain):
     evaluator = mb.Evaluator(mlp_problem, 5)
     record = evaluator.evaluate(mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300}))
-    assert not record.screened and not record.feasible and math.isfinite(record.objective)
+    assert not record.feasible and math.isfinite(record.objective)
     assert evaluator.history == [record] and evaluator.budget.used == 1
     assert evaluator.screened == 0
-
-
-def test_a_non_member_is_refused_before_the_screen(mlp_problem, mlp_domain):
-    # The float twin of a broken integer point is an equal Point outside the domain.
-    evaluator = mb.Evaluator(mlp_problem, 5, screen=True)
-    broken = mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300})
-    twin = mb.Point(ADAM2, broken.categorical, {**broken.standard, "u2": 300.0})
-    assert twin == broken and not mlp_problem.constraints.screen(twin)[1]
-    with pytest.raises(mb.DomainError):
-        evaluator.evaluate(twin)
-    assert evaluator.screened == 0 and evaluator.history == []
 
 
 def test_out_of_domain_point_refused(mlp_problem, mlp_domain):
@@ -308,6 +268,15 @@ def test_command_that_is_not_a_sequence_of_strings_is_a_configuration_error(toy_
     with pytest.raises(mb.ConfigurationError, match="command"):
         mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints,
                    objective=objective, command=command)
+
+
+@pytest.mark.parametrize("backend", [{}, {"objective": lambda point: (0.0, {}),
+                                         "command": ("true",)}, {"objective": 5}])
+def test_a_problem_needs_exactly_one_callable_or_command(toy_problem, backend):
+    # Neither or both once raised a bare ValueError; objective=5 was accepted,
+    # and then every evaluation failed and was charged.
+    with pytest.raises(mb.ConfigurationError, match="objective"):
+        mb.Problem(domain=toy_problem.domain, constraints=toy_problem.constraints, **backend)
 
 
 # -- the proxy problem ----------------------------------------------------------------
@@ -485,6 +454,40 @@ def test_subprocess_malformed_output_is_an_evaluation_error(tmp_path, toy_proble
         (record,) = evaluator.history
         assert record.error.startswith("blackbox output malformed")
         assert evaluator.budget.used == 1
+
+
+@pytest.mark.parametrize("output", [(1.0, None), (1.0, {"branch_cap": "high"}),
+                                    ("low", {"branch_cap": -1.0}), 1.0])
+def test_malformed_in_process_output_is_an_evaluation_error(toy_problem, output):
+    # The first three once escaped evaluate as a raw TypeError or ValueError,
+    # charged but recorded nowhere.
+    evaluator = mb.Evaluator(dataclasses.replace(toy_problem, objective=lambda point: output), 5)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
+    for cached in (False, True):
+        with pytest.raises(mb.EvaluationError, match="^blackbox output malformed") as err:
+            evaluator.evaluate(point)
+        assert err.value.record is evaluator.history[-1]
+        assert err.value.record.cached == cached
+    assert evaluator.budget.used == 1
+
+
+@pytest.mark.parametrize("solver", ["direct", "bo"])
+def test_solvers_survive_malformed_in_process_output(toy_problem, solver):
+    # Under m = B the blackbox returns None for its constraint values, which
+    # once crashed both solvers mid-run.
+    def objective(point):
+        value, constraints = toy_problem.objective(point)
+        return value, (None if point.meta["m"] == "B" else constraints)
+
+    problem = dataclasses.replace(toy_problem, objective=objective)
+    if solver == "direct":
+        result = mb.run_direct_search(problem, mb.SearchConfig(budget=40, seed=0))
+    else:
+        result = mb.run_bo(problem, mb.BOConfig(budget=20, seed=0))
+    failed = [r for r in result.history if r.error is not None]
+    assert failed and all(r.point.meta["m"] == "B" for r in failed)
+    assert all(r.error.startswith("blackbox output malformed") for r in failed)
+    assert result.best.error is None and result.best.point.meta["m"] == "A"
 
 
 def test_subprocess_missing_constraint_value_is_an_error(tmp_path, toy_problem):
@@ -888,15 +891,14 @@ def test_no_command_child_runs_a_screened_point(tmp_path, monkeypatch, launches)
     assert len(payloads) == len(launches) == evaluator.budget.used + evaluator.discarded
     assert payloads and all(p["standard"]["k"] <= 2 for p in payloads)
     assert evaluator.screened > 0
-    assert all(r.feasible and not r.screened for r in result.history)
+    assert all(r.feasible for r in result.history)
     broken = problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": 3})
     assert not is_evaluated(evaluator, broken)
-    with evaluator.lookahead([broken]) as records:
-        (record,) = records
-    assert record.screened and len(list(log_dir.iterdir())) == len(payloads)
+    assert direct_search._evaluate_barrier(evaluator, broken) == (None, math.inf)
+    assert len(list(log_dir.iterdir())) == len(payloads)
     twin = mb.Point(broken.meta, broken.categorical, {"k": 3.0})
     with pytest.raises(mb.DomainError):
-        evaluator.evaluate(twin)
+        direct_search._evaluate_barrier(evaluator, twin)
 
 
 @pytest.mark.parametrize("bound", ["cap", "floor"])

@@ -110,10 +110,8 @@ def test_screen_gives_the_acting_analytic_values(mlp_system, mlp_domain, l, unit
     values, ok = mlp_system.screen(point)
     assert values == expected and list(values) == list(expected)
     assert ok == feasible
-    # evaluate_acting reads the values it is given instead of recomputing them.
+    # evaluate_acting reads its analytic values from the screen.
     assert mlp_system.evaluate_acting(point, {}) == (values, ok)
-    marked = {cid: -7.0 for cid in values}
-    assert mlp_system.evaluate_acting(point, {}, marked) == (marked, True)
 
 
 def test_screen_fails_a_nan_value_and_skips_blackbox_bodies(toy_problem, mlp_system,

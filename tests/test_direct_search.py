@@ -241,10 +241,62 @@ def test_mlp_file_mapping_history_matches_golden_digest(tmp_path, mlp_parsed, se
             == MLP_FILE_MAPPING_HISTORY_SHA256[seed])
 
 
+def test_a_screened_start_is_never_run_charged_recorded_or_cached(mlp_problem, mlp_domain):
+    calls = []
+
+    def objective(point):
+        calls.append(point)
+        return mlp_problem.objective(point)
+
+    problem = dataclasses.replace(mlp_problem, objective=objective)
+    evaluator = mb.Evaluator(problem, 1)
+    broken = mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300})  # u2 > u1
+    for _ in range(2):
+        assert direct_search._evaluate_barrier(evaluator, broken) == (None, math.inf)
+    assert calls == [] and evaluator.history == [] and evaluator.budget.used == 0
+    assert evaluator.screened == 2
+    # Screened before the budget: once the one evaluation is spent, a broken
+    # start still settles and a new feasible one is refused.
+    kept, barrier = direct_search._evaluate_barrier(evaluator, mlp_domain.complete_point(ADAM2, {}))
+    assert kept.feasible and kept.index == 0 and barrier == kept.objective
+    assert direct_search._evaluate_barrier(evaluator, broken) == (None, math.inf)
+    assert evaluator.screened == 3
+    with pytest.raises(mb.BudgetExhaustedError):
+        direct_search._evaluate_barrier(evaluator, mlp_domain.complete_point(ADAM2, {"u1": 250}))
+    # Never cached: asked of the evaluator itself, the broken point is refused
+    # for want of budget rather than served a record.
+    with pytest.raises(mb.BudgetExhaustedError):
+        evaluator.evaluate(broken)
+    cfg = mb.SearchConfig(budget=1, subproblem_budget=1)
+    result = mb.solve_standard_subproblem(evaluator, ADAM2, broken.categorical,
+                                          broken.standard, cfg)
+    assert result.record is None and result.barrier == math.inf
+    assert result.reason == "subproblem_budget" and result.evaluations == 1
+    assert evaluator.screened == 4
+    assert len(calls) == 1 and evaluator.history == [kept] and evaluator.budget.used == 1
+
+
+def test_a_non_member_start_is_refused_before_the_screen(mlp_problem, mlp_domain):
+    # The float twin of a broken integer point is an equal Point outside the domain.
+    evaluator = mb.Evaluator(mlp_problem, 5)
+    broken = mlp_domain.complete_point(ADAM2, {"u1": 100, "u2": 300})
+    twin = mb.Point(ADAM2, broken.categorical, {**broken.standard, "u2": 300.0})
+    assert twin == broken and not mlp_problem.constraints.screen(twin)[1]
+    with pytest.raises(mb.DomainError):
+        direct_search._evaluate_barrier(evaluator, twin)
+    assert evaluator.screened == 0 and evaluator.history == []
+
+
 def settled(records):
     """What a history says of each record, its index aside."""
     return [(cache_key(r.point), r.objective, r.feasible, r.cached, r.error, r.constraints)
             for r in records]
+
+
+# Points screened (``Evaluator.screened``) and evaluations charged by the mlp
+# direct-search solves (budget 2000) of seeds 0, 1 and 2, per meta mapping.
+MLP_SCREENED = {"default": (1076, 990, 884), "file": (1576, 1490, 1384)}
+MLP_CHARGED = (653, 666, 663)
 
 
 @pytest.mark.parametrize("mapping", ["default", "file"])
@@ -252,13 +304,19 @@ def settled(records):
 def test_screening_only_drops_the_infeasible_records(monkeypatch, mlp_parsed, seed, mapping):
     """Every mlp constraint is analytic, and under the extreme barrier a
     screened point scores what an evaluated infeasible one does: screening
-    changes no decision of the search, only what is charged and recorded."""
+    changes no decision of the search, only what is charged and recorded.
+
+    The unscreened reference runs on constraint systems that screen
+    nothing: ``move_breaks`` passes every move and ``screen`` calls every
+    point feasible, with its real values, which the evaluator records."""
     meta_mapping = mlp_parsed.meta_mapping if mapping == "file" else None
     runs = {}
-    for screen in (False, True):
-        monkeypatch.setattr(direct_search, "Evaluator",
-                            lambda problem, budget, screen, s=screen:
-                            mb.Evaluator(problem, budget, screen=s))
+    for screen in (True, False):
+        if not screen:
+            real = mb.ConstraintSystem.screen
+            monkeypatch.setattr(mb.ConstraintSystem, "move_breaks", lambda *move: False)
+            monkeypatch.setattr(mb.ConstraintSystem, "screen",
+                                lambda system, point: (real(system, point)[0], True))
         runs[screen] = mb.run_direct_search(mlp_parsed.problem,
                                             mb.SearchConfig(budget=2000, seed=seed),
                                             meta_mapping=meta_mapping)
@@ -268,7 +326,8 @@ def test_screening_only_drops_the_infeasible_records(monkeypatch, mlp_parsed, se
     assert settled([screened.best]) == settled([plain.best])
     assert screened.stop_reason == plain.stop_reason == "converged"
     assert plain.evaluator.screened == 0 < screened.evaluator.screened
-    assert screened.evaluator.budget.used < plain.evaluator.budget.used
+    assert screened.evaluator.screened == MLP_SCREENED[mapping][seed]
+    assert screened.evaluator.budget.used == MLP_CHARGED[seed] < plain.evaluator.budget.used
 
 
 @pytest.mark.parametrize("case", ["all-screened", "rest-failing"])
