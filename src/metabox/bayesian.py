@@ -11,18 +11,23 @@ Otherwise every categorical component (enumerated, or sampled past a cap) is
 paired with several starts, and each pair runs a coordinate pattern search
 on the standard variables, with the step rule of direct search: each
 search's steps are one row of a shared :class:`MeshState`, refined down to
-a coarser floor.  All searches of a meta component run in lockstep: each
-step scores the poll points of every active search in one prediction
-batch, and each search then moves, shrinks or stops on its own.
-GP predictions do not depend on the batch, so every search takes the same
-path it would take alone.  The constraint surrogates are row views of the
-objective model, so one cross-covariance per batch serves the objective and
-every constraint.
+a coarser floor.  The starts of a meta component are its default start,
+built once per run, then random ones, drawn for the whole meta component
+in one call.  All searches of a meta component run in lockstep: each step
+scores the poll points of every active search in one prediction batch,
+then settles every search with array operations: each search takes the
+first best poll of its own (np.argmax's rule), and moves, shrinks or
+stops on its own.  GP predictions do not depend on the batch, so every
+search takes the same path it would take alone.  The constraint surrogates
+are row views of the objective model, so one cross-covariance per batch
+serves the objective and every constraint.
 
 A poll's cross-covariance is not built afresh.  The searches of one meta
 component keep the kernel factors of their centers against the training
-samples (:class:`~metabox.gp.CrossFactors`, one pair-tensor build per meta
-component and acquisition).  A poll row differs from its center in one
+samples under that meta component (:class:`~metabox.gp.CrossFactors`, one
+pair-tensor build per meta component and acquisition); every other
+training sample is correlated with them through the meta factors alone,
+one column shared by all rows.  A poll row differs from its center in one
 standard column, so it copies the center's factors, recomputes that
 column's factor, and multiplies the factors in the kernel's own order: its
 cross-covariance is bit-identical to one built from the row's features.  A
@@ -275,10 +280,11 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
     component combos[s].
 
     Each search keeps its own center, step sizes and evaluation count; one
-    step scores the poll points of every active search as one batch.  Each
-    search moves exactly as it would alone, because predictions do not
-    depend on the batch.  Poll cross-covariances come from the centers'
-    :class:`CrossFactors` (see the module docstring).
+    step scores the poll points of every active search as one batch, and
+    settles every search with array operations.  Each search moves exactly
+    as it would alone, because predictions do not depend on the batch.  Poll
+    cross-covariances come from the centers' :class:`CrossFactors` (see the
+    module docstring).
     """
     model = candidates.model
     domain = model.domain
@@ -310,38 +316,62 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
         factors = cross.polled(searches, column, values)
         ei = candidates.score(meta_index, xm, combos[searches], rows,
                               searches, step, 2 * column + sign, cross.kappa(factors))
-        bounds = np.searchsorted(owner, np.arange(len(owners) + 1))
-        for i, s in enumerate(owners):
-            polled = ei[bounds[i]:bounds[i + 1]]
-            if not polled.size:
-                active[s] = False
-                continue
-            used[s] += polled.size
-            best = bounds[i] + int(np.argmax(polled))
-            if ei[best] > center_ei[s]:
-                center[s], center_ei[s] = rows[best], ei[best]
-                cross.factors[:, s] = factors[:, best]
-            elif mesh.at_minimum(s):
-                active[s] = False
-                continue
-            else:
-                mesh.refine(s)
-            active[s] = used[s] < cfg.acq_budget
+        # Each owner's polls are one segment of ei; an owner without any stops.
+        polled = np.bincount(owner, minlength=len(owners))
+        active[owners[polled == 0]] = False
+        s, polled = owners[polled > 0], polled[polled > 0]
+        first = np.cumsum(polled) - polled
+        used[s] += polled
+        # The first maximum of each segment, as np.argmax finds it: a NaN
+        # comes first.
+        top = np.repeat(np.maximum.reduceat(ei, first), polled)
+        hits = np.flatnonzero((ei == top) | np.isnan(ei))
+        best = hits[np.searchsorted(hits, first)]
+        moved = ei[best] > center_ei[s]
+        movers, wins = s[moved], best[moved]
+        center[movers], center_ei[movers] = rows[wins], ei[wins]
+        cross.factors[:, movers] = factors[:, wins]
+        stay = s[~moved]
+        stopped = mesh.at_minimum(stay)
+        mesh.refine(stay[~stopped])
+        active[s] = used[s] < cfg.acq_budget
+        active[stay[stopped]] = False
 
 
-def finite_candidates(domain: Domain, cap: int) -> dict:
-    """Every point of a finite domain as (categorical, standard) arrays per
-    meta component, columns in acting-set order and rows in enumeration
-    order; an empty dict when the domain is not finite or has more than
-    ``cap`` points."""
+def _denormalized(scopes, unit: np.ndarray) -> np.ndarray:
+    """:func:`~metabox.domain.denormalize` of each column of ``unit`` by its
+    scope in ``scopes``, elementwise."""
+    lo, width = (np.array([getattr(s, name) for s in scopes], dtype=float)
+                 for name in ("lo", "width"))
+    low, high = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
+    integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
+    raw = lo + unit * width
+    # Halves round away from zero; adding 0.0 turns ceil's -0.0 into 0.
+    rounded = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5)) + 0.0
+    return np.clip(np.where(integer, rounded, raw), low, high)
+
+
+def acquisition_starts(domain: Domain, cap: int) -> dict:
+    """What every acquisition over ``domain`` searches, per meta component.
+
+    On a finite domain of at most ``cap`` points, every point as
+    (categorical, standard) arrays, columns in acting-set order and rows in
+    enumeration order.  Otherwise (None, the default start): the standard
+    row of ``domain.complete_point(xm, {})``, the first start of every
+    pattern search under xm.
+    """
     try:
         points = enumerate_domain_points(domain, cap)
     except NotEnumerableError:
-        return {}
+        points = None
     out = {}
     for xm in domain.enumerate_meta_set():
-        cat_ids = domain.acting_index_set(xm, "categorical")
         std_ids = domain.acting_index_set(xm, "standard")
+        if points is None:
+            default = domain.complete_point(xm, {}).standard
+            out[xm] = (None, np.array([default[v] for v in std_ids], dtype=float))
+            continue
+        cat_ids = domain.acting_index_set(xm, "categorical")
         under = [p for p in points if p.meta == xm]
         out[xm] = (np.array([[p.categorical[v] for v in cat_ids] for p in under],
                             dtype=int).reshape(len(under), len(cat_ids)),
@@ -363,9 +393,13 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
     when no surrogate-feasible candidate exists anywhere the global EI
     maximizer is returned flagged infeasible.  Points in ``evaluated`` (the
     points already evaluated or failed) are excluded; None signals an
-    exhausted finite domain.  ``finite`` is :func:`finite_candidates` of the
-    domain at ``cfg.enumeration_cap``, which a caller searching one domain
-    many times builds once; it is built here when not given.
+    exhausted finite domain.  ``finite`` is :func:`acquisition_starts` of
+    the domain at ``cfg.enumeration_cap``, which a caller searching one
+    domain many times builds once; it is built here when not given.
+
+    Each categorical component of a meta component gets ``cfg.acq_starts``
+    pattern searches: the default start, then random ones, drawn for the
+    whole meta component at once.
     """
     domain = model.domain
     try:
@@ -373,29 +407,23 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
     except NotEnumerableError as exc:
         raise ConfigurationError("acquisition needs an enumerable meta set") from exc
     if finite is None:
-        finite = finite_candidates(domain, cfg.enumeration_cap)
+        finite = acquisition_starts(domain, cfg.enumeration_cap)
     candidates = _Candidates(model, system, constraint_views, evaluated, f_star)
     for meta_index, xm in enumerate(metas):
-        if xm in finite:
-            categorical, standard = finite[xm]
+        categorical, standard = finite[xm]
+        if categorical is not None:
             candidates.score(meta_index, xm, categorical, standard,
                              0, 0, np.arange(len(categorical)))
             continue
-        std_ids = domain.acting_index_set(xm, "standard")
+        scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
         combos = _enumerate_categorical(domain, xm, cfg.categorical_cap, rng)
-        default = domain.complete_point(xm, {}).standard
-        centers = []
-        for _ in combos:
-            for start in range(cfg.acq_starts):
-                if start == 0:
-                    centers.append([default[v] for v in std_ids])
-                else:
-                    centers.append([denormalize(domain.spec(v).scope, float(rng.random()))
-                                    for v in std_ids])
+        centers = np.empty((len(combos), cfg.acq_starts, len(scopes)))
+        centers[:, 0] = standard
+        centers[:, 1:] = _denormalized(
+            scopes, rng.random((len(combos), cfg.acq_starts - 1, len(scopes))))
         _pattern_search(candidates, meta_index, xm,
                         np.repeat(combos, cfg.acq_starts, axis=0),
-                        np.array(centers, dtype=float).reshape(len(centers), len(std_ids)),
-                        cfg)
+                        centers.reshape(len(combos) * cfg.acq_starts, len(scopes)), cfg)
     return candidates.pick()
 
 
@@ -467,7 +495,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         pass
 
     acquisition_log = []
-    finite = finite_candidates(domain, cfg.enumeration_cap)
+    finite = acquisition_starts(domain, cfg.enumeration_cap)
     config: KernelConfig | None = None
     samples_at_refit = -1
     iteration = 0

@@ -336,9 +336,10 @@ class Evaluator:
             objective, blackbox_values = output
             if not isinstance(blackbox_values, dict):
                 raise TypeError(f"constraints must be a mapping, got {blackbox_values!r}")
-            objective = float(objective)
-            blackbox_values = {str(k): float(v) for k, v in blackbox_values.items()}
-        except (ValueError, TypeError) as exc:
+            objective = _real(objective, "objective")
+            blackbox_values = {str(k): _real(v, f"constraint {k!r}")
+                               for k, v in blackbox_values.items()}
+        except (ValueError, TypeError, OverflowError) as exc:
             raise EvaluationError(f"blackbox output malformed: {exc}") from exc
         constraints, feasible = self.problem.constraints.evaluate_acting(
             point, blackbox_values)
@@ -383,6 +384,14 @@ class Evaluator:
             return output["objective"], output.get("constraints", {})
         except (ValueError, KeyError, TypeError) as exc:
             raise EvaluationError(f"blackbox output malformed: {exc}") from exc
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float when it is a real number (an int, a float or a
+    numpy real, but not a bool or a string); TypeError otherwise."""
+    if not _is_real(value):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 class _Child:

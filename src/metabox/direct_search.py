@@ -63,13 +63,17 @@ class MeshState:
         scale = self.scale[rows]
         return np.where(self.integer, scale, scale * self.width)
 
-    def refine(self, row: int = 0):
-        scale = self.scale[row]
-        self.scale[row] = np.maximum(
+    def refine(self, rows=0):
+        """Refine the searches ``rows``: one row index or an array of them."""
+        scale = self.scale[rows]
+        self.scale[rows] = np.maximum(
             self.floor, np.where(self.integer, scale // 2, scale * REFINE_FACTOR))
 
-    def at_minimum(self, row: int = 0) -> bool:
-        return bool((self.scale[row] <= self.floor).all())
+    def at_minimum(self, rows=0):
+        """Whether a search is at its floors: a bool for one row index, a
+        bool array for an array of them."""
+        minimal = (self.scale[rows] <= self.floor).all(axis=-1)
+        return minimal if np.ndim(rows) else bool(minimal)
 
 
 @dataclass

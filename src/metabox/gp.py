@@ -309,10 +309,10 @@ def _correlation_factor(table: str, value, tensor: np.ndarray, out=None) -> np.n
     return np.exp(out, out=out)
 
 
-def _masked_factors(pairs: PairTensors, config: KernelConfig):
-    """Yield the factors of :func:`correlation_matrix`, in product order: each
-    slot's correlation factor, set to 1 outside its mask."""
-    for table, key, tensor, mask in pairs.slots:
+def _masked_factors(slots, config: KernelConfig):
+    """Yield the factors of :func:`correlation_matrix` on ``slots``, in their
+    order: each slot's correlation factor, set to 1 outside its mask."""
+    for table, key, tensor, mask in slots:
         try:
             value = getattr(config, table)[key]
         except KeyError:
@@ -331,7 +331,7 @@ def _product(factors, shape) -> np.ndarray:
 
 def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
     """Kernel matrix without the signal variance factor."""
-    return _product(_masked_factors(pairs, config), pairs.shape)
+    return _product(_masked_factors(pairs.slots, config), pairs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +380,12 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     which costs more than the solve itself at acquisition batch sizes.
     """
     return lapack.dpotrs(factor, b, lower=1)[0]
+
+
+def _forward_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b from the lower Cholesky factor L: LAPACK trtrs, one triangular
+    solve, which reads only the lower triangle."""
+    return lapack.dtrtrs(factor, b, lower=1)[0]
 
 
 class CrossCovariance(NamedTuple):
@@ -463,12 +469,19 @@ class GPModel:
         their posterior means as a (len(outputs), n) array, computed from the
         same cross-covariance.  ``points`` may be Points, their
         :class:`SampleFeatures` or their :class:`CrossCovariance`.
+
+        The variance takes one triangular solve, ``v = L^-1 kappa``, and is
+        ``s^2 - sum(v^2)`` over the training samples, clamped at 0.
         """
         kappa, count = self._columns(self.cross_covariance(points))
         mean = np.sum(kappa * self.alpha[:, None], axis=0)
-        solved = _cho_solve(self._factor, kappa)
-        # k(x, x) equals the signal variance exactly: every factor is 1.
-        variance = self.config.signal_variance - np.sum(kappa * solved, axis=0)
+        # kappa^T K^-1 kappa = |v|^2 with v = L^-1 kappa (GPML Algorithm
+        # 2.1).  The squares are taken C-ordered, so they too are summed row
+        # by row.  k(x, x) equals the signal variance exactly: every factor
+        # is 1.
+        solved = _forward_solve(self._factor, kappa)
+        variance = self.config.signal_variance - np.sum(
+            np.multiply(solved, solved, order="C"), axis=0)
         if outputs is None:
             return mean[:count], np.maximum(variance[:count], 0.0)
         means = np.empty((len(outputs), count))
@@ -521,12 +534,18 @@ class CrossFactors:
     component, kept per row, so that a row differing from a kept one in one
     standard column costs one recomputed factor.
 
-    ``factors[k, j]`` is the k-th factor :func:`correlation_matrix`
-    multiplies, in its order, between row j and the training samples, built
-    from one :class:`PairTensors` of the rows given at construction.  Meta and
-    categorical factors, and the factor of every standard column a row does
-    not change, are copied, so :meth:`kappa` of a polled row equals
-    :meth:`GPModel.cross_covariance` of it bit for bit.
+    Only the training samples under the rows' meta component (``_under``)
+    need per-row factors.  There every meta factor is exactly 1, so
+    ``factors[k, j]`` is the k-th non-meta factor :func:`correlation_matrix`
+    multiplies, in its order, between row j and those samples.  Every
+    non-meta factor is exactly 1 on the other samples, and the meta factors
+    there do not depend on the row: the rows' cross-covariance with them is
+    one column, the signal variance times the product of the meta factors,
+    computed once.  All of it comes from one :class:`PairTensors` of the
+    rows given at construction.  Categorical factors, and the factor of
+    every standard column a row does not change, are copied, so
+    :meth:`kappa` of a polled row equals :meth:`GPModel.cross_covariance` of
+    it bit for bit.
     """
 
     def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard):
@@ -534,27 +553,32 @@ class CrossFactors:
         features = SampleFeatures.from_arrays(domain, xm, categorical, standard, model.encoder)
         pairs = PairTensors(domain, model._features, features)
         self.signal_variance = config.signal_variance
-        self.factors = np.empty((len(pairs.slots), pairs.shape[1], pairs.shape[0]))
-        for k, factor in enumerate(_masked_factors(pairs, config)):
-            self.factors[k] = factor.T
-        # A standard factor is 1 outside the training samples under xm, so
-        # only those are recomputed, and 1 where its variable does not act
-        # (its mask).  A variable acting in no training sample has no factor
-        # (index -1): it is 1 whatever a row holds.
-        self._under = np.flatnonzero(pairs.same_meta[:, 0])
-        slot = {key: k for k, (_, key, _, _) in enumerate(pairs.slots)}
+        under = self._under = np.flatnonzero(pairs.same_meta[:, 0])
+        meta = [(table, key, tensor[:, :1], None)
+                for table, key, tensor, mask in pairs.slots if mask is None]
+        own = [(table, key, tensor[under].T, mask[under].T)
+               for table, key, tensor, mask in pairs.slots if mask is not None]
+        self._meta = self.signal_variance * _product(
+            _masked_factors(meta, config), (pairs.shape[0], 1))[:, 0]
+        self.factors = np.empty((len(own), pairs.shape[1], len(under)))
+        for k, factor in enumerate(_masked_factors(own, config)):
+            self.factors[k] = factor
+        # A standard factor is 1 where its variable does not act (its mask).
+        # A variable acting in no training sample has no factor (index -1):
+        # it is 1 whatever a row holds.
+        slot = {key: k for k, (_, key, _, _) in enumerate(own)}
         specs = [domain.spec(v) for v in domain.acting_index_set(xm, "standard")]
         self._slot = np.array([slot.get(spec.id, -1) for spec in specs], dtype=int)
         self._lo = np.array([spec.scope.lo for spec in specs], dtype=float)
         self._width = np.array([spec.scope.width for spec in specs], dtype=float)
         self._weight = np.array([getattr(config, _MATRIX_TABLES[spec.type])[spec.id]
                                  for spec in specs], dtype=float)
-        self._train = np.zeros((len(specs), len(self._under)))
-        self._mask = np.zeros((len(specs), len(self._under)), dtype=bool)
+        self._train = np.zeros((len(specs), len(under)))
+        self._mask = np.zeros((len(specs), len(under)), dtype=bool)
         for c, k in enumerate(self._slot):
             if k >= 0:
-                self._train[c] = model._features.values[specs[c].id][self._under]
-                self._mask[c] = pairs.slots[k][3][self._under, 0]
+                self._train[c] = model._features.values[specs[c].id][under]
+                self._mask[c] = own[k][3][0]
         #: Columns grouped by their factor's formula: (table, integer, member mask).
         self._groups = []
         for kind in (VariableType.INTEGER, VariableType.CONTINUOUS):
@@ -574,16 +598,16 @@ class CrossFactors:
             c = column[j]
             unit = _unit_values(integer, self._lo[c], self._width[c], values[j])
             tensor = _squared_difference(self._train[c], unit[:, None])
-            factor = _correlation_factor(table, self._weight[c][:, None], tensor)
-            factors[self._slot[c][:, None], j[:, None], self._under] = np.where(
-                self._mask[c], factor, 1.0)
+            factor = _correlation_factor(table, self._weight[c][:, None], tensor, out=tensor)
+            factors[self._slot[c], j] = np.where(self._mask[c], factor, 1.0)
         return factors
 
     def kappa(self, factors: np.ndarray) -> CrossCovariance:
         """The rows' cross-covariance, a C-ordered (n_train, rows) array, from
         factors such as :attr:`factors` or :meth:`polled`'s."""
-        product = self.signal_variance * _product(factors, factors.shape[1:])
-        return CrossCovariance(np.ascontiguousarray(product.T))
+        kappa = np.repeat(self._meta[:, None], factors.shape[1], axis=1)
+        kappa[self._under] = self.signal_variance * _product(factors, factors.shape[1:]).T
+        return CrossCovariance(kappa)
 
 
 def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
@@ -784,6 +808,9 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
     for start in live or range(starts):
         params, value = start_params[start], first_values[start]
         set_params(params)
+        # Every parameter vector this start has evaluated: its value only
+        # rises, so none of them can be accepted again.
+        visited = {tuple(params)}
         step = 1.0  # log-space / raw-space half-width of the compass move
         for _ in range(sweeps):
             moved = False
@@ -796,8 +823,10 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
                         trial = min(max(params[i] * math.exp(direction * step), lo), hi)
                     else:
                         trial = min(max(params[i] + direction * 0.2 * step, lo), hi)
-                    if trial == params[i]:
+                    vector = (*params[:i], trial, *params[i + 1:])
+                    if trial == params[i] or vector in visited:
                         continue
+                    visited.add(vector)
                     group.trial(k, trial)
                     trial_value = likelihood()[0]
                     if trial_value > value:

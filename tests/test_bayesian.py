@@ -10,7 +10,7 @@ import pytest
 import metabox as mb
 from metabox import bayesian
 from metabox.bayesian import _Candidates, initial_design, write_acquisition_log
-from metabox.gp import PairTensors, SampleFeatures
+from metabox.gp import CrossFactors, PairTensors, SampleFeatures
 from metabox.blackbox import barrier_value
 from metabox.domain import denormalize
 from conftest import charged_failures, nan_objective_at_k2, parse_bundled, random_point
@@ -410,6 +410,38 @@ def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, ca
         assert any(len(np.unique(s[:, lam])) > 1 for s in asgd)
 
 
+@pytest.mark.parametrize("case", ["mixed", "adam-only"])
+def test_cross_factors_span_the_training_samples_under_the_meta(mlp_problem, case):
+    # Per-row factors cover exactly the training samples under the rows'
+    # meta component, one per non-meta factor; every other sample's
+    # cross-covariance is the signal variance times the meta factors.
+    domain = mlp_problem.domain
+    if case == "adam-only":
+        model, points, _ = adam_only_case(mlp_problem, 12, 5)
+    else:
+        model, _, _, points, _ = acquisition_case(mlp_problem, 20, 3)
+    rng = np.random.default_rng(0)
+    for xm in domain.enumerate_meta_set():
+        rows = [random_point(domain, rng, [xm]) for _ in range(3)]
+        cat_ids = domain.acting_index_set(xm, "categorical")
+        std_ids = domain.acting_index_set(xm, "standard")
+        categorical = np.array([[p.categorical[v] for v in cat_ids] for p in rows])
+        standard = np.array([[p.standard[v] for v in std_ids] for p in rows], dtype=float)
+        cross = CrossFactors(model, xm, categorical, standard)
+        under = [i for i, p in enumerate(points) if p.meta == xm]
+        assert cross._under.tolist() == under
+        features = SampleFeatures.from_arrays(domain, xm, categorical, standard)
+        pairs = PairTensors(domain, model._features, features)
+        nonmeta = [slot for slot in pairs.slots if slot[3] is not None]
+        assert cross.factors.shape == (len(nonmeta), len(rows), len(under))
+        kappa = cross.kappa(cross.factors).kappa
+        assert np.array_equal(kappa, model.cross_covariance(features))
+        others = np.setdiff1d(np.arange(len(points)), under)
+        assert np.array_equal(kappa[others], np.repeat(cross._meta[others, None], 3, axis=1))
+    # The adam-only model has no training sample under either ASGD meta.
+    assert len({p.meta for p in points}) == (2 if case == "adam-only" else 4)
+
+
 BARE = {
     "name": "bare",
     "variables": [
@@ -719,9 +751,9 @@ def test_bo_ends_when_no_model_factorizes(toy_problem, monkeypatch):
 # per (problem, solver seed).
 BO_RUN_SHA256 = {
     ("mlp", 0): ("106161aeddeb9d8bc8628b03030196974989f14ab0e19b6f6cf98309fd4fecfe",
-                 "3f47d66ed7364695b912cd73350b90e6ea0c4db752429bbd90dea08f45504a87"),
+                 "944958abd7ddfe6a1df6056d4d8e789ac1a6c7c9ad8db11aaaed001c378a890b"),
     ("toy", 1): ("da20513d57759da8bd87fac9ef254dfa4dab640331a092f0d08603e44b4922ac",
-                 "8fae0168e278528e04fe584fccf43c02c2054a14f7b0c90753ed9b32fa340b0d"),
+                 "f11097834a59aab243e3114a1601f9a78c68280e461a6b1d4ab0d9d669fe224c"),
 }
 
 
@@ -752,9 +784,9 @@ def test_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem, name, 
 # (budget 40), per (problem, solver seed).
 ENCODED_BO_RUN_SHA256 = {
     ("mlp", 1): ("8ef6f313d284a1512fe90ed04fa1d4ae1ecd6cb46b340ea920054033e7ac9956",
-                 "1a36ed4b2a0aff2673eb49ecb23533533871a2f50c421bf61e5b0fb0e752d185"),
+                 "1457b1d955e4622255f0069f385397da4c03514c0cc45d02432d9d2b0d3a1236"),
     ("toy", 0): ("ab46960276374764a503031c781dffd8060744b8e053a0c8b944405ad668b64a",
-                 "06b1b8325798a59cebfaa631ee08ce5201fa6f9891c19ef6c251199110cc458a"),
+                 "2211debf01d4867fc5676ff68971f89982a02f9a9512a59e2caf8b895e66fa5f"),
 }
 
 

@@ -471,6 +471,45 @@ def test_malformed_in_process_output_is_an_evaluation_error(toy_problem, output)
     assert evaluator.budget.used == 1
 
 
+@pytest.mark.parametrize("output", [(True, {}), ("1.5", {}), (1.0, {"branch_cap": False}),
+                                    (1.0, {"branch_cap": "-1"}), (None, {})])
+def test_outputs_that_are_not_numbers_are_malformed(toy_problem, output):
+    # float() once read True as 1.0, "1.5" as 1.5 and False as 0.0.
+    evaluator = mb.Evaluator(dataclasses.replace(toy_problem, objective=lambda point: output), 5)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
+    for cached in (False, True):
+        with pytest.raises(mb.EvaluationError, match="^blackbox output malformed: .*must be "
+                                                     "a number") as err:
+            evaluator.evaluate(point)
+        assert err.value.record is evaluator.history[-1]
+        assert err.value.record.cached == cached
+    assert evaluator.budget.used == 1
+
+
+def test_numpy_reals_are_numbers(toy_problem):
+    import numpy as np
+    output = (np.float32(1.5), {"branch_cap": np.int64(-2)})
+    evaluator = mb.Evaluator(dataclasses.replace(toy_problem, objective=lambda point: output), 5)
+    record = evaluator.evaluate(
+        toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {}))
+    assert (record.objective, record.constraints["branch_cap"]) == (1.5, -2.0)
+    assert type(record.objective) is float and record.feasible
+
+
+@pytest.mark.parametrize("output", ['{"objective": true}', '{"objective": "1.5"}',
+                                    '{"objective": 1, "constraints": {"branch_cap": false}}'])
+def test_subprocess_output_that_is_not_a_number_is_malformed(tmp_path, toy_problem, output):
+    script = quadratic_child(tmp_path, f"print({output!r})\n")
+    evaluator = mb.Evaluator(subprocess_problem(toy_problem, script), 5)
+    point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "B"}), {})
+    for cached in (False, True):
+        with pytest.raises(mb.EvaluationError, match="^blackbox output malformed: .*must be "
+                                                     "a number"):
+            evaluator.evaluate(point)
+        assert evaluator.history[-1].cached == cached
+    assert evaluator.budget.used == 1
+
+
 @pytest.mark.parametrize("solver", ["direct", "bo"])
 def test_solvers_survive_malformed_in_process_output(toy_problem, solver):
     # Under m = B the blackbox returns None for its constraint values, which

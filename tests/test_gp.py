@@ -365,10 +365,27 @@ def test_variance_clamp_never_hides_large_negatives(mlp_problem):
     config = mb.fit_hyperparameters(mlp_problem.domain, points, values, seed=1)
     model = mb.GPModel(mlp_problem.domain, points, values, config)
     kappa = model.cross_covariance(points)
-    from scipy.linalg import cho_solve
-    solved = cho_solve((model._factor, True), kappa)
-    raw = config.signal_variance - np.sum(kappa * solved, axis=0)
+    # The raw variance as predict_batch takes it: s^2 - |L^-1 kappa|^2.
+    solved = linalg.solve_triangular(model._factor, kappa, lower=True)
+    raw = config.signal_variance - np.sum(solved * solved, axis=0)
     assert raw.min() >= -1e-8 * config.signal_variance
+
+
+@pytest.mark.parametrize("name, count, seed", [("mlp", 30, 0), ("mlp", 50, 1), ("toy", 24, 2)])
+def test_one_solve_variance_matches_the_two_solve_formula(name, count, seed):
+    # s^2 - |L^-1 kappa|^2 against s^2 - kappa^T K^-1 kappa, at the training
+    # samples (variance near 0) and at fresh points.
+    problem = parse_bundled(name).problem
+    model, records = surrogate_case(problem, count, seed)
+    rng = np.random.default_rng(seed)
+    batch = [r.point for r in records] + [random_point(problem.domain, rng)
+                                          for _ in range(40)]
+    kappa = model.cross_covariance(batch)
+    two_solve = model.config.signal_variance - np.sum(
+        kappa * linalg.cho_solve((model._factor, True), kappa), axis=0)
+    _, variance = model.predict_batch(batch)
+    assert np.abs(variance - np.maximum(two_solve, 0.0)).max() <= (
+        1e-10 * model.config.signal_variance)
 
 
 def test_prediction_is_batch_invariant(mlp_problem):
@@ -706,6 +723,31 @@ def test_dead_fit_start_costs_one_factorization(monkeypatch):
     calls.clear()
     mb.fit_hyperparameters(domain, points, values, seed=0)
     assert len(calls) == len(drawn) + sum(trials) + 1
+
+
+# The fit of fit_samples("toy", 16, 2) before trials a start had already
+# evaluated were skipped: it took 291 factorizations.
+TOY_FIT = {
+    "continuous_weights": {}, "integer_weights": {"k": 0.5335875850040741},
+    "categorical_weights": {},
+    "nominal_correlations": {"pA": 0.9400000000000001, "pB": 0.9178083030479626},
+    "ordinal_lengthscales": {"s": 0.6716092257666484},
+    "meta_correlations": {"m": 0.3149651346092206}, "meta_weights": {},
+    "signal_variance": 476.13921658535037}
+
+
+def test_fit_skips_trials_its_start_already_evaluated(monkeypatch):
+    # A start's value only rises, so a parameter vector it has evaluated
+    # (its own, or an earlier trial's) is never accepted again: skipping it
+    # saves factorizations and leaves the fitted config as it was.
+    from metabox import gp
+    domain, points, values = fit_samples("toy", 16, 2)
+    calls, cholesky = [], gp._cholesky
+    monkeypatch.setattr(gp, "_cholesky",
+                        lambda *args, **kwargs: calls.append(None) or cholesky(*args, **kwargs))
+    got = mb.fit_hyperparameters(domain, points, values, seed=2)
+    assert got.to_dict() == TOY_FIT
+    assert len(calls) == 248
 
 
 def test_all_dead_fit_starts_are_searched():
