@@ -7,9 +7,8 @@ neighborhoods and Bayesian optimization with a mixed-kernel Gaussian process.
 
 The modules that parse, validate and evaluate use only the standard library
 and are imported with the package.  The solvers' names (and their modules
-``direct_search``, ``encoders``, ``bayesian`` and ``gp``) are imported on
-first use: ``direct_search`` and ``encoders`` load numpy, ``bayesian`` and
-``gp`` load numpy and scipy.
+``direct_search``, ``bayesian`` and ``gp``) are imported on first use:
+``direct_search`` loads numpy, ``bayesian`` and ``gp`` load numpy and scipy.
 """
 
 from importlib import import_module as _import_module
@@ -26,7 +25,7 @@ from .errors import (BudgetExhaustedError, ConfigurationError, DecreeViolationEr
                      DomainError, EvaluationError, FactorizationError, FittingError,
                      IncompleteConstraintValuesError, InvalidMetaError,
                      KernelDomainError, MetaboxError, NotEnumerableError,
-                     ProblemFileError, ScopeError, ShapeError)
+                     ProblemFileError, ScopeError)
 from .neighborhoods import (Combined, IncrementMetaInteger, IncrementOrdinal,
                             NeighborhoodMapping, SwapCategorical, categorical_neighbors,
                             default_meta_mapping, meta_neighbors, realize_neighbor)
@@ -41,7 +40,6 @@ _LAZY = {name: module for module, names in {
                  "latin_hypercube", "maximize_acquisition", "run_bo"),
     "direct_search": ("DirectSearchResult", "MeshState", "SearchConfig",
                       "global_search_step", "run_direct_search", "solve_standard_subproblem"),
-    "encoders": ("Encoder",),
     "gp": ("GPModel", "KernelConfig", "default_kernel_config", "fit_hyperparameters",
            "log_marginal_likelihood"),
 }.items() for name in (module, *names)}

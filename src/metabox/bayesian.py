@@ -56,7 +56,6 @@ from .blackbox import EvaluationRecord, Evaluator, Problem, barrier_value
 from .direct_search import MeshState
 from .domain import (Domain, IntegerScope, MetaComponent, Point, check_counts, denormalize,
                      enumerate_domain_points)
-from .encoders import Encoder
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
 from .gp import (CrossCovariance, CrossFactors, GPModel, KernelConfig, SampleFeatures,
@@ -92,8 +91,6 @@ class BOConfig:
     budget: int = 100
     seed: int = 0
     max_iterations: int = 100000
-    categorical_mode: str = "matrix"   # kernel mode: "matrix" | "encoded"
-    encoder_kind: str = "identity"     # categorical encoding, read in "encoded" mode only
     acq_starts: int = 5
     acq_budget: int = 48               # acquisition evaluations per inner search
     categorical_cap: int = 256         # full enumeration of X^q(xm) up to this size
@@ -108,18 +105,10 @@ class BOConfig:
         check_counts({name: getattr(self, name) for name in (
             *positive, "seed", "enumeration_cap", "refit_full_until", "refit_every",
             "fit_sweeps")}, positive)
-        if self.categorical_mode not in ("matrix", "encoded"):
-            raise ConfigurationError('categorical_mode must be "matrix" or "encoded", '
-                                     f"got {self.categorical_mode!r}")
 
-    def kernel_setup(self, domain: Domain):
-        """The encoder the kernel's features are built with (None in matrix
-        mode) and the base kernel config: the defaults, with ``kernel``'s
-        overrides.  The encoder kind is checked in either mode."""
-        encoder = Encoder(domain, self.encoder_kind)
-        if self.categorical_mode == "matrix":
-            encoder = None
-        return encoder, default_kernel_config(domain, encoder=encoder, overrides=self.kernel)
+    def kernel_setup(self, domain: Domain) -> KernelConfig:
+        """The base kernel config: the defaults, with ``kernel``'s overrides."""
+        return default_kernel_config(domain, overrides=self.kernel)
 
 
 @dataclass
@@ -219,7 +208,7 @@ class _Candidates:
                                        for c in self.system.acting_constraints(xm)
                                        if c.id in self.constraint_views]
         points = kappa if kappa is not None else SampleFeatures.from_arrays(
-            self.model.domain, xm, categorical, standard, self.model.encoder)
+            self.model.domain, xm, categorical, standard)
         mean, variance, view_means = self.model.predict_batch(points, views)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
         order = np.empty((len(ei), 4), dtype=int)
@@ -484,7 +473,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         raise ConfigurationError("Bayesian optimization needs an enumerable meta set") from exc
     evaluator = Evaluator(problem, cfg.budget)
     rng = np.random.default_rng(cfg.seed)
-    encoder, base_config = cfg.kernel_setup(domain)
+    base_config = cfg.kernel_setup(domain)
 
     stop_reason = "budget"
     try:
@@ -511,19 +500,19 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         if (config is not None and len(train) > cfg.refit_full_until
                 and len(train) - samples_at_refit < cfg.refit_every):
             try:
-                model = GPModel(domain, train_points, train_values, config, encoder)
+                model = GPModel(domain, train_points, train_values, config)
             except FactorizationError:
                 pass  # fitted on fewer samples, it need not factorize on these
         if model is None:
             try:
                 config = fit_hyperparameters(
-                    domain, train_points, train_values, seed=cfg.seed, encoder=encoder,
+                    domain, train_points, train_values, seed=cfg.seed,
                     sweeps=cfg.fit_sweeps, base=base_config)
             except FittingError:
                 config = base_config
             samples_at_refit = len(train)
             try:
-                model = GPModel(domain, train_points, train_values, config, encoder)
+                model = GPModel(domain, train_points, train_values, config)
             except FactorizationError:
                 stop_reason = "factorization"
                 break

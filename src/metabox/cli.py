@@ -13,8 +13,7 @@ import argparse
 import sys
 
 from .blackbox import write_history
-from .errors import (ConfigurationError, KernelDomainError, MetaboxError, ProblemFileError,
-                     ShapeError)
+from .errors import ConfigurationError, KernelDomainError, MetaboxError, ProblemFileError
 from .neighborhoods import default_meta_mapping
 from .problem_file import parse_problem_file, read_json
 
@@ -79,7 +78,7 @@ def _load_config(path, section, cls, check=None, **overrides):
         cfg = cls(**options)
         if check is not None:
             check(cfg)
-    except (ConfigurationError, KernelDomainError, ShapeError) as exc:
+    except (ConfigurationError, KernelDomainError) as exc:
         raise ProblemFileError("syntax", section, str(exc)) from exc
     return cfg
 

@@ -413,8 +413,9 @@ class Point:
     ``categorical`` maps variable ids to 1-based category indices; labels
     exist only at I/O boundaries.  ``standard`` maps ids to numbers.  Points
     are value objects, immutable by contract: :meth:`moved` shares maps with
-    its center, and a point moved from a checked member is re-checked only
-    at its moved value (:meth:`Domain.membership_issues`).
+    its center, a checked member is not checked again, and a point moved
+    from one is re-checked only at its moved value
+    (:meth:`Domain.membership_issues`).
     """
 
     __slots__ = ("meta", "categorical", "standard", "_key", "_witness")
@@ -640,10 +641,12 @@ class Domain:
             return [MembershipIssue("invalid-meta", "meta", str(exc))]
         categorical, standard = point.categorical, point.standard
         passed, moved_id = point._witness
-        # A member holds exactly the acting ids, each inside its scope; a point
-        # moved from a member that passed this layout differs only at moved_id.
-        if ((passed is layout and moved_id is not None
-             and self._by_id[moved_id].scope.contains_value(standard[moved_id]))
+        # A member holds exactly the acting ids, each inside its scope.  A point
+        # that passed this layout is still a member (points are immutable), and
+        # one moved from such a point differs only at moved_id.
+        if ((passed is layout and (
+                moved_id is None
+                or self._by_id[moved_id].scope.contains_value(standard[moved_id])))
                 or (categorical.keys() == layout.categorical_ids
                     and standard.keys() == layout.standard_ids
                     and all(scope.contains_index(categorical[vid])

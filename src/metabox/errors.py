@@ -49,11 +49,7 @@ class EvaluationError(MetaboxError):
 
 class KernelDomainError(MetaboxError):
     """Kernel inputs have mismatched dimensions, or a kernel config lacks an
-    entry its domain and categorical mode need or holds one they lack."""
-
-
-class ShapeError(MetaboxError):
-    """An encoded vector has the wrong length for its meta component."""
+    entry its domain needs or holds one it lacks."""
 
 
 class FactorizationError(MetaboxError):

@@ -42,7 +42,6 @@ LENGTHSCALE_BOUNDS = (1e-2, 1e2)
 _SLOT_TABLES = {
     "continuous_weights": ("log", WEIGHT_BOUNDS, 1.0),
     "integer_weights": ("log", WEIGHT_BOUNDS, 1.0),
-    "categorical_weights": ("log", WEIGHT_BOUNDS, 1.0),
     "meta_weights": ("log", WEIGHT_BOUNDS, 2.0),
     "ordinal_lengthscales": ("log", LENGTHSCALE_BOUNDS, 1.0),
     "nominal_correlations": ("raw", CORRELATION_BOUNDS, 0.5),
@@ -60,28 +59,18 @@ _MATRIX_TABLES = {
 }
 
 
-def _table(spec, encoded: bool) -> str:
-    """The config table of ``spec``'s factor on features built with an encoder or not."""
-    if encoded and spec.type in GROUPS["categorical"]:
-        return "categorical_weights"  # a weight on the encoding
-    return _MATRIX_TABLES[spec.type]
-
-
 @dataclass
 class KernelConfig:
     """Hyperparameters of the mixed kernel.
 
     Weights are positive squared-exponential coefficients keyed by variable
-    id.  On features built without an encoder (matrix mode) each nominal
-    variable carries a compound-symmetry off-diagonal correlation in [0, 1)
-    and each ordinal variable a positive lengthscale on its level index.
-    With an encoder (encoded mode) each categorical variable carries one
-    weight applied to all of its encoded dimensions.
+    id.  Each nominal variable carries a compound-symmetry off-diagonal
+    correlation in [0, 1) and each ordinal variable a positive lengthscale
+    on its level index.
     """
 
     continuous_weights: dict = field(default_factory=dict)
     integer_weights: dict = field(default_factory=dict)
-    categorical_weights: dict = field(default_factory=dict)
     nominal_correlations: dict = field(default_factory=dict)
     ordinal_lengthscales: dict = field(default_factory=dict)
     meta_correlations: dict = field(default_factory=dict)
@@ -109,14 +98,13 @@ class KernelConfig:
         return asdict(self)
 
 
-def default_kernel_config(domain: Domain, *, encoder=None, overrides=None) -> KernelConfig:
-    """The default config of the kernel on ``domain``'s features built with
-    ``encoder`` (None: matrix mode), with the entries of ``overrides``, a
-    partial serialized config, in place of the defaults.  An override table
-    or variable id that the default config lacks is rejected."""
+def default_kernel_config(domain: Domain, *, overrides=None) -> KernelConfig:
+    """The default config of the kernel on ``domain``, with the entries of
+    ``overrides``, a partial serialized config, in place of the defaults.  An
+    override table or variable id that the default config lacks is rejected."""
     tables = {table: {} for table in _SLOT_TABLES}
     for v in domain.variables:
-        table = _table(v, encoder is not None)
+        table = _MATRIX_TABLES[v.type]
         tables[table][v.id] = _SLOT_TABLES[table][2]
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
@@ -145,11 +133,10 @@ class SampleFeatures:
     each non-meta id to whether the variable acts in each sample, and
     ``values`` to the samples' values, 0 where it does not act: a
     range-normalized column for a standard variable, and for a categorical
-    one its category indices, or the rows of their encodings when the set
-    is built with an encoder (``encoded``).
+    one its category indices.
     """
 
-    def __init__(self, domain: Domain, points, encoder=None):
+    def __init__(self, domain: Domain, points):
         columns = {}
         for v in domain.variables:
             if v.type.is_meta:
@@ -161,11 +148,11 @@ class SampleFeatures:
             columns[v.id] = (acting, raw)
         metas = {}
         which = np.array([metas.setdefault(p.meta, len(metas)) for p in points], dtype=int)
-        self._fill(domain, list(metas), which, columns, encoder)
+        self._fill(domain, list(metas), which, columns)
 
     @classmethod
-    def from_arrays(cls, domain: Domain, xm: MetaComponent, categorical, standard,
-                    encoder=None) -> "SampleFeatures":
+    def from_arrays(cls, domain: Domain, xm: MetaComponent, categorical,
+                    standard) -> "SampleFeatures":
         """Features of points sharing the meta component ``xm``.
 
         ``categorical`` holds (n, q) category indices and ``standard`` (n, d)
@@ -180,16 +167,15 @@ class SampleFeatures:
         acting = np.ones(n, dtype=bool)
         columns = {vid: (acting, raw) for vid, raw in zip(ids, [*categorical.T, *standard.T])}
         features = cls.__new__(cls)
-        features._fill(domain, [xm], np.zeros(n, dtype=int), columns, encoder)
+        features._fill(domain, [xm], np.zeros(n, dtype=int), columns)
         return features
 
-    def _fill(self, domain: Domain, metas, which, columns, encoder):
+    def _fill(self, domain: Domain, metas, which, columns):
         """Normalize per-variable (acting mask, raw value) columns into
         features; a variable without a column acts in no sample."""
         self.n = len(which)
         self.metas = [tuple(sorted(m.items())) for m in metas]
         self.which_meta = which
-        self.encoded = encoder is not None
         self.meta = {}
         for mid in domain.meta_ids:
             spec = domain.spec(mid)
@@ -212,15 +198,7 @@ class SampleFeatures:
                     spec.type == VariableType.INTEGER, spec.scope.lo, spec.scope.width, raw),
                     0.0)
                 continue
-            index = np.where(acting, raw, 0).astype(int)
-            if encoder is None:
-                self.values[vid] = index
-            else:
-                # Row 0 encodes nonacting samples as zeros.
-                table = np.array([np.zeros(encoder.width(vid))]
-                                 + [encoder.encode_variable(vid, k)
-                                    for k in range(1, spec.scope.size + 1)])
-                self.values[vid] = table[index]
+            self.values[vid] = np.where(acting, raw, 0).astype(int)
 
 
 def _unit_values(integer: bool, lo, width, raw: np.ndarray) -> np.ndarray:
@@ -240,13 +218,10 @@ def _squared_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pair_tensor(table: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pair tensor of one factor from two sets' values of its variable:
-    whether the categories differ (correlation tables), the squared distance
-    between encodings (one row per sample), or the squared difference."""
+    whether the categories differ (correlation tables), or the squared
+    difference."""
     if _SLOT_TABLES[table][0] == "raw":
         return a[:, None] != b[None, :]
-    if table == "categorical_weights":
-        return ((a ** 2).sum(axis=1)[:, None] + (b ** 2).sum(axis=1)[None, :]
-                - 2.0 * a @ b.T)
     return _squared_difference(a[:, None], b[None, :])
 
 
@@ -265,14 +240,12 @@ class PairTensors:
     """
 
     def __init__(self, domain: Domain, fa: SampleFeatures, fb: SampleFeatures):
-        if fa.encoded != fb.encoded:
-            raise KernelDomainError("cannot pair encoded features with plain ones")
         self.shape = (fa.n, fb.n)
         codes = {}
         code_a = np.array([codes.setdefault(k, len(codes)) for k in fa.metas], dtype=int)
         code_b = np.array([codes.setdefault(k, len(codes)) for k in fb.metas], dtype=int)
         self.same_meta = code_a[fa.which_meta][:, None] == code_b[fb.which_meta][None, :]
-        meta = sorted(((_table(domain.spec(mid), fa.encoded), mid) for mid in fa.meta),
+        meta = sorted(((_MATRIX_TABLES[domain.spec(mid).type], mid) for mid in fa.meta),
                       key=lambda slot: slot[0] == "meta_correlations")
         self.slots = [(table, mid, _pair_tensor(table, fa.meta[mid], fb.meta[mid]), None)
                       for table, mid in meta]
@@ -281,7 +254,7 @@ class PairTensors:
         for vid in fa.acting:
             acting_a, acting_b = fa.acting[vid], fb.acting[vid]
             if acting_a.any() and acting_b.any():
-                table = _table(domain.spec(vid), fa.encoded)
+                table = _MATRIX_TABLES[domain.spec(vid).type]
                 mask = self.same_meta & acting_a[:, None] & acting_b[None, :]
                 self.slots.append((table, vid,
                                    _pair_tensor(table, fa.values[vid], fb.values[vid]),
@@ -408,17 +381,15 @@ class GPModel:
     cross-covariance.
     """
 
-    def __init__(self, domain: Domain, points, values, config: KernelConfig,
-                 encoder=None):
+    def __init__(self, domain: Domain, points, values, config: KernelConfig):
         if len(points) != len(values) or not points:
             raise ValueError("need matching, nonempty points and values")
         self.domain = domain
         self.config = config
-        self.encoder = encoder
         self.points = list(points)
         self.values = np.asarray(values, dtype=float)
         _require_finite(self.values)
-        self._features = SampleFeatures(domain, self.points, self.encoder)
+        self._features = SampleFeatures(domain, self.points)
         self._gram = config.signal_variance * correlation_matrix(
             PairTensors(domain, self._features, self._features), config)
         self._factor, self.jitter = _factorize(self._gram, config.signal_variance)
@@ -429,8 +400,8 @@ class GPModel:
 
     def features(self, points) -> SampleFeatures:
         """Extract prediction features once; reusable across models sharing
-        the same domain and encoder."""
-        return SampleFeatures(self.domain, points, self.encoder)
+        the same domain."""
+        return SampleFeatures(self.domain, points)
 
     def cross_covariance(self, points) -> np.ndarray:
         """kappa matrix of shape (n_train, len(points)); a
@@ -550,7 +521,7 @@ class CrossFactors:
 
     def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard):
         domain, config = model.domain, model.config
-        features = SampleFeatures.from_arrays(domain, xm, categorical, standard, model.encoder)
+        features = SampleFeatures.from_arrays(domain, xm, categorical, standard)
         pairs = PairTensors(domain, model._features, features)
         self.signal_variance = config.signal_variance
         under = self._under = np.flatnonzero(pairs.same_meta[:, 0])
@@ -615,10 +586,9 @@ def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
     return float(y @ _cho_solve(factor, y)), 2.0 * np.log(factor.diagonal()).sum()
 
 
-def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig,
-                            encoder=None) -> float:
+def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig) -> float:
     """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter."""
-    features = SampleFeatures(domain, points, encoder)
+    features = SampleFeatures(domain, points)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     gram = config.signal_variance * correlation_matrix(pairs, config)
@@ -687,7 +657,7 @@ class _FactorGroup:
         np.copyto(self.product, self.kept_product)
 
 
-def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encoder=None,
+def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
                         starts: int = 8, sweeps: int = 8,
                         base: KernelConfig | None = None) -> KernelConfig:
     """Maximize the log marginal likelihood by multi-start coordinate search.
@@ -696,7 +666,7 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
     correlations move in raw space within [0, 0.99].  The base config (the
     default one unless overridden) is always one of the starts, so the result
     never has lower likelihood than it; it holds only entries of the default
-    config for ``encoder``.  Deterministic for a fixed seed.  ``starts`` must
+    config.  Deterministic for a fixed seed.  ``starts`` must
     be an integer of at least 1 and ``sweeps`` one of at least 0.
 
     All starts are drawn first: the base config, then ``starts - 1`` random
@@ -729,10 +699,9 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
     rng = np.random.default_rng(seed)
-    base = default_kernel_config(domain, encoder=encoder,
-                                 overrides=None if base is None else base.to_dict())
+    base = default_kernel_config(domain, overrides=None if base is None else base.to_dict())
     slots = _config_slots(base)
-    features = SampleFeatures(domain, points, encoder)
+    features = SampleFeatures(domain, points)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
@@ -786,7 +755,7 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0, encode
         return likelihood()
 
     def build(params):
-        config = default_kernel_config(domain, encoder=encoder)
+        config = default_kernel_config(domain)
         for (table, key, _, _), value in zip(slots, params):
             getattr(config, table)[key] = value
         return config

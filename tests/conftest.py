@@ -75,8 +75,7 @@ def toy_brute_force(toy_problem):
 
 class ScalarKernel:
     """Covariance of one pair of points, or of one component of a pair,
-    under a domain, a config and the encoder of its features (None in
-    matrix mode).
+    under a domain and a config.
 
     Every value is :func:`metabox.gp.correlation_matrix` on a 1 x 1 pair, so
     the kernel formulas live only there.  A component method pairs points
@@ -84,15 +83,14 @@ class ScalarKernel:
     every other factor is exactly 1.
     """
 
-    def __init__(self, domain, config, encoder=None):
+    def __init__(self, domain, config):
         self.domain = domain
         self.config = config
-        self.encoder = encoder
 
     def _correlation(self, x, y):
         gp = mb.gp
-        fa = gp.SampleFeatures(self.domain, [x], self.encoder)
-        fb = gp.SampleFeatures(self.domain, [y], self.encoder)
+        fa = gp.SampleFeatures(self.domain, [x])
+        fb = gp.SampleFeatures(self.domain, [y])
         return float(gp.correlation_matrix(gp.PairTensors(self.domain, fa, fb),
                                            self.config)[0, 0])
 
@@ -120,8 +118,7 @@ class ScalarKernel:
         return self._component("standard", xm, xs, ys)
 
     def k_categorical(self, xq, yq, xm):
-        """Compound-symmetry and ordinal-index factors (matrix mode), or a
-        squared-exponential kernel on the encodings (encoded mode)."""
+        """Compound-symmetry and ordinal-index factors."""
         return self._component("categorical", xm, xq, yq)
 
     def k_mixed(self, x, y):

@@ -18,47 +18,6 @@ from conftest import charged_failures, nan_objective_at_k2, parse_bundled, rando
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
 
-# -- encoders ---------------------------------------------------------------------
-
-def test_one_hot_encodes_nominal_as_basis_vector(mlp_domain):
-    encoder = mb.Encoder(mlp_domain, "one-hot")
-    assert np.array_equal(encoder.encode({"a": 1}, ADAM2), [1.0, 0.0])
-    assert np.array_equal(encoder.encode({"a": 2}, ADAM2), [0.0, 1.0])
-
-
-def test_identity_encoder_passes_indices_through(mlp_domain):
-    encoder = mb.Encoder(mlp_domain, "identity")
-    assert np.array_equal(encoder.encode({"a": 2}, ADAM2), [2.0])
-
-
-def test_ordinal_index_encoder_on_three_level_scope(toy_problem):
-    encoder = mb.Encoder(toy_problem.domain, "ordinal-index")
-    xm = mb.MetaComponent({"m": "A"})
-    encoded = encoder.encode({"pA": 1, "s": 3}, xm)
-    assert np.array_equal(encoded, [1.0, 3.0])
-
-
-def test_encode_rejects_nonacting_variables(toy_problem):
-    encoder = mb.Encoder(toy_problem.domain, "identity")
-    with pytest.raises(mb.DecreeViolationError):
-        encoder.encode({"pA": 1, "pB": 1, "s": 1}, mb.MetaComponent({"m": "A"}))
-
-
-def test_encode_is_one_to_one_exhaustive(mlp_domain, toy_problem):
-    cases = [(mlp_domain, mlp_domain.enumerate_meta_set()),
-             (toy_problem.domain, toy_problem.domain.enumerate_meta_set())]
-    for kind in ("identity", "one-hot", "ordinal-index"):
-        for domain, metas in cases:
-            encoder = mb.Encoder(domain, kind)
-            for xm in metas:
-                ids = domain.acting_index_set(xm, "categorical")
-                combos = list(itertools.product(
-                    *[range(1, domain.spec(v).scope.size + 1) for v in ids]))
-                encoded = {tuple(encoder.encode(dict(zip(ids, combo)), xm))
-                           for combo in combos}
-                assert len(encoded) == len(combos)
-
-
 # -- expected improvement -------------------------------------------------------------
 
 def test_ei_at_incumbent_mean_unit_sigma():
@@ -106,9 +65,9 @@ def test_ei_monotone_in_sigma():
 
 # -- acquisition maximization -----------------------------------------------------------
 
-def bo_pieces(problem, points, values, encoder=None):
-    config = mb.default_kernel_config(problem.domain, encoder=encoder)
-    return mb.GPModel(problem.domain, points, values, config, encoder)
+def bo_pieces(problem, points, values):
+    config = mb.default_kernel_config(problem.domain)
+    return mb.GPModel(problem.domain, points, values, config)
 
 
 def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
@@ -278,9 +237,8 @@ def acquisition_case(problem, samples, seed):
     records = [r for r in evaluator.history if not r.cached]
     points = [r.point for r in records]
     values = [r.objective for r in records]
-    encoder = None  # matrix mode
-    config = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
-    model = mb.GPModel(domain, points, values, config, encoder)
+    config = mb.fit_hyperparameters(domain, points, values, seed=seed)
+    model = mb.GPModel(domain, points, values, config)
     views, standalone = {}, {}
     for spec in problem.constraints.constraints:
         rows = [i for i, r in enumerate(records) if spec.id in r.constraints]
@@ -288,7 +246,7 @@ def acquisition_case(problem, samples, seed):
             vals = [records[i].constraints[spec.id] for i in rows]
             views[spec.id] = model.row_view(rows, vals)
             standalone[spec.id] = mb.GPModel(domain, [points[i] for i in rows], vals,
-                                             config, encoder)
+                                             config)
     return model, views, standalone, points, min(values)
 
 
@@ -365,22 +323,17 @@ def adam_only_case(problem, samples, seed):
     metas = [xm for xm in domain.enumerate_meta_set() if xm["o"] == "Adam"]
     points = [random_point(domain, rng, metas) for _ in range(samples)]
     values = [problem.objective(p)[0] for p in points]
-    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain),
-                       encoder=None)
+    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain))
     return model, points, min(values)
 
 
-@pytest.mark.parametrize("case", ["matrix", "encoded", "adam-only"])
+@pytest.mark.parametrize("case", ["matrix", "adam-only"])
 def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, case):
     domain = mlp_problem.domain
     if case == "adam-only":
         model, points, f_star = adam_only_case(mlp_problem, 12, 5)
     else:
         model, _, _, points, f_star = acquisition_case(mlp_problem, 20, 3)
-        if case == "encoded":
-            encoder = mb.Encoder(domain, "one-hot")
-            model = mb.GPModel(domain, points, model.values,
-                               mb.default_kernel_config(domain, encoder=encoder), encoder)
     scored = []
     score = _Candidates.score
 
@@ -397,7 +350,7 @@ def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, ca
     for xm, categorical, standard, kappa in scored:
         assert kappa.kappa.flags.c_contiguous
         fresh = model.cross_covariance(SampleFeatures.from_arrays(
-            domain, xm, categorical, standard, model.encoder))
+            domain, xm, categorical, standard))
         assert np.array_equal(kappa.kappa, fresh)
     assert {xm["o"] for xm, _, _, _ in scored} == {"Adam", "ASGD"}
     # Integer columns (u1..u3) and continuous ones were both polled.
@@ -615,13 +568,6 @@ def test_bo_surrogate_feasibility_flags_recorded(toy_problem):
                for row in result.acquisition_log)
 
 
-def test_bo_encoded_mode_end_to_end(toy_problem, toy_brute_force):
-    cfg = mb.BOConfig(budget=70, seed=0, categorical_mode="encoded",
-                      encoder_kind="one-hot")
-    result = mb.run_bo(toy_problem, cfg, progress=False)
-    assert result.best.objective == toy_brute_force[0]
-
-
 def test_bo_kernel_overrides_from_run_config(toy_problem):
     cfg = mb.BOConfig(budget=12, seed=0,
                       kernel={"meta_correlations": {"m": 0.25},
@@ -669,8 +615,7 @@ BO_COUNTS = POSITIVE_BO_COUNTS + ["enumeration_cap", "refit_full_until", "refit_
 @pytest.mark.parametrize("value, field", [
     *itertools.product([0, -1], POSITIVE_BO_COUNTS),
     *itertools.product([-1], BO_COUNTS[len(POSITIVE_BO_COUNTS):]),
-    *itertools.product([2.5, True], BO_COUNTS),
-    ("x", "categorical_mode")])
+    *itertools.product([2.5, True], BO_COUNTS)])
 def test_bo_config_rejects_values_that_would_end_the_run(field, value):
     # acq_starts=0 once ended BO on mlp after its initial design, stop reason
     # "exhausted", though the domain is continuous.  A fractional count once
@@ -725,14 +670,31 @@ def test_every_model_trains_on_the_fresh_successful_records(monkeypatch, toy_pro
         assert got == want
 
 
-def test_bo_refits_a_kernel_config_that_stops_factorizing(mlp_problem):
-    # Past refit_full_until the config is reused; the one fitted at 55
-    # samples does not factorize at 59, so the run refits instead of raising.
-    cfg = mb.BOConfig(budget=60, seed=1, categorical_mode="encoded",
-                      encoder_kind="one-hot")
+def test_bo_refits_a_kernel_config_that_stops_factorizing(monkeypatch, mlp_problem):
+    # Past refit_full_until the config is reused between refits.  When a
+    # reused config does not factorize on the current samples, the run
+    # refits at that sample count instead of raising or stopping.
+    cfg = mb.BOConfig(budget=60, seed=1)
+    fits, failed = [], []
+    fit, build = bayesian.fit_hyperparameters, bayesian.GPModel
+
+    def recording_fit(domain, points, *args, **kwargs):
+        fits.append(len(points))
+        return fit(domain, points, *args, **kwargs)
+
+    def failing_once_model(domain, points, values, config):
+        reused = bool(fits) and fits[-1] < len(points)
+        if reused and len(points) > cfg.refit_full_until and not failed:
+            failed.append(len(points))
+            raise mb.FactorizationError("kernel matrix stayed indefinite")
+        return build(domain, points, values, config)
+
+    monkeypatch.setattr(bayesian, "fit_hyperparameters", recording_fit)
+    monkeypatch.setattr(bayesian, "GPModel", failing_once_model)
     result = mb.run_bo(mlp_problem, cfg)
+    assert failed and failed[0] in fits
     assert result.stop_reason == "budget"
-    assert result.evaluator.budget.used == 60
+    assert result.evaluator.budget.used == cfg.budget
     assert math.isfinite(result.best.objective)
 
 
@@ -778,22 +740,3 @@ def test_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem, name, 
     problem = mlp_problem if name == "mlp" else toy_problem
     assert (bo_run_digests(tmp_path, problem, mb.BOConfig(budget=60, seed=seed))
             == BO_RUN_SHA256[name, seed])
-
-
-# The same digests of run_bo in encoded mode with the one-hot encoder
-# (budget 40), per (problem, solver seed).
-ENCODED_BO_RUN_SHA256 = {
-    ("mlp", 1): ("8ef6f313d284a1512fe90ed04fa1d4ae1ecd6cb46b340ea920054033e7ac9956",
-                 "1457b1d955e4622255f0069f385397da4c03514c0cc45d02432d9d2b0d3a1236"),
-    ("toy", 0): ("ab46960276374764a503031c781dffd8060744b8e053a0c8b944405ad668b64a",
-                 "2211debf01d4867fc5676ff68971f89982a02f9a9512a59e2caf8b895e66fa5f"),
-}
-
-
-@pytest.mark.parametrize("name, seed", sorted(ENCODED_BO_RUN_SHA256))
-def test_encoded_bo_run_matches_golden_digest(tmp_path, mlp_problem, toy_problem,
-                                              name, seed):
-    problem = mlp_problem if name == "mlp" else toy_problem
-    cfg = mb.BOConfig(budget=40, seed=seed, categorical_mode="encoded",
-                      encoder_kind="one-hot")
-    assert bo_run_digests(tmp_path, problem, cfg) == ENCODED_BO_RUN_SHA256[name, seed]

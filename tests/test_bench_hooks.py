@@ -19,7 +19,7 @@ def spans(monkeypatch):
     """The bench's span module, with every solver module already imported:
     the package imports them on first use, and ``instrument`` would import
     them after a test's ``before`` snapshot."""
-    import metabox.bayesian, metabox.direct_search, metabox.encoders, metabox.gp  # noqa: F401
+    import metabox.bayesian, metabox.direct_search, metabox.gp  # noqa: F401
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
     return spans

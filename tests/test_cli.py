@@ -203,6 +203,11 @@ def rule_without_id(document):
     del document["neighborhoods"]["meta"][0]["id"]
 
 
+#: Options and a kernel table of the categorical kernel's removed encoded
+#: mode: a config that still sets one is refused, and the error names it.
+REMOVED_KEYS = ("categorical_mode", "encoder_kind", "categorical_weights")
+
+
 @pytest.mark.parametrize("edit, where", [
     (lambda d: d["variables"][0]["scope"].update(lo="x"), "variables[0].scope.lo"),
     (family_first, "variables[3].first"),
@@ -226,13 +231,16 @@ def rule_without_id(document):
     ({"bo": {"kernel": {"signal_variance": "x"}}}, "bo"),
     ({"bo": {"kernel": {"meta_correlations": {"oo": 0.2}}}}, "bo"),
     ({"bo": {"kernel": {"meta_correlation": {"o": 0.2}}}}, "bo"),
-    ({"bo": {"encoder_kind": "nope"}}, "bo"),
+    ({"bo": {"categorical_mode": "encoded"}}, "bo"),
+    ({"bo": {"encoder_kind": "one-hot"}}, "bo"),
+    ({"bo": {"kernel": {"categorical_weights": {"a": 2.0}}}}, "bo"),
 ], ids=["scope-bound", "family-index", "rule-id", "neighborhoods", "metadata", "open-flag",
         "fractional-index", "command-entry", "fractional-acq-starts", "fractional-fit-sweeps",
         "fractional-categorical-cap", "bool-max-iterations", "string-opportunistic",
         "section-not-object", "file-not-object", "kernel-not-object",
         "kernel-table-not-object", "kernel-string-value", "kernel-string-variance",
-        "kernel-unknown-id", "kernel-unknown-table", "unknown-encoder-kind"])
+        "kernel-unknown-id", "kernel-unknown-table", "categorical-mode", "encoder-kind",
+        "kernel-categorical-weights"])
 def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
     # Each of these once escaped validation as a raw Python exception, was
     # coerced (an open flag read as true, an index truncated, a bool option
@@ -252,7 +260,10 @@ def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
                 "--config", str(config), "--quiet"]
     path.write_text(json.dumps(document))
     assert cli_main(argv) == 2
-    assert f"at {where}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"at {where}:" in err
+    for key in REMOVED_KEYS:
+        assert key in err or key not in str(edit)
 
 
 @pytest.mark.parametrize("edit, where", [

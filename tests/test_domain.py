@@ -200,6 +200,26 @@ def test_a_passed_moved_point_serves_as_the_next_center(mlp_domain):
     assert not mlp_domain.contains(point.moved("u2", 99))
 
 
+def test_a_checked_member_is_not_walked_again(mlp_domain, monkeypatch):
+    # Points are immutable, so a point that passed its layout stays a member:
+    # checking it again reads none of its scopes.
+    calls = []
+    for scope in (mb.IntegerScope, mb.ContinuousScope):
+        monkeypatch.setattr(scope, "contains_value",
+                            lambda self, value, original=scope.contains_value:
+                            calls.append(value) or original(self, value))
+    point = table_point()
+    assert mlp_domain.contains(point)
+    assert calls
+    calls.clear()
+    assert mlp_domain.contains(point)
+    assert not mlp_domain.membership_issues(point)
+    assert calls == []
+    # A point moved from it is checked at the moved value only.
+    assert mlp_domain.contains(point.moved("u1", 250))
+    assert calls == [250]
+
+
 @pytest.mark.parametrize("vid", ["lam", "a", "l", "zz"],
                          ids=["nonacting", "categorical", "meta", "unknown"])
 def test_moving_a_variable_the_point_lacks_raises(vid):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -129,30 +128,6 @@ def test_matrix_mode_ordinal_squared_exponential(small_kernel):
     assert np.isclose(k, math.exp(-2.0))  # (1-3)^2 / (2 * 1^2)
 
 
-def test_encoded_mode_one_hot_distance(small_domain):
-    encoder = mb.Encoder(small_domain, "one-hot")
-    config = mb.default_kernel_config(small_domain, encoder=encoder)
-    kernel = ScalarKernel(small_domain, config, encoder)
-    k = kernel.k_categorical({"n1": 1, "o1": 2}, {"n1": 2, "o1": 2}, G0)
-    assert np.isclose(k, math.exp(-2.0))  # two one-hot lanes flip
-
-
-def test_encoded_mode_requires_encoder(small_domain):
-    # The encoder is the mode: an encoded config on features built without
-    # one lacks their categorical tables' entries.
-    config = mb.default_kernel_config(small_domain, encoder=mb.Encoder(small_domain, "one-hot"))
-    points = [small_domain.complete_point(G0, {"c1": c}) for c in (0.2, 0.7)]
-    values = [0.0, 1.0]
-    kernel = ScalarKernel(small_domain, config)
-    for build in (lambda: kernel.k_mixed(points[0], points[1]),
-                  lambda: mb.GPModel(small_domain, points, values, config),
-                  lambda: log_marginal_likelihood(small_domain, points, values, config)):
-        with pytest.raises(mb.KernelDomainError, match="no nominal_correlations entry for 'n1'"):
-            build()
-    with pytest.raises(mb.KernelDomainError, match="categorical_weights"):
-        mb.fit_hyperparameters(small_domain, points, values, base=config)
-
-
 def test_config_of_another_domain_is_a_kernel_domain_error(mlp_domain, small_domain):
     points = [small_domain.complete_point(G0, {"c1": c}) for c in (0.2, 0.7)]
     with pytest.raises(mb.KernelDomainError, match="no .* entry for"):
@@ -243,7 +218,7 @@ def test_gram_is_psd_after_jitter(mlp_domain):
     assert float(np.linalg.eigvalsh(post).min()) >= 0.0
 
 
-def scalar_kernel(domain, config, encoder, x, y):
+def scalar_kernel(domain, config, x, y):
     """Independent scalar formulas of the mixed kernel, the oracle for the
     vectorized one: meta factors always, categorical and standard factors
     only between points sharing a meta component."""
@@ -272,12 +247,7 @@ def scalar_kernel(domain, config, encoder, x, y):
     value *= squared_exponential([config.integer_weights[v] for v in ids],
                                  [unit(v, round_half_away(x.standard[v])) for v in ids],
                                  [unit(v, round_half_away(y.standard[v])) for v in ids])
-    ids = domain.acting_index_set(xm, "categorical")
-    if encoder is not None:
-        weights = [w for v in ids for w in [config.categorical_weights[v]] * encoder.width(v)]
-        return value * squared_exponential(weights, encoder.encode(x.categorical, xm),
-                                           encoder.encode(y.categorical, xm))
-    for vid in ids:
+    for vid in domain.acting_index_set(xm, "categorical"):
         a, b = x.categorical[vid], y.categorical[vid]
         if domain.spec(vid).type == mb.VariableType.ORDINAL:
             value *= math.exp(-((a - b) ** 2) / (2.0 * config.ordinal_lengthscales[vid] ** 2))
@@ -287,21 +257,19 @@ def scalar_kernel(domain, config, encoder, x, y):
 
 
 def test_vectorized_matches_scalar_kernel(mlp_domain):
-    encoded = mb.Encoder(parse_bundled("mlp").domain, "one-hot")
-    for mode, encoder in (("matrix", None), ("encoded", encoded)):
-        config = mb.default_kernel_config(mlp_domain, encoder=encoder)
-        config.signal_variance = 1.3
-        kernel = ScalarKernel(mlp_domain, config, encoder)
-        rng = np.random.default_rng(11)
-        points = [random_point(mlp_domain, rng) for _ in range(12)]
-        features = SampleFeatures(mlp_domain, points, encoder)
-        gram = config.signal_variance * correlation_matrix(
-            PairTensors(mlp_domain, features, features), config)
-        for i in range(12):
-            for j in range(12):
-                expected = scalar_kernel(mlp_domain, config, encoder, points[i], points[j])
-                assert abs(gram[i, j] - expected) < 1e-12
-                assert abs(kernel.k_mixed(points[i], points[j]) - expected) < 1e-12
+    config = mb.default_kernel_config(mlp_domain)
+    config.signal_variance = 1.3
+    kernel = ScalarKernel(mlp_domain, config)
+    rng = np.random.default_rng(11)
+    points = [random_point(mlp_domain, rng) for _ in range(12)]
+    features = SampleFeatures(mlp_domain, points)
+    gram = config.signal_variance * correlation_matrix(
+        PairTensors(mlp_domain, features, features), config)
+    for i in range(12):
+        for j in range(12):
+            expected = scalar_kernel(mlp_domain, config, points[i], points[j])
+            assert abs(gram[i, j] - expected) < 1e-12
+            assert abs(kernel.k_mixed(points[i], points[j]) - expected) < 1e-12
 
 
 # -- prediction -------------------------------------------------------------------------------
@@ -405,9 +373,7 @@ def test_prediction_is_batch_invariant(mlp_problem):
     assert np.array_equal(part_variance, variance[1::3])
 
 
-@pytest.mark.parametrize("kind", [None, "one-hot"])
-def test_features_from_arrays_match_features_from_points(mlp_domain, kind):
-    encoder = mb.Encoder(mlp_domain, kind) if kind else None
+def test_features_from_arrays_match_features_from_points(mlp_domain):
     rng = np.random.default_rng(13)
     for xm in mlp_domain.enumerate_meta_set():
         cat_ids = mlp_domain.acting_index_set(xm, "categorical")
@@ -415,10 +381,9 @@ def test_features_from_arrays_match_features_from_points(mlp_domain, kind):
         points = [random_point(mlp_domain, rng, [xm]) for _ in range(6)]
         categorical = np.array([[p.categorical[v] for v in cat_ids] for p in points])
         standard = np.array([[p.standard[v] for v in std_ids] for p in points], dtype=float)
-        got = SampleFeatures.from_arrays(mlp_domain, xm, categorical, standard, encoder)
-        want = SampleFeatures(mlp_domain, points, encoder)
+        got = SampleFeatures.from_arrays(mlp_domain, xm, categorical, standard)
+        want = SampleFeatures(mlp_domain, points)
         assert got.n == want.n and got.metas == want.metas
-        assert got.encoded == want.encoded == (encoder is not None)
         assert np.array_equal(got.which_meta, want.which_meta)
         for name in ("meta", "acting", "values"):
             a, b = getattr(got, name), getattr(want, name)
@@ -427,30 +392,15 @@ def test_features_from_arrays_match_features_from_points(mlp_domain, kind):
                 assert np.array_equal(a[key], b[key]), (name, key)
 
 
-def test_matrix_mode_features_hold_no_encodings(mlp_problem):
-    points, values = proxy_samples(mlp_problem, 6)
-    domain = mlp_problem.domain
-    encoder = mb.Encoder(domain, "one-hot")
-    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain), encoder=None)
-    assert model.encoder is None and not model.features(points).encoded
-    encoded = mb.GPModel(domain, points, values,
-                         mb.default_kernel_config(domain, encoder=encoder), encoder)
-    assert encoded.encoder is encoder and encoded.features(points).encoded
-    assert encoded.features(points).values["a"].shape == (6, 2)
-    assert model.features(points).values["a"].shape == (6,)
-
-
-@pytest.mark.parametrize("mode", ["matrix", "encoded"])
-def test_pair_tensors_build_one_tensor_per_factor(mlp_domain, mode):
+def test_pair_tensors_build_one_tensor_per_factor(mlp_domain):
     # One slot per meta variable, meta-numeric first, then one per variable
     # acting in both sets, declaration order, keyed by its config table.
     rng = np.random.default_rng(4)
     points = [random_point(mlp_domain, rng, [ADAM2]) for _ in range(5)]
     others = [random_point(mlp_domain, rng, [ASGD2, ADAM3]) for _ in range(4)]
-    encoder = mb.Encoder(mlp_domain, "one-hot") if mode == "encoded" else None
-    pairs = PairTensors(mlp_domain, SampleFeatures(mlp_domain, points, encoder),
-                        SampleFeatures(mlp_domain, others, encoder))
-    config = mb.default_kernel_config(mlp_domain, encoder=encoder)
+    pairs = PairTensors(mlp_domain, SampleFeatures(mlp_domain, points),
+                        SampleFeatures(mlp_domain, others))
+    config = mb.default_kernel_config(mlp_domain)
     table_of = {key: table for table, entries in config.to_dict().items()
                 if isinstance(entries, dict) for key in entries}
     shared = ({v for p in points for v in [*p.categorical, *p.standard]}
@@ -461,18 +411,6 @@ def test_pair_tensors_build_one_tensor_per_factor(mlp_domain, mode):
     for table, key, tensor, mask in pairs.slots:
         assert tensor.shape == (5, 4)
         assert (mask is None) == mlp_domain.spec(key).type.is_meta
-
-
-def test_encoded_and_plain_features_do_not_mix(mlp_domain):
-    rng = np.random.default_rng(2)
-    points = [random_point(mlp_domain, rng) for _ in range(3)]
-    plain = SampleFeatures(mlp_domain, points)
-    encoded = SampleFeatures(mlp_domain, points, mb.Encoder(mlp_domain, "one-hot"))
-    with pytest.raises(mb.KernelDomainError):
-        PairTensors(mlp_domain, plain, encoded)
-    with pytest.raises(mb.KernelDomainError):
-        correlation_matrix(PairTensors(mlp_domain, plain, plain), mb.default_kernel_config(
-            mlp_domain, encoder=mb.Encoder(mlp_domain, "one-hot")))
 
 
 # -- hyperparameter fitting ----------------------------------------------------------------------
@@ -515,30 +453,27 @@ def reference_starts(base, seed, starts):
     return slots, drawn
 
 
-def start_config(domain, encoder, slots, params):
-    config = mb.default_kernel_config(domain, encoder=encoder)
+def start_config(domain, slots, params):
+    config = mb.default_kernel_config(domain)
     for (table, key, _, _), value in zip(slots, params):
         getattr(config, table)[key] = value
     return config
 
 
-def reference_fit(domain, points, values, seed=0, encoder=None,
-                  starts=8, sweeps=8, base=None):
+def reference_fit(domain, points, values, seed=0, starts=8, sweeps=8, base=None):
     """Reference compass search: rebuilds correlation_matrix on every trial.
 
-    ``base``, a config for ``encoder``, sets the first start (default: the
-    default config).  The search runs from the starts whose own kernel
+    ``base`` sets the first start (default: the default config).  The search runs from the starts whose own kernel
     matrix factorizes, or from all starts when none does.
     """
-    slots, drawn = reference_starts(base or mb.default_kernel_config(domain, encoder=encoder),
-                                    seed, starts)
-    features = SampleFeatures(domain, points, encoder)
+    slots, drawn = reference_starts(base or mb.default_kernel_config(domain), seed, starts)
+    features = SampleFeatures(domain, points)
     pairs = PairTensors(domain, features, features)
     y = np.asarray(values, dtype=float)
     n = len(y)
 
     def build(params):
-        return start_config(domain, encoder, slots, params)
+        return start_config(domain, slots, params)
 
     def profiled(config):
         matrix = correlation_matrix(pairs, config) + JITTER_FRACTION * np.eye(n)
@@ -599,22 +534,6 @@ def no_meta_domain():
     ])
 
 
-@dataclass(frozen=True)
-class EmbeddingEncoder(mb.Encoder):
-    """Every category becomes a fixed real vector of width 4.
-
-    Rounding in PairTensors' |a|^2 + |b|^2 - 2 a.b leaves some diagonal
-    squared distances off 0, so the correlation diagonal is not exactly 1.
-    """
-
-    def width(self, var_id):
-        return 4
-
-    def encode_variable(self, var_id, index):
-        seed = [index] + [ord(c) for c in var_id]
-        return 10.0 * np.random.default_rng(seed).standard_normal(4)
-
-
 def fit_samples(name, count, seed):
     """Domain, points and values of ``count`` distinct random samples.
 
@@ -636,29 +555,15 @@ def fit_samples(name, count, seed):
     return problem.domain, [r.point for r in records], [r.objective for r in records]
 
 
-def fit_encoding(domain, name):
-    """The encoder of a test encoding name: None in matrix mode, and one-hot
-    for "encoded"."""
-    if name == "matrix":
-        return None
-    if name == "embedding":
-        return EmbeddingEncoder(domain)
-    return mb.Encoder(domain, "one-hot" if name == "encoded" else name)
-
-
-@pytest.mark.parametrize("name, count, seed, mode",
-                         [("mlp", 12, 0, "matrix"), ("mlp", 24, 3, "matrix"),
-                          ("toy", 10, 1, "matrix"), ("toy", 16, 2, "encoded"),
-                          ("no-meta", 10, 4, "matrix"), ("no-meta", 12, 5, "ordinal-index"),
-                          ("mlp-adam2", 12, 6, "matrix"), ("toy", 2, 7, "matrix"),
-                          ("mlp", 2, 8, "matrix"), ("mlp", 20, 9, "encoded"),
-                          ("toy", 14, 10, "ordinal-index"), ("toy", 14, 11, "embedding"),
-                          ("mlp", 16, 12, "embedding"), ("toy", 48, 13, "matrix"),
-                          ("mlp", 50, 14, "matrix"), ("mlp", 40, 15, "encoded")])
-def test_cached_factor_fit_matches_reference(name, count, seed, mode, monkeypatch):
+@pytest.mark.parametrize("name, count, seed",
+                         [("mlp", 12, 0), ("mlp", 24, 3), ("toy", 10, 1), ("toy", 16, 2),
+                          ("no-meta", 10, 4), ("no-meta", 12, 5), ("mlp-adam2", 12, 6),
+                          ("toy", 2, 7), ("mlp", 2, 8), ("mlp", 20, 9), ("toy", 14, 10),
+                          ("toy", 14, 11), ("mlp", 16, 12), ("toy", 48, 13), ("mlp", 50, 14),
+                          ("mlp", 40, 15)])
+def test_cached_factor_fit_matches_reference(name, count, seed, monkeypatch):
     from metabox import gp
     domain, points, values = fit_samples(name, count, seed)
-    encoder = fit_encoding(domain, mode)
     factorized, cholesky = [], gp._cholesky
 
     def recorded(*args, **kwargs):
@@ -667,8 +572,8 @@ def test_cached_factor_fit_matches_reference(name, count, seed, mode, monkeypatc
         return factor
 
     monkeypatch.setattr(gp, "_cholesky", recorded)
-    got = mb.fit_hyperparameters(domain, points, values, seed=seed, encoder=encoder)
-    want = reference_fit(domain, points, values, seed=seed, encoder=encoder)
+    got = mb.fit_hyperparameters(domain, points, values, seed=seed)
+    want = reference_fit(domain, points, values, seed=seed)
     assert got.to_dict() == want.to_dict()
     if count >= 40:
         # At the sizes BO fits reach, some trials fail to factorize between
@@ -676,15 +581,6 @@ def test_cached_factor_fit_matches_reference(name, count, seed, mode, monkeypatc
         # its matrix.
         first, last = factorized.index(True), len(factorized) - factorized[::-1].index(True)
         assert not all(factorized[first:last])
-
-
-def test_embedding_encoder_moves_the_correlation_diagonal():
-    domain, points, _ = fit_samples("toy", 14, 11)
-    encoder = fit_encoding(domain, "embedding")
-    features = SampleFeatures(domain, points, encoder)
-    config = mb.default_kernel_config(domain, encoder=encoder)
-    diagonal = np.diag(correlation_matrix(PairTensors(domain, features, features), config))
-    assert np.any(diagonal != 1.0)
 
 
 def test_cached_factor_fit_fails_where_reference_fails(toy_problem):
@@ -707,7 +603,7 @@ def test_dead_fit_start_costs_one_factorization(monkeypatch):
     from metabox import gp
     domain, points, values = fit_samples("mlp", 12, 0)
     slots, drawn = reference_starts(mb.default_kernel_config(domain), 0, 8)
-    configs = [start_config(domain, None, slots, params) for params in drawn]
+    configs = [start_config(domain, slots, params) for params in drawn]
     live = [log_marginal_likelihood(domain, points, values, c) > -math.inf for c in configs]
     assert live[0] and not all(live)
     calls, cholesky = [], gp._cholesky
@@ -729,7 +625,6 @@ def test_dead_fit_start_costs_one_factorization(monkeypatch):
 # evaluated were skipped: it took 291 factorizations.
 TOY_FIT = {
     "continuous_weights": {}, "integer_weights": {"k": 0.5335875850040741},
-    "categorical_weights": {},
     "nominal_correlations": {"pA": 0.9400000000000001, "pB": 0.9178083030479626},
     "ordinal_lengthscales": {"s": 0.6716092257666484},
     "meta_correlations": {"m": 0.3149651346092206}, "meta_weights": {},
@@ -758,7 +653,7 @@ def test_all_dead_fit_starts_are_searched():
     for key in base.meta_correlations:
         base.meta_correlations[key] = 0.98
     slots, drawn = reference_starts(base, 0, 4)
-    configs = [start_config(domain, None, slots, params) for params in drawn]
+    configs = [start_config(domain, slots, params) for params in drawn]
     assert all(log_marginal_likelihood(domain, points, values, c) == -math.inf
                for c in configs)
     alone = []
