@@ -6,7 +6,9 @@ chosen point on the true problem.  Previously evaluated or failed points are
 excluded, so on fully finite domains the loop sweeps the whole space.
 
 The acquisition search works on arrays of candidate rows, one meta component
-at a time.  A fully finite domain is scored in one batch per meta component.
+at a time.  Every scored batch takes its cross-covariance from one
+:class:`~metabox.gp.CrossFactors` of its meta component.  A fully finite
+domain is scored in one batch per meta component.
 Otherwise every categorical component (enumerated, or sampled past a cap) is
 paired with several starts, and each pair runs a coordinate pattern search
 on the standard variables, with the step rule of direct search: each
@@ -24,14 +26,14 @@ serves the objective and every constraint.
 
 A poll's cross-covariance is not built afresh.  The searches of one meta
 component keep the kernel factors of their centers against the training
-samples under that meta component (:class:`~metabox.gp.CrossFactors`, one
-pair-tensor build per meta component and acquisition); every other
-training sample is correlated with them through the meta factors alone,
-one column shared by all rows.  A poll row differs from its center in one
-standard column, so it copies the center's factors, recomputes that
-column's factor, and multiplies the factors in the kernel's own order: its
-cross-covariance is bit-identical to one built from the row's features.  A
-search that moves keeps the winning row's factors.
+samples under that meta component (one ``CrossFactors`` per meta component
+and acquisition); every other training sample is correlated with them
+through the meta factors alone, one column shared by all rows.  A poll row
+differs from its center in one standard column, so it copies the center's
+factors, recomputes that column's factor, and multiplies the factors in the
+kernel's own order: its cross-covariance is bit-identical to
+:meth:`~metabox.gp.GPModel.cross_covariance` of the row.  A search that
+moves keeps the winning row's factors.
 
 The pick is the highest-EI new candidate (surrogate-feasible ones first),
 with ties broken by the order of a sequential search.  Newness is checked
@@ -58,8 +60,8 @@ from .domain import (Domain, IntegerScope, MetaComponent, Point, check_counts, d
                      enumerate_domain_points)
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
-from .gp import (CrossCovariance, CrossFactors, GPModel, KernelConfig, SampleFeatures,
-                 default_kernel_config, fit_hyperparameters)
+from .gp import (CrossCovariance, CrossFactors, GPModel, KernelConfig, default_kernel_config,
+                 fit_hyperparameters)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: The acquisition's pattern searches stop refining continuous steps at this
@@ -194,22 +196,20 @@ class _Candidates:
 
     def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
               standard: np.ndarray, search, step, position,
-              kappa: CrossCovariance | None = None) -> np.ndarray:
+              kappa: CrossCovariance) -> np.ndarray:
         """Expected improvement of each row; the rows are kept for the pick.
 
         ``search``, ``step`` and ``position`` give each row's order key
         (arrays or scalars).  ``kappa`` is the rows' cross-covariance with the
-        training samples, built here from their features when not given.  The
-        objective and every constraint view share it.
+        training samples (:meth:`CrossFactors.kappa`); the objective and
+        every constraint view share it.
         """
         views = self._views.get(xm)
         if views is None:
             views = self._views[xm] = [self.constraint_views[c.id]
                                        for c in self.system.acting_constraints(xm)
                                        if c.id in self.constraint_views]
-        points = kappa if kappa is not None else SampleFeatures.from_arrays(
-            self.model.domain, xm, categorical, standard)
-        mean, variance, view_means = self.model.predict_batch(points, views)
+        mean, variance, view_means = self.model.predict_batch(kappa, views)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
         order = np.empty((len(ei), 4), dtype=int)
         order[:, 0], order[:, 1], order[:, 2], order[:, 3] = meta_index, search, step, position
@@ -401,8 +401,9 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
     for meta_index, xm in enumerate(metas):
         categorical, standard = finite[xm]
         if categorical is not None:
+            cross = CrossFactors(model, xm, categorical, standard)
             candidates.score(meta_index, xm, categorical, standard,
-                             0, 0, np.arange(len(categorical)))
+                             0, 0, np.arange(len(categorical)), cross.kappa(cross.factors))
             continue
         scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
         combos = _enumerate_categorical(domain, xm, cfg.categorical_cap, rng)

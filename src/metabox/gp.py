@@ -66,7 +66,8 @@ class KernelConfig:
     Weights are positive squared-exponential coefficients keyed by variable
     id.  Each nominal variable carries a compound-symmetry off-diagonal
     correlation in [0, 1) and each ordinal variable a positive lengthscale
-    on its level index.
+    on its level index.  Weights, lengthscales and the signal variance are
+    finite.
     """
 
     continuous_weights: dict = field(default_factory=dict)
@@ -80,13 +81,13 @@ class KernelConfig:
     def __post_init__(self):
         for table, (kind, _, _) in _SLOT_TABLES.items():
             for key, value in getattr(self, table).items():
-                if kind == "log" and not (_is_real(value) and value > 0):
+                if kind == "log" and not (_is_real(value) and 0 < value < math.inf):
                     raise KernelDomainError(
                         f"{table}[{key!r}] must be a positive number, got {value!r}")
                 if kind == "raw" and not (_is_real(value) and 0.0 <= value < 1.0):
                     raise KernelDomainError(
                         f"{table}[{key!r}] must be a number in [0, 1), got {value!r}")
-        if not (_is_real(self.signal_variance) and self.signal_variance > 0):
+        if not (_is_real(self.signal_variance) and 0 < self.signal_variance < math.inf):
             raise KernelDomainError(
                 f"signal variance must be a positive number, got {self.signal_variance!r}")
 
@@ -137,76 +138,61 @@ class SampleFeatures:
     """
 
     def __init__(self, domain: Domain, points):
-        columns = {}
-        for v in domain.variables:
-            if v.type.is_meta:
-                continue
-            component = "categorical" if v.type in GROUPS["categorical"] else "standard"
-            values = [getattr(p, component).get(v.id) for p in points]
-            acting = np.array([value is not None for value in values], dtype=bool)
-            raw = np.array([0 if value is None else value for value in values], dtype=float)
-            columns[v.id] = (acting, raw)
+        self.n = len(points)
         metas = {}
-        which = np.array([metas.setdefault(p.meta, len(metas)) for p in points], dtype=int)
-        self._fill(domain, list(metas), which, columns)
-
-    @classmethod
-    def from_arrays(cls, domain: Domain, xm: MetaComponent, categorical,
-                    standard) -> "SampleFeatures":
-        """Features of points sharing the meta component ``xm``.
-
-        ``categorical`` holds (n, q) category indices and ``standard`` (n, d)
-        raw standard values, columns in acting-set declaration order.  The
-        result equals the features of the same points built as Point objects.
-        """
-        categorical = np.asarray(categorical, dtype=float)
-        standard = np.asarray(standard, dtype=float)
-        n = len(categorical)
-        ids = (*domain.acting_index_set(xm, "categorical"),
-               *domain.acting_index_set(xm, "standard"))
-        acting = np.ones(n, dtype=bool)
-        columns = {vid: (acting, raw) for vid, raw in zip(ids, [*categorical.T, *standard.T])}
-        features = cls.__new__(cls)
-        features._fill(domain, [xm], np.zeros(n, dtype=int), columns)
-        return features
-
-    def _fill(self, domain: Domain, metas, which, columns):
-        """Normalize per-variable (acting mask, raw value) columns into
-        features; a variable without a column acts in no sample."""
-        self.n = len(which)
+        self.which_meta = np.array([metas.setdefault(p.meta, len(metas)) for p in points],
+                                   dtype=int)
         self.metas = [tuple(sorted(m.items())) for m in metas]
-        self.which_meta = which
-        self.meta = {}
-        for mid in domain.meta_ids:
-            spec = domain.spec(mid)
-            if spec.type == VariableType.META_CATEGORICAL:
-                values = np.array([spec.scope.index(m[mid]) for m in metas], dtype=int)
-            else:
-                values = np.array([normalize(spec.scope, m[mid]) for m in metas], dtype=float)
-            self.meta[mid] = values[which]
+        self.meta = {mid: values[self.which_meta]
+                     for mid, values in _meta_features(domain, list(metas)).items()}
         self.acting = {}
         self.values = {}
-        nowhere = (np.zeros(self.n, dtype=bool), np.zeros(self.n))
         for spec in domain.variables:
             if spec.type.is_meta:
                 continue
-            vid = spec.id
-            acting, raw = columns.get(vid, nowhere)
-            self.acting[vid] = acting
-            if spec.type in GROUPS["standard"]:
-                self.values[vid] = np.where(acting, _unit_values(
-                    spec.type == VariableType.INTEGER, spec.scope.lo, spec.scope.width, raw),
-                    0.0)
+            categorical = spec.type in GROUPS["categorical"]
+            values = [(p.categorical if categorical else p.standard).get(spec.id)
+                      for p in points]
+            acting = self.acting[spec.id] = np.array([v is not None for v in values],
+                                                     dtype=bool)
+            raw = np.array([0 if v is None else v for v in values], dtype=float)
+            if categorical:
+                self.values[spec.id] = raw.astype(int)
                 continue
-            self.values[vid] = np.where(acting, raw, 0).astype(int)
+            self.values[spec.id] = np.where(acting, _unit_values(
+                spec.type == VariableType.INTEGER, spec.scope.lo, spec.scope.width, raw), 0.0)
 
 
-def _unit_values(integer: bool, lo, width, raw: np.ndarray) -> np.ndarray:
+def _meta_features(domain: Domain, metas) -> dict:
+    """Each meta variable's values in the meta components ``metas``:
+    category indices for a meta-categorical variable, range-normalized
+    values for a numeric one."""
+    features = {}
+    for mid in domain.meta_ids:
+        spec = domain.spec(mid)
+        if spec.type == VariableType.META_CATEGORICAL:
+            features[mid] = np.array([spec.scope.index(m[mid]) for m in metas], dtype=int)
+        else:
+            features[mid] = np.array([normalize(spec.scope, m[mid]) for m in metas],
+                                     dtype=float)
+    return features
+
+
+def _meta_slots(domain: Domain):
+    """(config table, meta id) of each meta factor, in product order:
+    numeric meta variables first, then categorical ones."""
+    return sorted(((_MATRIX_TABLES[domain.spec(mid).type], mid) for mid in domain.meta_ids),
+                  key=lambda slot: slot[0] == "meta_correlations")
+
+
+def _unit_values(integer, lo, width, raw: np.ndarray) -> np.ndarray:
     """Range-normalized standard values, elementwise: (raw - lo) / width, or 0
-    where the width is 0.  Integer values are first rounded half away from
-    zero.  ``lo`` and ``width`` are scalars or arrays shaped like ``raw``."""
-    if integer:
-        raw = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
+    where the width is 0.  Integer values, where ``integer`` holds, are
+    first rounded half away from zero.  ``integer``, ``lo`` and ``width``
+    are scalars or arrays shaped like ``raw``."""
+    if np.any(integer):
+        raw = np.where(integer, np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5)),
+                       raw)
     return np.divide(raw - lo, width, out=np.zeros(np.shape(raw)),
                      where=np.asarray(width) != 0)
 
@@ -245,10 +231,8 @@ class PairTensors:
         code_a = np.array([codes.setdefault(k, len(codes)) for k in fa.metas], dtype=int)
         code_b = np.array([codes.setdefault(k, len(codes)) for k in fb.metas], dtype=int)
         self.same_meta = code_a[fa.which_meta][:, None] == code_b[fb.which_meta][None, :]
-        meta = sorted(((_MATRIX_TABLES[domain.spec(mid).type], mid) for mid in fa.meta),
-                      key=lambda slot: slot[0] == "meta_correlations")
         self.slots = [(table, mid, _pair_tensor(table, fa.meta[mid], fb.meta[mid]), None)
-                      for table, mid in meta]
+                      for table, mid in _meta_slots(domain)]
         # A variable nonacting in every sample of either set has a factor of
         # exactly 1 everywhere, so it gets no slot.
         for vid in fa.acting:
@@ -398,18 +382,12 @@ class GPModel:
     def __len__(self):
         return len(self.points)
 
-    def features(self, points) -> SampleFeatures:
-        """Extract prediction features once; reusable across models sharing
-        the same domain."""
-        return SampleFeatures(self.domain, points)
-
     def cross_covariance(self, points) -> np.ndarray:
-        """kappa matrix of shape (n_train, len(points)); a
+        """kappa matrix of shape (n_train, len(points)) of Points; a
         :class:`CrossCovariance` gives its own."""
         if isinstance(points, CrossCovariance):
             return points.kappa
-        features = points if isinstance(points, SampleFeatures) else self.features(points)
-        pairs = PairTensors(self.domain, self._features, features)
+        pairs = PairTensors(self.domain, self._features, SampleFeatures(self.domain, points))
         return self.config.signal_variance * correlation_matrix(pairs, self.config)
 
     @staticmethod
@@ -438,8 +416,8 @@ class GPModel:
 
         With ``outputs``, a sequence of this model's row views, also returns
         their posterior means as a (len(outputs), n) array, computed from the
-        same cross-covariance.  ``points`` may be Points, their
-        :class:`SampleFeatures` or their :class:`CrossCovariance`.
+        same cross-covariance.  ``points`` may be Points or their
+        :class:`CrossCovariance`.
 
         The variance takes one triangular solve, ``v = L^-1 kappa``, and is
         ``s^2 - sum(v^2)`` over the training samples, clamped at 0.
@@ -505,72 +483,71 @@ class CrossFactors:
     component, kept per row, so that a row differing from a kept one in one
     standard column costs one recomputed factor.
 
-    Only the training samples under the rows' meta component (``_under``)
-    need per-row factors.  There every meta factor is exactly 1, so
-    ``factors[k, j]`` is the k-th non-meta factor :func:`correlation_matrix`
-    multiplies, in its order, between row j and those samples.  Every
-    non-meta factor is exactly 1 on the other samples, and the meta factors
-    there do not depend on the row: the rows' cross-covariance with them is
-    one column, the signal variance times the product of the meta factors,
-    computed once.  All of it comes from one :class:`PairTensors` of the
-    rows given at construction.  Categorical factors, and the factor of
-    every standard column a row does not change, are copied, so
+    The training samples under the rows' meta component xm (``_under``)
+    have exactly xm's acting set.  On them every meta factor is exactly 1
+    and every non-meta variable acting under xm acts, so ``factors[k, j]``
+    is the factor of the k-th acting non-meta variable, in declaration
+    order, between row j and those samples: the non-meta factors
+    :func:`correlation_matrix` multiplies, in its order.  Every non-meta
+    factor is exactly 1 on the other samples, and the meta factors there do
+    not depend on the row: the rows' cross-covariance with them is one
+    column, the signal variance times the product of the meta factors
+    between the samples and xm, computed once.  Categorical factors, and the
+    factor of every standard column a row does not change, are copied, so
     :meth:`kappa` of a polled row equals :meth:`GPModel.cross_covariance` of
     it bit for bit.
     """
 
     def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard):
-        domain, config = model.domain, model.config
-        features = SampleFeatures.from_arrays(domain, xm, categorical, standard)
-        pairs = PairTensors(domain, model._features, features)
+        domain, config, train = model.domain, model.config, model._features
         self.signal_variance = config.signal_variance
-        under = self._under = np.flatnonzero(pairs.same_meta[:, 0])
-        meta = [(table, key, tensor[:, :1], None)
-                for table, key, tensor, mask in pairs.slots if mask is None]
-        own = [(table, key, tensor[under].T, mask[under].T)
-               for table, key, tensor, mask in pairs.slots if mask is not None]
+        own = _meta_features(domain, [xm])
+        meta = [(table, mid, _pair_tensor(table, train.meta[mid], own[mid]), None)
+                for table, mid in _meta_slots(domain)]
         self._meta = self.signal_variance * _product(
-            _masked_factors(meta, config), (pairs.shape[0], 1))[:, 0]
-        self.factors = np.empty((len(own), pairs.shape[1], len(under)))
-        for k, factor in enumerate(_masked_factors(own, config)):
-            self.factors[k] = factor
-        # A standard factor is 1 where its variable does not act (its mask).
-        # A variable acting in no training sample has no factor (index -1):
-        # it is 1 whatever a row holds.
-        slot = {key: k for k, (_, key, _, _) in enumerate(own)}
-        specs = [domain.spec(v) for v in domain.acting_index_set(xm, "standard")]
-        self._slot = np.array([slot.get(spec.id, -1) for spec in specs], dtype=int)
+            _masked_factors(meta, config), (train.n, 1))[:, 0]
+        code = {key: k for k, key in enumerate(train.metas)}.get(tuple(sorted(xm.items())), -1)
+        under = self._under = np.flatnonzero(train.which_meta == code)
+        cat_ids = domain.acting_index_set(xm, "categorical")
+        std_ids = domain.acting_index_set(xm, "standard")
+        acting = {*cat_ids, *std_ids}
+        slot = {v.id: k for k, v in enumerate(v for v in domain.variables if v.id in acting)}
+        categorical = np.asarray(categorical, dtype=int)
+        standard = np.asarray(standard, dtype=float)
+        self.factors = np.empty((len(slot), len(standard), len(under)))
+        for c, vid in enumerate(cat_ids):
+            table = _MATRIX_TABLES[domain.spec(vid).type]
+            self.factors[slot[vid]] = _correlation_factor(
+                table, getattr(config, table)[vid],
+                _pair_tensor(table, categorical[:, c], train.values[vid][under]))
+        specs = [domain.spec(v) for v in std_ids]
+        self._slot = np.array([slot[v] for v in std_ids], dtype=int)
+        self._integer = np.array([spec.type == VariableType.INTEGER for spec in specs],
+                                 dtype=bool)
         self._lo = np.array([spec.scope.lo for spec in specs], dtype=float)
         self._width = np.array([spec.scope.width for spec in specs], dtype=float)
         self._weight = np.array([getattr(config, _MATRIX_TABLES[spec.type])[spec.id]
                                  for spec in specs], dtype=float)
-        self._train = np.zeros((len(specs), len(under)))
-        self._mask = np.zeros((len(specs), len(under)), dtype=bool)
-        for c, k in enumerate(self._slot):
-            if k >= 0:
-                self._train[c] = model._features.values[specs[c].id][under]
-                self._mask[c] = own[k][3][0]
-        #: Columns grouped by their factor's formula: (table, integer, member mask).
-        self._groups = []
-        for kind in (VariableType.INTEGER, VariableType.CONTINUOUS):
-            members = np.array([spec.type == kind for spec in specs], dtype=bool)
-            if members.any():
-                self._groups.append((_MATRIX_TABLES[kind], kind == VariableType.INTEGER,
-                                     members & (self._slot >= 0)))
+        self._train = np.array([train.values[v][under] for v in std_ids]).reshape(
+            len(std_ids), len(under))
+        rows, column = np.indices(standard.shape).reshape(2, -1)
+        self.factors[self._slot[column], rows] = self._standard(column, standard.ravel())
+
+    def _standard(self, column: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The factor of standard column ``column[j]`` at raw value
+        ``values[j]`` against the samples under xm, one row per j."""
+        unit = _unit_values(self._integer[column], self._lo[column], self._width[column],
+                            values)
+        tensor = _squared_difference(self._train[column], unit[:, None])
+        # Integer and continuous weights enter the same formula.
+        return _correlation_factor("continuous_weights", self._weight[column][:, None],
+                                   tensor, out=tensor)
 
     def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Factors of the rows that equal kept row ``rows[j]`` but for
         standard column ``column[j]``, set to ``values[j]``."""
         factors = self.factors[:, rows]
-        for table, integer, members in self._groups:
-            j = np.flatnonzero(members[column])
-            if not len(j):
-                continue
-            c = column[j]
-            unit = _unit_values(integer, self._lo[c], self._width[c], values[j])
-            tensor = _squared_difference(self._train[c], unit[:, None])
-            factor = _correlation_factor(table, self._weight[c][:, None], tensor, out=tensor)
-            factors[self._slot[c], j] = np.where(self._mask[c], factor, 1.0)
+        factors[self._slot[column], np.arange(len(column))] = self._standard(column, values)
         return factors
 
     def kappa(self, factors: np.ndarray) -> CrossCovariance:

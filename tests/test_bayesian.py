@@ -70,6 +70,22 @@ def bo_pieces(problem, points, values):
     return mb.GPModel(problem.domain, points, values, config)
 
 
+def kappa_of(model, xm, categorical, standard):
+    """The rows' cross-covariance as the acquisition scores them."""
+    cross = CrossFactors(model, xm, categorical, standard)
+    return cross.kappa(cross.factors)
+
+
+def row_points(domain, xm, categorical, standard):
+    """The rows of a scored batch as Points."""
+    cat_ids = domain.acting_index_set(xm, "categorical")
+    std_ids = domain.acting_index_set(xm, "standard")
+    return [mb.Point(xm, {v: int(c) for v, c in zip(cat_ids, cats)},
+                     {v: (int(x) if isinstance(domain.spec(v).scope, mb.IntegerScope)
+                          else float(x)) for v, x in zip(std_ids, stds)})
+            for cats, stds in zip(categorical, standard)]
+
+
 def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
     # Trained under m=A only, the model correlates every m=B point with the
     # samples through the meta factor alone, so all m=B points tie on EI.
@@ -78,13 +94,18 @@ def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
     model = bo_pieces(toy_problem, under_a, [1.0, 2.0, 3.0, 4.0])
     candidates = _Candidates(model, toy_problem.constraints, {}, [], 1.0)
     xm = mb.MetaComponent({"m": "B"})
-    late = candidates.score(1, xm, np.array([[2, 3]]), np.array([[4.0]]), 0, 2, 0)
-    early = candidates.score(1, xm, np.array([[1, 1], [2, 2]]), np.array([[0.0], [1.0]]),
-                             0, 1, np.array([1, 0]))
+
+    def score(categorical, standard, *order):
+        categorical, standard = np.array(categorical), np.array(standard)
+        return candidates.score(1, xm, categorical, standard, *order,
+                                kappa_of(model, xm, categorical, standard))
+
+    late = score([[2, 3]], [[4.0]], 0, 2, 0)
+    early = score([[1, 1], [2, 2]], [[0.0], [1.0]], 0, 1, np.array([1, 0]))
     assert late[0] == early[0] == early[1] > 0.0
     pick = candidates.pick()
     assert (pick.categorical, pick.standard) == ({"pB": 2, "s": 2}, {"k": 1})
-    later = candidates.score(1, xm, np.array([[1, 3]]), np.array([[3.0]]), 9, 9, 9)
+    later = score([[1, 3]], [[3.0]], 9, 9, 9)
     assert later[0] == late[0]
     assert candidates.pick().point() == pick.point()
 
@@ -281,30 +302,36 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
 
 
 @pytest.mark.parametrize("name", ["mlp", "toy"])
-def test_each_scored_batch_builds_one_pair_tensor(monkeypatch, name):
-    # On the finite-domain (toy) path each scored batch builds one PairTensors.
-    # A pattern search (mlp) builds one, at its centers, and its polls reuse
-    # it.  The objective and every constraint view share each cross-covariance.
+def test_each_scored_batch_comes_from_one_cross_factors(monkeypatch, name):
+    # On the finite-domain (toy) path each scored batch comes from its own
+    # CrossFactors.  A pattern search (mlp) builds one, at its centers, and
+    # its polls reuse it.  Neither builds a PairTensors or a SampleFeatures
+    # (P, F), and the objective and every constraint view share each
+    # cross-covariance.
     events = []
-    init, score, search = PairTensors.__init__, _Candidates.score, bayesian._pattern_search
 
-    def counting_init(self, *args):
-        events.append("P")
-        init(self, *args)
+    def counting(cls, attr, event):
+        original = getattr(cls, attr)
 
-    def counting_score(self, *args, **kwargs):
-        events.append("S")
-        return score(self, *args, **kwargs)
+        def counted(*args, **kwargs):
+            events.append(event)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+
+    counting(CrossFactors, "__init__", "C")
+    counting(PairTensors, "__init__", "P")
+    counting(SampleFeatures, "__init__", "F")
+    counting(_Candidates, "score", "S")
+    search = bayesian._pattern_search
 
     def counting_search(*args):
         events.append("[")
         search(*args)
         events.append("]")
 
-    monkeypatch.setattr(PairTensors, "__init__", counting_init)
-    monkeypatch.setattr(_Candidates, "score", counting_score)
     monkeypatch.setattr(bayesian, "_pattern_search", counting_search)
-    pattern = {"mlp": r"(\[PSS+\])+", "toy": r"(SP)+"}[name]
+    pattern = {"mlp": r"(\[CS+\])+", "toy": r"(CS)+"}[name]
     problem = parse_bundled(name).problem
     model, views, _, points, f_star = acquisition_case(problem, 20, 2)
     assert len(views) == len(problem.constraints.constraints)
@@ -327,31 +354,61 @@ def adam_only_case(problem, samples, seed):
     return model, points, min(values)
 
 
-@pytest.mark.parametrize("case", ["matrix", "adam-only"])
-def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, case):
-    domain = mlp_problem.domain
+def kappa_case(case):
+    """(domain, constraint system, model, training points, f*) of one
+    bit-identity case.  "matrix" and "mixed" train on mlp under every meta
+    component, "adam-only" under o=Adam only, and "toy" under m=A only, so
+    some meta components have no training sample.  BARE's metas B and C
+    have no acting non-meta variable, and C no training sample either."""
+    if case in ("matrix", "mixed"):
+        problem = parse_bundled("mlp").problem
+        model, _, _, points, f_star = acquisition_case(problem, 20, 3)
+        return problem.domain, problem.constraints, model, points, f_star
     if case == "adam-only":
-        model, points, f_star = adam_only_case(mlp_problem, 12, 5)
+        problem = parse_bundled("mlp").problem
+        return (problem.domain, problem.constraints, *adam_only_case(problem, 12, 5))
+    if case == "toy":
+        problem = parse_bundled("toy").problem
+        domain, system = problem.domain, problem.constraints
+        points = [p for p in mb.enumerate_domain_points(domain) if p.meta["m"] == "A"][::4]
+        values = [problem.objective(p)[0] for p in points]
     else:
-        model, _, _, points, f_star = acquisition_case(mlp_problem, 20, 3)
+        domain = mb.parse_problem(BARE).domain
+        system = mb.ConstraintSystem(domain)
+        a, b = (mb.MetaComponent({"m": m}) for m in "AB")
+        points = [mb.Point(a, {}, {"x": 0}), mb.Point(a, {}, {"x": 1}), mb.Point(b, {}, {})]
+        values = [0.0, 1.0, -1.0]
+    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain))
+    return domain, system, model, points, min(values)
+
+
+def scored_batches(monkeypatch, case, cfg, seed):
+    """The model of a :func:`kappa_case`, and (xm, categorical, standard,
+    kappa) of every batch one acquisition on it scores, each kappa checked
+    bit for bit against the cross-covariance of the rows as Points."""
+    domain, system, model, points, f_star = kappa_case(case)
     scored = []
     score = _Candidates.score
 
-    def recording_score(self, meta_index, xm, categorical, standard, search, step, position,
-                        kappa=None):
-        scored.append((xm, categorical, standard, kappa))
-        return score(self, meta_index, xm, categorical, standard, search, step, position,
-                     kappa)
+    def recording_score(self, meta_index, xm, categorical, standard, *order):
+        scored.append((xm, categorical, standard, order[-1]))
+        return score(self, meta_index, xm, categorical, standard, *order)
 
     monkeypatch.setattr(_Candidates, "score", recording_score)
-    mb.maximize_acquisition(model, mlp_problem.constraints, {}, points, f_star,
-                            mb.BOConfig(budget=10, acq_budget=24, acq_starts=2),
-                            np.random.default_rng(1))
+    mb.maximize_acquisition(model, system, {}, points, f_star, cfg,
+                            np.random.default_rng(seed))
     for xm, categorical, standard, kappa in scored:
         assert kappa.kappa.flags.c_contiguous
-        fresh = model.cross_covariance(SampleFeatures.from_arrays(
-            domain, xm, categorical, standard))
+        fresh = model.cross_covariance(row_points(domain, xm, categorical, standard))
         assert np.array_equal(kappa.kappa, fresh)
+    return model, scored
+
+
+@pytest.mark.parametrize("case", ["matrix", "adam-only"])
+def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, case):
+    model, scored = scored_batches(monkeypatch, case,
+                                   mb.BOConfig(budget=10, acq_budget=24, acq_starts=2), 1)
+    domain = model.domain
     assert {xm["o"] for xm, _, _, _ in scored} == {"Adam", "ASGD"}
     # Integer columns (u1..u3) and continuous ones were both polled.
     std = np.vstack([standard for xm, _, standard, _ in scored if xm == ADAM2])
@@ -363,36 +420,45 @@ def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, mlp_problem, ca
         assert any(len(np.unique(s[:, lam])) > 1 for s in asgd)
 
 
-@pytest.mark.parametrize("case", ["mixed", "adam-only"])
-def test_cross_factors_span_the_training_samples_under_the_meta(mlp_problem, case):
+@pytest.mark.parametrize("case, enumeration_cap", [
+    ("toy", 4096), ("bare", 4096), ("bare", 1)], ids=["toy", "bare-finite", "bare-pattern"])
+def test_scored_kappa_equals_a_fresh_cross_covariance(monkeypatch, case, enumeration_cap):
+    # The finite path, a meta component without training samples, and ones
+    # without an acting non-meta variable score bit-identical kappas too.
+    model, scored = scored_batches(
+        monkeypatch, case, mb.BOConfig(budget=10, acq_budget=12, acq_starts=2,
+                                       enumeration_cap=enumeration_cap), 0)
+    metas = {p.meta for p in model.points}
+    assert {xm for xm, _, _, _ in scored} > metas
+
+
+@pytest.mark.parametrize("case", ["mixed", "adam-only", "toy", "bare"])
+def test_cross_factors_span_the_training_samples_under_the_meta(case):
     # Per-row factors cover exactly the training samples under the rows'
-    # meta component, one per non-meta factor; every other sample's
-    # cross-covariance is the signal variance times the meta factors.
-    domain = mlp_problem.domain
-    if case == "adam-only":
-        model, points, _ = adam_only_case(mlp_problem, 12, 5)
-    else:
-        model, _, _, points, _ = acquisition_case(mlp_problem, 20, 3)
+    # meta component, one per acting non-meta variable; every other
+    # sample's cross-covariance is the signal variance times the meta
+    # factors.
+    domain, _, model, points, _ = kappa_case(case)
     rng = np.random.default_rng(0)
     for xm in domain.enumerate_meta_set():
         rows = [random_point(domain, rng, [xm]) for _ in range(3)]
         cat_ids = domain.acting_index_set(xm, "categorical")
         std_ids = domain.acting_index_set(xm, "standard")
-        categorical = np.array([[p.categorical[v] for v in cat_ids] for p in rows])
-        standard = np.array([[p.standard[v] for v in std_ids] for p in rows], dtype=float)
+        categorical = np.array([[p.categorical[v] for v in cat_ids] for p in rows],
+                               dtype=int).reshape(3, len(cat_ids))
+        standard = np.array([[p.standard[v] for v in std_ids] for p in rows],
+                            dtype=float).reshape(3, len(std_ids))
         cross = CrossFactors(model, xm, categorical, standard)
         under = [i for i, p in enumerate(points) if p.meta == xm]
         assert cross._under.tolist() == under
-        features = SampleFeatures.from_arrays(domain, xm, categorical, standard)
-        pairs = PairTensors(domain, model._features, features)
-        nonmeta = [slot for slot in pairs.slots if slot[3] is not None]
-        assert cross.factors.shape == (len(nonmeta), len(rows), len(under))
+        assert cross.factors.shape == (len(cat_ids) + len(std_ids), len(rows), len(under))
         kappa = cross.kappa(cross.factors).kappa
-        assert np.array_equal(kappa, model.cross_covariance(features))
+        assert np.array_equal(kappa, model.cross_covariance(rows))
         others = np.setdiff1d(np.arange(len(points)), under)
         assert np.array_equal(kappa[others], np.repeat(cross._meta[others, None], 3, axis=1))
-    # The adam-only model has no training sample under either ASGD meta.
-    assert len({p.meta for p in points}) == (2 if case == "adam-only" else 4)
+    # Some cases have meta components without a training sample.
+    assert len({p.meta for p in points}) == {"mixed": 4, "adam-only": 2, "toy": 1,
+                                            "bare": 2}[case]
 
 
 BARE = {
@@ -441,10 +507,12 @@ def test_evaluated_points_are_never_offered_again(monkeypatch, enumeration_cap):
     assert got is not None and got.point() not in evaluated
     candidates = pools[0]
     # Floats stand for the int, and -0.0 equals 0.0, as in a cache key.
-    candidates.score(0, a, np.zeros((4, 0), dtype=int),
-                     np.array([[-0.0], [0.0], [1.0], [2.0]]), 9, 9, np.arange(4))
-    candidates.score(1, b, np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 9, 9, 0)
-    candidates.score(2, c, np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 9, 9, 0)
+    for meta_index, xm, standard, position in ((0, a, [[-0.0], [0.0], [1.0], [2.0]],
+                                                np.arange(4)),
+                                               (1, b, [[]], 0), (2, c, [[]], 0)):
+        categorical, standard = np.zeros((len(standard), 0), dtype=int), np.array(standard)
+        candidates.score(meta_index, xm, categorical, standard, 9, 9, position,
+                         kappa_of(model, xm, categorical, standard))
     assert [is_new(candidates, batch) for batch in candidates._batches[-3:]] == [
         [False, False, False, True], [False], [True]]
     for batch in candidates._batches:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -234,19 +235,23 @@ REMOVED_KEYS = ("categorical_mode", "encoder_kind", "categorical_weights")
     ({"bo": {"categorical_mode": "encoded"}}, "bo"),
     ({"bo": {"encoder_kind": "one-hot"}}, "bo"),
     ({"bo": {"kernel": {"categorical_weights": {"a": 2.0}}}}, "bo"),
+    # json.dumps writes these as Infinity, which the JSON reader accepts.
+    ({"bo": {"kernel": {"integer_weights": {"u1": math.inf}}}}, "bo"),
+    ({"bo": {"kernel": {"signal_variance": math.inf}}}, "bo"),
 ], ids=["scope-bound", "family-index", "rule-id", "neighborhoods", "metadata", "open-flag",
         "fractional-index", "command-entry", "fractional-acq-starts", "fractional-fit-sweeps",
         "fractional-categorical-cap", "bool-max-iterations", "string-opportunistic",
         "section-not-object", "file-not-object", "kernel-not-object",
         "kernel-table-not-object", "kernel-string-value", "kernel-string-variance",
         "kernel-unknown-id", "kernel-unknown-table", "categorical-mode", "encoder-kind",
-        "kernel-categorical-weights"])
+        "kernel-categorical-weights", "kernel-infinite-value", "kernel-infinite-variance"])
 def test_malformed_values_are_validation_errors(tmp_path, capsys, edit, where):
     # Each of these once escaped validation as a raw Python exception, was
     # coerced (an open flag read as true, an index truncated, a bool option
     # read as a count or a string as true), was ignored (a kernel override of
-    # an unknown id or table), or passed validation only to fail in solve (a
-    # command entry that is not a string).
+    # an unknown id or table), passed validation only to fail in solve (a
+    # command entry that is not a string), or ran to exit 0 on NaN kernel
+    # factors (an infinite kernel weight or signal variance).
     document = json.loads(bundled_problem_path("mlp").read_text())
     path = tmp_path / "mlp.json"
     if callable(edit):

@@ -155,6 +155,19 @@ def test_bad_kernel_overrides_are_rejected(mlp_domain, overrides, match):
         mb.default_kernel_config(mlp_domain, overrides=overrides)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+def test_kernel_config_requires_finite_positive_values(mlp_domain, value):
+    # An infinite weight once made the kernel factors NaN without an error.
+    for table in ("continuous_weights", "integer_weights", "meta_weights",
+                  "ordinal_lengthscales"):
+        with pytest.raises(mb.KernelDomainError, match=rf"{table}\['v'\] must be a positive"):
+            mb.KernelConfig(**{table: {"v": value}})
+    with pytest.raises(mb.KernelDomainError, match="signal variance"):
+        mb.KernelConfig(signal_variance=value)
+    with pytest.raises(mb.KernelDomainError, match="signal variance"):
+        mb.default_kernel_config(mlp_domain, overrides={"signal_variance": value})
+
+
 def test_default_kernel_config_takes_no_positional_mode(mlp_domain):
     with pytest.raises(TypeError):
         mb.default_kernel_config(mlp_domain, "encoded")
@@ -371,25 +384,6 @@ def test_prediction_is_batch_invariant(mlp_problem):
     part_mean, part_variance = model.predict_batch(batch[1::3])
     assert np.array_equal(part_mean, mean[1::3])
     assert np.array_equal(part_variance, variance[1::3])
-
-
-def test_features_from_arrays_match_features_from_points(mlp_domain):
-    rng = np.random.default_rng(13)
-    for xm in mlp_domain.enumerate_meta_set():
-        cat_ids = mlp_domain.acting_index_set(xm, "categorical")
-        std_ids = mlp_domain.acting_index_set(xm, "standard")
-        points = [random_point(mlp_domain, rng, [xm]) for _ in range(6)]
-        categorical = np.array([[p.categorical[v] for v in cat_ids] for p in points])
-        standard = np.array([[p.standard[v] for v in std_ids] for p in points], dtype=float)
-        got = SampleFeatures.from_arrays(mlp_domain, xm, categorical, standard)
-        want = SampleFeatures(mlp_domain, points)
-        assert got.n == want.n and got.metas == want.metas
-        assert np.array_equal(got.which_meta, want.which_meta)
-        for name in ("meta", "acting", "values"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.keys() == b.keys(), name
-            for key in a:
-                assert np.array_equal(a[key], b[key]), (name, key)
 
 
 def test_pair_tensors_build_one_tensor_per_factor(mlp_domain):
