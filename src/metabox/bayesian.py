@@ -6,7 +6,7 @@ chosen point on the true problem.  Previously evaluated or failed points are
 excluded, so on fully finite domains the loop sweeps the whole space.
 
 The acquisition search works on arrays of candidate rows, one meta component
-at a time.  Every scored batch takes its cross-covariance from one
+at a time.  Every scored batch is predicted by one
 :class:`~metabox.gp.CrossFactors` of its meta component.  A fully finite
 domain is scored in one batch per meta component.
 Otherwise every categorical component (enumerated, or sampled past a cap) is
@@ -21,19 +21,24 @@ then settles every search with array operations: each search takes the
 first best poll of its own (np.argmax's rule), and moves, shrinks or
 stops on its own.  GP predictions do not depend on the batch, so every
 search takes the same path it would take alone.  The constraint surrogates
-are row views of the objective model, so one cross-covariance per batch
-serves the objective and every constraint.
+are row views of the objective model, so one prediction per batch serves
+the objective and every constraint.
 
-A poll's cross-covariance is not built afresh.  The searches of one meta
-component keep the kernel factors of their centers against the training
-samples under that meta component (one ``CrossFactors`` per meta component
-and acquisition); every other training sample is correlated with them
-through the meta factors alone, one column shared by all rows.  A poll row
-differs from its center in one standard column, so it copies the center's
-factors, recomputes that column's factor, and multiplies the factors in the
-kernel's own order: its cross-covariance is bit-identical to
-:meth:`~metabox.gp.GPModel.cross_covariance` of the row.  A search that
-moves keeps the winning row's factors.
+A row's prediction needs only the samples under its meta component xm.
+The kernel correlates a row with every other training sample through the
+meta factors alone, so that part of its cross-covariance is one column
+shared by all rows.  ``CrossFactors`` (one per meta component and
+acquisition) folds that column into constants once: a share of each mean,
+and, from the model's Gram matrix factorized with the samples under xm
+last, a variance offset and a shift.  A batch then costs a triangular
+solve of the size of the samples under xm, never one of the whole
+training set.  The searches keep the kernel factors of their centers
+against the samples under xm.  A poll row differs from its center in one
+standard column, so it copies the center's factors, recomputes that
+column's factor, and multiplies the factors in the kernel's own order: its
+cross-covariance with those samples is bit-identical to
+:meth:`~metabox.gp.GPModel.cross_covariance` of the row there.  A search
+that moves keeps the winning row's factors.
 
 The pick is the highest-EI new candidate (surrogate-feasible ones first),
 with ties broken by the order of a sequential search.  Newness is checked
@@ -60,7 +65,7 @@ from .domain import (Domain, IntegerScope, MetaComponent, Point, check_counts, d
                      enumerate_domain_points)
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
-from .gp import (CrossCovariance, CrossFactors, GPModel, KernelConfig, default_kernel_config,
+from .gp import (CrossFactors, GPModel, KernelConfig, default_kernel_config,
                  fit_hyperparameters)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -176,7 +181,6 @@ class _Candidates:
         self._evaluated = {}
         for point in evaluated:
             self._evaluated.setdefault(point.meta, []).append(point)
-        self._views = {}            # xm -> views of the constraints acting under xm
         self._rows_done = {}        # xm -> evaluated rows, built at the first lookup
         self._batches: list[_Batch] = []
 
@@ -194,22 +198,25 @@ class _Candidates:
                 for p in self._evaluated.get(batch.xm, ())}
         return (*batch.categorical[row].tolist(), *batch.standard[row].tolist()) not in done
 
+    def cross_factors(self, xm: MetaComponent, categorical: np.ndarray,
+                      standard: np.ndarray) -> CrossFactors:
+        """The :class:`CrossFactors` of rows under xm, predicting the objective
+        and the views of the constraints acting under xm."""
+        views = [self.constraint_views[c.id] for c in self.system.acting_constraints(xm)
+                 if c.id in self.constraint_views]
+        return CrossFactors(self.model, xm, categorical, standard, views)
+
     def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
               standard: np.ndarray, search, step, position,
-              kappa: CrossCovariance) -> np.ndarray:
+              cross: CrossFactors, factors: np.ndarray) -> np.ndarray:
         """Expected improvement of each row; the rows are kept for the pick.
 
         ``search``, ``step`` and ``position`` give each row's order key
-        (arrays or scalars).  ``kappa`` is the rows' cross-covariance with the
-        training samples (:meth:`CrossFactors.kappa`); the objective and
-        every constraint view share it.
+        (arrays or scalars).  ``factors`` are the rows' kernel factors in
+        ``cross``, from :meth:`cross_factors`, which predicts the objective
+        and every constraint view from them.
         """
-        views = self._views.get(xm)
-        if views is None:
-            views = self._views[xm] = [self.constraint_views[c.id]
-                                       for c in self.system.acting_constraints(xm)
-                                       if c.id in self.constraint_views]
-        mean, variance, view_means = self.model.predict_batch(kappa, views)
+        mean, variance, view_means = cross.predict(factors)
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
         order = np.empty((len(ei), 4), dtype=int)
         order[:, 0], order[:, 1], order[:, 2], order[:, 3] = meta_index, search, step, position
@@ -271,22 +278,21 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
     Each search keeps its own center, step sizes and evaluation count; one
     step scores the poll points of every active search as one batch, and
     settles every search with array operations.  Each search moves exactly
-    as it would alone, because predictions do not depend on the batch.  Poll
-    cross-covariances come from the centers' :class:`CrossFactors` (see the
-    module docstring).
+    as it would alone, because predictions do not depend on the batch.  Polls
+    are scored from the centers' :class:`CrossFactors` (see the module
+    docstring).
     """
-    model = candidates.model
-    domain = model.domain
+    domain = candidates.model.domain
     scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
     lo, hi = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
     count = len(centers)
     mesh = MeshState(scopes, count, ACQ_MIN_FRACTION)
-    cross = CrossFactors(model, xm, combos, centers)
+    cross = candidates.cross_factors(xm, combos, centers)
     # score() keeps the arrays it is given and returns, so the search state
     # lives in copies.
     center = centers.copy()
     center_ei = candidates.score(meta_index, xm, combos, centers, np.arange(count), 0, 0,
-                                 cross.kappa(cross.factors)).copy()
+                                 cross, cross.factors).copy()
     used = np.ones(count, dtype=int)
     active = used < cfg.acq_budget
     step = 0
@@ -304,7 +310,7 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
         rows[np.arange(len(owner)), column] = values
         factors = cross.polled(searches, column, values)
         ei = candidates.score(meta_index, xm, combos[searches], rows,
-                              searches, step, 2 * column + sign, cross.kappa(factors))
+                              searches, step, 2 * column + sign, cross, factors)
         # Each owner's polls are one segment of ei; an owner without any stops.
         polled = np.bincount(owner, minlength=len(owners))
         active[owners[polled == 0]] = False
@@ -319,7 +325,7 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
         moved = ei[best] > center_ei[s]
         movers, wins = s[moved], best[moved]
         center[movers], center_ei[movers] = rows[wins], ei[wins]
-        cross.factors[:, movers] = factors[:, wins]
+        cross.factors[:, :, movers] = factors[:, :, wins]
         stay = s[~moved]
         stopped = mesh.at_minimum(stay)
         mesh.refine(stay[~stopped])
@@ -401,9 +407,9 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
     for meta_index, xm in enumerate(metas):
         categorical, standard = finite[xm]
         if categorical is not None:
-            cross = CrossFactors(model, xm, categorical, standard)
+            cross = candidates.cross_factors(xm, categorical, standard)
             candidates.score(meta_index, xm, categorical, standard,
-                             0, 0, np.arange(len(categorical)), cross.kappa(cross.factors))
+                             0, 0, np.arange(len(categorical)), cross, cross.factors)
             continue
         scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
         combos = _enumerate_categorical(domain, xm, cfg.categorical_cap, rng)

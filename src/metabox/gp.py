@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -266,15 +265,20 @@ def _correlation_factor(table: str, value, tensor: np.ndarray, out=None) -> np.n
     return np.exp(out, out=out)
 
 
+def _config_value(config: KernelConfig, table: str, key):
+    """The entry ``key`` of one of ``config``'s tables; a missing entry is a
+    :class:`KernelDomainError`."""
+    try:
+        return getattr(config, table)[key]
+    except KeyError:
+        raise KernelDomainError(f"the config has no {table} entry for {key!r}") from None
+
+
 def _masked_factors(slots, config: KernelConfig):
     """Yield the factors of :func:`correlation_matrix` on ``slots``, in their
     order: each slot's correlation factor, set to 1 outside its mask."""
     for table, key, tensor, mask in slots:
-        try:
-            value = getattr(config, table)[key]
-        except KeyError:
-            raise KernelDomainError(f"the config has no {table} entry for {key!r}") from None
-        factor = _correlation_factor(table, value, tensor)
+        factor = _correlation_factor(table, _config_value(config, table, key), tensor)
         yield factor if mask is None else np.where(mask, factor, 1.0)
 
 
@@ -300,25 +304,25 @@ def _require_finite(*arrays):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _cholesky(matrix: np.ndarray, overwrite: bool = False):
+def _cholesky(matrix: np.ndarray):
     """Lower Cholesky factor of ``matrix``, or None when it is not numerically
     positive definite.
 
     LAPACK potrf reads and writes only the lower triangle; the upper one is
-    left as it was.  With ``overwrite`` a Fortran-ordered float64 matrix is
-    factorized in place, without a copy.  Called directly: the likelihood
-    runs thousands of times per fit, and cho_factor wraps the same routine
-    in costly checks.
+    left as it was.  Called directly: cho_factor wraps the same routine in
+    costly checks.
     """
-    factor, info = lapack.dpotrf(matrix, lower=1, clean=0, overwrite_a=overwrite)
+    factor, info = lapack.dpotrf(matrix, lower=1, clean=0)
     return None if info else factor
 
 
-def _factorize(matrix: np.ndarray, signal_variance: float):
+def _factorize(matrix: np.ndarray, signal_variance: float, jitter: float | None = None):
     """Lower Cholesky factor with jitter escalation (x10 up to the ceiling
-    fraction), and the jitter used."""
+    fraction), and the jitter used.  The first jitter tried is ``jitter``,
+    by default the base fraction of the signal variance."""
     _require_finite(matrix)
-    jitter = JITTER_FRACTION * signal_variance
+    if jitter is None:
+        jitter = JITTER_FRACTION * signal_variance
     eye = np.eye(matrix.shape[0])
     while True:
         factor = _cholesky(matrix + jitter * eye)
@@ -339,21 +343,11 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(factor, b, lower=1)[0]
 
 
-def _forward_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _forward_solve(factor: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """L^-1 b from the lower Cholesky factor L: LAPACK trtrs, one triangular
-    solve, which reads only the lower triangle."""
-    return lapack.dtrtrs(factor, b, lower=1)[0]
-
-
-class CrossCovariance(NamedTuple):
-    """Points given by their cross-covariance with a model's training
-    samples, computed ahead of prediction (see :class:`CrossFactors`)."""
-
-    kappa: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.kappa.shape[1]
+    solve, which reads only the lower triangle.  With ``overwrite`` a
+    Fortran-ordered ``b`` is solved in place."""
+    return lapack.dtrtrs(factor, b, lower=1, overwrite_b=overwrite)[0]
 
 
 class GPModel:
@@ -383,10 +377,7 @@ class GPModel:
         return len(self.points)
 
     def cross_covariance(self, points) -> np.ndarray:
-        """kappa matrix of shape (n_train, len(points)) of Points; a
-        :class:`CrossCovariance` gives its own."""
-        if isinstance(points, CrossCovariance):
-            return points.kappa
+        """kappa matrix of shape (n_train, len(points)) of Points."""
         pairs = PairTensors(self.domain, self._features, SampleFeatures(self.domain, points))
         return self.config.signal_variance * correlation_matrix(pairs, self.config)
 
@@ -416,8 +407,9 @@ class GPModel:
 
         With ``outputs``, a sequence of this model's row views, also returns
         their posterior means as a (len(outputs), n) array, computed from the
-        same cross-covariance.  ``points`` may be Points or their
-        :class:`CrossCovariance`.
+        same cross-covariance.  The acquisition predicts through
+        :meth:`CrossFactors.predict` instead, which gives the same values up
+        to rounding.
 
         The variance takes one triangular solve, ``v = L^-1 kappa``, and is
         ``s^2 - sum(v^2)`` over the training samples, clamped at 0.
@@ -479,59 +471,101 @@ class RowView:
 
 
 class CrossFactors:
-    """The factors of a model's cross-covariance with rows under one meta
-    component, kept per row, so that a row differing from a kept one in one
-    standard column costs one recomputed factor.
+    """A model's posterior at rows under one meta component, from the kernel
+    factors of the rows against the training samples under it, kept per row
+    so that a row differing from a kept one in one standard column costs one
+    recomputed factor.
 
-    The training samples under the rows' meta component xm (``_under``)
-    have exactly xm's acting set.  On them every meta factor is exactly 1
-    and every non-meta variable acting under xm acts, so ``factors[k, j]``
-    is the factor of the k-th acting non-meta variable, in declaration
-    order, between row j and those samples: the non-meta factors
-    :func:`correlation_matrix` multiplies, in its order.  Every non-meta
-    factor is exactly 1 on the other samples, and the meta factors there do
-    not depend on the row: the rows' cross-covariance with them is one
-    column, the signal variance times the product of the meta factors
-    between the samples and xm, computed once.  Categorical factors, and the
-    factor of every standard column a row does not change, are copied, so
-    :meth:`kappa` of a polled row equals :meth:`GPModel.cross_covariance` of
-    it bit for bit.
+    The training samples under the rows' meta component xm (``_under``, u
+    of them) have exactly xm's acting set.  On them every meta factor is
+    exactly 1 and every non-meta variable acting under xm acts, so
+    ``factors[k, :, j]`` is the factor of the k-th acting non-meta variable,
+    in declaration order, between those samples and row j: the non-meta
+    factors :func:`correlation_matrix` multiplies, in its order.  Their product
+    times the signal variance, D, is the rows' cross-covariance with those
+    samples, bit-identical to :meth:`GPModel.cross_covariance` of the rows
+    there; categorical factors, and the factor of every standard column a
+    row does not change, are copied.  Every non-meta factor is exactly 1 on
+    the other samples, and the meta factors there do not depend on the row:
+    the rows' cross-covariance with them is one column m, the signal
+    variance times the meta factors between the samples and xm.
+
+    So only D varies from row to row.  With the other samples ordered first,
+    the jittered Gram matrix factorizes as ``L = [[L11, 0], [L21, L22]]``,
+    and the partitioned inverse (GPML, Appendix A.3) gives, per row,
+
+    - mean ``c + alpha_u^T D``, where ``c`` is m's share of the mean and
+      ``alpha_u`` the model's alpha on the samples under xm;
+    - variance ``s^2 - a - |L22^-1 (D - w)|^2``, with ``w = L21 L11^-1 m``
+      and ``a = |L11^-1 m|^2``, clamped at 0;
+    - each row view's mean the same way as the mean, from the view's alpha.
+
+    Those pieces are computed once, so a row costs O(u^2) however many
+    samples the model holds.  Without meta variables every sample is under
+    xm and L22 is the model's own factor.
     """
 
-    def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard):
+    def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard, views=()):
         domain, config, train = model.domain, model.config, model._features
         self.signal_variance = config.signal_variance
-        own = _meta_features(domain, [xm])
-        meta = [(table, mid, _pair_tensor(table, train.meta[mid], own[mid]), None)
-                for table, mid in _meta_slots(domain)]
-        self._meta = self.signal_variance * _product(
-            _masked_factors(meta, config), (train.n, 1))[:, 0]
         code = {key: k for k, key in enumerate(train.metas)}.get(tuple(sorted(xm.items())), -1)
         under = self._under = np.flatnonzero(train.which_meta == code)
+        others = np.flatnonzero(train.which_meta != code)
+        self._posterior(model, xm, others, views)
         cat_ids = domain.acting_index_set(xm, "categorical")
         std_ids = domain.acting_index_set(xm, "standard")
         acting = {*cat_ids, *std_ids}
         slot = {v.id: k for k, v in enumerate(v for v in domain.variables if v.id in acting)}
         categorical = np.asarray(categorical, dtype=int)
         standard = np.asarray(standard, dtype=float)
-        self.factors = np.empty((len(slot), len(standard), len(under)))
+        self.factors = np.empty((len(slot), len(under), len(standard)))
         for c, vid in enumerate(cat_ids):
             table = _MATRIX_TABLES[domain.spec(vid).type]
             self.factors[slot[vid]] = _correlation_factor(
-                table, getattr(config, table)[vid],
-                _pair_tensor(table, categorical[:, c], train.values[vid][under]))
+                table, _config_value(config, table, vid),
+                _pair_tensor(table, train.values[vid][under], categorical[:, c]))
         specs = [domain.spec(v) for v in std_ids]
         self._slot = np.array([slot[v] for v in std_ids], dtype=int)
         self._integer = np.array([spec.type == VariableType.INTEGER for spec in specs],
                                  dtype=bool)
         self._lo = np.array([spec.scope.lo for spec in specs], dtype=float)
         self._width = np.array([spec.scope.width for spec in specs], dtype=float)
-        self._weight = np.array([getattr(config, _MATRIX_TABLES[spec.type])[spec.id]
+        self._weight = np.array([_config_value(config, _MATRIX_TABLES[spec.type], spec.id)
                                  for spec in specs], dtype=float)
         self._train = np.array([train.values[v][under] for v in std_ids]).reshape(
             len(std_ids), len(under))
         rows, column = np.indices(standard.shape).reshape(2, -1)
-        self.factors[self._slot[column], rows] = self._standard(column, standard.ravel())
+        self.factors[self._slot[column], :, rows] = self._standard(column, standard.ravel())
+
+    def _posterior(self, model: GPModel, xm: MetaComponent, others: np.ndarray, views):
+        """The pieces of :meth:`predict` that do not depend on the rows."""
+        domain, config, train = model.domain, model.config, model._features
+        own = _meta_features(domain, [xm])
+        meta = [(table, mid, _pair_tensor(table, train.meta[mid][others], own[mid]), None)
+                for table, mid in _meta_slots(domain)]
+        column = self.signal_variance * _product(
+            _masked_factors(meta, config), (len(others), 1))[:, 0]
+        # Row 0 is the objective's alpha, then one per view, 0 off its rows.
+        alphas = np.zeros((1 + len(views), len(model)))
+        alphas[0] = model.alpha
+        for alpha, view in zip(alphas[1:], views):
+            if view.model is not model:
+                raise ValueError("a row view predicts only through its own model")
+            alpha[slice(None) if view.rows is None else view.rows] = view.alpha
+        self._constant = (alphas[:, others] @ column)[:, None]
+        # (u, outputs, 1): each output's weight on each sample under xm.
+        self._weights = np.ascontiguousarray(alphas[:, self._under].T)[:, :, None]
+        order = np.concatenate([others, self._under])
+        if np.array_equal(order, np.arange(len(model))):
+            factor = model._factor
+        else:
+            factor, _ = _factorize(model._gram[order][:, order], self.signal_variance,
+                                   model.jitter)
+        k = len(others)
+        self._lower = np.asfortranarray(factor[k:, k:])
+        solved = _forward_solve(factor[:k, :k], column) if k else column
+        self._offset = (factor[k:, :k] @ solved)[:, None]
+        self._prior = self.signal_variance - solved @ solved
 
     def _standard(self, column: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The factor of standard column ``column[j]`` at raw value
@@ -546,21 +580,56 @@ class CrossFactors:
     def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Factors of the rows that equal kept row ``rows[j]`` but for
         standard column ``column[j]``, set to ``values[j]``."""
-        factors = self.factors[:, rows]
-        factors[self._slot[column], np.arange(len(column))] = self._standard(column, values)
+        factors = self.factors[:, :, rows]
+        factors[self._slot[column], :, np.arange(len(column))] = self._standard(column, values)
         return factors
 
-    def kappa(self, factors: np.ndarray) -> CrossCovariance:
-        """The rows' cross-covariance, a C-ordered (n_train, rows) array, from
-        factors such as :attr:`factors` or :meth:`polled`'s."""
-        kappa = np.repeat(self._meta[:, None], factors.shape[1], axis=1)
-        kappa[self._under] = self.signal_variance * _product(factors, factors.shape[1:]).T
-        return CrossCovariance(kappa)
+    def cross_covariance(self, factors: np.ndarray) -> np.ndarray:
+        """D, the rows' cross-covariance with the training samples under xm, a
+        (u, rows) array, from factors such as :attr:`factors` or
+        :meth:`polled`'s.  The factors are multiplied in their order, as
+        :func:`correlation_matrix` multiplies them."""
+        return self.signal_variance * np.multiply.reduce(factors, axis=0)
+
+    def predict(self, factors: np.ndarray):
+        """Posterior means, variances and the views' means (a (views, rows)
+        array) of the rows with ``factors``.
+
+        Each row's values do not depend on the rest of the batch: the sums
+        over the samples under xm run row by row over C-ordered arrays of at
+        least two columns, as :meth:`GPModel.predict_batch`'s do.
+        """
+        cross = self.cross_covariance(factors)
+        count = cross.shape[1]
+        if count == 1:
+            cross = np.repeat(cross, 2, axis=1)
+        outputs, columns = len(self._constant), cross.shape[1]
+        weighted = self._weights * cross[:, None, :]
+        means = np.add.reduce(weighted.reshape(len(cross), outputs * columns), axis=0)
+        means = means.reshape(outputs, columns) + self._constant
+        variance = np.full(columns, self._prior)
+        if cross.size:
+            solved = _forward_solve(self._lower, np.subtract(cross, self._offset, order="F"),
+                                    overwrite=True)
+            variance -= np.add.reduce(np.multiply(solved, solved, order="C"), axis=0)
+        return means[0, :count], np.maximum(variance[:count], 0.0), means[1:, :count]
 
 
-def _likelihood_terms(factor: np.ndarray, y: np.ndarray):
-    """(y^T K^-1 y, log det K) from the lower Cholesky factor of K."""
-    return float(y @ _cho_solve(factor, y)), 2.0 * np.log(factor.diagonal()).sum()
+def _likelihood_terms(matrix: np.ndarray, y: np.ndarray, overwrite: bool = False,
+                      logs: np.ndarray | None = None):
+    """(y^T K^-1 y, log det K) of the symmetric matrix K, or None when K is not
+    numerically positive definite.
+
+    One LAPACK posv call factorizes K (potrf, from the lower triangle) and
+    solves (potrs).  With ``overwrite`` a Fortran-ordered float64 matrix is
+    factorized in place; ``logs``, a buffer of len(y) values, receives the
+    logarithms of the factor's diagonal.
+    """
+    factor, solved, info = lapack.dposv(matrix, y, lower=1, overwrite_a=overwrite)
+    if info:
+        return None
+    logs = np.log(factor.diagonal(), out=logs)
+    return float(y @ solved), 2.0 * np.add.reduce(logs)
 
 
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig) -> float:
@@ -570,10 +639,10 @@ def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig
     y = np.asarray(values, dtype=float)
     gram = config.signal_variance * correlation_matrix(pairs, config)
     _require_finite(gram, y)
-    factor = _cholesky(gram + config.jitter * np.eye(len(points)))
-    if factor is None:
+    terms = _likelihood_terms(gram + config.jitter * np.eye(len(points)), y)
+    if terms is None:
         return -math.inf
-    quadratic, logdet = _likelihood_terms(factor, y)
+    quadratic, logdet = terms
     return float(-0.5 * quadratic - 0.5 * logdet - 0.5 * len(y) * math.log(2 * math.pi))
 
 
@@ -656,7 +725,7 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
     Each hyperparameter enters exactly one correlation factor, and a trial
     move recomputes, in place, only that factor and the product of its
     group.  LAPACK potrf reads the lower triangle and the diagonal, so the
-    search keeps those entries in two groups:
+    search keeps the strict lower triangle's entries in two groups:
 
     - the meta group, on pairs with different meta components, holds the
       meta factors: every other factor is exactly 1 there;
@@ -664,9 +733,11 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
       exactly 1 off the pairs where its variable acts in both samples: every
       meta factor is exactly 1 there.
 
-    Both groups' products share one buffer, which a trial scatters into a
-    Fortran-ordered matrix before it adds the jitter on the diagonal and
-    factorizes the matrix in place; every buffer is allocated once per fit.
+    Both groups' products share one buffer with the diagonal, where every
+    factor is 1 and the entry is 1 plus the jitter fraction.  A trial
+    scatters that buffer into a Fortran-ordered matrix, which one LAPACK
+    posv call factorizes in place and solves against; every buffer is
+    allocated once per fit.
     Products are taken in correlation_matrix's factor order and multiplying
     by an exact 1 changes nothing, so every likelihood is bit-identical to
     evaluating correlation_matrix on the trial config.  Finiteness is
@@ -685,14 +756,16 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
     factors = pairs.slots
     _require_finite(y, *(tensor for _, _, tensor, _ in factors))
 
-    # The lower triangle's entries, the meta group's first.
-    rows, cols = np.tril_indices(n)
+    # The strict lower triangle's entries, the meta group's first, then the
+    # diagonal: every factor is 1 there, so it holds 1 plus the jitter.
+    rows, cols = np.tril_indices(n, -1)
     same = pairs.same_meta[rows, cols]
     order = np.argsort(same, kind="stable")
     rows, cols = rows[order], cols[order]
-    index = rows + cols * n
-    products = np.ones(len(index))
-    split = len(index) - int(same.sum())
+    index = np.concatenate([rows + cols * n, np.arange(n) * (n + 1)])
+    entries = np.full(len(index), 1.0 + JITTER_FRACTION)
+    products = entries[:len(rows)]
+    split = len(rows) - int(same.sum())
     groups = []
     factor_of = {}  # (table, key) -> (group, row)
     for part, members in ((slice(None, split), [f for f in factors if f[3] is None]),
@@ -700,24 +773,25 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
         group = _FactorGroup(rows[part], cols[part], members, products[part])
         groups.append(group)
         for k, (table, key, _, _) in enumerate(members):
-            # A meta factor has no support when all samples share one meta
-            # component: it is 1 everywhere.
+            # A factor without support is 1 off the diagonal: a meta factor
+            # when all samples share one meta component, a non-meta one when
+            # no two samples of one meta component both have its variable
+            # acting.
             if group.factors[k][2]:
                 factor_of[(table, key)] = (group, k)
-    # A slot without a factor (its variable acts in no sample) cannot change
-    # the likelihood, so the search skips it.
+    # A slot without a factor cannot change the likelihood, so the search
+    # skips it.
     slot_factor = [factor_of.get((table, key)) for table, key, _, _ in slots]
     flat = np.empty(n * n)
     matrix = flat.reshape((n, n), order="F")
-    diagonal = flat[::n + 1]
+    logs = np.empty(n)
 
     def likelihood():
-        flat[index] = products
-        diagonal[...] += JITTER_FRACTION
-        factor = _cholesky(matrix, overwrite=True)
-        if factor is None:
+        flat[index] = entries
+        terms = _likelihood_terms(matrix, y, overwrite=True, logs=logs)
+        if terms is None:
             return -math.inf, None
-        return _profiled_lml(*_likelihood_terms(factor, y), n)
+        return _profiled_lml(*terms, n)
 
     def set_params(params):
         for i, value in enumerate(params):

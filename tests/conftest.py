@@ -142,6 +142,17 @@ def random_point(domain, rng, metas=None):
     return domain.complete_point(xm, partial)
 
 
+def row_arrays(domain, xm, points):
+    """(categorical, standard) rows of Points under xm, columns in acting-set
+    order, as the acquisition scores them."""
+    cat_ids = domain.acting_index_set(xm, "categorical")
+    std_ids = domain.acting_index_set(xm, "standard")
+    return (np.array([[p.categorical[v] for v in cat_ids] for p in points],
+                     dtype=int).reshape(len(points), len(cat_ids)),
+            np.array([[p.standard[v] for v in std_ids] for p in points],
+                     dtype=float).reshape(len(points), len(std_ids)))
+
+
 def uniform_random_search(problem, budget, seed):
     """Baseline sampler: best extreme-barrier value of seeded uniform draws."""
     evaluator = mb.Evaluator(problem, budget)

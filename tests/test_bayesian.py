@@ -13,7 +13,8 @@ from metabox.bayesian import _Candidates, initial_design, write_acquisition_log
 from metabox.gp import CrossFactors, PairTensors, SampleFeatures
 from metabox.blackbox import barrier_value
 from metabox.domain import denormalize
-from conftest import charged_failures, nan_objective_at_k2, parse_bundled, random_point
+from conftest import (charged_failures, nan_objective_at_k2, parse_bundled, random_point,
+                      row_arrays)
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 
@@ -70,10 +71,11 @@ def bo_pieces(problem, points, values):
     return mb.GPModel(problem.domain, points, values, config)
 
 
-def kappa_of(model, xm, categorical, standard):
-    """The rows' cross-covariance as the acquisition scores them."""
-    cross = CrossFactors(model, xm, categorical, standard)
-    return cross.kappa(cross.factors)
+def scored_by(candidates, xm, categorical, standard):
+    """The CrossFactors of the rows and their factors, as the acquisition
+    scores them."""
+    cross = candidates.cross_factors(xm, categorical, standard)
+    return cross, cross.factors
 
 
 def row_points(domain, xm, categorical, standard):
@@ -98,7 +100,7 @@ def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
     def score(categorical, standard, *order):
         categorical, standard = np.array(categorical), np.array(standard)
         return candidates.score(1, xm, categorical, standard, *order,
-                                kappa_of(model, xm, categorical, standard))
+                                *scored_by(candidates, xm, categorical, standard))
 
     late = score([[2, 3]], [[4.0]], 0, 2, 0)
     early = score([[1, 1], [2, 2]], [[0.0], [1.0]], 0, 1, np.array([1, 0]))
@@ -160,14 +162,15 @@ def test_candidates_decode_into_the_domain(mlp_problem):
     assert domain.contains(candidate.point())
 
 
-def sequential_acquisition(model, system, constraint_models, evaluated, f_star, cfg, rng):
+def sequential_acquisition(model, system, constraint_views, evaluated, f_star, cfg, rng):
     """Reference acquisition: one pattern search at a time over Point objects.
 
-    Every candidate is scored in a batch of its own search step, offered in
-    sequential order (meta, categorical component, start, step, position),
-    and kept only when its EI strictly beats the best so far.  Returns the
-    pick as (point, EI, surrogate-feasible), or None, and every scored
-    candidate as (point, EI, surrogate-feasible, fresh) in sequential order.
+    Every candidate is scored in a batch of its own search step, built
+    afresh from its Points, offered in sequential order (meta, categorical
+    component, start, step, position), and kept only when its EI strictly
+    beats the best so far.  Returns the pick as (point, EI,
+    surrogate-feasible), or None, and every scored candidate as (point, EI,
+    surrogate-feasible, fresh) in sequential order.
     """
     domain = model.domain
     excluded = {mb.cache_key(p) for p in evaluated}
@@ -175,12 +178,13 @@ def sequential_acquisition(model, system, constraint_models, evaluated, f_star, 
     scored = []
 
     def offer(points):
-        mean, variance = model.predict_batch(points)
+        xm = points[0].meta
+        views = [constraint_views[c.id] for c in system.acting_constraints(xm)
+                 if c.id in constraint_views]
+        cross = CrossFactors(model, xm, *row_arrays(domain, xm, points), views)
+        mean, variance, view_means = cross.predict(cross.factors)
         ei = mb.expected_improvement(mean, np.sqrt(variance), f_star)
-        for point, value in zip(points, ei):
-            means = [float(constraint_models[c.id].mean_batch([point])[0])
-                     if c.id in constraint_models else 0.0
-                     for c in system.acting_constraints(point.meta)]
+        for point, value, means in zip(points, ei, view_means.T):
             feasible = all(m <= 0.0 for m in means)
             fresh = mb.cache_key(point) not in excluded
             scored.append((point, float(value), feasible, fresh))
@@ -245,11 +249,9 @@ def sequential_acquisition(model, system, constraint_models, evaluated, f_star, 
 
 
 def acquisition_case(problem, samples, seed):
-    """Model and constraint surrogates fit on ``samples`` random points.
-
-    Each constraint surrogate comes twice: as a row view of the model, the
-    way run_bo builds it, and as a standalone GPModel on its own samples.
-    """
+    """Model and constraint surrogates fit on ``samples`` random points;
+    each constraint surrogate is a row view of the model, the way run_bo
+    builds it."""
     domain = problem.domain
     rng = np.random.default_rng(seed)
     evaluator = mb.Evaluator(problem, samples)
@@ -260,29 +262,27 @@ def acquisition_case(problem, samples, seed):
     values = [r.objective for r in records]
     config = mb.fit_hyperparameters(domain, points, values, seed=seed)
     model = mb.GPModel(domain, points, values, config)
-    views, standalone = {}, {}
+    views = {}
     for spec in problem.constraints.constraints:
         rows = [i for i, r in enumerate(records) if spec.id in r.constraints]
         if rows:
-            vals = [records[i].constraints[spec.id] for i in rows]
-            views[spec.id] = model.row_view(rows, vals)
-            standalone[spec.id] = mb.GPModel(domain, [points[i] for i in rows], vals,
-                                             config)
-    return model, views, standalone, points, min(values)
+            views[spec.id] = model.row_view(rows,
+                                            [records[i].constraints[spec.id] for i in rows])
+    return model, views, points, min(values)
 
 
 @pytest.mark.parametrize("name, samples, seed",
                          [("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1)])
 def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, samples, seed):
     problem = parse_bundled(name).problem
-    model, views, standalone, points, f_star = acquisition_case(problem, samples, seed)
+    model, views, points, f_star = acquisition_case(problem, samples, seed)
     cfg = mb.BOConfig(budget=10, acq_budget=24, acq_starts=3)
     pools = []
     pick = _Candidates.pick
     monkeypatch.setattr(_Candidates, "pick", lambda self: pools.append(self) or pick(self))
     got = mb.maximize_acquisition(model, problem.constraints, views,
                                   points, f_star, cfg, np.random.default_rng(seed))
-    want, scored = sequential_acquisition(model, problem.constraints, standalone,
+    want, scored = sequential_acquisition(model, problem.constraints, views,
                                           points, f_star, cfg, np.random.default_rng(seed))
     assert (got.point(), got.acquisition, got.surrogate_feasible) == want
     # Every candidate of every search, in sequential order, scores the same,
@@ -333,7 +333,7 @@ def test_each_scored_batch_comes_from_one_cross_factors(monkeypatch, name):
     monkeypatch.setattr(bayesian, "_pattern_search", counting_search)
     pattern = {"mlp": r"(\[CS+\])+", "toy": r"(CS)+"}[name]
     problem = parse_bundled(name).problem
-    model, views, _, points, f_star = acquisition_case(problem, 20, 2)
+    model, views, points, f_star = acquisition_case(problem, 20, 2)
     assert len(views) == len(problem.constraints.constraints)
     events.clear()
     mb.maximize_acquisition(model, problem.constraints, views, points, f_star,
@@ -355,18 +355,21 @@ def adam_only_case(problem, samples, seed):
 
 
 def kappa_case(case):
-    """(domain, constraint system, model, training points, f*) of one
-    bit-identity case.  "matrix" and "mixed" train on mlp under every meta
-    component, "adam-only" under o=Adam only, and "toy" under m=A only, so
-    some meta components have no training sample.  BARE's metas B and C
-    have no acting non-meta variable, and C no training sample either."""
-    if case in ("matrix", "mixed"):
-        problem = parse_bundled("mlp").problem
-        model, _, _, points, f_star = acquisition_case(problem, 20, 3)
-        return problem.domain, problem.constraints, model, points, f_star
+    """(domain, constraint system, model, row views, training points, f*)
+    of one scoring case.  "matrix" and "mixed" train on mlp under every meta
+    component, and "toy-fitted" on toy under both, with a fitted config and
+    the constraints' row views.  "adam-only" trains under o=Adam only, and
+    "toy" under m=A only, so some meta components have no training sample,
+    and m=A holds every one.  BARE's metas B and C have no acting non-meta
+    variable, and C no training sample either."""
+    if case in ("matrix", "mixed", "toy-fitted"):
+        problem = parse_bundled("toy" if case == "toy-fitted" else "mlp").problem
+        model, views, points, f_star = acquisition_case(problem, 20, 3)
+        return problem.domain, problem.constraints, model, views, points, f_star
     if case == "adam-only":
         problem = parse_bundled("mlp").problem
-        return (problem.domain, problem.constraints, *adam_only_case(problem, 12, 5))
+        model, points, f_star = adam_only_case(problem, 12, 5)
+        return problem.domain, problem.constraints, model, {}, points, f_star
     if case == "toy":
         problem = parse_bundled("toy").problem
         domain, system = problem.domain, problem.constraints
@@ -379,29 +382,31 @@ def kappa_case(case):
         points = [mb.Point(a, {}, {"x": 0}), mb.Point(a, {}, {"x": 1}), mb.Point(b, {}, {})]
         values = [0.0, 1.0, -1.0]
     model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain))
-    return domain, system, model, points, min(values)
+    return domain, system, model, {}, points, min(values)
 
 
 def scored_batches(monkeypatch, case, cfg, seed):
-    """The model of a :func:`kappa_case`, and (xm, categorical, standard,
-    kappa) of every batch one acquisition on it scores, each kappa checked
-    bit for bit against the cross-covariance of the rows as Points."""
-    domain, system, model, points, f_star = kappa_case(case)
+    """The model of a :func:`kappa_case`, and (xm, categorical, standard, D)
+    of every batch one acquisition on it scores, each D (the rows'
+    cross-covariance with the training samples under xm) checked bit for
+    bit against the cross-covariance of the rows as Points there."""
+    domain, system, model, views, points, f_star = kappa_case(case)
     scored = []
     score = _Candidates.score
 
     def recording_score(self, meta_index, xm, categorical, standard, *order):
-        scored.append((xm, categorical, standard, order[-1]))
+        cross, factors = order[-2:]
+        scored.append((xm, categorical, standard, cross._under,
+                       cross.cross_covariance(factors)))
         return score(self, meta_index, xm, categorical, standard, *order)
 
     monkeypatch.setattr(_Candidates, "score", recording_score)
-    mb.maximize_acquisition(model, system, {}, points, f_star, cfg,
+    mb.maximize_acquisition(model, system, views, points, f_star, cfg,
                             np.random.default_rng(seed))
-    for xm, categorical, standard, kappa in scored:
-        assert kappa.kappa.flags.c_contiguous
+    for xm, categorical, standard, under, cross in scored:
         fresh = model.cross_covariance(row_points(domain, xm, categorical, standard))
-        assert np.array_equal(kappa.kappa, fresh)
-    return model, scored
+        assert np.array_equal(cross, fresh[under])
+    return model, [(xm, categorical, standard) for xm, categorical, standard, _, _ in scored]
 
 
 @pytest.mark.parametrize("case", ["matrix", "adam-only"])
@@ -409,14 +414,14 @@ def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, case):
     model, scored = scored_batches(monkeypatch, case,
                                    mb.BOConfig(budget=10, acq_budget=24, acq_starts=2), 1)
     domain = model.domain
-    assert {xm["o"] for xm, _, _, _ in scored} == {"Adam", "ASGD"}
+    assert {xm["o"] for xm, _, _ in scored} == {"Adam", "ASGD"}
     # Integer columns (u1..u3) and continuous ones were both polled.
-    std = np.vstack([standard for xm, _, standard, _ in scored if xm == ADAM2])
+    std = np.vstack([standard for xm, _, standard in scored if xm == ADAM2])
     assert len(np.unique(std[:, 1])) > 2 and len(np.unique(std[:, 0])) > 2
     if case == "adam-only":
         ids = domain.acting_index_set(mb.MetaComponent({"l": 2, "o": "ASGD"}), "standard")
         lam = ids.index("lam")
-        asgd = [s for xm, _, s, _ in scored if xm["o"] == "ASGD"]
+        asgd = [s for xm, _, s in scored if xm["o"] == "ASGD"]
         assert any(len(np.unique(s[:, lam])) > 1 for s in asgd)
 
 
@@ -424,41 +429,87 @@ def test_poll_kappa_equals_a_fresh_cross_covariance(monkeypatch, case):
     ("toy", 4096), ("bare", 4096), ("bare", 1)], ids=["toy", "bare-finite", "bare-pattern"])
 def test_scored_kappa_equals_a_fresh_cross_covariance(monkeypatch, case, enumeration_cap):
     # The finite path, a meta component without training samples, and ones
-    # without an acting non-meta variable score bit-identical kappas too.
+    # without an acting non-meta variable score bit-identical
+    # cross-covariances too.
     model, scored = scored_batches(
         monkeypatch, case, mb.BOConfig(budget=10, acq_budget=12, acq_starts=2,
                                        enumeration_cap=enumeration_cap), 0)
     metas = {p.meta for p in model.points}
-    assert {xm for xm, _, _, _ in scored} > metas
+    assert {xm for xm, _, _ in scored} > metas
 
 
 @pytest.mark.parametrize("case", ["mixed", "adam-only", "toy", "bare"])
 def test_cross_factors_span_the_training_samples_under_the_meta(case):
     # Per-row factors cover exactly the training samples under the rows'
-    # meta component, one per acting non-meta variable; every other
-    # sample's cross-covariance is the signal variance times the meta
-    # factors.
-    domain, _, model, points, _ = kappa_case(case)
+    # meta component, one per acting non-meta variable.  Every other
+    # sample's cross-covariance with the rows is one column, shared by all
+    # rows, which the scorer folds into constants.
+    domain, _, model, _, points, _ = kappa_case(case)
     rng = np.random.default_rng(0)
     for xm in domain.enumerate_meta_set():
         rows = [random_point(domain, rng, [xm]) for _ in range(3)]
-        cat_ids = domain.acting_index_set(xm, "categorical")
-        std_ids = domain.acting_index_set(xm, "standard")
-        categorical = np.array([[p.categorical[v] for v in cat_ids] for p in rows],
-                               dtype=int).reshape(3, len(cat_ids))
-        standard = np.array([[p.standard[v] for v in std_ids] for p in rows],
-                            dtype=float).reshape(3, len(std_ids))
+        categorical, standard = row_arrays(domain, xm, rows)
         cross = CrossFactors(model, xm, categorical, standard)
         under = [i for i, p in enumerate(points) if p.meta == xm]
         assert cross._under.tolist() == under
-        assert cross.factors.shape == (len(cat_ids) + len(std_ids), len(rows), len(under))
-        kappa = cross.kappa(cross.factors).kappa
-        assert np.array_equal(kappa, model.cross_covariance(rows))
+        assert cross.factors.shape == (categorical.shape[1] + standard.shape[1], len(under),
+                                       len(rows))
+        fresh = model.cross_covariance(rows)
+        assert np.array_equal(cross.cross_covariance(cross.factors), fresh[under])
         others = np.setdiff1d(np.arange(len(points)), under)
-        assert np.array_equal(kappa[others], np.repeat(cross._meta[others, None], 3, axis=1))
+        assert np.array_equal(fresh[others], np.repeat(fresh[others, :1], 3, axis=1))
     # Some cases have meta components without a training sample.
     assert len({p.meta for p in points}) == {"mixed": 4, "adam-only": 2, "toy": 1,
                                             "bare": 2}[case]
+
+
+@pytest.mark.parametrize("case", ["mixed", "toy-fitted", "adam-only", "toy", "bare"])
+def test_cross_factors_predict_as_predict_batch(case):
+    # The partitioned posterior equals predict_batch of the same Points up to
+    # rounding: means and view means within 1e-9 of the batch's scale, and
+    # variances within 1e-12 of the signal variance.  Rows are fresh draws
+    # and the training samples, under meta components holding some, all
+    # ("toy": m=A) or none ("adam-only", "toy", "bare") of them.
+    domain, _, model, views, points, _ = kappa_case(case)
+    views = list(views.values())
+    rng = np.random.default_rng(1)
+    s2 = model.config.signal_variance
+    for xm in domain.enumerate_meta_set():
+        rows = [random_point(domain, rng, [xm]) for _ in range(20)]
+        rows += [p for p in points if p.meta == xm]
+        cross = CrossFactors(model, xm, *row_arrays(domain, xm, rows), views)
+        got = cross.predict(cross.factors)
+        want = model.predict_batch(rows, views)
+        assert got[2].shape == want[2].shape == (len(views), len(rows))
+        for got_values, want_values in ((got[0], want[0]), (got[2], want[2])):
+            scale = np.abs(want_values).max(initial=0.0) + math.sqrt(s2)
+            assert np.abs(got_values - want_values).max(initial=0.0) <= 1e-9 * scale
+        assert np.abs(got[1] - want[1]).max() <= 1e-12 * s2
+
+
+@pytest.mark.parametrize("name", ["mlp", "toy"])
+def test_acquisition_runs_no_solve_against_the_full_factor(monkeypatch, name):
+    # Every scored batch is predicted from the factor of the samples under
+    # its meta component: no n-row cross-covariance, no n-row solve.
+    from metabox import gp
+    problem = parse_bundled(name).problem
+    model, views, points, f_star = acquisition_case(problem, 20, 2)
+    assert all(any(p.meta == xm for p in points)
+               for xm in problem.domain.enumerate_meta_set())
+    solved = []
+    forward = gp._forward_solve
+    monkeypatch.setattr(gp, "_forward_solve",
+                        lambda factor, b, **kw: solved.append(factor) or forward(factor, b, **kw))
+
+    def forbidden(*args):
+        raise AssertionError("the acquisition built an n-row cross-covariance")
+
+    monkeypatch.setattr(mb.GPModel, "cross_covariance", forbidden)
+    mb.maximize_acquisition(model, problem.constraints, views, points, f_star,
+                            mb.BOConfig(budget=10, acq_budget=12, acq_starts=2),
+                            np.random.default_rng(0))
+    assert solved
+    assert all(factor is not model._factor and len(factor) < len(model) for factor in solved)
 
 
 BARE = {
@@ -512,7 +563,7 @@ def test_evaluated_points_are_never_offered_again(monkeypatch, enumeration_cap):
                                                (1, b, [[]], 0), (2, c, [[]], 0)):
         categorical, standard = np.zeros((len(standard), 0), dtype=int), np.array(standard)
         candidates.score(meta_index, xm, categorical, standard, 9, 9, position,
-                         kappa_of(model, xm, categorical, standard))
+                         *scored_by(candidates, xm, categorical, standard))
     assert [is_new(candidates, batch) for batch in candidates._batches[-3:]] == [
         [False, False, False, True], [False], [True]]
     for batch in candidates._batches:
@@ -781,9 +832,9 @@ def test_bo_ends_when_no_model_factorizes(toy_problem, monkeypatch):
 # per (problem, solver seed).
 BO_RUN_SHA256 = {
     ("mlp", 0): ("106161aeddeb9d8bc8628b03030196974989f14ab0e19b6f6cf98309fd4fecfe",
-                 "944958abd7ddfe6a1df6056d4d8e789ac1a6c7c9ad8db11aaaed001c378a890b"),
+                 "4ebfef1785bd774a85ca2ab946cd5d7a14fb2ea406c09fc1c604a429a689b826"),
     ("toy", 1): ("da20513d57759da8bd87fac9ef254dfa4dab640331a092f0d08603e44b4922ac",
-                 "f11097834a59aab243e3114a1601f9a78c68280e461a6b1d4ab0d9d669fe224c"),
+                 "5c0961491eb562d8f031c0c1a9be189aea67a0f68b944ceeb88e83f912f80573"),
 }
 
 

@@ -7,9 +7,9 @@ import metabox as mb
 from scipy import linalg
 
 from metabox.domain import normalize, round_half_away
-from metabox.gp import (JITTER_FRACTION, PairTensors, SampleFeatures, correlation_matrix,
-                        log_marginal_likelihood)
-from conftest import ScalarKernel, parse_bundled, random_point
+from metabox.gp import (JITTER_FRACTION, CrossFactors, PairTensors, SampleFeatures,
+                        correlation_matrix, log_marginal_likelihood)
+from conftest import ScalarKernel, parse_bundled, random_point, row_arrays
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 ADAM3 = mb.MetaComponent({"l": 3, "o": "Adam"})
@@ -384,6 +384,18 @@ def test_prediction_is_batch_invariant(mlp_problem):
     part_mean, part_variance = model.predict_batch(batch[1::3])
     assert np.array_equal(part_mean, mean[1::3])
     assert np.array_equal(part_variance, variance[1::3])
+    # The acquisition's scorer, rows under one meta component at a time.
+    view = model.row_view([0, 3, 4], values[:1] + values[3:5])
+    for xm in {p.meta for p in batch}:
+        rows = [p for p in batch if p.meta == xm]
+        cross = CrossFactors(model, xm, *row_arrays(domain, xm, rows), [view])
+        scores = cross.predict(cross.factors)
+        for i in range(len(rows)):
+            alone = cross.predict(cross.factors[:, :, i:i + 1])
+            assert all(np.array_equal(a[..., 0], s[..., i]) for a, s in zip(alone, scores))
+        if len(rows) > 1:
+            part = cross.predict(cross.factors[:, :, 1::2])
+            assert all(np.array_equal(p, s[..., 1::2]) for p, s in zip(part, scores))
 
 
 def test_pair_tensors_build_one_tensor_per_factor(mlp_domain):
@@ -549,6 +561,22 @@ def fit_samples(name, count, seed):
     return problem.domain, [r.point for r in records], [r.objective for r in records]
 
 
+def test_acquisition_on_a_config_missing_an_entry_is_a_kernel_domain_error(mlp_problem):
+    # beta1 acts in no ASGD sample, so the model builds without its weight;
+    # scoring rows under o=Adam needs it.
+    domain, points, values = fit_samples("mlp", 12, 0)
+    keep = [i for i, p in enumerate(points) if p.meta["o"] == "ASGD"]
+    config = mb.default_kernel_config(domain)
+    del config.continuous_weights["beta1"]
+    model = mb.GPModel(domain, [points[i] for i in keep], [values[i] for i in keep], config)
+    with pytest.raises(mb.KernelDomainError,
+                       match="no continuous_weights entry for 'beta1'"):
+        mb.maximize_acquisition(model, mlp_problem.constraints, {}, model.points,
+                                min(model.values),
+                                mb.BOConfig(budget=10, acq_budget=6, acq_starts=1),
+                                np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("name, count, seed",
                          [("mlp", 12, 0), ("mlp", 24, 3), ("toy", 10, 1), ("toy", 16, 2),
                           ("no-meta", 10, 4), ("no-meta", 12, 5), ("mlp-adam2", 12, 6),
@@ -558,14 +586,14 @@ def fit_samples(name, count, seed):
 def test_cached_factor_fit_matches_reference(name, count, seed, monkeypatch):
     from metabox import gp
     domain, points, values = fit_samples(name, count, seed)
-    factorized, cholesky = [], gp._cholesky
+    factorized, terms_of = [], gp._likelihood_terms
 
     def recorded(*args, **kwargs):
-        factor = cholesky(*args, **kwargs)
-        factorized.append(factor is not None)
-        return factor
+        terms = terms_of(*args, **kwargs)
+        factorized.append(terms is not None)
+        return terms
 
-    monkeypatch.setattr(gp, "_cholesky", recorded)
+    monkeypatch.setattr(gp, "_likelihood_terms", recorded)
     got = mb.fit_hyperparameters(domain, points, values, seed=seed)
     want = reference_fit(domain, points, values, seed=seed)
     assert got.to_dict() == want.to_dict()
@@ -600,9 +628,9 @@ def test_dead_fit_start_costs_one_factorization(monkeypatch):
     configs = [start_config(domain, slots, params) for params in drawn]
     live = [log_marginal_likelihood(domain, points, values, c) > -math.inf for c in configs]
     assert live[0] and not all(live)
-    calls, cholesky = [], gp._cholesky
-    monkeypatch.setattr(gp, "_cholesky",
-                        lambda *args, **kwargs: calls.append(None) or cholesky(*args, **kwargs))
+    calls, terms_of = [], gp._likelihood_terms
+    monkeypatch.setattr(gp, "_likelihood_terms",
+                        lambda *args, **kwargs: calls.append(None) or terms_of(*args, **kwargs))
     # A search from one start alone factorizes its start, its trials and the
     # final config.
     trials = []
@@ -631,9 +659,9 @@ def test_fit_skips_trials_its_start_already_evaluated(monkeypatch):
     # saves factorizations and leaves the fitted config as it was.
     from metabox import gp
     domain, points, values = fit_samples("toy", 16, 2)
-    calls, cholesky = [], gp._cholesky
-    monkeypatch.setattr(gp, "_cholesky",
-                        lambda *args, **kwargs: calls.append(None) or cholesky(*args, **kwargs))
+    calls, terms_of = [], gp._likelihood_terms
+    monkeypatch.setattr(gp, "_likelihood_terms",
+                        lambda *args, **kwargs: calls.append(None) or terms_of(*args, **kwargs))
     got = mb.fit_hyperparameters(domain, points, values, seed=2)
     assert got.to_dict() == TOY_FIT
     assert len(calls) == 248
@@ -771,3 +799,7 @@ def test_row_view_predicts_only_through_its_model(toy_problem):
     view = other.row_view([0, 1], [1.0, 2.0])
     with pytest.raises(ValueError):
         model.predict_batch([records[0].point], [view])
+    point = records[0].point
+    with pytest.raises(ValueError):
+        CrossFactors(model, point.meta, *row_arrays(toy_problem.domain, point.meta, [point]),
+                     [view])
