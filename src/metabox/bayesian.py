@@ -5,9 +5,9 @@ subject to surrogate constraint means being nonpositive, then evaluates the
 chosen point on the true problem.  Previously evaluated or failed points are
 excluded, so on fully finite domains the loop sweeps the whole space.
 
-The acquisition search works on arrays of candidate rows, one meta component
-at a time.  Every scored batch is predicted by one
-:class:`~metabox.gp.CrossFactors` of its meta component.  A fully finite
+The acquisition search works on arrays of candidate rows.  Every run of
+rows under one meta component is predicted by one
+:class:`~metabox.gp.CrossFactors` of that component.  A fully finite
 domain is scored in one batch per meta component.
 Otherwise every categorical component (enumerated, or sampled past a cap) is
 paired with several starts, and each pair runs a coordinate pattern search
@@ -15,14 +15,18 @@ on the standard variables, with the step rule of direct search: each
 search's steps are one row of a shared :class:`MeshState`, refined down to
 a coarser floor.  The starts of a meta component are its default start,
 built once per run, then random ones, drawn for the whole meta component
-in one call.  All searches of a meta component run in lockstep: each step
-scores the poll points of every active search in one prediction batch,
-then settles every search with array operations: each search takes the
-first best poll of its own (np.argmax's rule), and moves, shrinks or
-stops on its own.  GP predictions do not depend on the batch, so every
-search takes the same path it would take alone.  The constraint surrogates
-are row views of the objective model, so one prediction per batch serves
-the objective and every constraint.
+in one call; every meta component draws, in meta order, before any search
+runs.  Then all searches of every meta component run in one lockstep
+search, their rows padded to the widest acting sets (a pad column has
+zero-width bounds, so it never polls).  Each step scores the poll points of
+every active search in one batch, predicted per meta component on that
+component's run of rows, then settles every search with array operations:
+each search takes the first best poll of its own (np.argmax's rule), and
+moves, shrinks or stops on its own.  GP predictions do not depend on the
+batch, so every search takes the same path it would take alone, and its
+k-th step is the lockstep search's k-th step.  The constraint surrogates
+are row views of the objective model, so one prediction per run of rows
+serves the objective and every constraint acting there.
 
 A row's prediction needs only the samples under its meta component xm.
 The kernel correlates a row with every other training sample through the
@@ -30,9 +34,9 @@ meta factors alone, so that part of its cross-covariance is one column
 shared by all rows.  ``CrossFactors`` (one per meta component and
 acquisition) folds that column into constants once: a share of each mean,
 and, from the model's Gram matrix factorized with the samples under xm
-last, a variance offset and a shift.  A batch then costs a triangular
-solve of the size of the samples under xm, never one of the whole
-training set.  The searches keep the kernel factors of their centers
+last, a variance offset and a shift.  A run of rows under xm then costs
+a triangular solve of the size of the samples under xm, never one of the
+whole training set.  The searches keep the kernel factors of their centers
 against the samples under xm.  A poll row differs from its center in one
 standard column, so it copies the center's factors, recomputes that
 column's factor, and multiplies the factors in the kernel's own order: its
@@ -154,9 +158,9 @@ class BOResult:
 # ---------------------------------------------------------------------------
 
 class _Batch(NamedTuple):
-    """Candidates scored together: rows under one meta component."""
+    """Candidates scored together.  Row j is under the meta component of
+    index ``order[j, 0]``; its acting columns come first, then padding."""
 
-    xm: MetaComponent
     categorical: np.ndarray     # (n, q) category indices, acting-set order
     standard: np.ndarray        # (n, d) raw standard values, acting-set order
     ei: np.ndarray
@@ -178,25 +182,28 @@ class _Candidates:
         self.system = system
         self.constraint_views = constraint_views
         self.f_star = f_star
+        self.metas = model.domain.enumerate_meta_set()
         self._evaluated = {}
         for point in evaluated:
             self._evaluated.setdefault(point.meta, []).append(point)
-        self._rows_done = {}        # xm -> evaluated rows, built at the first lookup
+        self._rows_done = {}        # meta index -> (q, d, evaluated rows), at first lookup
         self._batches: list[_Batch] = []
 
     def _is_new(self, batch: _Batch, row: int) -> bool:
         """Whether a row is missing from the evaluated rows under its meta
         component: tuples of categorical indices then standard values, whose
         equality is Point equality (``0.0`` matches ``-0.0``)."""
-        done = self._rows_done.get(batch.xm)
-        if done is None:
-            domain = self.model.domain
-            cat_ids = domain.acting_index_set(batch.xm, "categorical")
-            std_ids = domain.acting_index_set(batch.xm, "standard")
-            done = self._rows_done[batch.xm] = {
+        meta = int(batch.order[row, 0])
+        if meta not in self._rows_done:
+            domain, xm = self.model.domain, self.metas[meta]
+            cat_ids = domain.acting_index_set(xm, "categorical")
+            std_ids = domain.acting_index_set(xm, "standard")
+            self._rows_done[meta] = (len(cat_ids), len(std_ids), {
                 (*(p.categorical[v] for v in cat_ids), *(p.standard[v] for v in std_ids))
-                for p in self._evaluated.get(batch.xm, ())}
-        return (*batch.categorical[row].tolist(), *batch.standard[row].tolist()) not in done
+                for p in self._evaluated.get(xm, ())})
+        q, d, done = self._rows_done[meta]
+        return (*batch.categorical[row, :q].tolist(),
+                *batch.standard[row, :d].tolist()) not in done
 
     def cross_factors(self, xm: MetaComponent, categorical: np.ndarray,
                       standard: np.ndarray) -> CrossFactors:
@@ -206,22 +213,24 @@ class _Candidates:
                  if c.id in self.constraint_views]
         return CrossFactors(self.model, xm, categorical, standard, views)
 
-    def score(self, meta_index: int, xm: MetaComponent, categorical: np.ndarray,
-              standard: np.ndarray, search, step, position,
-              cross: CrossFactors, factors: np.ndarray) -> np.ndarray:
+    def score(self, meta, categorical: np.ndarray, standard: np.ndarray, search, step,
+              position, predicted) -> np.ndarray:
         """Expected improvement of each row; the rows are kept for the pick.
 
-        ``search``, ``step`` and ``position`` give each row's order key
-        (arrays or scalars).  ``factors`` are the rows' kernel factors in
-        ``cross``, from :meth:`cross_factors`, which predicts the objective
-        and every constraint view from them.
+        ``meta``, ``search``, ``step`` and ``position`` give each row's order
+        key (arrays or scalars); ``meta`` indexes :attr:`metas`.
+        ``predicted`` covers the rows in order with one
+        :meth:`CrossFactors.predict` result per run of rows under one meta
+        component, from that component's :meth:`cross_factors`: the means,
+        variances and view means of the objective and of every constraint
+        view acting there.
         """
-        mean, variance, view_means = cross.predict(factors)
+        mean, variance = (np.concatenate([p[k] for p in predicted]) for k in (0, 1))
+        feasible = np.concatenate([np.all(p[2] <= 0.0, axis=0) for p in predicted])
         ei = expected_improvement(mean, np.sqrt(variance), self.f_star)
         order = np.empty((len(ei), 4), dtype=int)
-        order[:, 0], order[:, 1], order[:, 2], order[:, 3] = meta_index, search, step, position
-        self._batches.append(_Batch(xm, categorical, standard, ei,
-                                    np.all(view_means <= 0.0, axis=0), order))
+        order[:, 0], order[:, 1], order[:, 2], order[:, 3] = meta, search, step, position
+        self._batches.append(_Batch(categorical, standard, ei, feasible, order))
         return ei
 
     def pick(self) -> AuxiliaryCandidate | None:
@@ -246,7 +255,7 @@ class _Candidates:
 
     def _candidate(self, batch: _Batch, row: int) -> AuxiliaryCandidate:
         """Build the point-level candidate (the only Point built) for one row."""
-        domain, xm = self.model.domain, batch.xm
+        domain, xm = self.model.domain, self.metas[batch.order[row, 0]]
         xq = {vid: int(v) for vid, v in
               zip(domain.acting_index_set(xm, "categorical"), batch.categorical[row])}
         xs = {vid: (int(v) if isinstance(domain.spec(vid).scope, IntegerScope) else float(v))
@@ -269,31 +278,50 @@ def _enumerate_categorical(domain: Domain, xm, cap: int, rng) -> np.ndarray:
     return np.array(rows, dtype=int).reshape(len(rows), len(ids))
 
 
-def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
-                    combos: np.ndarray, centers: np.ndarray, cfg: BOConfig):
+def _pattern_search(candidates: _Candidates, components, cfg: BOConfig):
     """Coordinate pattern searches maximizing EI over the standard variables,
-    run in lockstep: search s polls from centers[s] with the categorical
-    component combos[s].
+    every search of every meta component in one lockstep search.
+
+    ``components`` holds (meta index, combos, centers) per meta component,
+    in meta order: that component's search s polls from centers[s] with the
+    categorical component combos[s].  The searches are stacked in that
+    order, their rows padded to the widest acting sets.  A pad column has
+    zero-width bounds and a zero step, so it never polls and never keeps a
+    search off its floors.
 
     Each search keeps its own center, step sizes and evaluation count; one
     step scores the poll points of every active search as one batch, and
-    settles every search with array operations.  Each search moves exactly
-    as it would alone, because predictions do not depend on the batch.  Polls
-    are scored from the centers' :class:`CrossFactors` (see the module
-    docstring).
+    settles every search with array operations.  Only the predictions run
+    per meta component, each from that component's :class:`CrossFactors`
+    (see the module docstring) on its run of the batch's rows.  Each search
+    moves exactly as it would alone, because predictions do not depend on
+    the batch, and its k-th step is the batch's k-th step.
     """
     domain = candidates.model.domain
-    scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
-    lo, hi = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
-    count = len(centers)
-    mesh = MeshState(scopes, count, ACQ_MIN_FRACTION)
-    cross = candidates.cross_factors(xm, combos, centers)
+    metas = [candidates.metas[m] for m, _, _ in components]
+    scopes = [[domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
+              for xm in metas]
+    counts = [len(combos) for _, combos, _ in components]
+    first = np.cumsum([0, *counts])  # component k's searches are first[k]:first[k + 1]
+    total, columns = first[-1], max(map(len, scopes))
+    combos = np.zeros((total, max(c.shape[1] for _, c, _ in components)), dtype=int)
+    center = np.zeros((total, columns))
+    lo, hi = np.zeros((2, total, columns))
+    for (_, cats, centers), scope, a, b in zip(components, scopes, first, first[1:]):
+        bounds = np.array([s.clamp_bounds for s in scope], dtype=float).reshape(-1, 2)
+        combos[a:b, :cats.shape[1]], center[a:b, :len(scope)] = cats, centers
+        lo[a:b, :len(scope)], hi[a:b, :len(scope)] = bounds[:, 0], bounds[:, 1]
+    mesh = MeshState.stacked([MeshState(scope, count, ACQ_MIN_FRACTION)
+                              for scope, count in zip(scopes, counts)], columns)
+    crosses = [candidates.cross_factors(xm, cats, centers)
+               for xm, (_, cats, centers) in zip(metas, components)]
+    meta = np.repeat([m for m, _, _ in components], counts)
+    local = np.arange(total) - np.repeat(first[:-1], counts)  # index in its component
     # score() keeps the arrays it is given and returns, so the search state
     # lives in copies.
-    center = centers.copy()
-    center_ei = candidates.score(meta_index, xm, combos, centers, np.arange(count), 0, 0,
-                                 cross, cross.factors).copy()
-    used = np.ones(count, dtype=int)
+    center_ei = candidates.score(meta, combos, center.copy(), local, 0, 0,
+                                 [cross.predict(cross.factors) for cross in crosses]).copy()
+    used = np.ones(total, dtype=int)
     active = used < cfg.acq_budget
     step = 0
     while active.any():
@@ -302,30 +330,43 @@ def _pattern_search(candidates: _Candidates, meta_index: int, xm: MetaComponent,
         delta = mesh.steps(owners)
         base = center[owners]
         polls = np.clip(np.stack([base + delta, base - delta], axis=2),
-                        lo[:, None], hi[:, None])
+                        lo[owners, :, None], hi[owners, :, None])
         owner, column, sign = np.nonzero(polls != base[:, :, None])  # search, column, +/-
         if not len(owner):
             break
         rows, searches, values = base[owner], owners[owner], polls[owner, column, sign]
         rows[np.arange(len(owner)), column] = values
-        factors = cross.polled(searches, column, values)
-        ei = candidates.score(meta_index, xm, combos[searches], rows,
-                              searches, step, 2 * column + sign, cross, factors)
+        # Component k's polls are the run cut[k]:cut[k + 1] of the rows.  Only
+        # the factor each poll changes outlives its prediction.
+        cut, within = np.searchsorted(searches, first), local[searches]
+        predicted, changed = [], [None] * len(crosses)
+        for k in np.flatnonzero(cut[1:] > cut[:-1]):
+            run = slice(cut[k], cut[k + 1])
+            factors, changed[k] = crosses[k].polled(within[run], column[run], values[run])
+            predicted.append(crosses[k].predict(factors))
+        ei = candidates.score(meta[searches], combos[searches], rows, within, step,
+                              2 * column + sign, predicted)
         # Each owner's polls are one segment of ei; an owner without any stops.
         polled = np.bincount(owner, minlength=len(owners))
         active[owners[polled == 0]] = False
         s, polled = owners[polled > 0], polled[polled > 0]
-        first = np.cumsum(polled) - polled
+        start = np.cumsum(polled) - polled
         used[s] += polled
         # The first maximum of each segment, as np.argmax finds it: a NaN
         # comes first.
-        top = np.repeat(np.maximum.reduceat(ei, first), polled)
+        top = np.repeat(np.maximum.reduceat(ei, start), polled)
         hits = np.flatnonzero((ei == top) | np.isnan(ei))
-        best = hits[np.searchsorted(hits, first)]
+        best = hits[np.searchsorted(hits, start)]
         moved = ei[best] > center_ei[s]
         movers, wins = s[moved], best[moved]
         center[movers], center_ei[movers] = rows[wins], ei[wins]
-        cross.factors[:, :, movers] = factors[:, :, wins]
+        # Component k's movers are the run split[k]:split[k + 1], and their
+        # winning rows lie in its run of polls.
+        split = np.searchsorted(movers, first)
+        for k in np.flatnonzero(split[1:] > split[:-1]):
+            run = wins[split[k]:split[k + 1]]
+            crosses[k].move(local[movers[split[k]:split[k + 1]]], column[run],
+                            changed[k][run - cut[k]])
         stay = s[~moved]
         stopped = mesh.at_minimum(stay)
         mesh.refine(stay[~stopped])
@@ -378,7 +419,7 @@ def acquisition_starts(domain: Domain, cap: int) -> dict:
 
 
 def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_star,
-                         cfg: BOConfig, rng, finite: dict | None = None
+                         cfg: BOConfig, rng, starts: dict | None = None
                          ) -> AuxiliaryCandidate | None:
     """Best expected-improvement candidate over the auxiliary domain.
 
@@ -388,28 +429,31 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
     when no surrogate-feasible candidate exists anywhere the global EI
     maximizer is returned flagged infeasible.  Points in ``evaluated`` (the
     points already evaluated or failed) are excluded; None signals an
-    exhausted finite domain.  ``finite`` is :func:`acquisition_starts` of
+    exhausted finite domain.  ``starts`` is :func:`acquisition_starts` of
     the domain at ``cfg.enumeration_cap``, which a caller searching one
     domain many times builds once; it is built here when not given.
 
-    Each categorical component of a meta component gets ``cfg.acq_starts``
-    pattern searches: the default start, then random ones, drawn for the
-    whole meta component at once.
+    A meta component whose entry holds its finite points is scored in one
+    batch.  Otherwise each of its categorical components gets
+    ``cfg.acq_starts`` pattern searches: the default start, then random
+    ones, drawn for the whole meta component at once.  Every meta
+    component's draws come first, in meta order, then one lockstep
+    :func:`_pattern_search` runs all of their searches.
     """
     domain = model.domain
     try:
-        metas = domain.enumerate_meta_set()
+        candidates = _Candidates(model, system, constraint_views, evaluated, f_star)
     except NotEnumerableError as exc:
         raise ConfigurationError("acquisition needs an enumerable meta set") from exc
-    if finite is None:
-        finite = acquisition_starts(domain, cfg.enumeration_cap)
-    candidates = _Candidates(model, system, constraint_views, evaluated, f_star)
-    for meta_index, xm in enumerate(metas):
-        categorical, standard = finite[xm]
+    if starts is None:
+        starts = acquisition_starts(domain, cfg.enumeration_cap)
+    components = []
+    for meta_index, xm in enumerate(candidates.metas):
+        categorical, standard = starts[xm]
         if categorical is not None:
             cross = candidates.cross_factors(xm, categorical, standard)
-            candidates.score(meta_index, xm, categorical, standard,
-                             0, 0, np.arange(len(categorical)), cross, cross.factors)
+            candidates.score(meta_index, categorical, standard, 0, 0,
+                             np.arange(len(categorical)), [cross.predict(cross.factors)])
             continue
         scopes = [domain.spec(v).scope for v in domain.acting_index_set(xm, "standard")]
         combos = _enumerate_categorical(domain, xm, cfg.categorical_cap, rng)
@@ -417,9 +461,10 @@ def maximize_acquisition(model: GPModel, system, constraint_views, evaluated, f_
         centers[:, 0] = standard
         centers[:, 1:] = _denormalized(
             scopes, rng.random((len(combos), cfg.acq_starts - 1, len(scopes))))
-        _pattern_search(candidates, meta_index, xm,
-                        np.repeat(combos, cfg.acq_starts, axis=0),
-                        centers.reshape(len(combos) * cfg.acq_starts, len(scopes)), cfg)
+        components.append((meta_index, np.repeat(combos, cfg.acq_starts, axis=0),
+                           centers.reshape(len(combos) * cfg.acq_starts, len(scopes))))
+    if components:
+        _pattern_search(candidates, components, cfg)
     return candidates.pick()
 
 
@@ -491,7 +536,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         pass
 
     acquisition_log = []
-    finite = acquisition_starts(domain, cfg.enumeration_cap)
+    starts = acquisition_starts(domain, cfg.enumeration_cap)
     config: KernelConfig | None = None
     samples_at_refit = -1
     iteration = 0
@@ -529,7 +574,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
                             for cid, ids in rows.items() if ids}
         f_star = min((r.objective for r in train if r.feasible), default=min(train_values))
         candidate = maximize_acquisition(model, system, constraint_views,
-                                         [r.point for r in fresh], f_star, cfg, rng, finite)
+                                         [r.point for r in fresh], f_star, cfg, rng, starts)
         if candidate is None:
             stop_reason = "exhausted"
             break

@@ -39,40 +39,52 @@ MIN_FRACTION = 1e-6
 
 
 class MeshState:
-    """Step sizes of ``count`` coordinate pattern searches over one list of
-    standard variables: row r of ``scale`` belongs to search r, columns in
-    the order of ``scopes``.
+    """Step sizes of ``count`` coordinate pattern searches: row r of every
+    array belongs to search r, columns in the order of ``scopes``.
 
     Continuous entries are fractions of the scope width, from
     INITIAL_FRACTION down to ``floor``; integer entries are absolute steps,
     from a quarter of the width down to 1.  A refinement halves a row and
     stops at exactly these per-column floors.  Direct search uses one row
-    and MIN_FRACTION; the BO acquisition one row per lockstep search and its
-    own floor.
+    and MIN_FRACTION.  The BO acquisition stacks one mesh per meta
+    component (:meth:`stacked`), one row per search with its own floor, so
+    that every search of every meta component runs in one lockstep search.
     """
 
     def __init__(self, scopes, count: int = 1, floor: float = MIN_FRACTION):
-        self.integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
-        self.width = np.array([s.width for s in scopes], dtype=float)
+        integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
+        width = np.array([s.width for s in scopes], dtype=float)
+        self.integer, self.width = np.tile(integer, (count, 1)), np.tile(width, (count, 1))
         self.floor = np.where(self.integer, 1.0, floor)
-        initial = np.where(self.integer, np.maximum(1, self.width // 4), INITIAL_FRACTION)
-        self.scale = np.tile(initial, (count, 1))
+        self.scale = np.where(self.integer, np.maximum(1, self.width // 4), INITIAL_FRACTION)
+
+    @classmethod
+    def stacked(cls, meshes, columns: int) -> "MeshState":
+        """One mesh holding the rows of ``meshes`` in turn, each padded to
+        ``columns`` columns.  A pad column is continuous with zero width,
+        scale and floor: its step is 0 and it is always at its floor."""
+        mesh = cls.__new__(cls)
+        for name in ("integer", "width", "floor", "scale"):
+            setattr(mesh, name, np.vstack([
+                np.pad(getattr(m, name), ((0, 0), (0, columns - m.scale.shape[1])))
+                for m in meshes]))
+        return mesh
 
     def steps(self, rows=0) -> np.ndarray:
         """Absolute step of each variable for the searches ``rows``."""
         scale = self.scale[rows]
-        return np.where(self.integer, scale, scale * self.width)
+        return np.where(self.integer[rows], scale, scale * self.width[rows])
 
     def refine(self, rows=0):
         """Refine the searches ``rows``: one row index or an array of them."""
         scale = self.scale[rows]
         self.scale[rows] = np.maximum(
-            self.floor, np.where(self.integer, scale // 2, scale * REFINE_FACTOR))
+            self.floor[rows], np.where(self.integer[rows], scale // 2, scale * REFINE_FACTOR))
 
     def at_minimum(self, rows=0):
         """Whether a search is at its floors: a bool for one row index, a
         bool array for an array of them."""
-        minimal = (self.scale[rows] <= self.floor).all(axis=-1)
+        minimal = (self.scale[rows] <= self.floor[rows]).all(axis=-1)
         return minimal if np.ndim(rows) else bool(minimal)
 
 

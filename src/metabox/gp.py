@@ -577,12 +577,19 @@ class CrossFactors:
         return _correlation_factor("continuous_weights", self._weight[column][:, None],
                                    tensor, out=tensor)
 
-    def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray):
         """Factors of the rows that equal kept row ``rows[j]`` but for
-        standard column ``column[j]``, set to ``values[j]``."""
+        standard column ``column[j]``, set to ``values[j]``, and that
+        column's new factor, row j of a (rows, samples) array."""
+        changed = self._standard(column, values)
         factors = self.factors[:, :, rows]
-        factors[self._slot[column], :, np.arange(len(column))] = self._standard(column, values)
-        return factors
+        factors[self._slot[column], :, np.arange(len(column))] = changed
+        return factors, changed
+
+    def move(self, rows: np.ndarray, column: np.ndarray, changed: np.ndarray):
+        """Make kept row ``rows[j]`` the row :meth:`polled` gave for it with
+        ``column[j]`` changed: ``changed[j]`` is that column's new factor."""
+        self.factors[self._slot[column], :, rows] = changed
 
     def cross_covariance(self, factors: np.ndarray) -> np.ndarray:
         """D, the rows' cross-covariance with the training samples under xm, a

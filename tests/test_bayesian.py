@@ -72,10 +72,10 @@ def bo_pieces(problem, points, values):
 
 
 def scored_by(candidates, xm, categorical, standard):
-    """The CrossFactors of the rows and their factors, as the acquisition
-    scores them."""
+    """The prediction of the rows from their CrossFactors, as the
+    acquisition scores them."""
     cross = candidates.cross_factors(xm, categorical, standard)
-    return cross, cross.factors
+    return cross.predict(cross.factors)
 
 
 def row_points(domain, xm, categorical, standard):
@@ -99,8 +99,8 @@ def test_pick_keeps_earlier_candidate_on_ties(toy_problem):
 
     def score(categorical, standard, *order):
         categorical, standard = np.array(categorical), np.array(standard)
-        return candidates.score(1, xm, categorical, standard, *order,
-                                *scored_by(candidates, xm, categorical, standard))
+        return candidates.score(1, categorical, standard, *order,
+                                [scored_by(candidates, xm, categorical, standard)])
 
     late = score([[2, 3]], [[4.0]], 0, 2, 0)
     early = score([[1, 1], [2, 2]], [[0.0], [1.0]], 0, 1, np.array([1, 0]))
@@ -271,18 +271,30 @@ def acquisition_case(problem, samples, seed):
     return model, views, points, min(values)
 
 
-@pytest.mark.parametrize("name, samples, seed",
-                         [("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1)])
+@pytest.mark.parametrize("name, samples, seed", [
+    ("mlp", 20, 0), ("mlp", 30, 4), ("toy", 12, 1),
+    pytest.param("mlp-staggered", 20, 1, id="mlp-staggered-20-1"),
+    pytest.param("bare", 3, 0, id="bare-pattern")])
 def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, samples, seed):
-    problem = parse_bundled(name).problem
-    model, views, points, f_star = acquisition_case(problem, samples, seed)
-    cfg = mb.BOConfig(budget=10, acq_budget=24, acq_starts=3)
+    # One lockstep search runs every meta component's searches.  Under
+    # "mlp-staggered" searches stop at their floors, not only at the
+    # budget, and each meta component's searches end at a step of their
+    # own; under "bare" (pattern path) m=B and m=C have no standard
+    # variable, so their rows are padding alone and never poll.
+    if name == "bare":
+        _, system, model, views, points, f_star = kappa_case("bare")
+    else:
+        problem = parse_bundled(name.split("-")[0]).problem
+        system = problem.constraints
+        model, views, points, f_star = acquisition_case(problem, samples, seed)
+    cfg = mb.BOConfig(budget=10, acq_budget=240 if name == "mlp-staggered" else 24,
+                      acq_starts=3, enumeration_cap=1 if name == "bare" else 4096)
     pools = []
     pick = _Candidates.pick
     monkeypatch.setattr(_Candidates, "pick", lambda self: pools.append(self) or pick(self))
-    got = mb.maximize_acquisition(model, problem.constraints, views,
+    got = mb.maximize_acquisition(model, system, views,
                                   points, f_star, cfg, np.random.default_rng(seed))
-    want, scored = sequential_acquisition(model, problem.constraints, views,
+    want, scored = sequential_acquisition(model, system, views,
                                           points, f_star, cfg, np.random.default_rng(seed))
     assert (got.point(), got.acquisition, got.surrogate_feasible) == want
     # Every candidate of every search, in sequential order, scores the same,
@@ -297,16 +309,24 @@ def test_lockstep_acquisition_matches_sequential_searches(monkeypatch, name, sam
                          candidate.surrogate_feasible, candidates._is_new(batch, i)))
     assert lockstep == scored
     for batch in candidates._batches:
-        assert is_new(candidates, batch) == tuple_fresh(problem.domain, points, batch)
-    assert any(not s[2] for s in scored) or name == "toy"
+        assert is_new(candidates, batch) == tuple_fresh(candidates, points, batch)
+    assert any(not s[2] for s in scored) or name in ("toy", "bare")
+    order = np.vstack([batch.order for batch in candidates._batches])
+    last = [order[order[:, 0] == m, 2].max() for m in range(len(candidates.metas))]
+    if name == "mlp-staggered":
+        assert last == [30, 26, 23, 24]
+    if name == "bare":
+        assert last[0] > 0 and last[1:] == [0, 0]
 
 
 @pytest.mark.parametrize("name", ["mlp", "toy"])
 def test_each_scored_batch_comes_from_one_cross_factors(monkeypatch, name):
     # On the finite-domain (toy) path each scored batch comes from its own
-    # CrossFactors.  A pattern search (mlp) builds one, at its centers, and
-    # its polls reuse it.  Neither builds a PairTensors or a SampleFeatures
-    # (P, F), and the objective and every constraint view share each
+    # CrossFactors.  On mlp one lockstep pattern search runs every meta
+    # component's searches: it builds one CrossFactors per meta component,
+    # at its centers, before the first scored batch, and every poll batch
+    # reuses them.  Neither builds a PairTensors or a SampleFeatures (P, F),
+    # and the objective and every constraint view share each
     # cross-covariance.
     events = []
 
@@ -331,8 +351,9 @@ def test_each_scored_batch_comes_from_one_cross_factors(monkeypatch, name):
         events.append("]")
 
     monkeypatch.setattr(bayesian, "_pattern_search", counting_search)
-    pattern = {"mlp": r"(\[CS+\])+", "toy": r"(CS)+"}[name]
     problem = parse_bundled(name).problem
+    metas = len(problem.domain.enumerate_meta_set())
+    pattern = {"mlp": rf"\[C{{{metas}}}SS+\]", "toy": r"(CS)+"}[name]
     model, views, points, f_star = acquisition_case(problem, 20, 2)
     assert len(views) == len(problem.constraints.constraints)
     events.clear()
@@ -391,15 +412,29 @@ def scored_batches(monkeypatch, case, cfg, seed):
     cross-covariance with the training samples under xm) checked bit for
     bit against the cross-covariance of the rows as Points there."""
     domain, system, model, views, points, f_star = kappa_case(case)
-    scored = []
-    score = _Candidates.score
+    scored, predicted = [], []
+    score, predict = _Candidates.score, CrossFactors.predict
 
-    def recording_score(self, meta_index, xm, categorical, standard, *order):
-        cross, factors = order[-2:]
-        scored.append((xm, categorical, standard, cross._under,
-                       cross.cross_covariance(factors)))
-        return score(self, meta_index, xm, categorical, standard, *order)
+    def recording_predict(self, factors):
+        predicted.append((self._under, self.cross_covariance(factors)))
+        return predict(self, factors)
 
+    def recording_score(self, meta, categorical, standard, *order):
+        # Each run of rows is predicted by one CrossFactors, under one meta
+        # component, just before the rows are scored.
+        metas, start = np.broadcast_to(meta, len(standard)), 0
+        assert len(predicted) == len(order[-1])
+        for under, cross in predicted:
+            rows = slice(start, start + cross.shape[1])
+            assert len(set(metas[rows])) == 1
+            scored.append((self.metas[metas[start]], categorical[rows], standard[rows],
+                           under, cross))
+            start = rows.stop
+        assert start == len(standard)
+        predicted.clear()
+        return score(self, meta, categorical, standard, *order)
+
+    monkeypatch.setattr(CrossFactors, "predict", recording_predict)
     monkeypatch.setattr(_Candidates, "score", recording_score)
     mb.maximize_acquisition(model, system, views, points, f_star, cfg,
                             np.random.default_rng(seed))
@@ -524,15 +559,21 @@ BARE = {
 }
 
 
-def tuple_fresh(domain, evaluated, batch):
-    """Reference newness of each row of a batch: its tuple is missing from
-    the set of evaluated row tuples under the batch's meta component."""
-    cat_ids = domain.acting_index_set(batch.xm, "categorical")
-    std_ids = domain.acting_index_set(batch.xm, "standard")
-    done = {tuple(p.categorical[v] for v in cat_ids) + tuple(p.standard[v] for v in std_ids)
-            for p in evaluated if p.meta == batch.xm}
-    rows = np.hstack([batch.categorical, batch.standard]).tolist()
-    return [tuple(row) not in done for row in rows]
+def tuple_fresh(candidates, evaluated, batch):
+    """Reference newness of each row of a batch: its tuple, padding cut off,
+    is missing from the set of evaluated row tuples under its meta
+    component."""
+    domain, fresh = candidates.model.domain, []
+    for meta, categorical, standard in zip(batch.order[:, 0], batch.categorical,
+                                           batch.standard):
+        xm = candidates.metas[meta]
+        cat_ids = domain.acting_index_set(xm, "categorical")
+        std_ids = domain.acting_index_set(xm, "standard")
+        done = {tuple(p.categorical[v] for v in cat_ids)
+                + tuple(p.standard[v] for v in std_ids) for p in evaluated if p.meta == xm}
+        row = (*categorical[:len(cat_ids)].tolist(), *standard[:len(std_ids)].tolist())
+        fresh.append(row not in done)
+    return fresh
 
 
 def is_new(candidates, batch):
@@ -562,13 +603,14 @@ def test_evaluated_points_are_never_offered_again(monkeypatch, enumeration_cap):
                                                 np.arange(4)),
                                                (1, b, [[]], 0), (2, c, [[]], 0)):
         categorical, standard = np.zeros((len(standard), 0), dtype=int), np.array(standard)
-        candidates.score(meta_index, xm, categorical, standard, 9, 9, position,
-                         *scored_by(candidates, xm, categorical, standard))
+        candidates.score(meta_index, categorical, standard, 9, 9, position,
+                         [scored_by(candidates, xm, categorical, standard)])
     assert [is_new(candidates, batch) for batch in candidates._batches[-3:]] == [
         [False, False, False, True], [False], [True]]
     for batch in candidates._batches:
-        assert is_new(candidates, batch) == tuple_fresh(domain, evaluated, batch)
-    assert {batch.xm for batch in candidates._batches} == {a, b, c}
+        assert is_new(candidates, batch) == tuple_fresh(candidates, evaluated, batch)
+    assert {candidates.metas[m] for batch in candidates._batches
+            for m in batch.order[:, 0]} == {a, b, c}
 
 
 def test_run_enumerates_a_finite_domain_once(monkeypatch, toy_problem):
@@ -833,6 +875,12 @@ def test_bo_ends_when_no_model_factorizes(toy_problem, monkeypatch):
 BO_RUN_SHA256 = {
     ("mlp", 0): ("106161aeddeb9d8bc8628b03030196974989f14ab0e19b6f6cf98309fd4fecfe",
                  "4ebfef1785bd774a85ca2ab946cd5d7a14fb2ea406c09fc1c604a429a689b826"),
+    ("mlp", 1): ("72f88ba836052e549291dba4c89bbf089d47888219320cd35d2126b643e5d1a3",
+                 "83a7a270bdad52e83b7e48571fd930c650ac630fde9c2662718f121883a8360e"),
+    ("mlp", 2): ("7713ea64744b637815e5ba23a6b2d0ab8d5de9c868e909b31aef02d44367b07e",
+                 "3f0cc9b6f1feab82c963b5c30217c65fa7b14a900caaf555b73c0f87b08ebcec"),
+    ("mlp", 3): ("149e2b0f660147d9535b7889aaf29b01f556e527289555261e4dfba00c268ede",
+                 "38a07662cf379fe4403bb503feda5f14df32bca439c93257bfb8617c1b096de9"),
     ("toy", 1): ("da20513d57759da8bd87fac9ef254dfa4dab640331a092f0d08603e44b4922ac",
                  "5c0961491eb562d8f031c0c1a9be189aea67a0f68b944ceeb88e83f912f80573"),
 }

@@ -46,6 +46,23 @@ def test_mesh_steps_refinement_and_floors():
     assert not wide.at_minimum()
 
 
+def test_stacked_mesh_pads_rows_with_still_columns():
+    # The rows of each mesh in turn, padded to the widest: a pad column's
+    # step is 0 and it is always at its floor, so only real columns decide.
+    narrow = MeshState([mb.IntegerScope(0, 13)], count=2, floor=ACQ_MIN_FRACTION)
+    wide = MeshState([mb.ContinuousScope(0.0, 2.0), mb.IntegerScope(0, 2)],
+                     floor=ACQ_MIN_FRACTION)
+    bare = MeshState([], floor=ACQ_MIN_FRACTION)
+    mesh = MeshState.stacked([narrow, wide, bare], 2)
+    assert mesh.steps([0, 1, 2, 3]).tolist() == [[3.0, 0.0], [3.0, 0.0], [0.5, 1.0],
+                                                 [0.0, 0.0]]
+    assert mesh.at_minimum([0, 2, 3]).tolist() == [False, False, True]
+    mesh.refine([0, 3])
+    mesh.refine(0)
+    assert mesh.steps([0, 1, 3]).tolist() == [[1.0, 0.0], [3.0, 0.0], [0.0, 0.0]]
+    assert mesh.at_minimum(0) and not mesh.at_minimum(1)
+
+
 # -- standard subproblem -------------------------------------------------------------
 
 def test_subproblem_descends_to_proxy_center(mlp_problem):
