@@ -12,13 +12,14 @@ domain is scored in one batch per meta component.
 Otherwise every categorical component (enumerated, or sampled past a cap) is
 paired with several starts, and each pair runs a coordinate pattern search
 on the standard variables, with the step rule of direct search: each
-search's steps are one row of a shared :class:`MeshState`, refined down to
-a coarser floor.  The starts of a meta component are its default start,
-built once per run, then random ones, drawn for the whole meta component
-in one call; every meta component draws, in meta order, before any search
-runs.  Then all searches of every meta component run in one lockstep
-search, their rows padded to the widest acting sets (a pad column has
-zero-width bounds, so it never polls).  Each step scores the poll points of
+search's steps are one row of one :class:`MeshState`, built from each
+search's acting scopes and refined down to a coarser floor.  The starts of
+a meta component are its default start, built once per run, then random
+ones, drawn for the whole meta component in one call; every meta component
+draws, in meta order, before any search runs.  Then all searches of every
+meta component run in one lockstep search, their rows padded to the widest
+acting sets (a pad column has zero-width bounds and is a still column of
+the mesh, so it never polls).  Each step scores the poll points of
 every active search in one batch, predicted per meta component on that
 component's run of rows, then settles every search with array operations:
 each search takes the first best poll of its own (np.argmax's rule), and
@@ -41,8 +42,9 @@ against the samples under xm.  A poll row differs from its center in one
 standard column, so it copies the center's factors, recomputes that
 column's factor, and multiplies the factors in the kernel's own order: its
 cross-covariance with those samples is bit-identical to
-:meth:`~metabox.gp.GPModel.cross_covariance` of the row there.  A search
-that moves keeps the winning row's factors.
+:meth:`~metabox.gp.GPModel.cross_covariance` of the row there.  A poll
+row's factors live only for its prediction; a search that moves recomputes
+the winning column's factor into its center's factors.
 
 The pick is the highest-EI new candidate (surrogate-feasible ones first),
 with ties broken by the order of a sequential search.  Newness is checked
@@ -286,8 +288,8 @@ def _pattern_search(candidates: _Candidates, components, cfg: BOConfig):
     in meta order: that component's search s polls from centers[s] with the
     categorical component combos[s].  The searches are stacked in that
     order, their rows padded to the widest acting sets.  A pad column has
-    zero-width bounds and a zero step, so it never polls and never keeps a
-    search off its floors.
+    zero-width bounds and is a still column of the :class:`MeshState`, so
+    it never polls and never keeps a search off its floors.
 
     Each search keeps its own center, step sizes and evaluation count; one
     step scores the poll points of every active search as one batch, and
@@ -311,8 +313,8 @@ def _pattern_search(candidates: _Candidates, components, cfg: BOConfig):
         bounds = np.array([s.clamp_bounds for s in scope], dtype=float).reshape(-1, 2)
         combos[a:b, :cats.shape[1]], center[a:b, :len(scope)] = cats, centers
         lo[a:b, :len(scope)], hi[a:b, :len(scope)] = bounds[:, 0], bounds[:, 1]
-    mesh = MeshState.stacked([MeshState(scope, count, ACQ_MIN_FRACTION)
-                              for scope, count in zip(scopes, counts)], columns)
+    mesh = MeshState([scope for scope, count in zip(scopes, counts) for _ in range(count)],
+                     ACQ_MIN_FRACTION)
     crosses = [candidates.cross_factors(xm, cats, centers)
                for xm, (_, cats, centers) in zip(metas, components)]
     meta = np.repeat([m for m, _, _ in components], counts)
@@ -336,14 +338,13 @@ def _pattern_search(candidates: _Candidates, components, cfg: BOConfig):
             break
         rows, searches, values = base[owner], owners[owner], polls[owner, column, sign]
         rows[np.arange(len(owner)), column] = values
-        # Component k's polls are the run cut[k]:cut[k + 1] of the rows.  Only
-        # the factor each poll changes outlives its prediction.
+        # Component k's polls are the run cut[k]:cut[k + 1] of the rows.
         cut, within = np.searchsorted(searches, first), local[searches]
-        predicted, changed = [], [None] * len(crosses)
+        predicted = []
         for k in np.flatnonzero(cut[1:] > cut[:-1]):
             run = slice(cut[k], cut[k + 1])
-            factors, changed[k] = crosses[k].polled(within[run], column[run], values[run])
-            predicted.append(crosses[k].predict(factors))
+            predicted.append(crosses[k].predict(
+                crosses[k].polled(within[run], column[run], values[run])))
         ei = candidates.score(meta[searches], combos[searches], rows, within, step,
                               2 * column + sign, predicted)
         # Each owner's polls are one segment of ei; an owner without any stops.
@@ -360,13 +361,11 @@ def _pattern_search(candidates: _Candidates, components, cfg: BOConfig):
         moved = ei[best] > center_ei[s]
         movers, wins = s[moved], best[moved]
         center[movers], center_ei[movers] = rows[wins], ei[wins]
-        # Component k's movers are the run split[k]:split[k + 1], and their
-        # winning rows lie in its run of polls.
+        # Component k's movers are the run split[k]:split[k + 1].
         split = np.searchsorted(movers, first)
         for k in np.flatnonzero(split[1:] > split[:-1]):
             run = wins[split[k]:split[k + 1]]
-            crosses[k].move(local[movers[split[k]:split[k + 1]]], column[run],
-                            changed[k][run - cut[k]])
+            crosses[k].move(local[movers[split[k]:split[k + 1]]], column[run], values[run])
         stay = s[~moved]
         stopped = mesh.at_minimum(stay)
         mesh.refine(stay[~stopped])

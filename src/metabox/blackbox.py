@@ -6,7 +6,8 @@ Problem with a budget, a result cache keyed by Point equality, and an
 append-only history.  Cached hits append to the history but never spend
 budget.
 :meth:`Evaluator.lookahead` settles a sequence of points in order while
-running the next few command children at once.
+running the next few command children at once; a ``None`` among them is a
+placeholder it passes through.
 """
 
 from __future__ import annotations
@@ -259,10 +260,12 @@ class Evaluator:
         Every point is settled by :meth:`evaluate`, so membership, cache,
         budget and history are exactly as for a loop over
         ``evaluate``; a failed evaluation yields its failure record instead
-        of raising, and any other error ends the iteration.  With a command
-        backend the children of the next few points (at most the usable
-        CPUs, capped at MAX_LOOKAHEAD) run while earlier ones settle, and
-        never more than the budget left.  No
+        of raising, and any other error ends the iteration.  A ``None``
+        among the points is a placeholder, passed through in its place: it
+        is never evaluated, charged or recorded, and it starts no child.
+        With a command backend the children of the next few points (at most
+        the usable CPUs, capped at MAX_LOOKAHEAD) run while earlier ones
+        settle, and never more than the budget left.  No
         thread is started: each child runs as its own process and is settled
         in the caller's thread.  Children of points the caller never settles
         are killed with their process group on exit and counted in
@@ -283,22 +286,27 @@ class Evaluator:
     def _settle_each(self, points):
         for point in points:
             try:
-                yield self.evaluate(point)
+                yield None if point is None else self.evaluate(point)
             except EvaluationError as exc:
                 yield exc.record
 
     def _launched(self, points, children: list):
         """``points`` in order; each is pulled, and its child started (and
         appended to ``children``), while the ``width - 1`` points before it
-        are still to be settled."""
-        window = []
+        are still to be settled.  A ``None`` takes no place among those, and
+        one at the head of the window passes on at once."""
+        window, waiting = [], 0  # waiting: the entries of window that are not None
         for point in points:
-            child = self._launch(point)
-            if child is not None:
-                children.append(child)
+            if point is not None:
+                child = self._launch(point)
+                if child is not None:
+                    children.append(child)
+                waiting += 1
             window.append(point)
-            if len(window) == self._width:
-                yield window.pop(0)
+            while window and (window[0] is None or waiting == self._width):
+                head = window.pop(0)
+                waiting -= head is not None
+                yield head
         yield from window
 
     def _launch(self, point: Point) -> "_Child | None":

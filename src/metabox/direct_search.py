@@ -11,15 +11,15 @@ never requested from the evaluator, so never run, charged, recorded or
 cached.  A start point is screened once it is known to be a domain member,
 a poll move from the constraint plan of its meta component before its point
 is built (:meth:`ConstraintSystem.move_breaks`); both count in
-``Evaluator.screened`` and in the subproblem's evaluations, by their place
-among the candidates.  The step sizes are a
-:class:`MeshState`, the same mesh the BO acquisition's pattern searches
-refine.
+``Evaluator.screened`` and in the subproblem's evaluations.  A screened
+move stays among the candidates as a ``None`` placeholder, which the
+evaluator passes through unevaluated, and counts only once the search
+reaches its place.  The step sizes are a :class:`MeshState`, the same mesh
+the BO acquisition's pattern searches refine.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import sys
 from dataclasses import dataclass
@@ -39,36 +39,30 @@ MIN_FRACTION = 1e-6
 
 
 class MeshState:
-    """Step sizes of ``count`` coordinate pattern searches: row r of every
-    array belongs to search r, columns in the order of ``scopes``.
+    """Step sizes of coordinate pattern searches, one per entry of ``rows``:
+    row r of every array belongs to search r, its columns in the order of
+    the scopes ``rows[r]``.
 
     Continuous entries are fractions of the scope width, from
     INITIAL_FRACTION down to ``floor``; integer entries are absolute steps,
     from a quarter of the width down to 1.  A refinement halves a row and
-    stops at exactly these per-column floors.  Direct search uses one row
-    and MIN_FRACTION.  The BO acquisition stacks one mesh per meta
-    component (:meth:`stacked`), one row per search with its own floor, so
-    that every search of every meta component runs in one lockstep search.
+    stops at exactly these per-column floors.  A row shorter than the
+    longest is padded with still columns: zero width, step and floor, so
+    a still column never polls and is always at its floor.  Direct search
+    uses one row and MIN_FRACTION.  The BO acquisition passes each meta
+    component's scopes once per search, so that every search of every meta
+    component runs in one lockstep search.
     """
 
-    def __init__(self, scopes, count: int = 1, floor: float = MIN_FRACTION):
-        integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
-        width = np.array([s.width for s in scopes], dtype=float)
-        self.integer, self.width = np.tile(integer, (count, 1)), np.tile(width, (count, 1))
-        self.floor = np.where(self.integer, 1.0, floor)
-        self.scale = np.where(self.integer, np.maximum(1, self.width // 4), INITIAL_FRACTION)
-
-    @classmethod
-    def stacked(cls, meshes, columns: int) -> "MeshState":
-        """One mesh holding the rows of ``meshes`` in turn, each padded to
-        ``columns`` columns.  A pad column is continuous with zero width,
-        scale and floor: its step is 0 and it is always at its floor."""
-        mesh = cls.__new__(cls)
-        for name in ("integer", "width", "floor", "scale"):
-            setattr(mesh, name, np.vstack([
-                np.pad(getattr(m, name), ((0, 0), (0, columns - m.scale.shape[1])))
-                for m in meshes]))
-        return mesh
+    def __init__(self, rows, floor: float = MIN_FRACTION):
+        columns = max(map(len, rows), default=0)
+        # (integer, width, floor, scale) of every column; a still column is all 0.
+        cells = np.array([[(1, s.width, 1, max(1, s.width // 4)) if isinstance(s, IntegerScope)
+                           else (0, s.width, floor, INITIAL_FRACTION) for s in scopes]
+                          + [(0, 0, 0, 0)] * (columns - len(scopes)) for scopes in rows],
+                         dtype=float).reshape(len(rows), columns, 4).transpose(2, 0, 1).copy()
+        integer, self.width, self.floor, self.scale = cells
+        self.integer = integer == 1
 
     def steps(self, rows=0) -> np.ndarray:
         """Absolute step of each variable for the searches ``rows``."""
@@ -172,7 +166,7 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
     ids = domain.acting_index_set(tm, "standard")
     scopes = [domain.spec(vid).scope for vid in ids]
     if mesh is None:
-        mesh = MeshState(scopes)
+        mesh = MeshState([scopes])
     evaluations = 0
 
     start_point = Point(tm, tq, start)
@@ -193,64 +187,42 @@ def solve_standard_subproblem(evaluator: Evaluator, tm: MetaComponent, tq: dict,
         """The poll candidates around ``center``: +/- one step along each
         coordinate in order, skipping steps the scope clamps away.  Takes at
         most ``room`` of them, and sets ``cut`` if the room ran out before
-        the last step.  Yields the candidates that ``breaks`` passes, and
-        appends to ``screened_before``, before each yield and once at the
-        end, how many candidates it screened since the previous yield."""
+        the last step.  Yields the moved point of each candidate that
+        ``breaks`` passes and ``None`` in place of each one it screens."""
         nonlocal cut
-        skipped = 0
         for vid, scope, step in zip(ids, scopes, steps):
             for sign in (1, -1):
                 if room <= 0:
                     cut = True
-                    screened_before.append(skipped)
                     return
                 value = scope.clamp(center.standard[vid] + sign * step)
                 if value != center.standard[vid]:
                     room -= 1
-                    if breaks(center, vid, value):
-                        skipped += 1
-                    else:
-                        screened_before.append(skipped)
-                        skipped = 0
-                        yield center.moved(vid, value)
-        screened_before.append(skipped)
-
-    def settle_screened():
-        """Settle the screened candidates before the next candidate
-        position: each counts as one evaluation of this subproblem and once
-        in ``evaluator.screened``."""
-        nonlocal evaluations
-        count = screened_before.popleft()
-        evaluations += count
-        evaluator.screened += count
+                    yield None if breaks(center, vid, value) else center.moved(vid, value)
 
     while True:
         improved = False
         cut = False
-        screened_before = collections.deque()
         # Converted once per sweep: polls add Python floats, and scope.clamp
         # returns ints for integer variables.  The candidates are fixed until
         # the first improvement, so command children may run ahead.  A
-        # screened candidate is settled by its position among the records:
-        # one the generator pulled past an improving record never counts.
+        # screened candidate is settled when the loop reaches its place: one
+        # the generator pulled past an improving record never counts.
         candidates = sweep(best_point, mesh.steps().tolist(),
                            cfg.subproblem_budget - evaluations)
         try:
             with evaluator.lookahead(candidates) as records:
                 for record in records:
-                    settle_screened()
                     evaluations += 1
+                    if record is None:
+                        evaluator.screened += 1
+                        continue
                     barrier = barrier_value(record)
                     if barrier < best_barrier:
                         best_point, best_record, best_barrier = record.point, record, barrier
                         improved = True
                         break
-                else:
-                    settle_screened()
         except BudgetExhaustedError:
-            # The candidate refused was pulled, so its screened
-            # predecessors are at the head of the queue.
-            settle_screened()
             return SubproblemResult(best_point, best_record, best_barrier,
                                     evaluations, "global_budget", mesh)
         if improved:
@@ -276,6 +248,16 @@ def global_search_step(domain: Domain, rng: np.random.Generator, metas=None):
     tq = {vid: int(rng.integers(1, domain.spec(vid).scope.size + 1))
           for vid in domain.acting_index_set(tm, "categorical")}
     return tm, tq
+
+
+def _poll_pairs(domain: Domain, meta_mapping, categorical_mapping, point: Point):
+    """(tm, tq) of every poll neighbor of ``point``, in neighborhood order.
+    A tm without categorical neighbors polls the carried categorical
+    component, so pure meta moves are still tried."""
+    for tm in meta_neighbors(domain, meta_mapping, point):
+        tqs = categorical_neighbors(domain, categorical_mapping, point, tm)
+        for tq in tqs or [carried_categorical(domain, point, tm)]:
+            yield tm, tq
 
 
 def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
@@ -329,48 +311,34 @@ def run_direct_search(problem: Problem, cfg: SearchConfig, meta_mapping=None,
                 incumbent, improved = result, True
 
         if not improved and not truncated:
+            # The opportunistic poll stops at its first improvement, which is
+            # then the minimum of what it polled.
             polled = []
-            for tm in meta_neighbors(domain, meta_mapping, incumbent.point):
-                tqs = categorical_neighbors(domain, categorical_mapping,
-                                            incumbent.point, tm)
-                if not tqs:
-                    # No categorical neighbors under tm: poll the carried
-                    # categorical component so pure meta moves are still tried.
-                    tqs = [carried_categorical(domain, incumbent.point, tm)]
-                for tq in tqs:
-                    result = solve(tm, tq)
-                    truncated |= result.truncated
-                    if cfg.opportunistic:
-                        if result.barrier < incumbent.barrier:
-                            incumbent, improved = result, True
-                            break
-                    else:
-                        polled.append(result)
-                    if truncated:
-                        break
-                if improved or truncated:
+            for tm, tq in _poll_pairs(domain, meta_mapping, categorical_mapping,
+                                      incumbent.point):
+                result = solve(tm, tq)
+                polled.append(result)
+                truncated |= result.truncated
+                if truncated or cfg.opportunistic and result.barrier < incumbent.barrier:
                     break
-            if not cfg.opportunistic and polled:
-                best = min(polled, key=lambda r: r.barrier)
-                if best.barrier < incumbent.barrier:
-                    incumbent, improved = best, True
+            best = min(polled, key=lambda r: r.barrier, default=incumbent)
+            if best.barrier < incumbent.barrier:
+                incumbent, improved = best, True
 
         if not improved and not truncated:
             # Refine the incumbent's own subproblem; a failed poll with the
             # incumbent already at the minimum mesh means convergence.
             if refine_key != incumbent.point:
-                refine_mesh, refine_key = None, incumbent.point
+                refine_mesh = None
             result = solve_standard_subproblem(
                 evaluator, incumbent.point.meta, incumbent.point.categorical,
                 incumbent.point.standard, cfg, mesh=refine_mesh)
             truncated |= result.truncated
             if result.barrier < incumbent.barrier:
                 incumbent, improved = result, True
-                refine_mesh, refine_key = result.mesh, incumbent.point
-            else:
-                refine_mesh = result.mesh
-                if result.reason in ("min_mesh", "start_only"):
-                    converged = True
+            elif result.reason in ("min_mesh", "start_only"):
+                converged = True
+            refine_mesh, refine_key = result.mesh, incumbent.point
 
         iterations.append(IterationStats(k, evaluator.budget.used, incumbent.barrier, improved))
         if progress:

@@ -350,6 +350,21 @@ def _forward_solve(factor: np.ndarray, b: np.ndarray, overwrite: bool = False) -
     return lapack.dtrtrs(factor, b, lower=1, overwrite_b=overwrite)[0]
 
 
+def _columns(kappa: np.ndarray):
+    """``kappa`` C-ordered with at least two columns, and its column count.
+
+    Sums over the training samples run row by row (axis 0), which gives
+    every column the same bits whatever else the batch holds; numpy would
+    sum a lone column, or the columns of a Fortran-ordered array, pairwise,
+    so one point is predicted as two copies.
+    """
+    kappa = np.ascontiguousarray(kappa)
+    count = kappa.shape[1]
+    if count == 1:
+        kappa = np.repeat(kappa, 2, axis=1)
+    return kappa, count
+
+
 class GPModel:
     """Noise-free zero-mean GP conditioned on evaluated points.
 
@@ -381,21 +396,6 @@ class GPModel:
         pairs = PairTensors(self.domain, self._features, SampleFeatures(self.domain, points))
         return self.config.signal_variance * correlation_matrix(pairs, self.config)
 
-    @staticmethod
-    def _columns(kappa: np.ndarray):
-        """``kappa`` C-ordered with at least two columns, and its column count.
-
-        Sums over the training samples run row by row (axis 0), which gives
-        every column the same bits whatever else the batch holds; numpy would
-        sum a lone column, or the columns of a Fortran-ordered array,
-        pairwise, so one point is predicted as two copies.
-        """
-        kappa = np.ascontiguousarray(kappa)
-        count = kappa.shape[1]
-        if count == 1:
-            kappa = np.repeat(kappa, 2, axis=1)
-        return kappa, count
-
     def row_view(self, rows, values) -> "RowView":
         """A GP on the training points at the indices ``rows``, with its own
         ``values``; its means come from :meth:`predict_batch`."""
@@ -414,7 +414,7 @@ class GPModel:
         The variance takes one triangular solve, ``v = L^-1 kappa``, and is
         ``s^2 - sum(v^2)`` over the training samples, clamped at 0.
         """
-        kappa, count = self._columns(self.cross_covariance(points))
+        kappa, count = _columns(self.cross_covariance(points))
         mean = np.sum(kappa * self.alpha[:, None], axis=0)
         # kappa^T K^-1 kappa = |v|^2 with v = L^-1 kappa (GPML Algorithm
         # 2.1).  The squares are taken C-ordered, so they too are summed row
@@ -434,7 +434,7 @@ class GPModel:
 
     def mean_batch(self, points) -> np.ndarray:
         """Posterior means only (no variance solve), equal to predict_batch's."""
-        kappa, count = self._columns(self.cross_covariance(points))
+        kappa, count = _columns(self.cross_covariance(points))
         return np.sum(kappa * self.alpha[:, None], axis=0)[:count]
 
 
@@ -579,17 +579,17 @@ class CrossFactors:
 
     def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray):
         """Factors of the rows that equal kept row ``rows[j]`` but for
-        standard column ``column[j]``, set to ``values[j]``, and that
-        column's new factor, row j of a (rows, samples) array."""
-        changed = self._standard(column, values)
-        factors = self.factors[:, :, rows]
-        factors[self._slot[column], :, np.arange(len(column))] = changed
-        return factors, changed
+        standard column ``column[j]``, set to ``values[j]``."""
+        # np.take keeps the gather C-ordered, which the product over the
+        # factors runs several times faster on than on an indexed copy.
+        factors = np.take(self.factors, rows, axis=2)
+        factors[self._slot[column], :, np.arange(len(column))] = self._standard(column, values)
+        return factors
 
-    def move(self, rows: np.ndarray, column: np.ndarray, changed: np.ndarray):
-        """Make kept row ``rows[j]`` the row :meth:`polled` gave for it with
-        ``column[j]`` changed: ``changed[j]`` is that column's new factor."""
-        self.factors[self._slot[column], :, rows] = changed
+    def move(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray):
+        """Set standard column ``column[j]`` of kept row ``rows[j]`` to
+        ``values[j]``: the row :meth:`polled` gave for the same arguments."""
+        self.factors[self._slot[column], :, rows] = self._standard(column, values)
 
     def cross_covariance(self, factors: np.ndarray) -> np.ndarray:
         """D, the rows' cross-covariance with the training samples under xm, a
@@ -604,12 +604,10 @@ class CrossFactors:
 
         Each row's values do not depend on the rest of the batch: the sums
         over the samples under xm run row by row over C-ordered arrays of at
-        least two columns, as :meth:`GPModel.predict_batch`'s do.
+        least two columns (:func:`_columns`), as :meth:`GPModel.predict_batch`'s
+        do.
         """
-        cross = self.cross_covariance(factors)
-        count = cross.shape[1]
-        if count == 1:
-            cross = np.repeat(cross, 2, axis=1)
+        cross, count = _columns(self.cross_covariance(factors))
         outputs, columns = len(self._constant), cross.shape[1]
         weighted = self._weights * cross[:, None, :]
         means = np.add.reduce(weighted.reshape(len(cross), outputs * columns), axis=0)

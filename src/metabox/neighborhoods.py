@@ -4,15 +4,18 @@ Neighborhoods are generated by ordered rule lists.  Each rule maps the
 current point to zero or more candidate components; results are validated,
 deduplicated preserving first occurrence, and the current component is
 excluded.  A rule is one of the atomic moves below, a :class:`Combined`
-move, or any callable ``(domain, point) -> components``.  Rule application
-is pure, so mappings are safe to share.
+move, or any callable ``(domain, point) -> components``.  An atomic move
+may act on the variable types :data:`RULE_TYPES` gives it for its target:
+a problem file is checked against it when parsed, a meta mapping built in
+code when applied.  Rule application is pure, so mappings are safe to
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import Domain, IntegerScope, MetaComponent, Point, VariableType
+from .domain import Domain, MetaComponent, Point, VariableType
 from .errors import ConfigurationError, InvalidMetaError
 
 @dataclass(frozen=True)
@@ -62,19 +65,28 @@ class NeighborhoodMapping:
         object.__setattr__(self, "rules", tuple(self.rules))
 
 
+#: The variable types each atomic move may act on, per neighborhood target.
+RULE_TYPES = {
+    ("meta", IncrementMetaInteger): (VariableType.META_INTEGER,),
+    ("meta", SwapCategorical): (VariableType.META_CATEGORICAL,),
+    ("categorical", SwapCategorical): (VariableType.NOMINAL, VariableType.ORDINAL),
+    ("categorical", IncrementOrdinal): (VariableType.ORDINAL,),
+}
+
+
 # ---------------------------------------------------------------------------
 # Rule application
 # ---------------------------------------------------------------------------
 
 def _apply_to_meta(rule, domain: Domain, component: MetaComponent, point: Point):
-    if isinstance(rule, IncrementMetaInteger):
-        scope = domain.spec(rule.var_id).scope
-        if not isinstance(scope, IntegerScope):
-            raise ConfigurationError(f"{rule.var_id!r} is not a meta-integer variable")
-        return [component.replace(**{rule.var_id: scope.clamp(component[rule.var_id] + rule.delta)})]
-    if isinstance(rule, SwapCategorical):
-        scope = domain.spec(rule.var_id).scope
-        current = component[rule.var_id]
+    if isinstance(rule, (IncrementMetaInteger, SwapCategorical)):
+        if (rule.var_id not in domain or domain.spec(rule.var_id).type
+                not in RULE_TYPES.get(("meta", type(rule)), ())):
+            raise ConfigurationError(
+                f"{type(rule).__name__} cannot move {rule.var_id!r} in a meta neighborhood")
+        scope, current = domain.spec(rule.var_id).scope, component[rule.var_id]
+        if isinstance(rule, IncrementMetaInteger):
+            return [component.replace(**{rule.var_id: scope.clamp(current + rule.delta)})]
         return [component.replace(**{rule.var_id: label})
                 for label in scope.labels if label != current]
     if isinstance(rule, Combined):

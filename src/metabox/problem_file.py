@@ -25,7 +25,7 @@ from .domain import (CategoricalScope, ContinuousScope, DecreePredicate, Domain,
                      GROUPS, IntegerScope, Membership, Role, ScopeError, Threshold,
                      VariableSpec, VariableType)
 from .errors import ProblemFileError
-from .neighborhoods import (Combined, IncrementMetaInteger, IncrementOrdinal,
+from .neighborhoods import (RULE_TYPES, Combined, IncrementMetaInteger, IncrementOrdinal,
                             NeighborhoodMapping, SwapCategorical)
 
 #: Builtin objective bindings; each receives the parsed domain.
@@ -244,20 +244,28 @@ def _parse_constraints(document, constants, domain, meta_ids, all_ids):
     return specs
 
 
-def _parse_rule(data, path):
+def _parse_rule(data, path, target, domain):
+    """The rule at ``path`` of the ``target`` neighborhood list; each atomic
+    move must name a variable of a type it may act on there (RULE_TYPES)."""
     kind = _field(data, "kind", path, "string")
     if kind == "combined":
-        return Combined(tuple(_parse_rule(move, mpath) for move, mpath in _items(
-            data, "moves", f"{path}.moves", "nonempty list", "object")))
+        return Combined(tuple(_parse_rule(move, mpath, target, domain) for move, mpath in
+                              _items(data, "moves", f"{path}.moves", "nonempty list", "object")))
     _expect(kind in ("increment-meta", "swap", "increment-ordinal"), "syntax", path,
             f"unknown rule kind {kind!r}")
     var_id = _field(data, "id", path, "string")
     if kind == "swap":
-        return SwapCategorical(var_id)
-    delta = _field(data, "delta", f"{path}.delta", "integer", 1)
-    if kind == "increment-meta":
-        return IncrementMetaInteger(var_id, delta)
-    return IncrementOrdinal(var_id, delta)
+        rule = SwapCategorical(var_id)
+    else:
+        delta = _field(data, "delta", f"{path}.delta", "integer", 1)
+        rule = (IncrementMetaInteger if kind == "increment-meta" else IncrementOrdinal)(
+            var_id, delta)
+    _expect(var_id in domain, "unknown-id", path, f"unknown variable {var_id!r}")
+    types = RULE_TYPES.get((target, type(rule)), ())
+    _expect(domain.spec(var_id).type in types, "invalid-reference", path,
+            f"a {kind!r} rule in a {target} neighborhood cannot move the "
+            f"{domain.spec(var_id).type.value} variable {var_id!r}")
+    return rule
 
 
 @dataclass
@@ -315,7 +323,7 @@ def parse_problem(document: dict) -> ParsedProblem:
         rules = _items(neighborhoods, kind, f"neighborhoods.{kind}", "list", "object", [])
         if rules:
             mappings[kind] = NeighborhoodMapping(kind, tuple(
-                _parse_rule(rule, rpath) for rule, rpath in rules))
+                _parse_rule(rule, rpath, kind, domain) for rule, rpath in rules))
     metadata = _field(document, "metadata", "metadata", "object", {})
 
     return ParsedProblem(name=name, domain=domain, system=system,

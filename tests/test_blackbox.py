@@ -668,6 +668,47 @@ def test_lookahead_width_leaves_command_histories_unchanged(tmp_path, monkeypatc
     assert outputs[1] == outputs[2]
 
 
+def test_lookahead_passes_placeholders_through_in_place(tmp_path, monkeypatch, toy_problem):
+    # A None takes no lookahead slot and starts no child: the children of
+    # P1, P2 and P3 start and settle around the records exactly as they do
+    # without the placeholders, two at a time.
+    lookahead_width(monkeypatch, 2)
+    problem = command_problem(toy_problem, quadratic_child(tmp_path, CHILD_OK))
+    p1, p2, p3 = (toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {"k": k})
+                  for k in (1, 2, 3))
+    events = []
+    start, settle = blackbox._Child.__init__, mb.Evaluator._run_subprocess
+
+    def recorded_start(self, evaluator, point):
+        events.append(("start", point.standard["k"]))
+        start(self, evaluator, point)
+
+    def recorded_settle(self, point, child=None):
+        events.append(("settle", point.standard["k"], child is not None))
+        return settle(self, point, child)
+
+    monkeypatch.setattr(blackbox._Child, "__init__", recorded_start)
+    monkeypatch.setattr(mb.Evaluator, "_run_subprocess", recorded_settle)
+    runs = {}
+    for points in ([p1, None, p2, None, None, p3], [p1, p2, p3]):
+        events.clear()
+        evaluator = mb.Evaluator(problem, 10)
+        with evaluator.lookahead(points) as records:
+            got = []
+            for record in records:
+                got.append(record)
+                events.append(("got", None if record is None else record.point.standard["k"]))
+        assert [None if r is None else r.point for r in got] == points
+        assert evaluator.history == [r for r in got if r is not None]
+        assert [r.index for r in evaluator.history] == [0, 1, 2]
+        assert evaluator.budget.used == 3 and evaluator.discarded == 0
+        runs[len(points)] = [event for event in events if event != ("got", None)]
+    assert runs[6] == runs[3]
+    assert runs[3] == [("start", 1), ("start", 2), ("settle", 1, True), ("got", 1),
+                       ("start", 3), ("settle", 2, True), ("got", 2), ("settle", 3, True),
+                       ("got", 3)]
+
+
 # Every child leaves a grandchild in its own process group and publishes its
 # pid (by rename, so a pid file is never read half written); the k == 2
 # child then outlives any timeout.

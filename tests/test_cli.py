@@ -290,6 +290,49 @@ def test_wrongly_typed_containers_are_validation_errors(tmp_path, capsys, edit, 
     assert f"at {where}:" in capsys.readouterr().err
 
 
+def first_rule(target, kind, vid):
+    """An edit making the first ``target`` rule of mlp.json a ``kind`` move of ``vid``."""
+    def edit(document):
+        rules = document["neighborhoods"].setdefault(target, [{}])
+        rules[0] = {"kind": kind, "id": vid}
+    return edit
+
+
+def combined_swap_of_a(document):
+    document["neighborhoods"]["meta"][3]["moves"][1] = {"kind": "swap", "id": "a"}
+
+
+@pytest.mark.parametrize("edit, code, where", [
+    (first_rule("meta", "swap", "l"), "invalid-reference", "neighborhoods.meta[0]"),
+    (first_rule("meta", "increment-meta", "u1"), "invalid-reference", "neighborhoods.meta[0]"),
+    (first_rule("meta", "swap", "a"), "invalid-reference", "neighborhoods.meta[0]"),
+    (first_rule("meta", "increment-meta", "o"), "invalid-reference", "neighborhoods.meta[0]"),
+    (first_rule("meta", "increment-meta", "zz"), "unknown-id", "neighborhoods.meta[0]"),
+    (combined_swap_of_a, "invalid-reference", "neighborhoods.meta[3].moves[1]"),
+    (first_rule("categorical", "increment-meta", "l"), "invalid-reference",
+     "neighborhoods.categorical[0]"),
+    (first_rule("categorical", "increment-ordinal", "a"), "invalid-reference",
+     "neighborhoods.categorical[0]"),
+    (first_rule("categorical", "swap", "r"), "invalid-reference",
+     "neighborhoods.categorical[0]"),
+    (first_rule("categorical", "swap", "o"), "invalid-reference",
+     "neighborhoods.categorical[0]"),
+], ids=["meta-swap-meta-integer", "meta-increment-integer", "meta-swap-nominal",
+        "meta-increment-meta-categorical", "meta-unknown-id", "combined-move",
+        "categorical-increment-meta", "categorical-increment-nominal",
+        "categorical-swap-continuous", "categorical-swap-meta"])
+def test_rules_that_do_not_fit_their_list_are_validation_errors(tmp_path, capsys, edit,
+                                                                code, where):
+    # Each of these once passed validation, then crashed solve with a
+    # traceback, failed only in solve, or was ignored.
+    document = json.loads(bundled_problem_path("mlp").read_text())
+    edit(document)
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"{code} at {where}:" in capsys.readouterr().err
+
+
 def test_enumerate_renders_meta_like_the_history(tmp_path, capsys):
     document = {
         "variables": [

@@ -21,7 +21,7 @@ ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
 def test_mesh_steps_refinement_and_floors():
     scopes = [mb.ContinuousScope(0.0, 2.0), mb.IntegerScope(0, 13), mb.IntegerScope(0, 2)]
     for floor in (MIN_FRACTION, ACQ_MIN_FRACTION):
-        mesh = MeshState(scopes, count=2, floor=floor)
+        mesh = MeshState([scopes, scopes], floor=floor)
         assert mesh.scale.shape == (2, 3)
         assert mesh.steps(0).tolist() == [0.5, 3.0, 1.0]  # 0.25 of 2.0, 13 // 4, at least 1
         mesh.refine(1)
@@ -38,7 +38,7 @@ def test_mesh_steps_refinement_and_floors():
         assert mesh.scale[1].tolist() == [floor, 1.0, 1.0]
         assert not mesh.at_minimum(0)
     # A continuous step at its floor does not stop a search whose integer step is above 1.
-    wide = MeshState([mb.ContinuousScope(0.0, 1.0), mb.IntegerScope(0, 400)],
+    wide = MeshState([[mb.ContinuousScope(0.0, 1.0), mb.IntegerScope(0, 400)]],
                      floor=ACQ_MIN_FRACTION)
     for _ in range(4):
         wide.refine()
@@ -47,13 +47,13 @@ def test_mesh_steps_refinement_and_floors():
 
 
 def test_stacked_mesh_pads_rows_with_still_columns():
-    # The rows of each mesh in turn, padded to the widest: a pad column's
-    # step is 0 and it is always at its floor, so only real columns decide.
-    narrow = MeshState([mb.IntegerScope(0, 13)], count=2, floor=ACQ_MIN_FRACTION)
-    wide = MeshState([mb.ContinuousScope(0.0, 2.0), mb.IntegerScope(0, 2)],
-                     floor=ACQ_MIN_FRACTION)
-    bare = MeshState([], floor=ACQ_MIN_FRACTION)
-    mesh = MeshState.stacked([narrow, wide, bare], 2)
+    # Rows of mixed widths, padded to the widest: a still column's step is 0
+    # and it is always at its floor, so only real columns decide.
+    narrow = [mb.IntegerScope(0, 13)]
+    wide = [mb.ContinuousScope(0.0, 2.0), mb.IntegerScope(0, 2)]
+    mesh = MeshState([narrow, narrow, wide, []], floor=ACQ_MIN_FRACTION)
+    assert mesh.scale.shape == (4, 2)
+    assert mesh.width[[0, 3]].tolist() == [[13.0, 0.0], [0.0, 0.0]]
     assert mesh.steps([0, 1, 2, 3]).tolist() == [[3.0, 0.0], [3.0, 0.0], [0.5, 1.0],
                                                  [0.0, 0.0]]
     assert mesh.at_minimum([0, 2, 3]).tolist() == [False, False, True]

@@ -1,3 +1,5 @@
+import pytest
+
 import metabox as mb
 
 ADAM2 = mb.MetaComponent({"l": 2, "o": "Adam"})
@@ -58,6 +60,18 @@ def test_default_meta_mapping_swaps_and_increments(toy_problem):
     point = toy_problem.domain.complete_point(mb.MetaComponent({"m": "A"}), {})
     neighbors = mb.meta_neighbors(toy_problem.domain, mapping, point)
     assert [dict(n) for n in neighbors] == [{"m": "B"}]
+
+
+@pytest.mark.parametrize("rule", [mb.SwapCategorical("l"), mb.IncrementMetaInteger("u1", 1),
+                                  mb.SwapCategorical("a"), mb.IncrementMetaInteger("o", 1),
+                                  mb.IncrementMetaInteger("zz", 1)],
+                         ids=["swap-meta-integer", "increment-integer", "swap-nominal",
+                              "increment-meta-categorical", "unknown-id"])
+def test_meta_rule_on_a_wrong_variable_is_a_configuration_error(mlp_domain, rule):
+    # A mapping built in code once raised AttributeError or KeyError here.
+    point = mlp_domain.complete_point(ADAM2, {})
+    with pytest.raises(mb.ConfigurationError, match="meta neighborhood"):
+        mb.meta_neighbors(mlp_domain, mb.NeighborhoodMapping("meta", (rule,)), point)
 
 
 # -- categorical neighborhoods --------------------------------------------------------
