@@ -71,7 +71,7 @@ from .domain import (Domain, IntegerScope, MetaComponent, Point, check_counts, d
                      enumerate_domain_points)
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
-from .gp import (CrossFactors, GPModel, KernelConfig, default_kernel_config,
+from .gp import (CrossFactors, GPModel, KernelConfig, TrainingSet, default_kernel_config,
                  fit_hyperparameters)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -508,7 +508,8 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     set is a list of the model's rows, and the acquisition computes one
     cross-covariance per batch for the objective and every constraint.
     Each iteration trains on the evaluator's history: its records that are
-    neither cached nor failed.  Failed points are excluded from the
+    neither cached nor failed, kept in one :class:`~metabox.gp.TrainingSet`
+    that each new record is appended to.  Failed points are excluded from the
     acquisition, like evaluated ones, so they are never proposed again.  A
     config reused from an earlier fit that no longer factorizes on the
     current samples is refitted at once; when the refitted config does not
@@ -538,6 +539,7 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
     starts = acquisition_starts(domain, cfg.enumeration_cap)
     config: KernelConfig | None = None
     samples_at_refit = -1
+    training = TrainingSet(domain)
     iteration = 0
     while evaluator.budget.remaining > 0 and iteration < cfg.max_iterations:
         iteration += 1
@@ -546,24 +548,25 @@ def run_bo(problem: Problem, cfg: BOConfig, progress: bool = False) -> BOResult:
         if len(train) < 2:
             stop_reason = "no_data"
             break
-        train_points, train_values = [r.point for r in train], [r.objective for r in train]
+        training.extend(r.point for r in train[len(training):])
+        train_values = [r.objective for r in train]
         model = None
         if (config is not None and len(train) > cfg.refit_full_until
                 and len(train) - samples_at_refit < cfg.refit_every):
             try:
-                model = GPModel(domain, train_points, train_values, config)
+                model = GPModel(domain, training, train_values, config)
             except FactorizationError:
                 pass  # fitted on fewer samples, it need not factorize on these
         if model is None:
             try:
                 config = fit_hyperparameters(
-                    domain, train_points, train_values, seed=cfg.seed,
+                    domain, training, train_values, seed=cfg.seed,
                     sweeps=cfg.fit_sweeps, base=base_config)
             except FittingError:
                 config = base_config
             samples_at_refit = len(train)
             try:
-                model = GPModel(domain, train_points, train_values, config)
+                model = GPModel(domain, training, train_values, config)
             except FactorizationError:
                 stop_reason = "factorization"
                 break

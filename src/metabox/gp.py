@@ -10,11 +10,19 @@ correlated through the meta factors alone.
 
 Standard and meta inputs are range-normalized to [0, 1] per scope before any
 kernel evaluation, so weight bounds are scale-free.
+
+The training points live in a :class:`TrainingSet`, which grows by appends:
+each new point adds its features and one row of pair tensors against the
+points before it, and nothing is rebuilt.  The hyperparameter fit and the
+model both read the set; a run keeps one set and also draws the fit's
+start parameters once, in its first fit.  Cross-covariances with new
+points come from :class:`PairTensors` and :class:`CrossFactors`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -196,18 +204,13 @@ def _unit_values(integer, lo, width, raw: np.ndarray) -> np.ndarray:
                      where=np.asarray(width) != 0)
 
 
-def _squared_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The pair tensor of a numeric factor, elementwise."""
-    return (a - b) ** 2
-
-
 def _pair_tensor(table: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pair tensor of one factor from two sets' values of its variable:
     whether the categories differ (correlation tables), or the squared
     difference."""
     if _SLOT_TABLES[table][0] == "raw":
         return a[:, None] != b[None, :]
-    return _squared_difference(a[:, None], b[None, :])
+    return (a[:, None] - b[None, :]) ** 2
 
 
 class PairTensors:
@@ -244,25 +247,47 @@ class PairTensors:
                                    mask))
 
 
-def _correlation_factor(table: str, value, tensor: np.ndarray, out=None) -> np.ndarray:
-    """One correlation factor, with the hyperparameter at ``value``, on the
-    entries of its pair tensor that it is given.
+#: How a factor's pair tensor and hyperparameter make the factor, per kind:
+#: a correlation where the categories differ, exp(tensor / -(2 l^2)) for an
+#: ordinal lengthscale l, exp(tensor * -w) for a weight w.
+_CORRELATION, _LENGTHSCALE, _WEIGHT = range(3)
 
-    The tensor holds squared distances, or for correlation tables whether the
-    two samples' categories differ.  ``value`` may also be an array that
-    broadcasts against the tensor.  With ``out`` the factor is written there,
-    a correlation table's only where the tensor is True: ``out`` holds 1 elsewhere.
-    """
+
+def _kind(table: str) -> int:
     if _SLOT_TABLES[table][0] == "raw":
-        if out is None:
-            return np.where(tensor, value, 1.0)
-        np.copyto(out, value, where=tensor)
-        return out
-    if table == "ordinal_lengthscales":
-        out = np.divide(tensor, -(2.0 * value ** 2), out=out)
-    else:
-        out = np.multiply(tensor, -value, out=out)
-    return np.exp(out, out=out)
+        return _CORRELATION
+    return _LENGTHSCALE if table == "ordinal_lengthscales" else _WEIGHT
+
+
+def _operand(kind: int, value):
+    """The scalar a factor of ``kind`` applies to its tensor at ``value``.
+    Computed from the value alone, in Python for a Python float, so a factor
+    has the same bits however many values are evaluated at once."""
+    if kind == _CORRELATION:
+        return value
+    return -(2.0 * value ** 2) if kind == _LENGTHSCALE else -value
+
+
+def _fill_factor(kind: int, tensor: np.ndarray, operand, out: np.ndarray):
+    """Write the factor of ``kind`` into ``out``, a C-ordered array that
+    ``tensor`` and ``operand`` broadcast to; a correlation is written only
+    where the categories differ, so ``out`` must hold 1 elsewhere.  The
+    elementwise operations of every factor the kernel takes."""
+    if kind == _CORRELATION:
+        np.copyto(out, operand, where=tensor)
+        return
+    (np.divide if kind == _LENGTHSCALE else np.multiply)(tensor, operand, out=out)
+    np.exp(out, out=out)
+
+
+def _correlation_factor(table: str, value, tensor: np.ndarray) -> np.ndarray:
+    """One correlation factor, with the hyperparameter at ``value``, on the
+    entries of its pair tensor: squared distances, or for correlation
+    tables whether the two samples' categories differ."""
+    kind = _kind(table)
+    out = np.ones(np.shape(tensor))
+    _fill_factor(kind, tensor, _operand(kind, value), out)
+    return out
 
 
 def _config_value(config: KernelConfig, table: str, key):
@@ -293,6 +318,255 @@ def _product(factors, shape) -> np.ndarray:
 def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
     """Kernel matrix without the signal variance factor."""
     return _product(_masked_factors(pairs.slots, config), pairs.shape)
+
+
+# ---------------------------------------------------------------------------
+# Training set
+# ---------------------------------------------------------------------------
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` with room for ``size`` entries along its last axis: itself
+    when it has it, else a copy with at least twice the room."""
+    if array.shape[-1] >= size:
+        return array
+    grown = np.zeros((*array.shape[:-1], max(size, 2 * array.shape[-1], 16)), array.dtype)
+    grown[..., :array.shape[-1]] = array
+    return grown
+
+
+class _PairGroup:
+    """One group of a training set's strict lower-triangle entries, with the
+    pair tensor of each of its factors on them.
+
+    ``factors`` holds the group's (config table, key) in the order
+    :func:`correlation_matrix` multiplies them.  Entry e is the pair
+    (``rows[e]``, ``cols[e]``), rows > cols; ``tensors[k, e]`` is factor k's
+    tensor there as a float, 1.0 or 0.0 for whether the categories differ,
+    and neutral (0) where the factor is exactly 1.  ``support[k]`` holds when
+    factor k is not exactly 1 on every entry, and ``present[k]`` when
+    :class:`PairTensors` of the set with itself has a slot for it, so that
+    evaluating the kernel needs its hyperparameter.
+    """
+
+    def __init__(self, factors, present: bool):
+        self.factors = factors
+        self.kinds = [_kind(table) for table, _ in factors]
+        self.correlation = np.array([k == _CORRELATION for k in self.kinds], dtype=bool)
+        self.size = 0
+        self._pairs = np.zeros((2, 0), dtype=int)
+        self._tensors = np.zeros((len(factors), 0))
+        self.support = np.zeros(len(factors), dtype=bool)
+        self.present = np.full(len(factors), present)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._pairs[0, :self.size]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._pairs[1, :self.size]
+
+    @property
+    def tensors(self) -> np.ndarray:
+        return self._tensors[:, :self.size]
+
+    def append(self, row: int, cols: np.ndarray, tensors: np.ndarray):
+        """Add the pairs (``row``, ``cols[j]``) with factor tensors
+        ``tensors[:, j]``.  Entries already held never change, so views of
+        them stay valid."""
+        end = self.size + len(cols)
+        self._pairs = _grown(self._pairs, end)
+        self._tensors = _grown(self._tensors, end)
+        self._pairs[0, self.size:end] = row
+        self._pairs[1, self.size:end] = cols
+        self._tensors[:, self.size:end] = tensors
+        self.size = end
+
+    def supported(self):
+        """(k, kind, tensor) of each factor with support, in product order:
+        a correlation's tensor as booleans, any other's as a view."""
+        return [(k, self.kinds[k], tensor != 0 if self.correlation[k] else tensor)
+                for k, tensor in enumerate(self.tensors) if self.support[k]]
+
+    def products(self, factors, operands: np.ndarray):
+        """The product of the supported ``factors`` on every entry, one row
+        per row of ``operands`` ((rows, len(factors)) operands), and the
+        (len(factors), rows, size) factors it multiplied: 1 without any."""
+        block = np.ones((len(factors), len(operands), self.size))
+        for j, (_, kind, tensor) in enumerate(factors):
+            _fill_factor(kind, tensor, operands[:, j:j + 1], block[j])
+        return np.multiply.reduce(block, axis=0), block
+
+
+class TrainingSet(Sequence):
+    """Evaluated points, kept with everything the kernel needs of them before
+    any hyperparameter, grown by appends.
+
+    It holds the points' :attr:`features` and the strict lower triangle's
+    pair tensors in two groups (:class:`_PairGroup`):
+
+    - the meta group, on pairs with different meta components, holds the
+      meta factors: every other factor is exactly 1 there;
+    - the non-meta group, on same-meta pairs, holds every other factor, each
+      exactly 1 off the pairs where its variable acts in both samples: every
+      meta factor is exactly 1 there.
+
+    Row-major, the lower triangle of n + 1 points is that of n points
+    followed by row n, and each group keeps its pairs in that order, so an
+    appended point only appends the row's pairs to each group: O(n) work,
+    none of it redone later.  :func:`fit_hyperparameters`, :class:`GPModel`
+    and :func:`log_marginal_likelihood` take a set wherever they take
+    points; a set is a sequence of its points.  The fit's start parameters
+    depend only on the domain, the base config and the seed, so the set also
+    keeps the last ones drawn, and a run that fits the set it grows draws
+    them once.
+    """
+
+    def __init__(self, domain: Domain, points=()):
+        self.domain = domain
+        self.points = []
+        meta_slots = _meta_slots(domain)
+        self._meta_slot = {mid: k for k, (_, mid) in enumerate(meta_slots)}
+        self._specs = [spec for spec in domain.variables if not spec.type.is_meta]
+        self._categorical = np.array([spec.type in GROUPS["categorical"]
+                                      for spec in self._specs], dtype=bool)
+        standard = [spec for spec in self._specs if spec.type not in GROUPS["categorical"]]
+        self._standard = np.flatnonzero(~self._categorical)
+        self._integer = np.array([spec.type == VariableType.INTEGER for spec in standard],
+                                 dtype=bool)
+        self._lo = np.array([spec.scope.lo for spec in standard], dtype=float)
+        self._width = np.array([spec.scope.width for spec in standard], dtype=float)
+        self.groups = (
+            _PairGroup(meta_slots, True),
+            _PairGroup([(_MATRIX_TABLES[spec.type], spec.id) for spec in self._specs], False))
+        self._codes = {}
+        self._metas = []
+        self._component_meta = []
+        self._which = np.zeros(0, dtype=int)
+        self._meta = np.zeros((len(meta_slots), 0))
+        self._values = np.zeros((len(self._specs), 0))
+        self._acting = np.zeros((len(self._specs), 0), dtype=bool)
+        self._features = None
+        self._starts = None
+        self.extend(points)
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        return self.points[index]
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def extend(self, points):
+        for point in points:
+            self._append(point)
+
+    def _append(self, point):
+        n = len(self.points)
+        code = self._codes.setdefault(point.meta, len(self._codes))
+        if code == len(self._metas):
+            self._metas.append(tuple(sorted(point.meta.items())))
+            own = _meta_features(self.domain, [point.meta])
+            meta = np.zeros(len(self._meta_slot))
+            for mid, k in self._meta_slot.items():
+                meta[k] = own[mid][0]
+            self._component_meta.append(meta)
+        meta = self._component_meta[code]
+        raw = [(point.categorical if categorical else point.standard).get(spec.id)
+               for spec, categorical in zip(self._specs, self._categorical)]
+        acting = np.array([v is not None for v in raw], dtype=bool)
+        values = np.array([0 if v is None else v for v in raw], dtype=float)
+        std = self._standard
+        values[std] = np.where(acting[std], _unit_values(self._integer, self._lo,
+                                                         self._width, values[std]), 0.0)
+        _require_finite(values, meta)
+        same = self._which[:n] == code
+        for group, new, old, cols in ((self.groups[0], meta, self._meta, np.flatnonzero(~same)),
+                                      (self.groups[1], values, self._values,
+                                       np.flatnonzero(same))):
+            if not len(cols):
+                continue
+            # (a - b) ** 2 squares as a * a does; a category index is exact.
+            difference = new[:, None] - old[:, cols]
+            tensors = np.where(group.correlation[:, None], difference != 0,
+                               difference * difference)
+            if group is self.groups[1]:
+                both = acting[:, None] & self._acting[:, cols]
+                tensors[~both] = 0.0
+                group.support |= both.any(axis=1)
+            else:
+                group.support[:] = True
+            group.append(n, cols, tensors)
+        self.groups[1].present |= acting
+        self._which = _grown(self._which, n + 1)
+        self._meta = _grown(self._meta, n + 1)
+        self._values = _grown(self._values, n + 1)
+        self._acting = _grown(self._acting, n + 1)
+        self._which[n], self._meta[:, n] = code, meta
+        self._values[:, n], self._acting[:, n] = values, acting
+        self.points.append(point)
+
+    @property
+    def features(self) -> SampleFeatures:
+        """The points' :class:`SampleFeatures`, equal to a fresh build's."""
+        n = len(self)
+        if self._features is None or self._features.n != n:
+            features = self._features = SampleFeatures.__new__(SampleFeatures)
+            features.n = n
+            features.which_meta = self._which[:n]
+            features.metas = list(self._metas)
+            features.meta = {}
+            for mid in self.domain.meta_ids:
+                k = self._meta_slot[mid]
+                row = self._meta[k, :n]
+                features.meta[mid] = row.astype(int) if self.groups[0].correlation[k] else row
+            features.acting, features.values = {}, {}
+            for k, spec in enumerate(self._specs):
+                features.acting[spec.id] = self._acting[k, :n]
+                row = self._values[k, :n]
+                features.values[spec.id] = row.astype(int) if self._categorical[k] else row
+        return self._features
+
+    def gram(self, config: KernelConfig) -> np.ndarray:
+        """The kernel matrix of the points, bit-identical to the signal
+        variance times :func:`correlation_matrix` of the points with
+        themselves: each group's product scattered symmetrically, and the
+        signal variance on the diagonal, where every factor is 1."""
+        n, variance = len(self), config.signal_variance
+        gram = np.empty((n, n))
+        gram.flat[::n + 1] = variance * 1.0
+        for group in self.groups:
+            # Every factor PairTensors would hold needs its entry, supported
+            # or not: a missing one is a KernelDomainError.
+            values = {k: _config_value(config, *group.factors[k])
+                      for k in np.flatnonzero(group.present)}
+            factors = group.supported()
+            operands = np.array([[_operand(kind, values[k]) for k, kind, _ in factors]],
+                                dtype=float)
+            lower = variance * group.products(factors, operands)[0][0]
+            gram[group.rows, group.cols] = lower
+            gram[group.cols, group.rows] = lower
+        return gram
+
+    def fit_starts(self, base: KernelConfig | None, seed: int, starts: int):
+        """The fit's (slots, start parameter vectors) for ``base``, ``seed``
+        and ``starts``: drawn by :func:`_fit_starts` when they differ from the
+        last call's arguments, else the last ones."""
+        key = (seed, starts, None if base is None else
+               [tuple(getattr(base, table).items()) for table in _SLOT_TABLES])
+        if self._starts is None or self._starts[0] != key:
+            self._starts = (key, _fit_starts(self.domain, base, seed, starts))
+        return self._starts[1]
+
+
+def _training_set(domain: Domain, points) -> TrainingSet:
+    """``points`` itself when it is a training set on ``domain``, else a
+    new set of them."""
+    if isinstance(points, TrainingSet) and points.domain is domain:
+        return points
+    return TrainingSet(domain, points)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +643,13 @@ class GPModel:
     """Noise-free zero-mean GP conditioned on evaluated points.
 
     Immutable once constructed; fitting hyperparameters happens separately in
-    :func:`fit_hyperparameters`.  :meth:`row_view` conditions further outputs
-    on subsets of the same training points, predicted from the same
-    cross-covariance.
+    :func:`fit_hyperparameters`.  ``points`` may be a :class:`TrainingSet`,
+    and a list of points is put in a new one: the Gram matrix is the
+    set's :meth:`~TrainingSet.gram` and the features are the set's, so a
+    run that grows one set builds neither from scratch.  The model keeps
+    the points and features as they are when it is built, whatever the set
+    appends later.  :meth:`row_view` conditions further outputs on subsets
+    of the same training points, predicted from the same cross-covariance.
     """
 
     def __init__(self, domain: Domain, points, values, config: KernelConfig):
@@ -382,9 +660,9 @@ class GPModel:
         self.points = list(points)
         self.values = np.asarray(values, dtype=float)
         _require_finite(self.values)
-        self._features = SampleFeatures(domain, self.points)
-        self._gram = config.signal_variance * correlation_matrix(
-            PairTensors(domain, self._features, self._features), config)
+        train = _training_set(domain, points)
+        self._features = train.features
+        self._gram = train.gram(config)
         self._factor, self.jitter = _factorize(self._gram, config.signal_variance)
         self.alpha = _cho_solve(self._factor, self.values)
 
@@ -528,10 +806,14 @@ class CrossFactors:
         self._slot = np.array([slot[v] for v in std_ids], dtype=int)
         self._integer = np.array([spec.type == VariableType.INTEGER for spec in specs],
                                  dtype=bool)
-        self._lo = np.array([spec.scope.lo for spec in specs], dtype=float)
-        self._width = np.array([spec.scope.width for spec in specs], dtype=float)
-        self._weight = np.array([_config_value(config, _MATRIX_TABLES[spec.type], spec.id)
-                                 for spec in specs], dtype=float)
+        # Per column: its lower bound, its width with 1 in place of 0 (a
+        # column without width holds its lower bound, so its unit value is 0
+        # either way) and minus its weight.
+        width = np.array([spec.scope.width for spec in specs], dtype=float)
+        self._columns = np.array(
+            [[spec.scope.lo for spec in specs], np.where(width != 0, width, 1.0),
+             [-_config_value(config, _MATRIX_TABLES[spec.type], spec.id) for spec in specs]],
+            dtype=float).reshape(3, len(specs))
         self._train = np.array([train.values[v][under] for v in std_ids]).reshape(
             len(std_ids), len(under))
         rows, column = np.indices(standard.shape).reshape(2, -1)
@@ -570,12 +852,19 @@ class CrossFactors:
     def _standard(self, column: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The factor of standard column ``column[j]`` at raw value
         ``values[j]`` against the samples under xm, one row per j."""
-        unit = _unit_values(self._integer[column], self._lo[column], self._width[column],
-                            values)
-        tensor = _squared_difference(self._train[column], unit[:, None])
+        # The operations of _unit_values and _fill_factor, with the
+        # per-column constants gathered once.
+        lo, width, rate = self._columns[:, column]
+        integer = self._integer[column]
+        if integer.any():
+            values = np.where(integer, np.where(values >= 0, np.floor(values + 0.5),
+                                                np.ceil(values - 0.5)), values)
+        unit = (values - lo) / width
+        tensor = self._train[column] - unit[:, None]
+        tensor *= tensor
         # Integer and continuous weights enter the same formula.
-        return _correlation_factor("continuous_weights", self._weight[column][:, None],
-                                   tensor, out=tensor)
+        tensor *= rate[:, None]
+        return np.exp(tensor, out=tensor)
 
     def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray):
         """Factors of the rows that equal kept row ``rows[j]`` but for
@@ -638,13 +927,12 @@ def _likelihood_terms(matrix: np.ndarray, y: np.ndarray, overwrite: bool = False
 
 
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig) -> float:
-    """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter."""
-    features = SampleFeatures(domain, points)
-    pairs = PairTensors(domain, features, features)
+    """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter.
+    ``points`` may be a :class:`TrainingSet`; K is its :meth:`~TrainingSet.gram`."""
+    gram = _training_set(domain, points).gram(config)
     y = np.asarray(values, dtype=float)
-    gram = config.signal_variance * correlation_matrix(pairs, config)
     _require_finite(gram, y)
-    terms = _likelihood_terms(gram + config.jitter * np.eye(len(points)), y)
+    terms = _likelihood_terms(gram + config.jitter * np.eye(len(y)), y)
     if terms is None:
         return -math.inf
     quadratic, logdet = terms
@@ -663,49 +951,19 @@ def _config_slots(config: KernelConfig):
     return slots
 
 
-def _profiled_lml(quadratic: float, logdet: float, n: int):
-    """(LML, signal variance) of a correlation matrix with the signal variance
-    profiled out analytically, from its likelihood terms."""
-    sigma2 = max(quadratic / n, 1e-12)
-    lml = -0.5 * n * math.log(sigma2) - 0.5 * logdet - 0.5 * n * (1 + math.log(2 * math.pi))
-    return float(lml), sigma2
-
-
-class _FactorGroup:
-    """The correlation factors of one group of lower-triangle entries.
-
-    Row k of ``rows`` is the group's k-th factor on all of the group's
-    entries: its tensor is neutral (a squared distance of 0, or no category
-    difference) off the factor's support, where the factor is exactly 1.
-    ``product``, a view of the fit's products buffer, multiplies the rows in
-    correlation_matrix's factor order.  A rejected trial restores the row
-    and the product it replaced from spares.
-    """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, slots, product: np.ndarray):
-        self.rows = np.ones((len(slots), len(rows)))
-        self.factors = []  # (table, tensor over the group, whether it has support)
-        for table, _, tensor, mask in slots:
-            entries = tensor[rows, cols]
-            support = np.ones(len(rows), dtype=bool) if mask is None else mask[rows, cols]
-            entries[~support] = 0
-            self.factors.append((table, entries, bool(support.any())))
-        self.product = product
-        self.kept_row, self.kept_product = np.empty(len(rows)), np.empty(len(rows))
-
-    def set(self, k: int, value: float):
-        table, tensor, _ = self.factors[k]
-        _correlation_factor(table, value, tensor, out=self.rows[k])
-
-    def trial(self, k: int, value: float):
-        np.copyto(self.kept_row, self.rows[k])
-        np.copyto(self.kept_product, self.product)
-        self.set(k, value)
-        np.multiply.reduce(self.rows, axis=0, out=self.product)
-
-    def restore(self, k: int):
-        np.copyto(self.rows[k], self.kept_row)
-        np.copyto(self.product, self.kept_product)
+def _fit_starts(domain: Domain, base: KernelConfig | None, seed: int, starts: int):
+    """The fit's slots, one (config table, key, kind, bounds) per entry of the
+    default config, and its start parameter vectors: the base config's (the
+    default one with ``base``'s entries), then ``starts - 1`` random ones
+    drawn from ``default_rng(seed)``."""
+    base = default_kernel_config(domain, overrides=None if base is None else base.to_dict())
+    slots = _config_slots(base)
+    rng = np.random.default_rng(seed)
+    params = [[getattr(base, t)[k] for t, k, _, _ in slots]]
+    for _ in range(starts - 1):
+        params.append([float(np.exp(rng.uniform(math.log(lo), math.log(hi)))) if kind == "log"
+                       else float(rng.uniform(lo, hi)) for _, _, kind, (lo, hi) in slots])
+    return slots, params
 
 
 def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
@@ -727,124 +985,111 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
     search runs from all of them, since a dead start may still move onto a
     matrix that factorizes.
 
-    Each hyperparameter enters exactly one correlation factor, and a trial
-    move recomputes, in place, only that factor and the product of its
-    group.  LAPACK potrf reads the lower triangle and the diagonal, so the
-    search keeps the strict lower triangle's entries in two groups:
+    ``points`` may be a :class:`TrainingSet`; a list is put in a new one.
+    The set holds the pair tensors of the strict lower triangle, the entries
+    LAPACK potrf reads besides the diagonal, in two groups: cross-meta pairs
+    with the meta factors, same-meta pairs with every other factor, each
+    neutral where it is exactly 1.  A run that grows one set draws the
+    starts once, in its first fit.  A fit builds only the scatter index of
+    the entries and every start's factors, all starts at once, one factor
+    at a time.
 
-    - the meta group, on pairs with different meta components, holds the
-      meta factors: every other factor is exactly 1 there;
-    - the non-meta group, on same-meta pairs, holds every other factor, each
-      exactly 1 off the pairs where its variable acts in both samples: every
-      meta factor is exactly 1 there.
-
-    Both groups' products share one buffer with the diagonal, where every
-    factor is 1 and the entry is 1 plus the jitter fraction.  A trial
-    scatters that buffer into a Fortran-ordered matrix, which one LAPACK
-    posv call factorizes in place and solves against; every buffer is
-    allocated once per fit.
-    Products are taken in correlation_matrix's factor order and multiplying
-    by an exact 1 changes nothing, so every likelihood is bit-identical to
-    evaluating correlation_matrix on the trial config.  Finiteness is
-    checked once, on ``values`` and the pair tensors.
+    Each hyperparameter enters exactly one factor, so a trial recomputes
+    only that factor, into a spare copy of its group's factors, and the
+    product of the group; an accepted trial swaps the copy in.  Both
+    groups' products share one buffer with the diagonal, where every factor
+    is 1 and the entry is 1 plus the jitter fraction.  A trial scatters
+    that buffer into a Fortran-ordered matrix, which one LAPACK posv call
+    factorizes in place and solves against.  Products are taken in
+    correlation_matrix's factor order and multiplying by an exact 1 changes
+    nothing, so every likelihood is bit-identical to evaluating
+    correlation_matrix on the trial config.  ``values`` are checked to be
+    finite here, the points' features when they join the set.
     """
     check_counts({"starts": starts, "sweeps": sweeps}, ("starts",))
     if len(points) < 2:
         raise FittingError("hyperparameter fitting needs at least 2 samples")
-    rng = np.random.default_rng(seed)
-    base = default_kernel_config(domain, overrides=None if base is None else base.to_dict())
-    slots = _config_slots(base)
-    features = SampleFeatures(domain, points)
-    pairs = PairTensors(domain, features, features)
+    train = _training_set(domain, points)
+    slots, start_params = train.fit_starts(base, seed, starts)
     y = np.asarray(values, dtype=float)
+    _require_finite(y)
     n = len(y)
-    factors = pairs.slots
-    _require_finite(y, *(tensor for _, _, tensor, _ in factors))
 
     # The strict lower triangle's entries, the meta group's first, then the
     # diagonal: every factor is 1 there, so it holds 1 plus the jitter.
-    rows, cols = np.tril_indices(n, -1)
-    same = pairs.same_meta[rows, cols]
-    order = np.argsort(same, kind="stable")
-    rows, cols = rows[order], cols[order]
-    index = np.concatenate([rows + cols * n, np.arange(n) * (n + 1)])
+    groups = train.groups
+    index = np.concatenate([*(group.rows + group.cols * n for group in groups),
+                            np.arange(n) * (n + 1)])
     entries = np.full(len(index), 1.0 + JITTER_FRACTION)
-    products = entries[:len(rows)]
-    split = len(rows) - int(same.sum())
-    groups = []
-    factor_of = {}  # (table, key) -> (group, row)
-    for part, members in ((slice(None, split), [f for f in factors if f[3] is None]),
-                          (slice(split, None), [f for f in factors if f[3] is not None])):
-        group = _FactorGroup(rows[part], cols[part], members, products[part])
-        groups.append(group)
-        for k, (table, key, _, _) in enumerate(members):
-            # A factor without support is 1 off the diagonal: a meta factor
-            # when all samples share one meta component, a non-meta one when
-            # no two samples of one meta component both have its variable
-            # acting.
-            if group.factors[k][2]:
-                factor_of[(table, key)] = (group, k)
-    # A slot without a factor cannot change the likelihood, so the search
-    # skips it.
-    slot_factor = [factor_of.get((table, key)) for table, key, _, _ in slots]
+    split = groups[0].size
+    products = (entries[:split], entries[split:split + groups[1].size])
+    # A factor without support is 1 off the diagonal, so it has no row and
+    # the search skips its slot: it cannot change the likelihood.
+    factors = [group.supported() for group in groups]
+    slot_index = {(table, key): i for i, (table, key, _, _) in enumerate(slots)}
+    slot_of = [[slot_index[group.factors[k]] for k, _, _ in members]
+               for group, members in zip(groups, factors)]
+    slot_factor = [None] * len(slots)  # (group, row) of each slot's factor
+    for g, indices in enumerate(slot_of):
+        for j, i in enumerate(indices):
+            slot_factor[i] = (g, j)
     flat = np.empty(n * n)
     matrix = flat.reshape((n, n), order="F")
     logs = np.empty(n)
+    offset = 0.5 * n * (1 + math.log(2 * math.pi))
 
     def likelihood():
+        """(LML, signal variance) of the entries' matrix, the signal variance
+        profiled out analytically."""
         flat[index] = entries
         terms = _likelihood_terms(matrix, y, overwrite=True, logs=logs)
         if terms is None:
             return -math.inf, None
-        return _profiled_lml(*terms, n)
+        quadratic, logdet = terms
+        sigma2 = max(quadratic / n, 1e-12)
+        return float(-0.5 * n * math.log(sigma2) - 0.5 * logdet - offset), sigma2
 
-    def set_params(params):
-        for i, value in enumerate(params):
-            if slot_factor[i] is not None:
-                group, k = slot_factor[i]
-                group.set(k, value)
-        for group in groups:
-            np.multiply.reduce(group.rows, axis=0, out=group.product)
+    def load(vectors):
+        """Per group, the products and factors at every parameter vector."""
+        return [group.products(members, np.array(
+                    [[_operand(kind, params[i]) for i, (_, kind, _) in zip(slots_g, members)]
+                     for params in vectors], dtype=float))
+                for group, members, slots_g in zip(groups, factors, slot_of)]
 
-    def load(params):
-        set_params(params)
+    def loaded_likelihood(loaded, start):
+        for product, (at, _) in zip(products, loaded):
+            product[:] = at[start]
         return likelihood()
 
-    def build(params):
-        config = default_kernel_config(domain)
-        for (table, key, _, _), value in zip(slots, params):
-            getattr(config, table)[key] = value
-        return config
-
-    def random_start():
-        params = []
-        for _, _, kind, (lo, hi) in slots:
-            if kind == "log":
-                params.append(float(np.exp(rng.uniform(math.log(lo), math.log(hi)))))
-            else:
-                params.append(float(rng.uniform(lo, hi)))
-        return params
-
-    start_params = [[getattr(base, t)[k] for t, k, _, _ in slots]]
-    start_params += [random_start() for _ in range(starts - 1)]
-    first_values = [load(params)[0] for params in start_params]
+    loaded = load(start_params)
+    first_values = [loaded_likelihood(loaded, start)[0] for start in range(starts)]
     live = [i for i, value in enumerate(first_values) if value > -math.inf]
     best_params, best_value = None, -math.inf
     for start in live or range(starts):
-        params, value = start_params[start], first_values[start]
-        set_params(params)
+        params, value = list(start_params[start]), first_values[start]
+        # Per group, its factors at params and a spare copy, which differs
+        # from them in row dirty[g] at most: a trial writes its factor into
+        # the spare, and an accepted trial swaps the two.  A rejected trial
+        # leaves its product in the entries, stale, until a trial of the
+        # other group restores it.
+        rows = [np.ascontiguousarray(block[:, start]) for _, block in loaded]
+        spares = [group_rows.copy() for group_rows in rows]
+        dirty, stale = [None, None], None
+        for product, (at, _) in zip(products, loaded):
+            product[:] = at[start]
         # Every parameter vector this start has evaluated: its value only
         # rises, so none of them can be accepted again.
         visited = {tuple(params)}
         step = 1.0  # log-space / raw-space half-width of the compass move
         for _ in range(sweeps):
             moved = False
-            for i, (_, _, kind, (lo, hi)) in enumerate(slots):
+            for i, (_, _, kind_name, (lo, hi)) in enumerate(slots):
                 if slot_factor[i] is None:
                     continue
-                group, k = slot_factor[i]
+                g, j = slot_factor[i]
+                _, kind, tensor = factors[g][j]
                 for direction in (1.0, -1.0):
-                    if kind == "log":
+                    if kind_name == "log":
                         trial = min(max(params[i] * math.exp(direction * step), lo), hi)
                     else:
                         trial = min(max(params[i] + direction * 0.2 * step, lo), hi)
@@ -852,13 +1097,22 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
                     if trial == params[i] or vector in visited:
                         continue
                     visited.add(vector)
-                    group.trial(k, trial)
+                    if stale is not None and stale != g:
+                        np.multiply.reduce(rows[stale], axis=0, out=products[stale])
+                    spare = spares[g]
+                    if dirty[g] != j:
+                        if dirty[g] is not None:
+                            np.copyto(spare[dirty[g]], rows[g][dirty[g]])
+                        dirty[g] = j
+                    _fill_factor(kind, tensor, _operand(kind, trial), spare[j])
+                    np.multiply.reduce(spare, axis=0, out=products[g])
+                    stale = g
                     trial_value = likelihood()[0]
                     if trial_value > value:
                         params[i], value = trial, trial_value
+                        rows[g], spares[g], stale = spare, rows[g], None
                         moved = True
                         break
-                    group.restore(k)
             if not moved:
                 step *= 0.5
                 if step < 0.05:
@@ -867,6 +1121,9 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
             best_params, best_value = params, value
     if best_params is None or best_value == -math.inf:
         raise FittingError("all fitting starts failed to factorize the kernel matrix")
-    config = build(best_params)
-    config.signal_variance = load(best_params)[1]
+    tables = {table: {} for table in _SLOT_TABLES}
+    for (table, key, _, _), value in zip(slots, best_params):
+        tables[table][key] = value
+    config = KernelConfig(**tables)
+    config.signal_variance = loaded_likelihood(load([best_params]), 0)[1]
     return config

@@ -100,18 +100,18 @@ def _apply_to_meta(rule, domain: Domain, component: MetaComponent, point: Point)
 
 
 def _apply_to_categorical(rule, domain: Domain, component: dict, point: Point):
-    if isinstance(rule, SwapCategorical):
-        scope = domain.spec(rule.var_id).scope
+    if isinstance(rule, (SwapCategorical, IncrementOrdinal)):
+        if (rule.var_id not in domain or domain.spec(rule.var_id).type
+                not in RULE_TYPES[("categorical", type(rule))]):
+            raise ConfigurationError(f"{type(rule).__name__} cannot move {rule.var_id!r} "
+                                     "in a categorical neighborhood")
         if rule.var_id not in component:
             return []
-        current = component[rule.var_id]
-        return [{**component, rule.var_id: idx}
-                for idx in range(1, scope.size + 1) if idx != current]
-    if isinstance(rule, IncrementOrdinal):
-        if rule.var_id not in component:
-            return []
-        scope = domain.spec(rule.var_id).scope
-        idx = component[rule.var_id] + rule.delta
+        scope, current = domain.spec(rule.var_id).scope, component[rule.var_id]
+        if isinstance(rule, SwapCategorical):
+            return [{**component, rule.var_id: idx}
+                    for idx in range(1, scope.size + 1) if idx != current]
+        idx = current + rule.delta
         if not scope.contains_index(idx):
             return []
         return [{**component, rule.var_id: idx}]

@@ -6,6 +6,7 @@ import pytest
 import metabox as mb
 from scipy import linalg
 
+from metabox import gp
 from metabox.domain import normalize, round_half_away
 from metabox.gp import (JITTER_FRACTION, CrossFactors, PairTensors, SampleFeatures,
                         correlation_matrix, log_marginal_likelihood)
@@ -803,3 +804,173 @@ def test_row_view_predicts_only_through_its_model(toy_problem):
     with pytest.raises(ValueError):
         CrossFactors(model, point.meta, *row_arrays(toy_problem.domain, point.meta, [point]),
                      [view])
+
+
+# -- training set ----------------------------------------------------------------------------
+
+def set_samples(name):
+    """Domain, points and values of a training set in an order where some
+    variable acts for the first time after the first sample: on mlp the
+    ASGD samples (beta1 does not act) come first, on toy the m=A ones (pB
+    does not act)."""
+    if name == "no-meta":
+        return fit_samples(name, 14, 3)
+    domain, points, values = fit_samples(name, 24, 4)
+    first = {"mlp": lambda p: p.meta["o"] == "ASGD", "toy": lambda p: p.meta["m"] == "A"}[name]
+    order = sorted(range(len(points)), key=lambda i: not first(points[i]))
+    return domain, [points[i] for i in order], [values[i] for i in order]
+
+
+def reference_groups(domain, points):
+    """Each group's (rows, cols, tensors, support) from PairTensors of the
+    points with themselves, as the fit once laid them out."""
+    features = SampleFeatures(domain, points)
+    pairs = PairTensors(domain, features, features)
+    slots = {key: (tensor, mask) for _, key, tensor, mask in pairs.slots}
+    rows, cols = np.tril_indices(len(points), -1)
+    same = pairs.same_meta[rows, cols]
+    order = np.argsort(same, kind="stable")
+    rows, cols, same = rows[order], cols[order], same[order]
+    groups = []
+    for part, keys in ((~same, [mid for _, mid in gp._meta_slots(domain)]),
+                       (same, [v.id for v in domain.variables if not v.type.is_meta])):
+        tensors, support = np.zeros((len(keys), part.sum())), []
+        for k, key in enumerate(keys):
+            if key in slots:
+                tensor, mask = slots[key]
+                entries = tensor[rows[part], cols[part]].astype(float)
+                on = np.ones(len(entries), bool) if mask is None else mask[rows[part], cols[part]]
+                tensors[k] = np.where(on, entries, 0.0)
+                support.append(bool(on.any()))
+            else:
+                support.append(False)
+        groups.append((rows[part], cols[part], tensors, support))
+    return groups
+
+
+@pytest.mark.parametrize("name", ["mlp", "toy", "no-meta"])
+def test_training_set_by_appends_equals_a_fresh_build(name):
+    domain, points, values = set_samples(name)
+    config = mb.default_kernel_config(domain)
+    config.signal_variance = 1.7
+    train = gp.TrainingSet(domain)
+    acted = set()
+    for n in range(1, len(points) + 1):
+        train.extend(points[n - 1:n])
+        prefix = points[:n]
+        assert list(train) == prefix and len(train) == n
+        got, want = train.features, SampleFeatures(domain, prefix)
+        assert (got.n, got.metas) == (want.n, want.metas)
+        assert got.which_meta.dtype == want.which_meta.dtype
+        assert np.array_equal(got.which_meta, want.which_meta)
+        for table in ("meta", "acting", "values"):
+            a, b = getattr(got, table), getattr(want, table)
+            assert list(a) == list(b)
+            assert all(a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a)
+        acted.add(tuple(k for k, act in want.acting.items() if act.any()))
+        for group, (rows, cols, tensors, support) in zip(train.groups,
+                                                          reference_groups(domain, prefix)):
+            assert np.array_equal(group.rows, rows) and np.array_equal(group.cols, cols)
+            assert np.array_equal(group.tensors, tensors)
+            assert list(group.support) == support
+        gram = train.gram(config)
+        features = SampleFeatures(domain, prefix)
+        assert np.array_equal(gram, config.signal_variance * correlation_matrix(
+            PairTensors(domain, features, features), config))
+        by_set = mb.GPModel(domain, train, values[:n], config)
+        by_list = mb.GPModel(domain, prefix, values[:n], config)
+        assert np.array_equal(by_set._gram, gram)
+        for attr in ("_gram", "_factor", "alpha"):
+            assert np.array_equal(getattr(by_set, attr), getattr(by_list, attr))
+        assert (log_marginal_likelihood(domain, train, values[:n], config)
+                == log_marginal_likelihood(domain, prefix, values[:n], config))
+    # Some variable acted in none of the first samples and in a later one.
+    assert name == "no-meta" or len(acted) > 1
+
+
+def test_training_set_masks_a_variable_acting_in_one_sample_of_a_pair(toy_problem):
+    # Points built outside the domain's decrees: under m=A, pA and k act in
+    # some samples only, and pB acts in one.  Each factor stays 1 on a pair
+    # unless its variable acts in both samples, as in correlation_matrix.
+    domain = toy_problem.domain
+    xa = mb.MetaComponent({"m": "A"})
+    points = [mb.Point(xa, {"pA": 2, "s": 1}, {"k": 1}), mb.Point(xa, {"s": 3}, {"k": 4}),
+              mb.Point(xa, {"pA": 1, "pB": 2, "s": 2}, {}),
+              mb.Point(mb.MetaComponent({"m": "B"}), {"pB": 1, "s": 2}, {"k": 3})]
+    train = gp.TrainingSet(domain, points)
+    for group, (rows, cols, tensors, support) in zip(train.groups,
+                                                      reference_groups(domain, points)):
+        assert np.array_equal(group.tensors, tensors) and list(group.support) == support
+    config = mb.default_kernel_config(domain)
+    features = SampleFeatures(domain, points)
+    assert np.array_equal(train.gram(config), correlation_matrix(
+        PairTensors(domain, features, features), config))
+
+
+def run_training(name):
+    problem = parse_bundled(name).problem
+    result = mb.run_bo(problem, mb.BOConfig(budget=60, seed=0))
+    records = [r for r in result.history if not r.cached and r.error is None]
+    return problem.domain, [r.point for r in records], [r.objective for r in records]
+
+
+@pytest.mark.parametrize("name", ["toy", "mlp"])
+def test_fit_through_a_grown_set_equals_fit_through_the_list(name, monkeypatch):
+    domain, points, values = run_training(name)
+    calls, terms_of = [], gp._likelihood_terms
+    monkeypatch.setattr(gp, "_likelihood_terms",
+                        lambda *args, **kwargs: calls.append(None) or terms_of(*args, **kwargs))
+    train = gp.TrainingSet(domain, points[:1])
+    base = mb.default_kernel_config(domain)
+    for n in range(2, len(points) + 1):
+        train.extend(points[n - 1:n])
+        calls.clear()
+        by_set = mb.fit_hyperparameters(domain, train, values[:n], seed=0, base=base)
+        count = len(calls)
+        calls.clear()
+        by_list = mb.fit_hyperparameters(domain, points[:n], values[:n], seed=0, base=base)
+        assert by_set.to_dict() == by_list.to_dict()
+        assert count == len(calls)
+
+
+def test_a_runs_fits_draw_their_starts_once(monkeypatch, toy_problem):
+    from metabox import bayesian
+    draws, fits = [], []
+    fit, draw = bayesian.fit_hyperparameters, gp._fit_starts
+
+    def counted_fit(*args, **kwargs):
+        fits.append(None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(bayesian, "fit_hyperparameters", counted_fit)
+    monkeypatch.setattr(gp, "_fit_starts", lambda *args: draws.append(args) or draw(*args))
+    mb.run_bo(toy_problem, mb.BOConfig(budget=60, seed=3))
+    assert len(fits) > 10 and len(draws) == 1
+    # A plain list gets a fresh set, so each fit through one draws again;
+    # other arguments draw again too.
+    domain, points, values = fit_samples("toy", 10, 1)
+    draws.clear()
+    mb.fit_hyperparameters(domain, points, values, seed=0)
+    mb.fit_hyperparameters(domain, points, values, seed=0)
+    train = gp.TrainingSet(domain, points)
+    for seed in (0, 0, 1, 1, 0):
+        mb.fit_hyperparameters(domain, train, values, seed=seed)
+    assert [args[2] for args in draws] == [0, 0, 0, 1, 0]
+
+
+def test_cross_factors_of_a_column_without_width_match_a_fresh_cross_covariance():
+    # z0's scope holds one value, so its unit value is 0, not 0 / 0.
+    domain = mb.Domain([
+        mb.VariableSpec("c1", mb.VariableType.CONTINUOUS, mb.Role.GLOBAL,
+                        mb.ContinuousScope(0.0, 1.0)),
+        mb.VariableSpec("z0", mb.VariableType.INTEGER, mb.Role.GLOBAL, mb.IntegerScope(3, 3)),
+    ])
+    rng = np.random.default_rng(0)
+    xm = mb.MetaComponent({})
+    points = [domain.complete_point(xm, {"c1": float(rng.random())}) for _ in range(6)]
+    model = mb.GPModel(domain, points, list(rng.standard_normal(6)),
+                       mb.default_kernel_config(domain))
+    rows = [domain.complete_point(xm, {"c1": float(rng.random())}) for _ in range(4)]
+    factors = CrossFactors(model, xm, *row_arrays(domain, xm, rows))
+    assert np.array_equal(factors.cross_covariance(factors.factors),
+                          model.cross_covariance(rows))

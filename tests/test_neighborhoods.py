@@ -76,6 +76,29 @@ def test_meta_rule_on_a_wrong_variable_is_a_configuration_error(mlp_domain, rule
 
 # -- categorical neighborhoods --------------------------------------------------------
 
+@pytest.mark.parametrize("rule", [mb.IncrementOrdinal("a", 1), mb.SwapCategorical("r"),
+                                  mb.SwapCategorical("o"), mb.SwapCategorical("zz")],
+                         ids=["increment-nominal", "swap-continuous", "swap-meta",
+                              "unknown-id"])
+def test_categorical_rule_on_a_wrong_variable_is_a_configuration_error(mlp_domain, rule):
+    # A mapping built in code once moved the nominal a as an ordinal, returned
+    # [] for r and o, and raised ScopeError for an unknown id.
+    point = mlp_domain.complete_point(ADAM2, {})
+    mapping = mb.NeighborhoodMapping("categorical", (rule,))
+    with pytest.raises(mb.ConfigurationError,
+                       match=f"{type(rule).__name__} cannot move '{rule.var_id}' "
+                             "in a categorical neighborhood"):
+        mb.categorical_neighbors(mlp_domain, mapping, point, ADAM2)
+
+
+def test_categorical_rule_on_a_variable_not_acting_under_tm_is_inapplicable(toy_problem):
+    domain = toy_problem.domain
+    xm = mb.MetaComponent({"m": "A"})
+    point = domain.complete_point(xm, {})
+    mapping = mb.NeighborhoodMapping("categorical", (mb.SwapCategorical("pB"),))
+    assert mb.categorical_neighbors(domain, mapping, point, xm) == []
+
+
 def test_default_swap_on_binary_nominal(mlp_domain):
     point = mlp_domain.complete_point(ADAM2, {"a": "ReLU"})
     neighbors = mb.categorical_neighbors(mlp_domain, None, point, ADAM2)
