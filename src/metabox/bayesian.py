@@ -72,7 +72,7 @@ from .domain import (Domain, IntegerScope, MetaComponent, Point, check_counts, d
 from .errors import (BudgetExhaustedError, ConfigurationError, EvaluationError,
                      FactorizationError, FittingError, NotEnumerableError)
 from .gp import (CrossFactors, GPModel, KernelConfig, TrainingSet, default_kernel_config,
-                 fit_hyperparameters)
+                 fit_hyperparameters, round_half_away_array)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: The acquisition's pattern searches stop refining continuous steps at this
@@ -381,9 +381,7 @@ def _denormalized(scopes, unit: np.ndarray) -> np.ndarray:
     low, high = np.array([s.clamp_bounds for s in scopes], dtype=float).reshape(-1, 2).T
     integer = np.array([isinstance(s, IntegerScope) for s in scopes], dtype=bool)
     raw = lo + unit * width
-    # Halves round away from zero; adding 0.0 turns ceil's -0.0 into 0.
-    rounded = np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5)) + 0.0
-    return np.clip(np.where(integer, rounded, raw), low, high)
+    return np.clip(np.where(integer, round_half_away_array(raw), raw), low, high)
 
 
 def acquisition_starts(domain: Domain, cap: int) -> dict:

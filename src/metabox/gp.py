@@ -11,16 +11,23 @@ correlated through the meta factors alone.
 Standard and meta inputs are range-normalized to [0, 1] per scope before any
 kernel evaluation, so weight bounds are scale-free.
 
-The training points live in a :class:`TrainingSet`, which grows by appends:
-each new point adds its features and one row of pair tensors against the
-points before it, and nothing is rebuilt.  The hyperparameter fit and the
-model both read the set; a run keeps one set and also draws the fit's
-start parameters once, in its first fit.  Cross-covariances with new
-points come from :class:`PairTensors` and :class:`CrossFactors`.
+A point's features, its meta values and whether and at what value each
+other variable acts, are extracted once, by :meth:`SampleFeatures.append`,
+into one float64 row per variable.  The training points live in a
+:class:`TrainingSet`, which grows by appends: each new point appends its
+features and one row of pair tensors against the points before it, and
+nothing is rebuilt.  The hyperparameter fit and the model both read the
+set; a run keeps one set and also draws the fit's start parameters once,
+in its first fit.  A model keeps the set's first n feature rows as they
+are when it is built.  Cross-covariances with new points come from
+:class:`PairTensors` of those rows against the new points' rows, and in
+the acquisition from :class:`CrossFactors`, which reads the rows of the
+samples under one meta component and that component's meta row.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
@@ -129,60 +136,117 @@ def default_kernel_config(domain: Domain, *, overrides=None) -> KernelConfig:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized pair tensors (used for Gram matrices and batched prediction)
+# Per-sample features and pair tensors (Gram matrices, batched prediction)
 # ---------------------------------------------------------------------------
 
 class SampleFeatures:
-    """Per-sample arrays extracted once from a list of points.
+    """Per-sample kernel inputs, grown by appends.
 
-    Sample i has the meta component ``metas[which_meta[i]]``.  ``meta`` maps
-    each meta id to the samples' values: range-normalized for a numeric meta
-    variable, category indices for a meta-categorical one.  ``acting`` maps
-    each non-meta id to whether the variable acts in each sample, and
-    ``values`` to the samples' values, 0 where it does not act: a
-    range-normalized column for a standard variable, and for a categorical
-    one its category indices.
+    Every row is float64 with one entry per sample; category indices are
+    exact in it.  ``meta`` holds one row per meta variable, in
+    :func:`_meta_slots` order (``slots``): range-normalized values for a
+    numeric meta variable, category indices for a meta-categorical one.
+    ``values`` and ``acting`` hold one row per non-meta variable, in
+    declaration order (``specs``; ``row_of`` maps an id to its row):
+    whether the variable acts in each sample, and the samples' values, 0
+    where it does not act: range-normalized for a standard variable,
+    category indices for a categorical one.  ``codes`` maps each meta
+    component to its code, in code order, and ``which_meta`` holds each
+    sample's code.
+
+    :meth:`append` is the one extraction of a point's features; a store of
+    ``points`` is their appends.  A sample once appended never changes, so
+    a :meth:`prefix` stays as it is whatever is appended later.
     """
 
-    def __init__(self, domain: Domain, points):
-        self.n = len(points)
-        metas = {}
-        self.which_meta = np.array([metas.setdefault(p.meta, len(metas)) for p in points],
-                                   dtype=int)
-        self.metas = [tuple(sorted(m.items())) for m in metas]
-        self.meta = {mid: values[self.which_meta]
-                     for mid, values in _meta_features(domain, list(metas)).items()}
-        self.acting = {}
-        self.values = {}
-        for spec in domain.variables:
-            if spec.type.is_meta:
-                continue
-            categorical = spec.type in GROUPS["categorical"]
-            values = [(p.categorical if categorical else p.standard).get(spec.id)
-                      for p in points]
-            acting = self.acting[spec.id] = np.array([v is not None for v in values],
-                                                     dtype=bool)
-            raw = np.array([0 if v is None else v for v in values], dtype=float)
-            if categorical:
-                self.values[spec.id] = raw.astype(int)
-                continue
-            self.values[spec.id] = np.where(acting, _unit_values(
-                spec.type == VariableType.INTEGER, spec.scope.lo, spec.scope.width, raw), 0.0)
+    def __init__(self, domain: Domain, points=()):
+        self.slots = _meta_slots(domain)
+        self.specs = [spec for spec in domain.variables if not spec.type.is_meta]
+        self.row_of = {spec.id: k for k, spec in enumerate(self.specs)}
+        self._meta_scopes = [domain.spec(mid).scope for _, mid in self.slots]
+        self._categorical = [spec.type in GROUPS["categorical"] for spec in self.specs]
+        self._integer = np.array([spec.type == VariableType.INTEGER for spec in self.specs],
+                                 dtype=bool)
+        # A category index is its own unit value: lower bound 0, width 1.
+        self._lo, self._width = np.array(
+            [(0, 1) if categorical else (spec.scope.lo, spec.scope.width)
+             for spec, categorical in zip(self.specs, self._categorical)],
+            dtype=float).reshape(-1, 2).T
+        self.n = 0
+        self.codes = {}
+        self._which = np.zeros(0, dtype=int)
+        self._meta = np.zeros((len(self.slots), 0))
+        self._values = np.zeros((len(self.specs), 0))
+        self._acting = np.zeros((len(self.specs), 0), dtype=bool)
+        for point in points:
+            self.append(point)
+
+    @property
+    def which_meta(self) -> np.ndarray:
+        return self._which[:self.n]
+
+    @property
+    def meta(self) -> np.ndarray:
+        return self._meta[:, :self.n]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values[:, :self.n]
+
+    @property
+    def acting(self) -> np.ndarray:
+        return self._acting[:, :self.n]
+
+    def meta_row(self, meta: MetaComponent) -> np.ndarray:
+        """The meta values of the meta component ``meta``, one per slot."""
+        return np.array([scope.index(meta[mid]) if table == "meta_correlations"
+                         else normalize(scope, meta[mid])
+                         for (table, mid), scope in zip(self.slots, self._meta_scopes)],
+                        dtype=float)
+
+    def append(self, point) -> int:
+        """Append ``point``'s features and return the code of its meta
+        component.  A non-finite feature is a ValueError, and the store is
+        left as it was."""
+        raw = [(point.categorical if categorical else point.standard).get(spec.id)
+               for spec, categorical in zip(self.specs, self._categorical)]
+        acting = np.array([v is not None for v in raw], dtype=bool)
+        values = np.where(acting, _unit_values(self._integer, self._lo, self._width, np.array(
+            [0 if v is None else v for v in raw], dtype=float)), 0.0)
+        meta = self.meta_row(point.meta)
+        _require_finite(values, meta)
+        code = self.codes.setdefault(point.meta, len(self.codes))
+        n = self.n
+        self._which = _grown(self._which, n + 1)
+        self._meta = _grown(self._meta, n + 1)
+        self._values = _grown(self._values, n + 1)
+        self._acting = _grown(self._acting, n + 1)
+        self._which[n], self._meta[:, n] = code, meta
+        self._values[:, n], self._acting[:, n] = values, acting
+        self.n = n + 1
+        return code
+
+    def prefix(self, n: int) -> "SampleFeatures":
+        """The first ``n`` samples, frozen: its rows are views of entries
+        that appends never rewrite, and an append to either store leaves
+        the other as it is."""
+        frozen = copy.copy(self)
+        frozen.n = n
+        frozen._which, frozen._meta, frozen._values, frozen._acting = (
+            self._which[:n], self._meta[:, :n], self._values[:, :n], self._acting[:, :n])
+        count = frozen._which.max() + 1 if n else 0
+        frozen.codes = {meta: k for meta, k in self.codes.items() if k < count}
+        return frozen
 
 
-def _meta_features(domain: Domain, metas) -> dict:
-    """Each meta variable's values in the meta components ``metas``:
-    category indices for a meta-categorical variable, range-normalized
-    values for a numeric one."""
-    features = {}
-    for mid in domain.meta_ids:
-        spec = domain.spec(mid)
-        if spec.type == VariableType.META_CATEGORICAL:
-            features[mid] = np.array([spec.scope.index(m[mid]) for m in metas], dtype=int)
-        else:
-            features[mid] = np.array([normalize(spec.scope, m[mid]) for m in metas],
-                                     dtype=float)
-    return features
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` with room for ``size`` entries along its last axis: itself
+    when it has it, else a copy with at least twice the room."""
+    if array.shape[-1] >= size:
+        return array
+    grown = np.zeros((*array.shape[:-1], max(size, 2 * array.shape[-1], 16)), array.dtype)
+    grown[..., :array.shape[-1]] = array
+    return grown
 
 
 def _meta_slots(domain: Domain):
@@ -192,14 +256,19 @@ def _meta_slots(domain: Domain):
                   key=lambda slot: slot[0] == "meta_correlations")
 
 
+def round_half_away_array(x: np.ndarray) -> np.ndarray:
+    """:func:`~metabox.domain.round_half_away` elementwise, as floats.
+    Adding 0.0 turns ceil's -0.0 into 0."""
+    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)) + 0.0
+
+
 def _unit_values(integer, lo, width, raw: np.ndarray) -> np.ndarray:
     """Range-normalized standard values, elementwise: (raw - lo) / width, or 0
     where the width is 0.  Integer values, where ``integer`` holds, are
     first rounded half away from zero.  ``integer``, ``lo`` and ``width``
     are scalars or arrays shaped like ``raw``."""
     if np.any(integer):
-        raw = np.where(integer, np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5)),
-                       raw)
+        raw = np.where(integer, round_half_away_array(raw), raw)
     return np.divide(raw - lo, width, out=np.zeros(np.shape(raw)),
                      where=np.asarray(width) != 0)
 
@@ -230,21 +299,19 @@ class PairTensors:
     def __init__(self, domain: Domain, fa: SampleFeatures, fb: SampleFeatures):
         self.shape = (fa.n, fb.n)
         codes = {}
-        code_a = np.array([codes.setdefault(k, len(codes)) for k in fa.metas], dtype=int)
-        code_b = np.array([codes.setdefault(k, len(codes)) for k in fb.metas], dtype=int)
+        code_a = np.array([codes.setdefault(m, len(codes)) for m in fa.codes], dtype=int)
+        code_b = np.array([codes.setdefault(m, len(codes)) for m in fb.codes], dtype=int)
         self.same_meta = code_a[fa.which_meta][:, None] == code_b[fb.which_meta][None, :]
-        self.slots = [(table, mid, _pair_tensor(table, fa.meta[mid], fb.meta[mid]), None)
-                      for table, mid in _meta_slots(domain)]
+        self.slots = [(table, mid, _pair_tensor(table, a, b), None)
+                      for (table, mid), a, b in zip(fa.slots, fa.meta, fb.meta)]
         # A variable nonacting in every sample of either set has a factor of
         # exactly 1 everywhere, so it gets no slot.
-        for vid in fa.acting:
-            acting_a, acting_b = fa.acting[vid], fb.acting[vid]
+        for spec, acting_a, acting_b, a, b in zip(fa.specs, fa.acting, fb.acting,
+                                                  fa.values, fb.values):
             if acting_a.any() and acting_b.any():
-                table = _MATRIX_TABLES[domain.spec(vid).type]
+                table = _MATRIX_TABLES[spec.type]
                 mask = self.same_meta & acting_a[:, None] & acting_b[None, :]
-                self.slots.append((table, vid,
-                                   _pair_tensor(table, fa.values[vid], fb.values[vid]),
-                                   mask))
+                self.slots.append((table, spec.id, _pair_tensor(table, a, b), mask))
 
 
 #: How a factor's pair tensor and hyperparameter make the factor, per kind:
@@ -324,16 +391,6 @@ def correlation_matrix(pairs: PairTensors, config: KernelConfig) -> np.ndarray:
 # Training set
 # ---------------------------------------------------------------------------
 
-def _grown(array: np.ndarray, size: int) -> np.ndarray:
-    """``array`` with room for ``size`` entries along its last axis: itself
-    when it has it, else a copy with at least twice the room."""
-    if array.shape[-1] >= size:
-        return array
-    grown = np.zeros((*array.shape[:-1], max(size, 2 * array.shape[-1], 16)), array.dtype)
-    grown[..., :array.shape[-1]] = array
-    return grown
-
-
 class _PairGroup:
     """One group of a training set's strict lower-triangle entries, with the
     pair tensor of each of its factors on them.
@@ -402,8 +459,9 @@ class TrainingSet(Sequence):
     """Evaluated points, kept with everything the kernel needs of them before
     any hyperparameter, grown by appends.
 
-    It holds the points' :attr:`features` and the strict lower triangle's
-    pair tensors in two groups (:class:`_PairGroup`):
+    It holds the points' :attr:`features`, one :class:`SampleFeatures` that
+    every append extends, and the strict lower triangle's pair tensors in
+    two groups (:class:`_PairGroup`):
 
     - the meta group, on pairs with different meta components, holds the
       meta factors: every other factor is exactly 1 there;
@@ -413,40 +471,23 @@ class TrainingSet(Sequence):
 
     Row-major, the lower triangle of n + 1 points is that of n points
     followed by row n, and each group keeps its pairs in that order, so an
-    appended point only appends the row's pairs to each group: O(n) work,
-    none of it redone later.  :func:`fit_hyperparameters`, :class:`GPModel`
-    and :func:`log_marginal_likelihood` take a set wherever they take
-    points; a set is a sequence of its points.  The fit's start parameters
-    depend only on the domain, the base config and the seed, so the set also
-    keeps the last ones drawn, and a run that fits the set it grows draws
-    them once.
+    appended point only appends the row's pairs to each group, computed
+    from the feature rows: O(n) work, none of it redone later.
+    :func:`fit_hyperparameters`, :class:`GPModel` and
+    :func:`log_marginal_likelihood` take a set wherever they take points; a
+    set is a sequence of its points.  The fit's start parameters depend only
+    on the domain, the base config and the seed, so the set also keeps the
+    last ones drawn, and a run that fits the set it grows draws them once.
     """
 
     def __init__(self, domain: Domain, points=()):
         self.domain = domain
         self.points = []
-        meta_slots = _meta_slots(domain)
-        self._meta_slot = {mid: k for k, (_, mid) in enumerate(meta_slots)}
-        self._specs = [spec for spec in domain.variables if not spec.type.is_meta]
-        self._categorical = np.array([spec.type in GROUPS["categorical"]
-                                      for spec in self._specs], dtype=bool)
-        standard = [spec for spec in self._specs if spec.type not in GROUPS["categorical"]]
-        self._standard = np.flatnonzero(~self._categorical)
-        self._integer = np.array([spec.type == VariableType.INTEGER for spec in standard],
-                                 dtype=bool)
-        self._lo = np.array([spec.scope.lo for spec in standard], dtype=float)
-        self._width = np.array([spec.scope.width for spec in standard], dtype=float)
+        self.features = SampleFeatures(domain)
         self.groups = (
-            _PairGroup(meta_slots, True),
-            _PairGroup([(_MATRIX_TABLES[spec.type], spec.id) for spec in self._specs], False))
-        self._codes = {}
-        self._metas = []
-        self._component_meta = []
-        self._which = np.zeros(0, dtype=int)
-        self._meta = np.zeros((len(meta_slots), 0))
-        self._values = np.zeros((len(self._specs), 0))
-        self._acting = np.zeros((len(self._specs), 0), dtype=bool)
-        self._features = None
+            _PairGroup(self.features.slots, True),
+            _PairGroup([(_MATRIX_TABLES[spec.type], spec.id) for spec in self.features.specs],
+                       False))
         self._starts = None
         self.extend(points)
 
@@ -464,70 +505,27 @@ class TrainingSet(Sequence):
             self._append(point)
 
     def _append(self, point):
-        n = len(self.points)
-        code = self._codes.setdefault(point.meta, len(self._codes))
-        if code == len(self._metas):
-            self._metas.append(tuple(sorted(point.meta.items())))
-            own = _meta_features(self.domain, [point.meta])
-            meta = np.zeros(len(self._meta_slot))
-            for mid, k in self._meta_slot.items():
-                meta[k] = own[mid][0]
-            self._component_meta.append(meta)
-        meta = self._component_meta[code]
-        raw = [(point.categorical if categorical else point.standard).get(spec.id)
-               for spec, categorical in zip(self._specs, self._categorical)]
-        acting = np.array([v is not None for v in raw], dtype=bool)
-        values = np.array([0 if v is None else v for v in raw], dtype=float)
-        std = self._standard
-        values[std] = np.where(acting[std], _unit_values(self._integer, self._lo,
-                                                         self._width, values[std]), 0.0)
-        _require_finite(values, meta)
-        same = self._which[:n] == code
-        for group, new, old, cols in ((self.groups[0], meta, self._meta, np.flatnonzero(~same)),
-                                      (self.groups[1], values, self._values,
-                                       np.flatnonzero(same))):
+        features, n = self.features, len(self.points)
+        code = features.append(point)
+        same = features.which_meta[:n] == code
+        acting = features.acting
+        for group, rows, cols in ((self.groups[0], features.meta, np.flatnonzero(~same)),
+                                  (self.groups[1], features.values, np.flatnonzero(same))):
             if not len(cols):
                 continue
             # (a - b) ** 2 squares as a * a does; a category index is exact.
-            difference = new[:, None] - old[:, cols]
+            difference = rows[:, n, None] - rows[:, cols]
             tensors = np.where(group.correlation[:, None], difference != 0,
                                difference * difference)
             if group is self.groups[1]:
-                both = acting[:, None] & self._acting[:, cols]
+                both = acting[:, n, None] & acting[:, cols]
                 tensors[~both] = 0.0
                 group.support |= both.any(axis=1)
             else:
                 group.support[:] = True
             group.append(n, cols, tensors)
-        self.groups[1].present |= acting
-        self._which = _grown(self._which, n + 1)
-        self._meta = _grown(self._meta, n + 1)
-        self._values = _grown(self._values, n + 1)
-        self._acting = _grown(self._acting, n + 1)
-        self._which[n], self._meta[:, n] = code, meta
-        self._values[:, n], self._acting[:, n] = values, acting
+        self.groups[1].present |= acting[:, n]
         self.points.append(point)
-
-    @property
-    def features(self) -> SampleFeatures:
-        """The points' :class:`SampleFeatures`, equal to a fresh build's."""
-        n = len(self)
-        if self._features is None or self._features.n != n:
-            features = self._features = SampleFeatures.__new__(SampleFeatures)
-            features.n = n
-            features.which_meta = self._which[:n]
-            features.metas = list(self._metas)
-            features.meta = {}
-            for mid in self.domain.meta_ids:
-                k = self._meta_slot[mid]
-                row = self._meta[k, :n]
-                features.meta[mid] = row.astype(int) if self.groups[0].correlation[k] else row
-            features.acting, features.values = {}, {}
-            for k, spec in enumerate(self._specs):
-                features.acting[spec.id] = self._acting[k, :n]
-                row = self._values[k, :n]
-                features.values[spec.id] = row.astype(int) if self._categorical[k] else row
-        return self._features
 
     def gram(self, config: KernelConfig) -> np.ndarray:
         """The kernel matrix of the points, bit-identical to the signal
@@ -645,7 +643,8 @@ class GPModel:
     Immutable once constructed; fitting hyperparameters happens separately in
     :func:`fit_hyperparameters`.  ``points`` may be a :class:`TrainingSet`,
     and a list of points is put in a new one: the Gram matrix is the
-    set's :meth:`~TrainingSet.gram` and the features are the set's, so a
+    set's :meth:`~TrainingSet.gram` and the features are the
+    :meth:`~SampleFeatures.prefix` of the set's features at its size, so a
     run that grows one set builds neither from scratch.  The model keeps
     the points and features as they are when it is built, whatever the set
     appends later.  :meth:`row_view` conditions further outputs on subsets
@@ -661,7 +660,7 @@ class GPModel:
         self.values = np.asarray(values, dtype=float)
         _require_finite(self.values)
         train = _training_set(domain, points)
-        self._features = train.features
+        self._features = train.features.prefix(len(train))
         self._gram = train.gram(config)
         self._factor, self.jitter = _factorize(self._gram, config.signal_variance)
         self.alpha = _cho_solve(self._factor, self.values)
@@ -711,9 +710,8 @@ class GPModel:
         return mean[:count], np.maximum(variance[:count], 0.0), means
 
     def mean_batch(self, points) -> np.ndarray:
-        """Posterior means only (no variance solve), equal to predict_batch's."""
-        kappa, count = _columns(self.cross_covariance(points))
-        return np.sum(kappa * self.alpha[:, None], axis=0)[:count]
+        """Posterior means, predict_batch's."""
+        return self.predict_batch(points)[0]
 
 
 class RowView:
@@ -786,7 +784,7 @@ class CrossFactors:
     def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard, views=()):
         domain, config, train = model.domain, model.config, model._features
         self.signal_variance = config.signal_variance
-        code = {key: k for k, key in enumerate(train.metas)}.get(tuple(sorted(xm.items())), -1)
+        code = train.codes.get(xm, -1)
         under = self._under = np.flatnonzero(train.which_meta == code)
         others = np.flatnonzero(train.which_meta != code)
         self._posterior(model, xm, others, views)
@@ -801,7 +799,7 @@ class CrossFactors:
             table = _MATRIX_TABLES[domain.spec(vid).type]
             self.factors[slot[vid]] = _correlation_factor(
                 table, _config_value(config, table, vid),
-                _pair_tensor(table, train.values[vid][under], categorical[:, c]))
+                _pair_tensor(table, train.values[train.row_of[vid], under], categorical[:, c]))
         specs = [domain.spec(v) for v in std_ids]
         self._slot = np.array([slot[v] for v in std_ids], dtype=int)
         self._integer = np.array([spec.type == VariableType.INTEGER for spec in specs],
@@ -814,17 +812,16 @@ class CrossFactors:
             [[spec.scope.lo for spec in specs], np.where(width != 0, width, 1.0),
              [-_config_value(config, _MATRIX_TABLES[spec.type], spec.id) for spec in specs]],
             dtype=float).reshape(3, len(specs))
-        self._train = np.array([train.values[v][under] for v in std_ids]).reshape(
-            len(std_ids), len(under))
+        self._train = train.values[np.ix_([train.row_of[v] for v in std_ids], under)]
         rows, column = np.indices(standard.shape).reshape(2, -1)
         self.factors[self._slot[column], :, rows] = self._standard(column, standard.ravel())
 
     def _posterior(self, model: GPModel, xm: MetaComponent, others: np.ndarray, views):
         """The pieces of :meth:`predict` that do not depend on the rows."""
-        domain, config, train = model.domain, model.config, model._features
-        own = _meta_features(domain, [xm])
-        meta = [(table, mid, _pair_tensor(table, train.meta[mid][others], own[mid]), None)
-                for table, mid in _meta_slots(domain)]
+        config, train = model.config, model._features
+        own = train.meta_row(xm)
+        meta = [(table, mid, _pair_tensor(table, row[others], own[k:k + 1]), None)
+                for k, ((table, mid), row) in enumerate(zip(train.slots, train.meta))]
         column = self.signal_variance * _product(
             _masked_factors(meta, config), (len(others), 1))[:, 0]
         # Row 0 is the objective's alpha, then one per view, 0 off its rows.
@@ -857,8 +854,7 @@ class CrossFactors:
         lo, width, rate = self._columns[:, column]
         integer = self._integer[column]
         if integer.any():
-            values = np.where(integer, np.where(values >= 0, np.floor(values + 0.5),
-                                                np.ceil(values - 0.5)), values)
+            values = np.where(integer, round_half_away_array(values), values)
         unit = (values - lo) / width
         tensor = self._train[column] - unit[:, None]
         tensor *= tensor

@@ -860,14 +860,12 @@ def test_training_set_by_appends_equals_a_fresh_build(name):
         prefix = points[:n]
         assert list(train) == prefix and len(train) == n
         got, want = train.features, SampleFeatures(domain, prefix)
-        assert (got.n, got.metas) == (want.n, want.metas)
-        assert got.which_meta.dtype == want.which_meta.dtype
-        assert np.array_equal(got.which_meta, want.which_meta)
-        for table in ("meta", "acting", "values"):
-            a, b = getattr(got, table), getattr(want, table)
-            assert list(a) == list(b)
-            assert all(a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in a)
-        acted.add(tuple(k for k, act in want.acting.items() if act.any()))
+        assert (got.n, got.codes) == (want.n, want.codes) and got.n == n
+        assert got.meta.dtype == got.values.dtype == np.float64
+        for rows in ("which_meta", "meta", "acting", "values"):
+            a, b = getattr(got, rows), getattr(want, rows)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        acted.add(tuple(spec.id for spec, act in zip(want.specs, want.acting) if act.any()))
         for group, (rows, cols, tensors, support) in zip(train.groups,
                                                           reference_groups(domain, prefix)):
             assert np.array_equal(group.rows, rows) and np.array_equal(group.cols, cols)
@@ -886,6 +884,54 @@ def test_training_set_by_appends_equals_a_fresh_build(name):
                 == log_marginal_likelihood(domain, prefix, values[:n], config))
     # Some variable acted in none of the first samples and in a later one.
     assert name == "no-meta" or len(acted) > 1
+
+
+@pytest.mark.parametrize("name", ["mlp", "toy"])
+def test_a_model_keeps_its_samples_while_its_set_grows(name):
+    domain, points, values = set_samples(name)
+    config = mb.default_kernel_config(domain)
+    batch = points[12:]
+    train = gp.TrainingSet(domain, points[:6])
+    model = mb.GPModel(domain, train, values[:6], config)
+    views = [model.row_view([0, 2, 4], values[0:6:2])]
+
+    def results():
+        crosses = []
+        for xm in {p.meta for p in batch}:
+            rows = [p for p in batch if p.meta == xm]
+            cross = CrossFactors(model, xm, *row_arrays(domain, xm, rows), views)
+            crosses += [cross.factors, *cross.predict(cross.factors)]
+        return [model.cross_covariance(batch), *model.predict_batch(batch, views),
+                *crosses]
+
+    before = results()
+    # Appends within the arrays' room write past the model's samples; later
+    # ones move the set to new arrays.  Later samples bring meta components
+    # and acting variables the first six lack.
+    for k in range(6, len(points)):
+        train.extend(points[k:k + 1])
+        assert len(model) == model._features.n == 6
+        assert all(np.array_equal(a, b) for a, b in zip(results(), before, strict=True))
+    assert len(train.features.codes) > len(model._features.codes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_query_point_is_rejected(mlp_problem, bad):
+    points, values = proxy_samples(mlp_problem, 6, seed=2)
+    domain = mlp_problem.domain
+    model = mb.GPModel(domain, points, values, mb.default_kernel_config(domain))
+    point = points[0]
+    query = mb.Point(point.meta, point.categorical, {**point.standard, "r": bad})
+    for predict in (model.cross_covariance, model.predict_batch, model.mean_batch):
+        with pytest.raises(ValueError):
+            predict([points[1], query])
+    with pytest.raises(ValueError):
+        gp.TrainingSet(domain, [query])
+    # The store is left as it was.
+    features = SampleFeatures(domain, points[:2])
+    with pytest.raises(ValueError):
+        features.append(query)
+    assert features.n == 2 and features.codes == SampleFeatures(domain, points[:2]).codes
 
 
 def test_training_set_masks_a_variable_acting_in_one_sample_of_a_pair(toy_problem):
