@@ -75,8 +75,8 @@ from .gp import (CrossFactors, GPModel, KernelConfig, TrainingSet, default_kerne
                  fit_hyperparameters, round_half_away_array)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-#: The acquisition's pattern searches stop refining continuous steps at this
-#: fraction of the scope width, far coarser than direct search's floor.
+#: The acquisition's pattern searches stop halving a continuous step at this
+#: fraction of its scope width, a floor they reach only at a large acq_budget.
 ACQ_MIN_FRACTION = 0.02
 
 

@@ -16,13 +16,15 @@ other variable acts, are extracted once, by :meth:`SampleFeatures.append`,
 into one float64 row per variable.  The training points live in a
 :class:`TrainingSet`, which grows by appends: each new point appends its
 features and one row of pair tensors against the points before it, and
-nothing is rebuilt.  The hyperparameter fit and the model both read the
-set; a run keeps one set and also draws the fit's start parameters once,
-in its first fit.  A model keeps the set's first n feature rows as they
-are when it is built.  Cross-covariances with new points come from
-:class:`PairTensors` of those rows against the new points' rows, and in
-the acquisition from :class:`CrossFactors`, which reads the rows of the
-samples under one meta component and that component's meta row.
+nothing is rebuilt.  Training points are domain members, so the samples
+under one meta component act on exactly its acting set; a non-member is a
+ValueError.  The hyperparameter fit and the model both read the set; a run
+keeps one set and also draws the fit's start parameters once, in its first
+fit.  A model keeps the set's first n feature rows as they are when it is
+built.  Cross-covariances with new points come from :class:`PairTensors`
+of those rows against the new points' rows, and in the acquisition from
+:class:`CrossFactors`, which reads the rows of the samples under one meta
+component and that component's meta row.
 """
 
 from __future__ import annotations
@@ -152,7 +154,9 @@ class SampleFeatures:
     where it does not act: range-normalized for a standard variable,
     category indices for a categorical one.  ``codes`` maps each meta
     component to its code, in code order, and ``which_meta`` holds each
-    sample's code.
+    sample's code.  Per row, ``keys`` holds its factor's (config table, id)
+    and ``integer``, ``lo`` and ``width`` its unit transform
+    (:func:`_unit_values`).
 
     :meth:`append` is the one extraction of a point's features; a store of
     ``points`` is their appends.  A sample once appended never changes, so
@@ -163,13 +167,15 @@ class SampleFeatures:
         self.slots = _meta_slots(domain)
         self.specs = [spec for spec in domain.variables if not spec.type.is_meta]
         self.row_of = {spec.id: k for k, spec in enumerate(self.specs)}
+        self.keys = [(_MATRIX_TABLES[spec.type], spec.id) for spec in self.specs]
         self._meta_scopes = [domain.spec(mid).scope for _, mid in self.slots]
         self._categorical = [spec.type in GROUPS["categorical"] for spec in self.specs]
-        self._integer = np.array([spec.type == VariableType.INTEGER for spec in self.specs],
-                                 dtype=bool)
-        # A category index is its own unit value: lower bound 0, width 1.
-        self._lo, self._width = np.array(
-            [(0, 1) if categorical else (spec.scope.lo, spec.scope.width)
+        self.integer = np.array([spec.type == VariableType.INTEGER for spec in self.specs],
+                                dtype=bool)
+        # A category index is its own unit value (lower bound 0, width 1); a
+        # scope of one value gets width 1, so its value's unit value is 0.
+        self.lo, self.width = np.array(
+            [(0, 1) if categorical else (spec.scope.lo, spec.scope.width or 1)
              for spec, categorical in zip(self.specs, self._categorical)],
             dtype=float).reshape(-1, 2).T
         self.n = 0
@@ -211,7 +217,7 @@ class SampleFeatures:
         raw = [(point.categorical if categorical else point.standard).get(spec.id)
                for spec, categorical in zip(self.specs, self._categorical)]
         acting = np.array([v is not None for v in raw], dtype=bool)
-        values = np.where(acting, _unit_values(self._integer, self._lo, self._width, np.array(
+        values = np.where(acting, _unit_values(self.integer, self.lo, self.width, np.array(
             [0 if v is None else v for v in raw], dtype=float)), 0.0)
         meta = self.meta_row(point.meta)
         _require_finite(values, meta)
@@ -263,14 +269,12 @@ def round_half_away_array(x: np.ndarray) -> np.ndarray:
 
 
 def _unit_values(integer, lo, width, raw: np.ndarray) -> np.ndarray:
-    """Range-normalized standard values, elementwise: (raw - lo) / width, or 0
-    where the width is 0.  Integer values, where ``integer`` holds, are
-    first rounded half away from zero.  ``integer``, ``lo`` and ``width``
-    are scalars or arrays shaped like ``raw``."""
-    if np.any(integer):
+    """Range-normalized values, elementwise: (raw - lo) / width, where
+    ``integer`` (a bool array) holds after rounding half away from zero.  The
+    arguments broadcast to ``raw``, and ``width`` is nonzero."""
+    if integer.any():
         raw = np.where(integer, round_half_away_array(raw), raw)
-    return np.divide(raw - lo, width, out=np.zeros(np.shape(raw)),
-                     where=np.asarray(width) != 0)
+    return (raw - lo) / width
 
 
 def _pair_tensor(table: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -465,9 +469,13 @@ class TrainingSet(Sequence):
 
     - the meta group, on pairs with different meta components, holds the
       meta factors: every other factor is exactly 1 there;
-    - the non-meta group, on same-meta pairs, holds every other factor, each
-      exactly 1 off the pairs where its variable acts in both samples: every
-      meta factor is exactly 1 there.
+    - the non-meta group, on same-meta pairs, holds every other factor: every
+      meta factor is exactly 1 there.  The points are domain members, so a
+      variable acts in both samples of such a pair or, with a factor of
+      exactly 1, in neither.
+
+    Appending a non-member raises ValueError naming its membership issues
+    and leaves the set as it was.
 
     Row-major, the lower triangle of n + 1 points is that of n points
     followed by row n, and each group keeps its pairs in that order, so an
@@ -486,8 +494,7 @@ class TrainingSet(Sequence):
         self.features = SampleFeatures(domain)
         self.groups = (
             _PairGroup(self.features.slots, True),
-            _PairGroup([(_MATRIX_TABLES[spec.type], spec.id) for spec in self.features.specs],
-                       False))
+            _PairGroup(self.features.keys, False))
         self._starts = None
         self.extend(points)
 
@@ -505,10 +512,15 @@ class TrainingSet(Sequence):
             self._append(point)
 
     def _append(self, point):
+        issues = self.domain.membership_issues(point)
+        if issues:
+            raise ValueError(f"not a domain member: {'; '.join(map(str, issues))}")
         features, n = self.features, len(self.points)
         code = features.append(point)
         same = features.which_meta[:n] == code
-        acting = features.acting
+        # Same-meta members act alike: a variable acting in neither sample
+        # of a pair holds 0 in both, so its tensor there is neutral.
+        acting = features.acting[:, n]
         for group, rows, cols in ((self.groups[0], features.meta, np.flatnonzero(~same)),
                                   (self.groups[1], features.values, np.flatnonzero(same))):
             if not len(cols):
@@ -517,14 +529,9 @@ class TrainingSet(Sequence):
             difference = rows[:, n, None] - rows[:, cols]
             tensors = np.where(group.correlation[:, None], difference != 0,
                                difference * difference)
-            if group is self.groups[1]:
-                both = acting[:, n, None] & acting[:, cols]
-                tensors[~both] = 0.0
-                group.support |= both.any(axis=1)
-            else:
-                group.support[:] = True
+            group.support |= acting if group is self.groups[1] else True
             group.append(n, cols, tensors)
-        self.groups[1].present |= acting[:, n]
+        self.groups[1].present |= acting
         self.points.append(point)
 
     def gram(self, config: KernelConfig) -> np.ndarray:
@@ -641,9 +648,10 @@ class GPModel:
     """Noise-free zero-mean GP conditioned on evaluated points.
 
     Immutable once constructed; fitting hyperparameters happens separately in
-    :func:`fit_hyperparameters`.  ``points`` may be a :class:`TrainingSet`,
-    and a list of points is put in a new one: the Gram matrix is the
-    set's :meth:`~TrainingSet.gram` and the features are the
+    :func:`fit_hyperparameters`.  ``points`` are domain members, a
+    non-member is a ValueError.  They may be a :class:`TrainingSet`, and a
+    list of points is put in a new one: the Gram matrix is the set's
+    :meth:`~TrainingSet.gram` and the features are the
     :meth:`~SampleFeatures.prefix` of the set's features at its size, so a
     run that grows one set builds neither from scratch.  The model keeps
     the points and features as they are when it is built, whatever the set
@@ -674,8 +682,9 @@ class GPModel:
         return self.config.signal_variance * correlation_matrix(pairs, self.config)
 
     def row_view(self, rows, values) -> "RowView":
-        """A GP on the training points at the indices ``rows``, with its own
-        ``values``; its means come from :meth:`predict_batch`."""
+        """A GP on the training points at the indices ``rows``, distinct
+        integers in [0, n), with its own ``values``; its means come from
+        :meth:`predict_batch`."""
         return RowView(self, rows, values)
 
     def predict_batch(self, points, outputs=None):
@@ -725,10 +734,12 @@ class RowView:
     """
 
     def __init__(self, model: GPModel, rows, values):
-        rows = np.asarray(rows, dtype=int)
-        values = np.asarray(values, dtype=float)
-        if len(rows) != len(values) or not len(rows):
-            raise ValueError("need matching, nonempty rows and values")
+        rows, values = np.asarray(rows), np.asarray(values, dtype=float)
+        if not (rows.ndim == 1 and rows.dtype.kind in "iu" and 0 < len(rows) == len(values)
+                and 0 <= rows.min() and rows.max() < len(model)
+                and len(np.unique(rows)) == len(rows)):
+            raise ValueError("need nonempty values and matching rows, distinct integers "
+                             f"in [0, {len(model)}), got rows {rows.tolist()!r}")
         _require_finite(values)
         self.model = model
         if np.array_equal(rows, np.arange(len(model))):
@@ -752,19 +763,19 @@ class CrossFactors:
     so that a row differing from a kept one in one standard column costs one
     recomputed factor.
 
-    The training samples under the rows' meta component xm (``_under``, u
-    of them) have exactly xm's acting set.  On them every meta factor is
-    exactly 1 and every non-meta variable acting under xm acts, so
-    ``factors[k, :, j]`` is the factor of the k-th acting non-meta variable,
-    in declaration order, between those samples and row j: the non-meta
-    factors :func:`correlation_matrix` multiplies, in its order.  Their product
-    times the signal variance, D, is the rows' cross-covariance with those
-    samples, bit-identical to :meth:`GPModel.cross_covariance` of the rows
-    there; categorical factors, and the factor of every standard column a
-    row does not change, are copied.  Every non-meta factor is exactly 1 on
-    the other samples, and the meta factors there do not depend on the row:
-    the rows' cross-covariance with them is one column m, the signal
-    variance times the meta factors between the samples and xm.
+    The training samples under the rows' meta component xm (``_under``, u of
+    them) are domain members with exactly xm's acting set.  On them every meta
+    factor is exactly 1 and every non-meta variable acting under xm acts, so
+    ``factors[k, :, j]`` is the factor of the k-th acting non-meta variable, in
+    declaration order, between those samples and row j: the non-meta factors
+    :func:`correlation_matrix` multiplies, in its order.  Their product times
+    the signal variance, D, is the rows' cross-covariance with those samples,
+    bit-identical to :meth:`GPModel.cross_covariance` of the rows there;
+    categorical factors, and the factor of every standard column a row does not
+    change, are copied.  Every non-meta factor is exactly 1 on the other
+    samples, and the meta factors there do not depend on the row: the rows'
+    cross-covariance with them is one column m, the signal variance times the
+    meta factors between the samples and xm.
 
     So only D varies from row to row.  With the other samples ordered first,
     the jittered Gram matrix factorizes as ``L = [[L11, 0], [L21, L22]]``,
@@ -778,7 +789,7 @@ class CrossFactors:
 
     Those pieces are computed once, so a row costs O(u^2) however many
     samples the model holds.  Without meta variables every sample is under
-    xm and L22 is the model's own factor.
+    xm and L22 is the model's own factor, refactorized.
     """
 
     def __init__(self, model: GPModel, xm: MetaComponent, categorical, standard, views=()):
@@ -788,31 +799,24 @@ class CrossFactors:
         under = self._under = np.flatnonzero(train.which_meta == code)
         others = np.flatnonzero(train.which_meta != code)
         self._posterior(model, xm, others, views)
-        cat_ids = domain.acting_index_set(xm, "categorical")
-        std_ids = domain.acting_index_set(xm, "standard")
-        acting = {*cat_ids, *std_ids}
-        slot = {v.id: k for k, v in enumerate(v for v in domain.variables if v.id in acting)}
+        cat_rows = [train.row_of[v] for v in domain.acting_index_set(xm, "categorical")]
+        std_rows = [train.row_of[v] for v in domain.acting_index_set(xm, "standard")]
+        slot = {r: k for k, r in enumerate(sorted([*cat_rows, *std_rows]))}
         categorical = np.asarray(categorical, dtype=int)
         standard = np.asarray(standard, dtype=float)
         self.factors = np.empty((len(slot), len(under), len(standard)))
-        for c, vid in enumerate(cat_ids):
-            table = _MATRIX_TABLES[domain.spec(vid).type]
-            self.factors[slot[vid]] = _correlation_factor(
-                table, _config_value(config, table, vid),
-                _pair_tensor(table, train.values[train.row_of[vid], under], categorical[:, c]))
-        specs = [domain.spec(v) for v in std_ids]
-        self._slot = np.array([slot[v] for v in std_ids], dtype=int)
-        self._integer = np.array([spec.type == VariableType.INTEGER for spec in specs],
-                                 dtype=bool)
-        # Per column: its lower bound, its width with 1 in place of 0 (a
-        # column without width holds its lower bound, so its unit value is 0
-        # either way) and minus its weight.
-        width = np.array([spec.scope.width for spec in specs], dtype=float)
-        self._columns = np.array(
-            [[spec.scope.lo for spec in specs], np.where(width != 0, width, 1.0),
-             [-_config_value(config, _MATRIX_TABLES[spec.type], spec.id) for spec in specs]],
-            dtype=float).reshape(3, len(specs))
-        self._train = train.values[np.ix_([train.row_of[v] for v in std_ids], under)]
+        for c, r in enumerate(cat_rows):
+            table, key = train.keys[r]
+            self.factors[slot[r]] = _correlation_factor(
+                table, _config_value(config, table, key),
+                _pair_tensor(table, train.values[r, under], categorical[:, c]))
+        # Per standard column: its slot, the store's unit transform, minus its
+        # weight, and its values in the samples under xm.
+        self._slot = np.array([slot[r] for r in std_rows], dtype=int)
+        self._integer = train.integer[std_rows]
+        self._columns = np.array([train.lo[std_rows], train.width[std_rows],
+                                  [-_config_value(config, *train.keys[r]) for r in std_rows]])
+        self._train = train.values[np.ix_(std_rows, under)]
         rows, column = np.indices(standard.shape).reshape(2, -1)
         self.factors[self._slot[column], :, rows] = self._standard(column, standard.ravel())
 
@@ -835,11 +839,8 @@ class CrossFactors:
         # (u, outputs, 1): each output's weight on each sample under xm.
         self._weights = np.ascontiguousarray(alphas[:, self._under].T)[:, :, None]
         order = np.concatenate([others, self._under])
-        if np.array_equal(order, np.arange(len(model))):
-            factor = model._factor
-        else:
-            factor, _ = _factorize(model._gram[order][:, order], self.signal_variance,
-                                   model.jitter)
+        factor, _ = _factorize(model._gram[np.ix_(order, order)], self.signal_variance,
+                               model.jitter)
         k = len(others)
         self._lower = np.asfortranarray(factor[k:, k:])
         solved = _forward_solve(factor[:k, :k], column) if k else column
@@ -849,18 +850,13 @@ class CrossFactors:
     def _standard(self, column: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The factor of standard column ``column[j]`` at raw value
         ``values[j]`` against the samples under xm, one row per j."""
-        # The operations of _unit_values and _fill_factor, with the
-        # per-column constants gathered once.
         lo, width, rate = self._columns[:, column]
-        integer = self._integer[column]
-        if integer.any():
-            values = np.where(integer, round_half_away_array(values), values)
-        unit = (values - lo) / width
-        tensor = self._train[column] - unit[:, None]
+        tensor = self._train[column] - _unit_values(self._integer[column], lo, width,
+                                                    values)[:, None]
         tensor *= tensor
         # Integer and continuous weights enter the same formula.
-        tensor *= rate[:, None]
-        return np.exp(tensor, out=tensor)
+        _fill_factor(_WEIGHT, tensor, rate[:, None], tensor)
+        return tensor
 
     def polled(self, rows: np.ndarray, column: np.ndarray, values: np.ndarray):
         """Factors of the rows that equal kept row ``rows[j]`` but for
@@ -924,7 +920,8 @@ def _likelihood_terms(matrix: np.ndarray, y: np.ndarray, overwrite: bool = False
 
 def log_marginal_likelihood(domain: Domain, points, values, config: KernelConfig) -> float:
     """-1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi), with the model's base jitter.
-    ``points`` may be a :class:`TrainingSet`; K is its :meth:`~TrainingSet.gram`."""
+    ``points`` are domain members, a non-member is a ValueError; they may be
+    a :class:`TrainingSet`, and K is its :meth:`~TrainingSet.gram`."""
     gram = _training_set(domain, points).gram(config)
     y = np.asarray(values, dtype=float)
     _require_finite(gram, y)
@@ -981,11 +978,12 @@ def fit_hyperparameters(domain: Domain, points, values, *, seed: int = 0,
     search runs from all of them, since a dead start may still move onto a
     matrix that factorizes.
 
-    ``points`` may be a :class:`TrainingSet`; a list is put in a new one.
-    The set holds the pair tensors of the strict lower triangle, the entries
-    LAPACK potrf reads besides the diagonal, in two groups: cross-meta pairs
-    with the meta factors, same-meta pairs with every other factor, each
-    neutral where it is exactly 1.  A run that grows one set draws the
+    ``points`` are domain members, a non-member is a ValueError.  They may
+    be a :class:`TrainingSet`; a list is put in a new one.  The set holds
+    the pair tensors of the strict lower triangle, the entries LAPACK potrf
+    reads besides the diagonal, in two groups: cross-meta pairs with the
+    meta factors, same-meta pairs with every other factor, each neutral
+    where it is exactly 1.  A run that grows one set draws the
     starts once, in its first fit.  A fit builds only the scatter index of
     the entries and every start's factors, all starts at once, one factor
     at a time.

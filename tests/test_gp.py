@@ -806,6 +806,16 @@ def test_row_view_predicts_only_through_its_model(toy_problem):
                      [view])
 
 
+@pytest.mark.parametrize("rows", [[0.7, 1], [-1, 1], [0, 0], [0, 8], [True, False],
+                                  [[0], [1]]])
+def test_row_view_requires_distinct_rows_in_range(toy_problem, rows):
+    # A fractional index is not truncated, a negative one does not count
+    # from the end, and a duplicate or out-of-range one is not accepted.
+    model, _ = surrogate_case(toy_problem, 8, seed=1)
+    with pytest.raises(ValueError, match="distinct integers"):
+        model.row_view(rows, [1.0, 2.0])
+
+
 # -- training set ----------------------------------------------------------------------------
 
 def set_samples(name):
@@ -934,28 +944,77 @@ def test_a_non_finite_query_point_is_rejected(mlp_problem, bad):
     assert features.n == 2 and features.codes == SampleFeatures(domain, points[:2]).codes
 
 
-def test_training_set_masks_a_variable_acting_in_one_sample_of_a_pair(toy_problem):
+def test_training_set_rejects_a_non_member_and_stays_as_it_was(toy_problem):
+    # A training sample holds exactly its meta component's acting set, so
+    # the samples under one meta component share it: the set, the model,
+    # the fit and the likelihood refuse any other point, and a refused
+    # append leaves a grown set as it was.
+    domain = toy_problem.domain
+    xa = mb.MetaComponent({"m": "A"})
+    members = list(mb.enumerate_domain_points(domain))[::7]
+    values = list(np.linspace(-1.0, 1.0, len(members) + 1))
+    outsiders = {
+        "missing": mb.Point(xa, {"s": 3}, {"k": 4}),
+        "nonacting": mb.Point(xa, {"pA": 1, "pB": 2, "s": 2}, {"k": 0}),
+        "scope": mb.Point(xa, {"pA": 1, "s": 4}, {"k": 0}),
+        "invalid-meta": mb.Point({"m": "C"}, {"pA": 1, "s": 1}, {"k": 0}),
+    }
+    config = mb.default_kernel_config(domain)
+    train = gp.TrainingSet(domain, members)
+
+    def state():
+        return (list(train), train.features.n, dict(train.features.codes),
+                train.features.values.tolist(), train.features.acting.tolist(),
+                [(g.rows.tolist(), g.cols.tolist(), g.tensors.tolist(), g.support.tolist(),
+                  g.present.tolist()) for g in train.groups], train.gram(config).tolist())
+
+    before = state()
+    for kind, point in outsiders.items():
+        assert [issue.code for issue in domain.membership_issues(point)][:1] == [kind]
+        with pytest.raises(ValueError, match=kind):
+            train.extend([point])
+        assert state() == before
+        with pytest.raises(ValueError, match=kind):
+            gp.TrainingSet(domain, [point])
+        points = [*members, point]
+        with pytest.raises(ValueError, match=kind):
+            mb.GPModel(domain, points, values, config)
+        with pytest.raises(ValueError, match=kind):
+            mb.fit_hyperparameters(domain, points, values, seed=0)
+        with pytest.raises(ValueError, match=kind):
+            log_marginal_likelihood(domain, points, values, config)
+    # The set still grows as a fresh build of its points.
+    train.extend(members[:1] + members[-1:])
+    fresh = gp.TrainingSet(domain, [*members, members[0], members[-1]])
+    assert np.array_equal(train.gram(config), fresh.gram(config))
+
+
+def test_pair_tensors_mask_a_variable_acting_in_one_sample_of_a_pair(toy_problem):
     # Points built outside the domain's decrees: under m=A, pA and k act in
     # some samples only, and pB acts in one.  Each factor stays 1 on a pair
-    # unless its variable acts in both samples, as in correlation_matrix.
+    # unless its variable acts in both samples.  At the default config a
+    # nominal factor is 0.5 where the categories differ, the ordinal s's is
+    # exp(-d^2 / 2) over its index distance d, k's is exp(-(d / 4)^2) over
+    # its scope of width 4, and the meta factor is 0.1.
     domain = toy_problem.domain
     xa = mb.MetaComponent({"m": "A"})
     points = [mb.Point(xa, {"pA": 2, "s": 1}, {"k": 1}), mb.Point(xa, {"s": 3}, {"k": 4}),
               mb.Point(xa, {"pA": 1, "pB": 2, "s": 2}, {}),
               mb.Point(mb.MetaComponent({"m": "B"}), {"pB": 1, "s": 2}, {"k": 3})]
-    train = gp.TrainingSet(domain, points)
-    for group, (rows, cols, tensors, support) in zip(train.groups,
-                                                      reference_groups(domain, points)):
-        assert np.array_equal(group.tensors, tensors) and list(group.support) == support
-    config = mb.default_kernel_config(domain)
+    upper = {(0, 1): math.exp(-2.0) * math.exp(-9 / 16), (0, 2): 0.5 * math.exp(-0.5),
+             (1, 2): math.exp(-0.5), (0, 3): 0.1, (1, 3): 0.1, (2, 3): 0.1}
+    want = np.eye(4)
+    for (i, j), value in upper.items():
+        want[i, j] = want[j, i] = value
     features = SampleFeatures(domain, points)
-    assert np.array_equal(train.gram(config), correlation_matrix(
-        PairTensors(domain, features, features), config))
+    got = correlation_matrix(PairTensors(domain, features, features),
+                             mb.default_kernel_config(domain))
+    assert np.allclose(got, want, rtol=1e-15, atol=0)
 
 
-def run_training(name):
+def run_training(name, budget=60):
     problem = parse_bundled(name).problem
-    result = mb.run_bo(problem, mb.BOConfig(budget=60, seed=0))
+    result = mb.run_bo(problem, mb.BOConfig(budget=budget, seed=0))
     records = [r for r in result.history if not r.cached and r.error is None]
     return problem.domain, [r.point for r in records], [r.objective for r in records]
 
@@ -1020,3 +1079,30 @@ def test_cross_factors_of_a_column_without_width_match_a_fresh_cross_covariance(
     factors = CrossFactors(model, xm, *row_arrays(domain, xm, rows))
     assert np.array_equal(factors.cross_covariance(factors.factors),
                           model.cross_covariance(rows))
+
+
+@pytest.mark.parametrize("name", ["mlp", "toy"])
+def test_cross_factors_of_member_samples_see_one_column_of_the_others(name):
+    # Every sample under xm acts on xm's acting set, so its covariance with
+    # the other samples comes from the meta factors alone: the block between
+    # the two has identical rows, each m^T.  Then w = L21 L11^-1 m is a * 1
+    # with a = |L11^-1 m|^2 = s^2 - prior, and L22 is the factor of
+    # K_uu + J - a * 1 1^T.
+    domain, points, values = run_training(name, budget=40)
+    config = mb.fit_hyperparameters(domain, points, values, seed=0)
+    model = mb.GPModel(domain, points, values, config)
+    s2 = config.signal_variance
+    split = 0
+    for xm in {p.meta for p in points}:
+        cross = CrossFactors(model, xm, *row_arrays(domain, xm, []))
+        under = cross._under
+        others = np.setdiff1d(np.arange(len(points)), under)
+        split += bool(len(others))
+        block = model._gram[np.ix_(under, others)]
+        assert np.array_equal(block, np.broadcast_to(block[:1], block.shape))
+        a = s2 - cross._prior
+        np.testing.assert_allclose(cross._offset[:, 0], np.full(len(under), a), rtol=1e-10)
+        want = linalg.cholesky(model._gram[np.ix_(under, under)] - a
+                               + model.jitter * np.eye(len(under)), lower=True)
+        assert np.abs(np.tril(cross._lower) - want).max() <= 1e-10 * np.abs(want).max()
+    assert split >= 2
